@@ -8,7 +8,10 @@ strict (> radius), which lets exact metric ties reach the leaves; ties are
 broken toward the lexicographically smallest coordinate vector.  The result
 is therefore the exact ML minimizer, bit-for-bit comparable against
 brute_force_ml, the definitional oracle (chunked exhaustive argmin in
-lexicographic order with the same tie rule).
+lexicographic order with the same tie rule).  A rank-deficient R is searched
+the same way, with its near-zero diagonal entries set to exactly 0: every
+candidate of such a level then has the same increment, and the tie rule
+picks the smallest level wherever the metric does not depend on it.
 
 The reported metric is the full residual ||y - A x||^2: the enumeration
 works with the reduced metric ||Q^T y - R x||^2 and the constant component
@@ -19,7 +22,8 @@ oracle metrics agree even for strictly tall systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .encoder import DispersionBasis, build_equivalent_channel, realify
 from .lift import LatticePoint, pam_levels
 from .algebra import FieldElement, GaussianInt
 
-#: diagonal magnitude below which R is treated as rank-deficient
+#: diagonal magnitude below which R is treated as rank-deficient (and zeroed)
 _RANK_TOL = 1e-10
 
 #: brute-force search spaces beyond this many leaves are refused
@@ -61,6 +65,12 @@ class DecodeProblem:
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """The ML coordinates, their full residual metric and the search effort.
+
+    fallback is True when R was rank-deficient (a diagonal entry below
+    1e-10, searched as exactly 0).
+    """
+
     coordinates: tuple[int, ...]
     metric: float
     visited_nodes: int
@@ -70,13 +80,16 @@ class DecodeResult:
 def sphere_decode(p: DecodeProblem) -> DecodeResult:
     """Exact ML search by depth-first enumeration with a shrinking radius.
 
-    A rank-deficient R (diagonal below 1e-10) falls back to brute force and
-    flags the event in the result.
+    A rank-deficient R (diagonal below 1e-10) is enumerated with those
+    diagonal entries set to exactly 0, and the event is flagged in the
+    result's fallback field.
     """
     a = p.matrix
     q, r = np.linalg.qr(a)
-    if np.abs(np.diag(r)).min() < _RANK_TOL:
-        return replace(brute_force_ml(p), fallback=True)
+    deficient = np.abs(np.diag(r)) < _RANK_TOL
+    rank_deficient = bool(deficient.any())
+    if rank_deficient:
+        r[deficient, deficient] = 0.0
     z = q.T @ p.observation
     resid = p.observation - q @ z
     offset = float(resid @ resid)
@@ -110,7 +123,27 @@ def sphere_decode(p: DecodeProblem) -> DecodeResult:
                 descend(level - 1, nd)
 
     descend(n - 1, 0.0)
-    return DecodeResult(best_coords, best_metric + offset, visited)
+    return DecodeResult(best_coords, best_metric + offset, visited, rank_deficient)
+
+
+def _candidates(levels: tuple[int, ...], n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic table of all len(levels)^n
+    coordinate vectors, as floats."""
+    base = len(levels)
+    places = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = (idx[:, None] // places[None, :]) % base
+    return np.asarray(levels, dtype=float)[digits]
+
+
+@lru_cache(maxsize=16)
+def _candidate_table(levels: tuple[int, ...], n: int) -> np.ndarray:
+    """The whole table of a search space that fits one oracle chunk, built
+    once per (levels, n) and kept read-only (at most 2^14 rows of at most 14
+    floats, under 2 MB)."""
+    table = _candidates(levels, n, 0, len(levels) ** n)
+    table.flags.writeable = False
+    return table
 
 
 def brute_force_ml(p: DecodeProblem) -> DecodeResult:
@@ -125,15 +158,14 @@ def brute_force_ml(p: DecodeProblem) -> DecodeResult:
     total = base**n
     if total > _ORACLE_GUARD:
         raise ValueError(f"search space {total} exceeds the 2^24 oracle guard")
-    lev = np.asarray(p.levels, dtype=np.int64)
-    places = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
     at = p.matrix.T
     best_metric = math.inf
     best_coords: tuple[int, ...] | None = None
     for start in range(0, total, _ORACLE_CHUNK):
-        idx = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // places[None, :]) % base
-        cand = lev[digits]
+        if total <= _ORACLE_CHUNK:
+            cand = _candidate_table(p.levels, n)
+        else:
+            cand = _candidates(p.levels, n, start, min(start + _ORACLE_CHUNK, total))
         diff = cand @ at - p.observation
         metrics = np.einsum("ij,ij->i", diff, diff)
         j = int(np.argmin(metrics))  # first occurrence = lexicographically smallest

@@ -122,8 +122,6 @@ def pointwise_min(a: DmtCurve, b: DmtCurve) -> DmtCurve:
 class SchemeParams:
     """Helper count and antenna geometry of one repair scenario.
 
-    K_o is the smallest odd integer >= K; it only enters the feasibility
-    bookkeeping of the reference full-MAC code, never the curve formulas.
     The transmission protocol itself needs K >= 2, which the CLI enforces;
     K = 1 is allowed here so degenerate reductions stay expressible.
     """
@@ -135,10 +133,6 @@ class SchemeParams:
     def __post_init__(self) -> None:
         if self.K < 1 or self.n_t < 1 or self.n_r < 1:
             raise ValueError("K, n_t and n_r must be positive")
-
-    @property
-    def K_o(self) -> int:
-        return self.K if self.K % 2 else self.K + 1
 
 
 def dmt_optimal_mac(p: SchemeParams) -> DmtCurve:

@@ -78,11 +78,14 @@ def outage_trial_pair(chan, snr: SnrPoint, K: int, r, offset: float):
     return out if out.ndim else bool(out)
 
 
-def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
+def full_mac_outage_reference(chan, snr: SnrPoint, K: int, r, offset: float):
     """Outage of the full K-user MAC: any of the 2^K - 1 subset constraints
     |S| * R > log2 det(I + snr * H_S H_S^H) fails, R = r*log2(snr) + offset.
 
-    chan has shape (..., 2, K).  Guarded to K <= 12.
+    chan has shape (..., 2, K).  Guarded to K <= 12.  This is the direct
+    evaluator (every subset Gram matrix built from scratch, one log2 each):
+    the definitional oracle of outage_trial_full_mac and its fallback for
+    rows too close to the boundary to decide by the fast walk.
     """
     if K > MAX_FULL_MAC_USERS:
         raise ValueError(f"subset enumeration is limited to K <= {MAX_FULL_MAC_USERS}")
@@ -101,6 +104,97 @@ def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
             det = g00 * g11 - np.abs(g01) ** 2
             cap = np.log2(1.0 + s * (g00 + g11) + (s * s) * det)
             out |= cap < size * rate
+    return out if out.ndim else bool(out)
+
+
+#: rows whose minimum relative margin is at most this are re-decided by
+#: full_mac_outage_reference; the derivation is in _full_mac_margin
+_MARGIN_TOL = 1e-12
+
+
+def _full_mac_margin(h: np.ndarray, s: float, K: int, rate: float) -> np.ndarray:
+    """Minimum over the 2^K - 1 subsets S of the relative margin
+    1 - (c^2 + d^2 + 2^{|S| R}) / ((1+a)(1+b)), for h of shape (N, 2, K).
+
+    (a, b, c, d) are s times the sums over S of |h0k|^2, |h1k|^2 and the real
+    and imaginary parts of h0k conj(h1k), so (1+a)(1+b) - c^2 - d^2 is
+    det(I + s H_S H_S^H) and S fails exactly when the margin is negative.
+    The subsets are visited depth-first over the prefix tree of ascending
+    user lists; a child's (1+a, 1+b, c, d) slab is its parent's plus one
+    user's column, written into the buffer of its depth.  Nothing is ever
+    subtracted, so a subset's sums carry only the rounding of its own terms
+    and no error drifts along the walk.  Memory is O(K N), not O(2^K N).
+
+    Rounding bound, with u = 2^-53 and |S| <= 12: each of a, b, c, d is off
+    by less than (|S| + 3) u times the sum of its terms' magnitudes, and
+    |c| + |d| <= 2 sqrt(ab) (Cauchy-Schwarz), so this margin is off by less
+    than (4|S| + 25) u and the reference's log2 argument by less than
+    (4|S| + 20) u (1+a)(1+b).  A row can only be near the boundary when
+    2^{|S| R} <= 2 (1+a)(1+b) and |S| R <= 1024 (further out both tests
+    report outage with room to spare, and 2^{|S| R} overflows to inf).  There
+    the reference's log2, off by at most 2u * 1024, moves its threshold by
+    ln2 * 2048 u relative to 2^{|S| R}, so by 2 ln2 * 2048 u (2,840 u)
+    relative to (1+a)(1+b).  The total stays below 3,000 u (3.3e-13), three
+    times inside _MARGIN_TOL.
+    """
+    n = h.shape[0]
+    h0, h1 = h[:, 0, :].T, h[:, 1, :].T
+    cross = h0 * h1.conj()
+    cols = np.empty((K, 4, n))
+    cols[:, 0] = s * (h0.real**2 + h0.imag**2)
+    cols[:, 1] = s * (h1.real**2 + h1.imag**2)
+    cols[:, 2] = s * cross.real
+    cols[:, 3] = s * cross.imag
+    thresh = np.exp2(np.arange(K + 1) * rate)
+    # slab[depth] holds (1+a, 1+b, c, d) of the subset at that depth of the path
+    slab = np.empty((K + 1, 4, n))
+    slab[0] = ((1.0,), (1.0,), (0.0,), (0.0,))
+    worst = np.full(n, -np.inf)  # running max of (c^2 + d^2 + 2^{|S| R}) / ((1+a)(1+b))
+    sq = np.empty((2, n))
+    ratio = np.empty(n)
+    det = np.empty(n)
+    # (depth, k): extend the path's subset at that depth by user k; a child
+    # is pushed after its next sibling, so its whole subtree is done before
+    # the sibling overwrites slab[depth + 1]
+    stack = [(0, 0)] if K else []
+    while stack:
+        depth, k = stack.pop()
+        if k + 1 < K:
+            stack.append((depth, k + 1))
+            stack.append((depth + 1, k + 1))
+        child = slab[depth + 1]
+        np.add(slab[depth], cols[k], out=child)
+        np.square(child[2:], out=sq)
+        np.add(sq[0], sq[1], out=ratio)
+        np.add(ratio, thresh[depth + 1], out=ratio)
+        np.multiply(child[0], child[1], out=det)
+        np.divide(ratio, det, out=ratio)
+        np.maximum(worst, ratio, out=worst)
+    return 1.0 - worst
+
+
+def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
+    """Outage of the full K-user MAC, flag for flag equal to
+    full_mac_outage_reference.
+
+    chan has shape (..., 2, K).  Guarded to K <= 12.  Every subset is checked
+    by the drift-free prefix-tree walk of _full_mac_margin, with no log2: a
+    row is in outage iff its minimum relative margin is negative.  Rows whose
+    margin lies within _MARGIN_TOL of zero (or is not finite) are too close
+    to call under rounding and are re-decided by the reference evaluator.
+    """
+    if K > MAX_FULL_MAC_USERS:
+        raise ValueError(f"subset enumeration is limited to K <= {MAX_FULL_MAC_USERS}")
+    h = np.asarray(chan)
+    if h.shape[-1] != K:
+        raise ValueError(f"expected {K} user columns, got {h.shape[-1]}")
+    rows = h.reshape(-1, 2, K)
+    margin = _full_mac_margin(rows, snr.snr_linear, K, _rate(float(r), snr, offset))
+    out = margin < 0.0
+    unsure = ~(np.abs(margin) > _MARGIN_TOL)
+    if unsure.any():
+        out[unsure] = full_mac_outage_reference(rows[unsure], snr, K, r, offset)
+    out = out.reshape(h.shape[:-2])
     return out if out.ndim else bool(out)
 
 

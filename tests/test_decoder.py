@@ -9,7 +9,7 @@ from wstsim.decoder import (
     sphere_decode,
 )
 from wstsim.encoder import build_pair_codeword, build_tdma_codeword, dispersion_basis
-from wstsim.lift import lift, random_fragment
+from wstsim.lift import lift, pam_levels, random_fragment
 from wstsim.protocol import run_session_trial
 
 
@@ -103,6 +103,43 @@ def test_rank_deficient_falls_back_to_oracle():
     oracle = brute_force_ml(p)
     assert res.coordinates == oracle.coordinates
     assert abs(res.metric - oracle.metric) < 1e-12
+
+
+def test_rank_deficient_m6_matches_oracle():
+    # a zero column at m = 6: the enumeration ties on that coordinate and
+    # must land on the oracle's lexicographically smallest minimizer
+    rng = np.random.default_rng(11)
+    levels = pam_levels(6)
+    for col in (0, 3, 5):
+        p, _ = random_problem(rng, rows=6, cols=6, levels=levels, noise=0.5)
+        a = p.matrix.copy()
+        a[:, col] = 0.0
+        p = DecodeProblem(a, p.observation, levels)
+        res = sphere_decode(p)
+        oracle = brute_force_ml(p)
+        assert res.fallback
+        assert res.coordinates == oracle.coordinates
+        assert res.coordinates[col] == levels[0]
+        assert abs(res.metric - oracle.metric) < 1e-9
+
+
+def test_rank_deficient_beyond_oracle_guard():
+    # 8^12 leaves exceed the brute-force guard; the search must still return
+    # the minimizer of the reduced problem, with the dead coordinate at the
+    # smallest level
+    rng = np.random.default_rng(12)
+    levels = pam_levels(6)
+    p, _ = random_problem(rng, rows=12, cols=12, levels=levels, noise=0.5)
+    col = 3
+    a = p.matrix.copy()
+    a[:, col] = 0.0
+    res = sphere_decode(DecodeProblem(a, p.observation, levels))
+    reduced = sphere_decode(DecodeProblem(np.delete(a, col, axis=1), p.observation, levels))
+    assert res.fallback
+    assert not reduced.fallback
+    assert abs(res.metric - reduced.metric) < 1e-9
+    assert res.coordinates[col] == levels[0]
+    assert res.coordinates[:col] + res.coordinates[col + 1 :] == reduced.coordinates
 
 
 def test_metric_includes_out_of_span_residual():

@@ -192,8 +192,6 @@ def test_tdma_curves():
 
 
 def test_scheme_params():
-    assert SchemeParams(K=10).K_o == 11
-    assert SchemeParams(K=7).K_o == 7
     with pytest.raises(ValueError):
         SchemeParams(K=0)
 

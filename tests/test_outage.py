@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wstsim import outage
 from wstsim.channel import SnrPoint, draw_cn, trial_rng
 from wstsim.outage import (
     InsufficientSamplesError,
     OutageSpec,
     estimate_slope,
+    full_mac_outage_reference,
     outage_trial_full_mac,
     outage_trial_pair,
     outage_trial_tdma,
@@ -86,6 +88,61 @@ def test_outage_monotone_in_snr_fixed_channel():
 def test_full_mac_guard():
     with pytest.raises(ValueError):
         outage_trial_full_mac(np.zeros((2, 13)), SnrPoint(10.0), 13, Fraction(0), 1.0)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 7, 10, 12])
+def test_full_mac_fast_path_equals_reference(K):
+    rng = trial_rng(8, K)
+    chans = draw_cn(rng, (512, 2, K))
+    # the reference costs ~4,000 Python-level subset passes per call at K = 12
+    for db in (10.0, 60.0) if K == 12 else (-10.0, 10.0, 30.0, 60.0):
+        snr = SnrPoint(db)
+        for r, offset in ((Fraction(0), 1.0), (Fraction(1, 20), 0.0), (Fraction(1, 4), -0.5), (Fraction(1, 2), 2.0)):
+            fast = outage_trial_full_mac(chans, snr, K, r, offset)
+            ref = full_mac_outage_reference(chans, snr, K, r, offset)
+            assert fast.dtype == bool and fast.shape == (512,)
+            assert np.array_equal(fast, ref), (db, r, offset)
+
+
+def test_full_mac_scalar_input_returns_bool():
+    chans = draw_cn(trial_rng(9), (20, 2, 3))
+    snr = SnrPoint(5.0)
+    for h in chans:
+        flag = outage_trial_full_mac(h, snr, 3, Fraction(1, 4), 0.5)
+        assert isinstance(flag, bool)
+        assert flag == full_mac_outage_reference(h, snr, 3, Fraction(1, 4), 0.5)
+
+
+def test_full_mac_exact_boundary_goes_to_reference(monkeypatch):
+    # 0 dB, r = 0, 1-bit offset, one user with h = (1, 0): 1 + s|h|^2 = 2 = 2^R
+    # exactly, so the margin is 0 and the row must be decided by the reference
+    calls = []
+
+    def counting_reference(chan, *args):
+        calls.append(np.asarray(chan).shape)
+        return full_mac_outage_reference(chan, *args)
+
+    monkeypatch.setattr(outage, "full_mac_outage_reference", counting_reference)
+    chan = np.array([[1.0 + 0j], [0.0]])
+    assert outage_trial_full_mac(chan, SnrPoint(0.0), 1, Fraction(0), 1.0) is False
+    assert calls == [(1, 2, 1)]
+
+
+def test_full_mac_sweep_counts_match_reference_and_workers(monkeypatch):
+    spec = OutageSpec("full-mac", 4, Fraction(1, 4), 0.5, (0.0, 10.0), 20000, 31)
+    one = run_outage_sweep(spec, workers=1)
+    two = run_outage_sweep(spec, workers=2)
+    monkeypatch.setattr(outage, "outage_trial_full_mac", full_mac_outage_reference)
+    ref = run_outage_sweep(spec, workers=1)
+    counts = [c.outages for c in one.cells]
+    assert counts == [c.outages for c in two.cells]
+    assert counts == [c.outages for c in ref.cells]
+    assert all(c > 0 for c in counts)
+
+
+def test_full_mac_reference_guard():
+    with pytest.raises(ValueError):
+        full_mac_outage_reference(np.zeros((2, 13)), SnrPoint(10.0), 13, Fraction(0), 1.0)
 
 
 def test_pair_dominant_constraint_is_single_user():
