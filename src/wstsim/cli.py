@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -45,16 +46,35 @@ REPAIR_HEADER = "snr_db,trials,session_err_rate,share_fail_rate,repair_fail_rate
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 
 
+#: accepted SNR values in dB: snr_linear stays within 1e-100 .. 1e100
+SNR_DB_RANGE = (-1000.0, 1000.0)
+
+#: most points an SNR grid may have
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
-    """Parse 'lo:hi:step' (inclusive, dB) or a single dB value."""
-    parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) != 3:
+    """Parse 'lo:hi:step' (inclusive, dB) or a single dB value.
+
+    Every value must be finite, the end points must lie inside SNR_DB_RANGE,
+    and the grid may hold at most MAX_GRID_POINTS points.
+    """
+    parts = str(text).split(":")
+    if len(parts) not in (1, 3):
         raise ValueError(f"SNR grid must be 'lo:hi:step' or a single value, got {text!r}")
-    lo, hi, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    lo_db, hi_db = SNR_DB_RANGE
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"SNR grid values must be finite, got {text!r}")
+    if not all(lo_db <= v <= hi_db for v in values[:2]):
+        raise ValueError(f"SNR values must lie in [{lo_db:g}, {hi_db:g}] dB, got {text!r}")
+    if len(parts) == 1:
+        return (values[0],)
+    lo, hi, step = values
     if step <= 0 or hi < lo:
         raise ValueError(f"bad SNR grid {text!r}")
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"SNR grid {text!r} has more than {MAX_GRID_POINTS} points")
     grid = []
     v = lo
     while v <= hi + 1e-9:
@@ -245,7 +265,13 @@ def _blocked_ranges(trials: int, block: int = 250):
         start = stop
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+
+
 def cmd_simulate(args) -> int:
+    _check_trials(args.trials)
     snr_grid = _parse_snr_grid(args.snr_grid)
     decoder_mode = "oracle" if args.decoder == "ml" else "sphere"
     tasks = [
@@ -298,6 +324,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_repair(args) -> int:
     cfg = StorageConfig(n=args.n, k=args.k, d=args.d, fragment_bits=args.fragment_bits)
+    _check_trials(args.trials)
     snr_grid = _parse_snr_grid(args.snr_grid)
     decoder_mode = "oracle" if args.decoder == "ml" else "sphere"
     tasks = [
@@ -449,6 +476,20 @@ def _selftest_dmt() -> tuple[bool, str]:
     return True, "K=10 curve breakpoints exact"
 
 
+def _selftest_outage(rng) -> tuple[bool, str]:
+    from .channel import draw_cn
+    from .outage import full_mac_outage_reference, outage_trial_full_mac
+
+    # at r = 1/4 and a 1-bit offset these SNRs send rows down all three
+    # paths: cleared by the bound, in outage by an exact check, and walked
+    chans = draw_cn(rng, (300, 2, 4))
+    for db in (0.0, 10.0):
+        args = (SnrPoint(db), 4, Fraction(1, 4), 1.0)
+        if not np.array_equal(outage_trial_full_mac(chans, *args), full_mac_outage_reference(chans, *args)):
+            return False, f"full-MAC outage disagrees with the direct evaluator at {db:g} dB"
+    return True, "full-MAC outage == direct evaluator on 300 K=4 draws at 0 and 10 dB"
+
+
 def cmd_selftest(args) -> int:
     rng = trial_rng(args.seed)
     checks = [
@@ -456,6 +497,7 @@ def cmd_selftest(args) -> int:
         ("lift", _selftest_lift),
         ("decoder", lambda: _selftest_decoder(rng)),
         ("dmt", _selftest_dmt),
+        ("outage", lambda: _selftest_outage(rng)),
     ]
     failed = False
     for name, fn in checks:

@@ -58,6 +58,8 @@ class DecodeProblem:
             raise ValueError("observation length must match the row count")
         if not self.levels:
             raise ValueError("alphabet must be nonempty")
+        if not (np.isfinite(mat).all() and np.isfinite(obs).all()):
+            raise ValueError("matrix and observation must be finite")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "observation", obs)
         object.__setattr__(self, "levels", tuple(sorted(set(int(v) for v in self.levels))))

@@ -6,6 +6,13 @@ user for the pair scheme, K*r for TDMA, r per user for the full MAC).  The
 offset keeps r = 0 measurable (zero rate has no outage event), so sweeps at
 r = 0 default to a 1-bit offset upstream.
 
+The full-MAC predicate decides each row in one of three ways.  A
+Cauchy-Binet lower bound on the determinants of every subset size clears
+most rows, and exact checks of the weakest user and of the full set put
+others in outage; only the remaining rows walk all 2^K - 1 subsets.  Rows
+too close to the boundary to call under rounding go to the direct evaluator,
+so flags equal full_mac_outage_reference exactly.
+
 The outage predicates are pure and vectorized: they accept one channel
 realization or any leading batch shape.  Sweeps draw channels in fixed-size
 blocks of 16384 trials, each block on its own Philox counter substream keyed
@@ -108,8 +115,30 @@ def full_mac_outage_reference(chan, snr: SnrPoint, K: int, r, offset: float):
 
 
 #: rows whose minimum relative margin is at most this are re-decided by
-#: full_mac_outage_reference; the derivation is in _full_mac_margin
+#: full_mac_outage_reference, and the subset bound decides a row only with
+#: more than this times (1+A)(1+B) to spare; the derivations are in
+#: _full_mac_margin and _subset_bound_gaps
 _MARGIN_TOL = 1e-12
+
+
+def _user_terms(h: np.ndarray, s: float) -> np.ndarray:
+    """(a, b, c, d) per user, shape (4, K, N), for h of shape (N, 2, K): s times
+    |h0k|^2, |h1k|^2 and the real and imaginary parts of h0k conj(h1k).
+
+    Each term is written in place, so the only temporaries are the complex
+    cross product and its conjugated operand.
+    """
+    h0, h1 = h[:, 0, :].T, h[:, 1, :].T
+    terms = np.empty((4,) + h0.shape)
+    a, b, c, d = terms
+    for out, x in ((a, h0), (b, h1)):
+        np.square(x.real, out=out)
+        out += np.square(x.imag, out=d)  # d is scratch until it is written below
+        out *= s
+    cross = h0 * h1.conj()
+    np.multiply(cross.real, s, out=c)
+    np.multiply(cross.imag, s, out=d)
+    return terms
 
 
 def _full_mac_margin(h: np.ndarray, s: float, K: int, rate: float) -> np.ndarray:
@@ -138,13 +167,7 @@ def _full_mac_margin(h: np.ndarray, s: float, K: int, rate: float) -> np.ndarray
     times inside _MARGIN_TOL.
     """
     n = h.shape[0]
-    h0, h1 = h[:, 0, :].T, h[:, 1, :].T
-    cross = h0 * h1.conj()
-    cols = np.empty((K, 4, n))
-    cols[:, 0] = s * (h0.real**2 + h0.imag**2)
-    cols[:, 1] = s * (h1.real**2 + h1.imag**2)
-    cols[:, 2] = s * cross.real
-    cols[:, 3] = s * cross.imag
+    cols = _user_terms(h, s).transpose(1, 0, 2).copy()  # user k's column is cols[k]
     thresh = np.exp2(np.arange(K + 1) * rate)
     # slab[depth] holds (1+a, 1+b, c, d) of the subset at that depth of the path
     slab = np.empty((K + 1, 4, n))
@@ -173,15 +196,88 @@ def _full_mac_margin(h: np.ndarray, s: float, K: int, rate: float) -> np.ndarray
     return 1.0 - worst
 
 
+def _subset_bound_gaps(terms: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-size lower bounds on the subset determinants, less their thresholds.
+
+    By Cauchy-Binet, det(I + s H_S H_S^H) = 1 + sum_{k in S} w_k +
+    sum_{k<l in S} p_kl, with w_k = a_k + b_k and p_kl = a_k b_l + a_l b_k
+    - 2 (c_k c_l + d_k d_l) = s^2 |h0k h1l - h0l h1k|^2 (a single user's
+    a_k b_k - c_k^2 - d_k^2 is 0).  So every size-j subset's determinant is at
+    least g_j = 1 + (sum of the j smallest w) + (sum of the C(j, 2) smallest
+    p).  g_1 is the weakest user's own determinant and g_K the full set's, so
+    both are exact.  For terms from _user_terms, returns the gaps
+    g_j - 2^{j R}, shape (K, N) for j = 1..K, and the tolerance
+    _MARGIN_TOL (1+A)(1+B), where A and B are the full-set sums of a and b.
+
+    Rounding bound, with u = 2^-53 and K <= 12: w_k is off by less than 5u w_k.
+    Each of a_k b_l and a_l b_k is off by less than 10u of itself, and
+    |c_k c_l| + |d_k d_l| <= sqrt(a_k b_k a_l b_l) <= (a_k b_l + a_l b_k) / 2,
+    so p_kl is off by less than 30u (a_k b_l + a_l b_k) and |p_kl| stays
+    below 2 (a_k b_l + a_l b_k).  Summed over all pairs these are at most
+    30u AB and 2AB.  The sorted prefix sums add at most 65u times the sum of
+    their terms' magnitudes (11u (A+B) for w, 130u AB for p), and adding 1
+    and subtracting 2^{j R} add 8u (1+A)(1+B).  The p of any size-j subset's
+    pairs sum to at least the C(j, 2) smallest, so for every such subset S,
+    det(S) - 2^{j R} is at least the computed gap less 200u (1+A)(1+B); for
+    the weakest user and the full set the two differ by less than that.  The
+    reference's log2 argument is off by less than (4|S| + 20) u (1+a)(1+b)
+    <= 68u (1+A)(1+B), and a gap can only be small when
+    2^{j R} <= 2 (1+A)(1+B), where the reference's log2 moves its threshold
+    by less than 2,840u (1+A)(1+B) (both as derived in _full_mac_margin).
+    The total stays below 3,110u (3.5e-13) of (1+A)(1+B), nearly three times
+    inside the tolerance.
+    """
+    a, b, c, d = terms  # each (K, N) and contiguous, so no ufunc buffers
+    K, n = a.shape
+    tol = (1.0 + a.sum(axis=0)) * (1.0 + b.sum(axis=0))
+    tol *= _MARGIN_TOL
+    w = np.add(a, b)
+    # p_kl for l > k in rows lo..hi of pairs, one k per pass
+    pairs = np.empty((K * (K - 1) // 2, n))
+    tmp = np.empty((K - 1, n))
+    lo = 0
+    for k in range(K - 1):
+        hi = lo + K - 1 - k
+        blk, t = pairs[lo:hi], tmp[: hi - lo]
+        np.multiply(a[k + 1 :], b[k], out=blk)
+        np.multiply(b[k + 1 :], a[k], out=t)
+        blk += t
+        for x in (c, d):
+            np.multiply(x[k + 1 :], x[k], out=t)
+            t *= 2.0
+            blk -= t
+        lo = hi
+    # sorted prefix sums, in place and one row per call (np.cumsum along
+    # axis 0 runs one strided column at a time)
+    for x in (w, pairs):
+        x.sort(axis=0)
+        for i in range(1, x.shape[0]):
+            np.add(x[i - 1], x[i], out=x[i])
+    thresh = np.exp2(np.arange(1, K + 1) * rate)
+    for j in range(1, K + 1):
+        if j > 1:
+            w[j - 1] += pairs[j * (j - 1) // 2 - 1]
+        w[j - 1] += 1.0
+        w[j - 1] -= thresh[j - 1]
+    return w, tol
+
+
 def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
     """Outage of the full K-user MAC, flag for flag equal to
     full_mac_outage_reference.
 
-    chan has shape (..., 2, K).  Guarded to K <= 12.  Every subset is checked
-    by the drift-free prefix-tree walk of _full_mac_margin, with no log2: a
-    row is in outage iff its minimum relative margin is negative.  Rows whose
-    margin lies within _MARGIN_TOL of zero (or is not finite) are too close
-    to call under rounding and are re-decided by the reference evaluator.
+    chan has shape (..., 2, K).  Guarded to K <= 12.  Each row is decided in
+    one of three ways, with no log2:
+
+    - the Cauchy-Binet bound of _subset_bound_gaps beats 2^{j R} at every
+      size j by more than its tolerance: not in outage;
+    - the exact size-1 (weakest user) or size-K (full set) check fails by
+      more than that tolerance: in outage;
+    - otherwise every subset is checked by the drift-free prefix-tree walk of
+      _full_mac_margin, and the row is in outage iff its minimum relative
+      margin is negative.  Rows whose margin lies within _MARGIN_TOL of zero
+      (or is not finite) are too close to call under rounding and are
+      re-decided by the reference evaluator.
     """
     if K > MAX_FULL_MAC_USERS:
         raise ValueError(f"subset enumeration is limited to K <= {MAX_FULL_MAC_USERS}")
@@ -189,11 +285,18 @@ def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
     if h.shape[-1] != K:
         raise ValueError(f"expected {K} user columns, got {h.shape[-1]}")
     rows = h.reshape(-1, 2, K)
-    margin = _full_mac_margin(rows, snr.snr_linear, K, _rate(float(r), snr, offset))
-    out = margin < 0.0
-    unsure = ~(np.abs(margin) > _MARGIN_TOL)
-    if unsure.any():
-        out[unsure] = full_mac_outage_reference(rows[unsure], snr, K, r, offset)
+    s, rate = snr.snr_linear, _rate(float(r), snr, offset)
+    gaps, tol = _subset_bound_gaps(_user_terms(rows, s), rate)
+    out = (gaps[0] < -tol) | (gaps[-1] < -tol)
+    walk = ~out & ~(gaps > tol).all(axis=0)
+    if walk.any():
+        sub = rows[walk]
+        margin = _full_mac_margin(sub, s, K, rate)
+        flags = margin < 0.0
+        unsure = ~(np.abs(margin) > _MARGIN_TOL)
+        if unsure.any():
+            flags[unsure] = full_mac_outage_reference(sub[unsure], snr, K, r, offset)
+        out[walk] = flags
     out = out.reshape(h.shape[:-2])
     return out if out.ndim else bool(out)
 

@@ -188,6 +188,36 @@ def test_repair_golden_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# edge inputs: an output or a clean exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("simulate", "--trials", "0"), 2),
+        (("repair", "--trials", "0"), 2),
+        (("simulate", "--trials", "-5"), 2),
+        (("simulate", "--snr-grid", "nan"), 2),
+        (("simulate", "--snr-grid", "inf"), 2),
+        (("simulate", "--snr-grid", "1e6"), 2),
+        (("repair", "--snr-grid", "1e6"), 2),
+        (("outage", "--snr-grid", "nan"), 2),
+        (("outage", "--snr-grid", "inf"), 2),
+        (("outage", "--snr-grid", "0:inf:5"), 2),
+        (("outage", "--snr-grid", "0:10:1e-300"), 2),
+        (("simulate", "--snr-grid", "-1000", "--trials", "2"), 0),
+        (("outage", "--scheme", "full-mac", "--K", "4", "--snr-grid=-1000:1000:1000", "--trials", "64"), 0),
+    ],
+)
+def test_edge_inputs_exit_cleanly(tmp_path, args, code):
+    res = run_cli(*args, "--seed", "1", "--workers", "1", "--out-dir", str(tmp_path), cwd=tmp_path)
+    assert res.returncode in (0, 2, 3, 4)
+    assert "Traceback" not in res.stderr, res.stderr
+    assert res.returncode == code, res.stderr
+
+
+# ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------
 
@@ -196,4 +226,5 @@ def test_selftest_passes(tmp_path):
     res = run_cli("selftest", cwd=tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr
     assert res.stdout.count("ok") >= 4
+    assert "selftest outage: ok" in res.stdout
     assert "FAIL" not in res.stdout

@@ -94,6 +94,16 @@ def test_problem_validation():
         DecodeProblem(np.eye(3), np.zeros(2), (-1, 1))  # length mismatch
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_inputs(bad):
+    mat = np.eye(3)
+    mat[1, 2] = bad
+    with pytest.raises(ValueError):
+        DecodeProblem(mat, np.zeros(3), (-1, 1))
+    with pytest.raises(ValueError):
+        DecodeProblem(np.eye(3), np.array([0.0, bad, 0.0]), (-1, 1))
+
+
 def test_rank_deficient_falls_back_to_oracle():
     a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # second column zero
     y = np.array([0.9, 0.0, 0.0])

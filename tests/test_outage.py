@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -90,17 +91,109 @@ def test_full_mac_guard():
         outage_trial_full_mac(np.zeros((2, 13)), SnrPoint(10.0), 13, Fraction(0), 1.0)
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 4, 7, 10, 12])
-def test_full_mac_fast_path_equals_reference(K):
-    rng = trial_rng(8, K)
-    chans = draw_cn(rng, (512, 2, K))
+FULL_MAC_KS = [1, 2, 3, 4, 7, 10, 12]
+FULL_MAC_RATES = ((Fraction(0), 1.0), (Fraction(1, 20), 0.0), (Fraction(1, 4), -0.5), (Fraction(1, 2), 2.0))
+
+
+def full_mac_grid(K):
+    """512 draws per K and the (SNR, r, offset) points they are tested at."""
+    chans = draw_cn(trial_rng(8, K), (512, 2, K))
     # the reference costs ~4,000 Python-level subset passes per call at K = 12
     for db in (10.0, 60.0) if K == 12 else (-10.0, 10.0, 30.0, 60.0):
+        for r, offset in FULL_MAC_RATES:
+            yield chans, SnrPoint(db), r, offset
+
+
+@pytest.mark.parametrize("K", FULL_MAC_KS)
+def test_full_mac_fast_path_equals_reference(K):
+    for chans, snr, r, offset in full_mac_grid(K):
+        fast = outage_trial_full_mac(chans, snr, K, r, offset)
+        ref = full_mac_outage_reference(chans, snr, K, r, offset)
+        assert fast.dtype == bool and fast.shape == (512,)
+        assert np.array_equal(fast, ref), (snr.snr_db, r, offset)
+
+
+@pytest.mark.parametrize("K", FULL_MAC_KS)
+def test_full_mac_walk_sign_equals_reference(K):
+    # most rows are settled before the walk, so test the walk on every row
+    decided = rows = 0
+    for chans, snr, r, offset in full_mac_grid(K):
+        rate = float(r) * math.log2(snr.snr_linear) + offset
+        margin = outage._full_mac_margin(chans, snr.snr_linear, K, rate)
+        ref = full_mac_outage_reference(chans, snr, K, r, offset)
+        sure = np.abs(margin) > outage._MARGIN_TOL
+        assert np.array_equal((margin < 0.0)[sure], ref[sure]), (snr.snr_db, r, offset)
+        decided += int(sure.sum())
+        rows += len(chans)
+    assert decided > 0.99 * rows
+
+
+def _brute_force_min_dets(h, s, K):
+    """Minimum det(I + s H_S H_S^H) over the subsets of each size, (K, N)."""
+    best = np.full((K, h.shape[0]), np.inf)
+    for size in range(1, K + 1):
+        for subset in combinations(range(K), size):
+            sub = h[..., list(subset)]
+            gram = np.eye(2) + s * np.einsum("nik,njk->nij", sub, sub.conj())
+            best[size - 1] = np.minimum(best[size - 1], np.linalg.det(gram).real)
+    return best
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 6])
+def test_full_mac_prepass_bound_below_every_subset(K):
+    h = draw_cn(trial_rng(10, K), (400, 2, K))
+    h[:50, :, -1] = h[:50, :, 0]  # a repeated user: p_kl cancels to ~0
+    h[50:100, :, 0] = 0.0
+    for db in (-10.0, 10.0, 30.0):
+        s = SnrPoint(db).snr_linear
+        # a rate of -inf makes every threshold 2^{j R} zero, so the gaps are g_j
+        bound, tol = outage._subset_bound_gaps(outage._user_terms(h, s), -math.inf)
+        exact = _brute_force_min_dets(h, s, K)
+        slack = 1e-12 * exact[-1]
+        assert bound.shape == exact.shape and tol.shape == (400,)
+        assert (bound <= exact + slack).all(), db
+        # sizes 1 and K are exact
+        assert np.allclose(bound[[0, -1]], exact[[0, -1]], rtol=1e-12, atol=0.0), db
+
+
+def test_full_mac_prepass_outcomes_all_occur(monkeypatch):
+    # the three ways a row is decided: the bound clears it, the exact size-1
+    # or size-K check puts it in outage, or the walk decides it
+    walked = []
+    walk = outage._full_mac_margin
+
+    def counting_walk(h, *args):
+        walked.append(len(h))
+        return walk(h, *args)
+
+    monkeypatch.setattr(outage, "_full_mac_margin", counting_walk)
+    seen = set()
+    for K in FULL_MAC_KS:
+        for chans, snr, r, offset in full_mac_grid(K):
+            walked.clear()
+            flags = outage_trial_full_mac(chans, snr, K, r, offset)
+            n_walked = sum(walked)
+            if n_walked:
+                seen.add("walked")
+            if int(flags.sum()) > n_walked:
+                seen.add("outage before the walk")
+            if int((~flags).sum()) > n_walked:
+                seen.add("cleared before the walk")
+    assert seen == {"walked", "outage before the walk", "cleared before the walk"}
+
+
+def test_full_mac_adversarial_rows_equal_reference():
+    K = 4
+    h = draw_cn(trial_rng(11), (600, 2, K))
+    h[:200, :, 1] = h[:200, :, 0]  # two identical users: p_01 is ~0 up to rounding
+    h[200:300, :, 2:] = h[200:300, :, :2]  # two repeated pairs
+    h[300:400, :, 3] = 0.0  # a zero column: g_1 = 1 exactly
+    rates = FULL_MAC_RATES + ((Fraction(0), 0.0), (Fraction(1, 10), -1.0))
+    for db in (-10.0, 0.0, 10.0, 20.0, 40.0):
         snr = SnrPoint(db)
-        for r, offset in ((Fraction(0), 1.0), (Fraction(1, 20), 0.0), (Fraction(1, 4), -0.5), (Fraction(1, 2), 2.0)):
-            fast = outage_trial_full_mac(chans, snr, K, r, offset)
-            ref = full_mac_outage_reference(chans, snr, K, r, offset)
-            assert fast.dtype == bool and fast.shape == (512,)
+        for r, offset in rates:
+            fast = outage_trial_full_mac(h, snr, K, r, offset)
+            ref = full_mac_outage_reference(h, snr, K, r, offset)
             assert np.array_equal(fast, ref), (db, r, offset)
 
 
