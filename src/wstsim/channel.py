@@ -39,10 +39,21 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def draw_cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0, 1) samples: E[|z|^2] = 1, independent re/im parts."""
-    z = rng.standard_normal(size=(*shape, 2))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+def draw_cn(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """i.i.d. CN(0, 1) samples: E[|z|^2] = 1, independent re/im parts.
+
+    Each sample takes two consecutive standard normals, real part first.
+    With out (a 1-D float64 array of at least 2 * prod(shape) entries) the
+    samples are drawn into its leading entries and returned as a complex
+    view of them, so a caller drawing many blocks can reuse one buffer;
+    otherwise a new buffer is allocated.
+    """
+    size = 2 * math.prod(shape)
+    buf = np.empty(size) if out is None else out[:size]
+    rng.standard_normal(out=buf)
+    z = buf.view(complex).reshape(shape)
+    z /= math.sqrt(2.0)
+    return z
 
 
 @dataclass(frozen=True)
@@ -71,12 +82,17 @@ class NoiseBlock:
 def draw_session(
     rng: np.random.Generator, n_r: int, n_t: int, k_active: int, T: int
 ) -> tuple[ChannelRealization, NoiseBlock]:
-    """Fresh fading and noise for one session (channel first, then noise)."""
+    """Fresh fading and noise for one session (channel first, then noise).
+
+    Both come from one draw: the first k_active*n_r*n_t samples are the
+    fading, the rest the noise.
+    """
     if min(n_r, n_t, k_active, T) < 1:
         raise ValueError("all dimensions must be positive")
-    h = draw_cn(rng, (k_active, n_r, n_t))
-    w = draw_cn(rng, (n_r, T))
-    return ChannelRealization(h), NoiseBlock(w)
+    n_h = k_active * n_r * n_t
+    z = draw_cn(rng, (n_h + n_r * T,))
+    h = z[:n_h].reshape(k_active, n_r, n_t)
+    return ChannelRealization(h), NoiseBlock(z[n_h:].reshape(n_r, T))
 
 
 def zero_noise(n_r: int, T: int) -> NoiseBlock:

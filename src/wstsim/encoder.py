@@ -73,11 +73,21 @@ class CodeMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DispersionBasis:
-    """Fixed basis matrices C_{k,l}: per user, one n_t x T matrix per symbol."""
+    """Fixed basis matrices C_{k,l}: per user, one 1 x T row per symbol.
 
-    matrices: tuple[tuple[np.ndarray, ...], ...]
+    matrices is one read-only array of shape (k_active, s, 1, T), so
+    matrices[k][l] is C_{k,l}; every helper has a single transmit antenna.
+    """
+
+    matrices: np.ndarray
     s: int
     T: int
+
+    def __post_init__(self) -> None:
+        if self.matrices.shape[1:] != (self.s, 1, self.T):
+            raise ValueError(
+                f"basis shape {self.matrices.shape} != (k_active, {self.s}, 1, {self.T})"
+            )
 
     @property
     def k_active(self) -> int:
@@ -93,12 +103,12 @@ def dispersion_basis(m: int, k_active: int) -> DispersionBasis:
     """
     pam_levels(m)  # validates m
     alpha = normalizer(m)
-    row_for = tuple(
-        alpha * np.array([[embed(b, j) for j in range(3)]], dtype=complex)
-        for b in _BASIS_ELEMENTS
+    rows = alpha * np.array(
+        [[embed(b, j) for j in range(3)] for b in _BASIS_ELEMENTS], dtype=complex
     )
-    per_user = tuple(tuple(r.copy() for r in row_for) for _ in range(k_active))
-    return DispersionBasis(per_user, s=3, T=3)
+    matrices = np.repeat(rows[None, :, None, :], k_active, axis=0)
+    matrices.flags.writeable = False
+    return DispersionBasis(matrices, s=3, T=3)
 
 
 def build_pair_codeword(p1: LatticePoint, p2: LatticePoint, m: int) -> CodeMatrix:
@@ -128,25 +138,25 @@ class EquivalentChannel:
 def build_equivalent_channel(
     channels: Sequence[np.ndarray], basis: DispersionBasis
 ) -> EquivalentChannel:
-    """Column (k, l) is the column-major vectorization of H_k C_{k,l}."""
+    """Column (k, l) is the column-major vectorization of H_k C_{k,l}.
+
+    With one transmit antenna, H_k C_{k,l} is the outer product of h_k and
+    the row C_{k,l}, so entry (t*n_r + i, k*s + l) is C_{k,l}[t] * h_k[i]:
+    the whole matrix is one broadcast product.
+    """
     if len(channels) != basis.k_active:
         raise ValueError(
             f"expected {basis.k_active} per-user channels, got {len(channels)}"
         )
-    mats = [np.asarray(h, dtype=complex) for h in channels]
-    n_t = basis.matrices[0][0].shape[0]
-    n_r = mats[0].shape[0]
-    for h in mats:
-        if h.shape != (n_r, n_t):
-            raise ValueError(f"channel shape {h.shape} != ({n_r}, {n_t})")
-    cols = [
-        (mats[k] @ basis.matrices[k][l]).reshape(-1, order="F")
-        for k in range(basis.k_active)
-        for l in range(basis.s)
-    ]
-    return EquivalentChannel(
-        np.column_stack(cols), k_active=basis.k_active, s=basis.s, n_r=n_r, T=basis.T
+    h = np.asarray(channels, dtype=complex)
+    if h.ndim != 3 or h.shape[2] != 1:
+        raise ValueError(f"per-user channels must be n_r x 1, got shape {h.shape[1:]}")
+    n_r = h.shape[1]
+    rows = basis.matrices[:, :, 0, :].transpose(2, 0, 1)  # (T, k, s)
+    mat = (rows[:, None, :, :] * h[:, :, 0].T[None, :, :, None]).reshape(
+        basis.T * n_r, basis.k_active * basis.s
     )
+    return EquivalentChannel(mat, k_active=basis.k_active, s=basis.s, n_r=n_r, T=basis.T)
 
 
 def realify(H, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ the 2^(3m)-point constellation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import FieldElement, GaussianInt, embed
 
@@ -88,6 +89,21 @@ def gray_decode(q: QamSymbol) -> str:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
+def _gray_axis(m: int) -> tuple[dict[str, int], dict[int, str]]:
+    """Per-axis Gray tables of 2^m-QAM: (m/2)-bit word -> PAM level, and back.
+
+    Built once per m through gray_encode (a word written on both axes is the
+    symbol with that level on both), 2^(m/2) entries each; lift and unlift
+    index them, and must not write to them.
+    """
+    _check_m(m)
+    half = m // 2
+    words = [format(v, f"0{half}b") for v in range(1 << half)]
+    level = {w: gray_encode(w + w).value.re for w in words}
+    return level, {v: w for w, v in level.items()}
+
+
 @dataclass(frozen=True)
 class Fragment:
     """An encoded-share chunk of exactly 3*m bits (one lattice point)."""
@@ -121,13 +137,18 @@ class LatticePoint:
 
     @classmethod
     def from_element(cls, element: FieldElement) -> LatticePoint:
-        return cls(element, tuple(embed(element, j) for j in range(3)))
+        return cls(element, (embed(element, 0), embed(element, 1), embed(element, 2)))
 
 
 def lift(frag: Fragment) -> LatticePoint:
     """Lift a fragment onto the lattice: (b1, b2, b3) -> q1 + q2*eta + q3*eta^2."""
-    m = frag.m
-    q = [gray_encode(frag.bits[i * m : (i + 1) * m]).value for i in range(3)]
+    m, bits = frag.m, frag.bits
+    half = m // 2
+    level = _gray_axis(m)[0]
+    q = [
+        GaussianInt(level[bits[i : i + half]], level[bits[i + half : i + m]])
+        for i in range(0, 3 * m, m)
+    ]
     return LatticePoint.from_element(FieldElement(q[0], q[1], q[2]))
 
 
@@ -138,8 +159,14 @@ def unlift(point: LatticePoint, m: int) -> Fragment:
     contract guarantees in-alphabet coordinates, so that signals a bug
     upstream rather than channel noise.
     """
-    parts = [gray_decode(QamSymbol(c, m)) for c in point.element.coefficients()]
-    return Fragment("".join(parts), m)
+    word = _gray_axis(m)[1]
+    try:
+        bits = "".join(word[c.re] + word[c.im] for c in point.element.coefficients())
+    except KeyError:
+        raise ValueError(
+            f"{point.element!r} has a coefficient outside {1 << m}-QAM"
+        ) from None
+    return Fragment(bits, m)
 
 
 def random_fragment(rng, m: int) -> Fragment:

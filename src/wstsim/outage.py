@@ -51,11 +51,17 @@ def _rate(gain: float, snr: SnrPoint, offset: float) -> float:
     return gain * math.log2(snr.snr_linear) + offset
 
 
+def _check_users(K: int) -> None:
+    if K < 1:
+        raise ValueError(f"K (the number of helpers) must be at least 1, got {K!r}")
+
+
 def outage_trial_tdma(chan, snr: SnrPoint, K: int, r, offset: float):
     """Outage iff log2(1 + snr*||h||^2) < K*r*log2(snr) + offset.
 
     chan holds the helper's receive vector(s), shape (..., 2) or (..., 2, 1).
     """
+    _check_users(K)
     h = np.asarray(chan)
     if h.ndim >= 2 and h.shape[-1] == 1:
         h = h[..., 0]
@@ -74,6 +80,7 @@ def outage_trial_pair(chan, snr: SnrPoint, K: int, r, offset: float):
     constraint carries 2*R_u, and the event is the union of
     single-user 1x2 failures and the joint 2x2 failure.
     """
+    _check_users(K)
     h = np.asarray(chan)
     s = snr.snr_linear
     r_user = _rate(K * float(r) / 2.0, snr, offset)
@@ -279,6 +286,7 @@ def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
       (or is not finite) are too close to call under rounding and are
       re-decided by the reference evaluator.
     """
+    _check_users(K)
     if K > MAX_FULL_MAC_USERS:
         raise ValueError(f"subset enumeration is limited to K <= {MAX_FULL_MAC_USERS}")
     h = np.asarray(chan)
@@ -398,36 +406,44 @@ class OutageEstimate:
     slope_error: str | None = None
 
 
-def _block_counts(task) -> tuple[int, int]:
-    spec, snr_idx, block_idx, block_size = task
-    rng = trial_rng(spec.seed, snr_idx, block_idx)
-    snr = SnrPoint(spec.snr_grid_db[snr_idx])
-    if spec.scheme == "tdma":
-        chan = draw_cn(rng, (block_size, 2))
-        flags = outage_trial_tdma(chan, snr, spec.K, spec.r, spec.rate_offset_bits)
-    elif spec.scheme == "pair":
-        chan = draw_cn(rng, (block_size, 2, 2))
-        flags = outage_trial_pair(chan, snr, spec.K, spec.r, spec.rate_offset_bits)
-    else:
-        chan = draw_cn(rng, (block_size, 2, spec.K))
-        flags = outage_trial_full_mac(chan, snr, spec.K, spec.r, spec.rate_offset_bits)
-    return snr_idx, int(flags.sum())
+def _block_counts(task) -> list[int]:
+    """Outage counts per SNR point over a list of (snr_idx, block_idx, size)
+    blocks.  Every block is drawn into one buffer, so a sweep allocates its
+    channel draws once rather than once per block."""
+    spec, blocks = task
+    # the predicate and the channel shape of one row; the predicates are
+    # looked up per call, so a wrapper set on the module attribute is used
+    predicate, row_shape = {
+        "tdma": (outage_trial_tdma, (2,)),
+        "pair": (outage_trial_pair, (2, 2)),
+        "full-mac": (outage_trial_full_mac, (2, spec.K)),
+    }[spec.scheme]
+    buf = np.empty(2 * math.prod(row_shape) * max(size for _, _, size in blocks))
+    counts = [0] * len(spec.snr_grid_db)
+    for snr_idx, block_idx, size in blocks:
+        chan = draw_cn(trial_rng(spec.seed, snr_idx, block_idx), (size, *row_shape), out=buf)
+        snr = SnrPoint(spec.snr_grid_db[snr_idx])
+        counts[snr_idx] += int(predicate(chan, snr, spec.K, spec.r, spec.rate_offset_bits).sum())
+    return counts
 
 
 def run_outage_sweep(spec: OutageSpec, workers: int = 1) -> OutageEstimate:
-    """Run the sweep; counts are identical for any worker count."""
-    tasks = []
+    """Run the sweep; counts are identical for any worker count.
+
+    The blocks are dealt round-robin into one task per worker.
+    """
+    blocks = []
     for snr_idx in range(len(spec.snr_grid_db)):
         remaining = spec.trials
         block_idx = 0
         while remaining > 0:
             size = min(BLOCK_TRIALS, remaining)
-            tasks.append((spec, snr_idx, block_idx, size))
+            blocks.append((snr_idx, block_idx, size))
             remaining -= size
             block_idx += 1
-    counts = [0] * len(spec.snr_grid_db)
-    for snr_idx, count in map_tasks(_block_counts, tasks, workers):
-        counts[snr_idx] += count
+    n_tasks = min(max(workers or 1, 1), len(blocks))
+    tasks = [(spec, blocks[i::n_tasks]) for i in range(n_tasks)]
+    counts = [sum(c) for c in zip(*map_tasks(_block_counts, tasks, workers))]
     cells = []
     for snr_idx, db in enumerate(spec.snr_grid_db):
         c = counts[snr_idx]

@@ -59,6 +59,24 @@ def test_draw_session_deterministic_across_replays():
         assert np.array_equal(noise1.w, noise2.w)
 
 
+def test_draw_cn_into_buffer_equals_fresh_draw():
+    buf = np.full(64, np.nan)
+    a = draw_cn(trial_rng(3, 1), (5, 2, 3), out=buf)
+    assert np.array_equal(a, draw_cn(trial_rng(3, 1), (5, 2, 3)))
+    assert np.shares_memory(a, buf)
+    b = draw_cn(trial_rng(3, 2), (4,), out=buf)  # a smaller draw into the same buffer
+    assert np.array_equal(b, draw_cn(trial_rng(3, 2), (4,)))
+
+
+def test_draw_session_draws_channel_then_noise():
+    for k in (1, 2):
+        rng, ref = trial_rng(77, k), trial_rng(77, k)
+        chan, noise = draw_session(rng, 2, 1, k, 3)
+        assert np.array_equal(chan.per_user, draw_cn(ref, (k, 2, 1)))
+        assert np.array_equal(noise.w, draw_cn(ref, (2, 3)))
+        assert rng.standard_normal() == ref.standard_normal()
+
+
 # ---------------------------------------------------------------------------
 # fading statistics
 # ---------------------------------------------------------------------------

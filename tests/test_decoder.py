@@ -1,14 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng, zero_noise
 from wstsim.decoder import (
     DecodeProblem,
+    DecodeResult,
     brute_force_ml,
     decode_session,
     sphere_decode,
 )
-from wstsim.encoder import build_pair_codeword, build_tdma_codeword, dispersion_basis
+from wstsim.encoder import (
+    build_equivalent_channel,
+    build_pair_codeword,
+    build_tdma_codeword,
+    dispersion_basis,
+    realify,
+)
 from wstsim.lift import lift, pam_levels, random_fragment
 from wstsim.protocol import run_session_trial
 
@@ -18,6 +27,60 @@ def random_problem(rng, rows=8, cols=6, levels=(-1, 1), noise=0.0):
     x = np.array([levels[i] for i in rng.integers(0, len(levels), size=cols)])
     y = a @ x + noise * rng.standard_normal(rows)
     return DecodeProblem(a, y, levels), x
+
+
+def reference_sphere_decode(p: DecodeProblem) -> DecodeResult:
+    """The same depth-first search with numpy nodes: a numpy dot for each
+    node's interference term and numpy scalars throughout.  sphere_decode
+    must match it in coordinates, visited nodes and the rank flag."""
+    q, r = np.linalg.qr(p.matrix)
+    deficient = np.abs(np.diag(r)) < 1e-10
+    rank_deficient = bool(deficient.any())
+    if rank_deficient:
+        r[deficient, deficient] = 0.0
+    z = q.T @ p.observation
+    resid = p.observation - q @ z
+    offset = float(resid @ resid)
+
+    n = p.matrix.shape[1]
+    x = np.zeros(n, dtype=np.int64)
+    best_coords = None
+    best_metric = math.inf
+    visited = 0
+
+    def descend(level, dist):
+        nonlocal best_coords, best_metric, visited
+        rhs = z[level] - float(r[level, level + 1 :] @ x[level + 1 :])
+        rll = r[level, level]
+        cands = sorted(((rhs - rll * a_) ** 2, a_) for a_ in p.levels)
+        for inc, val in cands:
+            visited += 1
+            nd = dist + inc
+            if nd > best_metric:
+                break
+            x[level] = val
+            if level == 0:
+                coords = tuple(int(v) for v in x)
+                if nd < best_metric:
+                    best_metric = nd
+                    best_coords = coords
+                elif nd == best_metric and coords < best_coords:
+                    best_coords = coords
+            else:
+                descend(level - 1, nd)
+
+    descend(n - 1, 0.0)
+    return DecodeResult(best_coords, best_metric + offset, visited, rank_deficient)
+
+
+def assert_matches_reference(p: DecodeProblem) -> DecodeResult:
+    res = sphere_decode(p)
+    ref = reference_sphere_decode(p)
+    assert res.coordinates == ref.coordinates
+    assert res.visited_nodes == ref.visited_nodes
+    assert res.fallback == ref.fallback
+    assert abs(res.metric - ref.metric) <= 1e-12 * max(abs(ref.metric), 1e-300)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +122,36 @@ def test_sphere_equals_oracle_on_pair_sessions():
         assert abs(a.result.metric - b.result.metric) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "m,rows,cols",
+    [(m, 6, 6) for m in (2, 4, 6)] + [(m, 9, 6) for m in (2, 4, 6)]
+    + [(m, 12, 5) for m in (2, 4, 6)] + [(2, 12, 12), (4, 12, 12), (6, 8, 8)],
+)
+def test_sphere_equals_numpy_node_reference(m, rows, cols):
+    levels = pam_levels(m)
+    rng = np.random.default_rng([m, rows, cols])
+    for noise in (0.3, 1.0, 3.0):
+        for _ in range(25):
+            p, _ = random_problem(rng, rows, cols, levels, noise)
+            assert_matches_reference(p)
+
+
+@pytest.mark.parametrize("m,scheme", [(2, "pair"), (4, "pair"), (2, "tdma"), (4, "tdma")])
+def test_sphere_equals_numpy_node_reference_on_sessions(m, scheme):
+    k_act = 2 if scheme == "pair" else 1
+    basis = dispersion_basis(m, k_act)
+    for t in range(60):
+        snr = SnrPoint((5.0, 15.0, 25.0)[t % 3])
+        rng = trial_rng(4321, t)
+        points = [lift(random_fragment(rng, m)) for _ in range(k_act)]
+        X = build_pair_codeword(*points, m) if k_act == 2 else build_tdma_codeword(*points, m)
+        chan, noise = draw_session(rng, 2, 1, k_act, 3)
+        Y = transmit(X, chan, noise, snr)
+        eqc = build_equivalent_channel(chan.per_user, basis)
+        mat, obs = realify(math.sqrt(snr.snr_linear) * eqc.matrix, Y.reshape(-1, order="F"))
+        assert_matches_reference(DecodeProblem(mat, obs, pam_levels(m)))
+
+
 def test_scalar_problem_quantizes_to_closest_level():
     p = DecodeProblem(np.array([[2.0]]), np.array([4.3]), (-3, -1, 1, 3))
     for decode in (sphere_decode, brute_force_ml):
@@ -76,7 +169,7 @@ def test_tie_breaking_is_lexicographic():
     # both +-1 give the same metric in each coordinate; the lexicographically
     # smallest full vector must win in both decoders
     p = DecodeProblem(np.eye(2), np.zeros(2), (-1, 1))
-    a = sphere_decode(p)
+    a = assert_matches_reference(p)
     b = brute_force_ml(p)
     assert a.coordinates == b.coordinates == (-1, -1)
     assert abs(a.metric - b.metric) < 1e-12
@@ -108,7 +201,7 @@ def test_rank_deficient_falls_back_to_oracle():
     a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # second column zero
     y = np.array([0.9, 0.0, 0.0])
     p = DecodeProblem(a, y, (-1, 1))
-    res = sphere_decode(p)
+    res = assert_matches_reference(p)
     assert res.fallback
     oracle = brute_force_ml(p)
     assert res.coordinates == oracle.coordinates
@@ -125,7 +218,7 @@ def test_rank_deficient_m6_matches_oracle():
         a = p.matrix.copy()
         a[:, col] = 0.0
         p = DecodeProblem(a, p.observation, levels)
-        res = sphere_decode(p)
+        res = assert_matches_reference(p)
         oracle = brute_force_ml(p)
         assert res.fallback
         assert res.coordinates == oracle.coordinates

@@ -7,6 +7,7 @@ import pytest
 from wstsim.algebra import ETA, FieldElement
 from wstsim.channel import draw_cn, trial_rng
 from wstsim.encoder import (
+    DispersionBasis,
     average_row_energy,
     build_equivalent_channel,
     build_pair_codeword,
@@ -217,6 +218,25 @@ def test_equivalent_channel_linear_in_each_user():
     c = build_equivalent_channel([h1 + g1, h2], basis).matrix
     assert np.max(np.abs(a[:, :3] + b[:, :3] - c[:, :3])) < 1e-12
     assert np.max(np.abs(c[:, 3:] - a[:, 3:])) < 1e-12
+
+
+def test_equivalent_channel_equals_per_column_products_exactly():
+    rng = trial_rng(15)
+    for k in (1, 2):
+        basis = dispersion_basis(4, k)
+        for _ in range(200):
+            hs = draw_cn(rng, (k, 2, 1))
+            cols = [
+                (hs[u] @ basis.matrices[u][l]).reshape(-1, order="F")
+                for u in range(k)
+                for l in range(3)
+            ]
+            assert np.array_equal(build_equivalent_channel(hs, basis).matrix, np.column_stack(cols))
+
+
+def test_dispersion_basis_rejects_multi_antenna_rows():
+    with pytest.raises(ValueError):
+        DispersionBasis(np.zeros((2, 3, 2, 3), dtype=complex), s=3, T=3)
 
 
 def test_equivalent_channel_rejects_wrong_count():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from wstsim.algebra import GaussianInt
+from wstsim.algebra import FieldElement, GaussianInt
 from wstsim.encoder import average_row_energy
 from wstsim.lift import (
     Fragment,
@@ -106,6 +106,16 @@ def test_lift_injective_m2():
     assert len(images) == 64
 
 
+def test_lift_equals_gray_encode_composition():
+    rng = np.random.default_rng(7)
+    cases = [(2, list(all_bitstrings(6))), (4, list(all_bitstrings(12)))]
+    cases += [(m, [random_fragment(rng, m).bits for _ in range(500)]) for m in (6, 8)]
+    for m, fragments in cases:
+        for bits in fragments:
+            q = [gray_encode(bits[i * m : (i + 1) * m]).value for i in range(3)]
+            assert lift(Fragment(bits, m)) == LatticePoint.from_element(FieldElement(*q))
+
+
 def test_roundtrip_exhaustive_m2():
     for bits in all_bitstrings(6):
         frag = Fragment(bits, 2)
@@ -131,6 +141,8 @@ def test_unlift_rejects_out_of_constellation():
     )  # coefficients reach +-3
     with pytest.raises(ValueError):
         unlift(point, 2)
+    with pytest.raises(ValueError):
+        unlift(point, 3)  # odd m
 
 
 def test_fragment_validation():

@@ -233,6 +233,13 @@ def test_full_mac_sweep_counts_match_reference_and_workers(monkeypatch):
     assert all(c > 0 for c in counts)
 
 
+@pytest.mark.parametrize("predicate", [outage_trial_tdma, outage_trial_pair, outage_trial_full_mac])
+@pytest.mark.parametrize("K", [0, -1])
+def test_predicates_reject_fewer_than_one_user(predicate, K):
+    with pytest.raises(ValueError, match="K"):
+        predicate(np.ones((4, 2, 1), dtype=complex), SnrPoint(10.0), K, Fraction(1, 4), 1.0)
+
+
 def test_full_mac_reference_guard():
     with pytest.raises(ValueError):
         full_mac_outage_reference(np.zeros((2, 13)), SnrPoint(10.0), 13, Fraction(0), 1.0)
@@ -304,6 +311,26 @@ def test_sweep_determinism_and_worker_independence():
     c = run_outage_sweep(spec, workers=2)
     assert [x.outages for x in a.cells] == [x.outages for x in b.cells]
     assert [x.outages for x in a.cells] == [x.outages for x in c.cells]
+
+
+@pytest.mark.parametrize("scheme,K", [("tdma", 10), ("pair", 10), ("full-mac", 3)])
+def test_sweep_buffer_reuse_equals_fresh_block_draws(scheme, K):
+    # two blocks per SNR point, the second one smaller, all drawn into one
+    # buffer: counts equal those of a fresh draw per block
+    trials = outage.BLOCK_TRIALS + 300
+    spec = OutageSpec(scheme, K, Fraction(1, 4), 1.0, (5.0, 10.0), trials, 3)
+    predicate = {"tdma": outage_trial_tdma, "pair": outage_trial_pair,
+                 "full-mac": outage_trial_full_mac}[scheme]
+    expected = []
+    for snr_idx, db in enumerate(spec.snr_grid_db):
+        count = 0
+        for block_idx, size in enumerate((outage.BLOCK_TRIALS, 300)):
+            shape = {"tdma": (size, 2), "pair": (size, 2, 2)}.get(scheme, (size, 2, K))
+            chan = draw_cn(trial_rng(3, snr_idx, block_idx), shape)
+            count += int(predicate(chan, SnrPoint(db), K, spec.r, 1.0).sum())
+        expected.append(count)
+    for workers in (1, 2):
+        assert [c.outages for c in run_outage_sweep(spec, workers).cells] == expected
 
 
 def test_sweep_reports_insufficient_statistics():
