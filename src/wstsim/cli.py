@@ -435,19 +435,21 @@ def _selftest_lift() -> tuple[bool, str]:
 def _selftest_decoder(rng) -> tuple[bool, str]:
     snr = SnrPoint(10.0)
     from .channel import draw_session, transmit
-    from .decoder import decode_session
+    from .decoder import decode_session, factor_sessions
     from .encoder import build_pair_codeword, dispersion_basis
     from .lift import random_fragment
 
+    received, channels = [], []
     for _ in range(50):
         p1 = lift(random_fragment(rng, 2))
         p2 = lift(random_fragment(rng, 2))
         codeword = build_pair_codeword(p1, p2, 2)
         chan, noise = draw_session(rng, 2, 1, 2, 3)
-        received = transmit(codeword, chan, noise, snr)
-        basis = dispersion_basis(2, 2)
-        a = decode_session(received, chan, basis, snr, 2, mode="sphere")
-        b = decode_session(received, chan, basis, snr, 2, mode="oracle")
+        received.append(transmit(codeword, chan, noise, snr))
+        channels.append(chan.per_user)
+    for problem in factor_sessions(received, channels, dispersion_basis(2, 2), snr, 2):
+        a = decode_session(problem, mode="sphere")
+        b = decode_session(problem, mode="oracle")
         if a.points != b.points:
             return False, "sphere decoder disagrees with the ML oracle"
         if abs(a.result.metric - b.result.metric) > 1e-9:

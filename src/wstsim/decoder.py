@@ -1,6 +1,17 @@
-"""Exact maximum-likelihood decoding of the per-session linear system.
+"""Exact maximum-likelihood decoding of the per-session linear systems.
 
-sphere_decode enumerates the finite coordinate alphabet depth-first after a
+Decoding runs in two stages.  The first is stacked: factor_sessions takes
+every session of a batch that shares a shape, builds their equivalent
+channels and real expansions with one call each, validates the stack once
+(DecodeProblem) and QR-factors it with one np.linalg.qr call (factor).  numpy
+factors a stack matrix by matrix with the same LAPACK routines, so every R
+equals the one a per-session factorization gives, bit for bit; the stacked
+products for Q^T y and the residual offset likewise run, per session, the
+BLAS routines of the 2-D products of a lone system.  The second stage runs
+per session: decode_session runs the exact search on one factored system
+and regroups its coordinates into lattice points.
+
+sphere_decode enumerates the finite coordinate alphabet depth-first after the
 QR factorization: natural column order, per-level candidates sorted by their
 partial-metric increment, radius set by each completed leaf (the initial
 radius is infinite, so the search can never come back empty).  Pruning is
@@ -31,10 +42,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, SnrPoint
+from .channel import SnrPoint
 from .encoder import DispersionBasis, build_equivalent_channel, realify
 from .lift import LatticePoint, pam_levels
 from .algebra import FieldElement, GaussianInt
@@ -50,7 +62,12 @@ _ORACLE_CHUNK = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class DecodeProblem:
-    """A real integer least-squares instance over a finite PAM alphabet."""
+    """Real integer least-squares instances over one finite PAM alphabet.
+
+    matrix is one rows x cols system, with observation of length rows, or a
+    stack (S, rows, cols) of systems with observations (S, rows).  Shape,
+    alphabet and finiteness are checked once for the whole stack.
+    """
 
     matrix: np.ndarray
     observation: np.ndarray
@@ -58,10 +75,14 @@ class DecodeProblem:
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=float)
-        obs = np.asarray(self.observation, dtype=float).reshape(-1)
-        if mat.ndim != 2 or mat.shape[0] < mat.shape[1]:
+        obs = np.asarray(self.observation, dtype=float)
+        if mat.ndim not in (2, 3):
+            raise ValueError("matrix must be one system or a stack of systems")
+        if mat.shape[-2] < mat.shape[-1]:
             raise ValueError("matrix must be square or tall (n_r*T >= K*s)")
-        if obs.shape[0] != mat.shape[0]:
+        if mat.ndim == 2:
+            obs = obs.reshape(-1)
+        if obs.shape != mat.shape[:-1]:
             raise ValueError("observation length must match the row count")
         if not self.levels:
             raise ValueError("alphabet must be nonempty")
@@ -96,21 +117,59 @@ class DecodeResult:
     fallback: bool = False
 
 
-def sphere_decode(p: DecodeProblem) -> DecodeResult:
+@dataclass(frozen=True, eq=False)
+class FactoredProblem:
+    """One system of a factored stack: the system itself (matrix, observation
+    and alphabet, as in DecodeProblem), its R factor, z = Q^T y and offset,
+    the squared norm of the component of y outside the column span."""
+
+    matrix: np.ndarray
+    observation: np.ndarray
+    levels: tuple[int, ...]
+    r: np.ndarray
+    z: np.ndarray
+    offset: float
+
+
+def factor(p: DecodeProblem) -> list[FactoredProblem]:
+    """QR-factor every system of p with one np.linalg.qr call.
+
+    A single system is factored as a stack of one.  z and the residual come
+    from stacked matmuls, which numpy evaluates system by system with the
+    same BLAS products as a lone 2-D factorization (bit-identical, checked
+    against per-system products in the tests).
+    """
+    mats = p.matrix if p.matrix.ndim == 3 else p.matrix[None]
+    obs = p.observation.reshape(mats.shape[:-1])
+    q, r = np.linalg.qr(mats)
+    z = (q.transpose(0, 2, 1) @ obs[..., None])[..., 0]
+    resid = obs - (q @ z[..., None])[..., 0]
+    offset = (resid[:, None, :] @ resid[..., None])[:, 0, 0].tolist()
+    return [
+        FactoredProblem(a, y, p.levels, ri, zi, oi)
+        for a, y, ri, zi, oi in zip(mats, obs, r, z, offset)
+    ]
+
+
+def _check_one_system(p) -> None:
+    if p.matrix.ndim != 2:
+        raise ValueError("a decoder takes one system; factor a stack and decode each")
+
+
+def sphere_decode(p: DecodeProblem | FactoredProblem) -> DecodeResult:
     """Exact ML search by depth-first enumeration with a shrinking radius.
 
-    A rank-deficient R (diagonal below 1e-10) is enumerated with those
-    diagonal entries set to exactly 0, and the event is flagged in the
+    p is one factored system, or a single DecodeProblem, which is factored
+    first.  A rank-deficient R (diagonal below 1e-10) is enumerated with
+    those diagonal entries set to exactly 0, and the event is flagged in the
     result's fallback field.
     """
-    q, r = np.linalg.qr(p.matrix)
-    z = q.T @ p.observation
-    resid = p.observation - q @ z
-    offset = float(resid @ resid)
-
-    n = r.shape[1]
-    rows = r.tolist()
-    zl = z.tolist()
+    _check_one_system(p)
+    if not isinstance(p, FactoredProblem):
+        (p,) = factor(p)
+    n = p.r.shape[1]
+    rows = p.r.tolist()
+    zl = p.z.tolist()
     rank_deficient = False
     for l, row in enumerate(rows):
         if abs(row[l]) < _RANK_TOL:
@@ -145,7 +204,7 @@ def sphere_decode(p: DecodeProblem) -> DecodeResult:
                 best_coords = tuple(x)
 
     descend(n - 1, 0.0)
-    return DecodeResult(best_coords, best_metric + offset, visited, rank_deficient)
+    return DecodeResult(best_coords, best_metric + p.offset, visited, rank_deficient)
 
 
 def _candidates(levels: tuple[int, ...], n: int, start: int, stop: int) -> np.ndarray:
@@ -168,13 +227,14 @@ def _candidate_table(levels: tuple[int, ...], n: int) -> np.ndarray:
     return table
 
 
-def brute_force_ml(p: DecodeProblem) -> DecodeResult:
+def brute_force_ml(p: DecodeProblem | FactoredProblem) -> DecodeResult:
     """Exhaustive argmin of ||y - A x||^2 over the alphabet (the ML oracle).
 
-    Candidates are enumerated in lexicographic order and compared strictly,
-    which realizes the lexicographic tie rule.  Search spaces larger than
-    2^24 leaves are refused.
+    p is one system.  Candidates are enumerated in lexicographic order and
+    compared strictly, which realizes the lexicographic tie rule.  Search
+    spaces larger than 2^24 leaves are refused.
     """
+    _check_one_system(p)
     n = p.matrix.shape[1]
     base = len(p.levels)
     total = base**n
@@ -205,33 +265,40 @@ class SessionDecode:
     result: DecodeResult
 
 
-def decode_session(
-    Y: np.ndarray,
-    chan: ChannelRealization,
+def factor_sessions(
+    received: Sequence[np.ndarray],
+    channels: Sequence[np.ndarray],
     basis: DispersionBasis,
     snr: SnrPoint,
     m: int,
-    mode: str = "sphere",
-) -> SessionDecode:
-    """ML-decode one received session back to per-user lattice points.
+) -> list[FactoredProblem]:
+    """The factored real systems of sessions that share a basis (stage one).
 
-    Builds the equivalent channel (absorbing the sqrt(SNR) transmit scale),
-    expands it to real coordinates, runs the selected decoder and regroups
-    the real solution into Gaussian-integer QAM coordinates per user.
+    received holds each session's n_r x T received matrix and channels its
+    per-user fading (k_active, n_r, 1).  The equivalent channels (absorbing
+    the sqrt(SNR) transmit scale) and their real expansions are built for
+    the whole stack at once, then validated and QR-factored as one stack.
+    """
+    eqc = build_equivalent_channel(channels, basis)
+    y = np.asarray(received, dtype=complex)
+    # each session's samples stacked column-major, as in vec(Y)
+    mat, obs = realify(math.sqrt(snr.snr_linear) * eqc.matrix, y.transpose(0, 2, 1))
+    return factor(DecodeProblem(mat, obs, pam_levels(m)))
+
+
+def decode_session(p: FactoredProblem, mode: str = "sphere") -> SessionDecode:
+    """ML-decode one factored session back to per-user lattice points.
+
+    Runs the selected decoder and regroups the real solution into
+    Gaussian-integer QAM coordinates, three per user.
     """
     if mode not in ("sphere", "oracle"):
         raise ValueError(f"mode must be 'sphere' or 'oracle', got {mode!r}")
-    eqc = build_equivalent_channel(chan.per_user, basis)
-    mat, obs = realify(
-        math.sqrt(snr.snr_linear) * eqc.matrix,
-        np.asarray(Y, dtype=complex).reshape(-1, order="F"),
-    )
-    problem = DecodeProblem(mat, obs, pam_levels(m))
-    res = sphere_decode(problem) if mode == "sphere" else brute_force_ml(problem)
+    res = sphere_decode(p) if mode == "sphere" else brute_force_ml(p)
     c = res.coordinates
     q = [GaussianInt(c[i], c[i + 1]) for i in range(0, len(c), 2)]
     points = tuple(
-        LatticePoint.from_element(FieldElement(*q[i : i + eqc.s]))
-        for i in range(0, len(q), eqc.s)
+        LatticePoint.from_element(FieldElement(q[i], q[i + 1], q[i + 2]))
+        for i in range(0, len(q), 3)
     )
     return SessionDecode(points, res)

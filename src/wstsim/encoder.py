@@ -126,13 +126,10 @@ def build_tdma_codeword(p: LatticePoint, m: int) -> CodeMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EquivalentChannel:
-    """Flattened system matrix H with y = H x, shape (n_r*T, k_active*s)."""
+    """Flattened system matrix H with y = H x, shape (n_r*T, k_active*s), or
+    a stack of them with a leading session axis."""
 
     matrix: np.ndarray
-    k_active: int
-    s: int
-    n_r: int
-    T: int
 
 
 def build_equivalent_channel(
@@ -142,21 +139,25 @@ def build_equivalent_channel(
 
     With one transmit antenna, H_k C_{k,l} is the outer product of h_k and
     the row C_{k,l}, so entry (t*n_r + i, k*s + l) is C_{k,l}[t] * h_k[i]:
-    the whole matrix is one broadcast product.
+    the whole matrix is one broadcast product.  channels is one session's
+    per-user channels (k_active, n_r, 1) or a stack (S, k_active, n_r, 1) of
+    sessions sharing the basis; every entry is the same single product either
+    way, so a stacked matrix equals the per-session ones bit for bit.
     """
-    if len(channels) != basis.k_active:
-        raise ValueError(
-            f"expected {basis.k_active} per-user channels, got {len(channels)}"
-        )
     h = np.asarray(channels, dtype=complex)
-    if h.ndim != 3 or h.shape[2] != 1:
-        raise ValueError(f"per-user channels must be n_r x 1, got shape {h.shape[1:]}")
-    n_r = h.shape[1]
+    if h.ndim not in (3, 4) or h.shape[-3] != basis.k_active:
+        raise ValueError(
+            f"expected {basis.k_active} per-user channels, got shape {h.shape}"
+        )
+    if h.shape[-1] != 1:
+        raise ValueError(f"per-user channels must be n_r x 1, got shape {h.shape[-2:]}")
+    n_r = h.shape[-2]
     rows = basis.matrices[:, :, 0, :].transpose(2, 0, 1)  # (T, k, s)
-    mat = (rows[:, None, :, :] * h[:, :, 0].T[None, :, :, None]).reshape(
-        basis.T * n_r, basis.k_active * basis.s
+    hs = np.swapaxes(h[..., 0], -1, -2)  # (..., n_r, k)
+    mat = (rows[:, None, :, :] * hs[..., None, :, :, None]).reshape(
+        *h.shape[:-3], basis.T * n_r, basis.k_active * basis.s
     )
-    return EquivalentChannel(mat, k_active=basis.k_active, s=basis.s, n_r=n_r, T=basis.T)
+    return EquivalentChannel(mat)
 
 
 def realify(H, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,21 +166,22 @@ def realify(H, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Every complex entry h becomes the 2x2 block [[Re h, -Im h], [Im h, Re h]]
     and every complex sample splits into adjacent (re, im) coordinates, so
     real coordinates 2j and 2j+1 are the real and imaginary parts of complex
-    symbol j.
+    symbol j.  H may carry a leading session axis; y then holds one
+    observation per session.
     """
     mat = np.asarray(H.matrix if isinstance(H, EquivalentChannel) else H, dtype=complex)
-    vec = np.asarray(y, dtype=complex).reshape(-1)
-    rows, cols = mat.shape
-    if vec.shape[0] != rows:
-        raise ValueError(f"observation length {vec.shape[0]} != {rows} rows")
-    out = np.empty((2 * rows, 2 * cols))
-    out[0::2, 0::2] = mat.real
-    out[0::2, 1::2] = -mat.imag
-    out[1::2, 0::2] = mat.imag
-    out[1::2, 1::2] = mat.real
-    obs = np.empty(2 * rows)
-    obs[0::2] = vec.real
-    obs[1::2] = vec.imag
+    *lead, rows, cols = mat.shape
+    vec = np.asarray(y, dtype=complex).reshape(*lead, -1)
+    if vec.shape[-1] != rows:
+        raise ValueError(f"observation length {vec.shape[-1]} != {rows} rows")
+    out = np.empty((*lead, 2 * rows, 2 * cols))
+    out[..., 0::2, 0::2] = mat.real
+    out[..., 0::2, 1::2] = -mat.imag
+    out[..., 1::2, 0::2] = mat.imag
+    out[..., 1::2, 1::2] = mat.real
+    obs = np.empty((*lead, 2 * rows))
+    obs[..., 0::2] = vec.real
+    obs[..., 1::2] = vec.imag
     return out, obs
 
 

@@ -11,6 +11,14 @@ one; the newcomer (which has receiver CSI) ML-decodes each session
 independently, unlifts the points, reassembles shares, and runs MDS repair
 on the shares whose blocks all decoded cleanly.
 
+A batch of sessions (a repair trial's plan, or a block of storage-free
+session trials) runs in two passes.  The first transmits every session in
+order (lift, codeword, channel draw, transmit), so the RNG is consumed
+exactly as by one session after another.  The second decodes: the sessions
+are grouped by their number of active helpers, each group's real systems are
+built and QR-factored as one stack (decoder.factor_sessions), and then each
+session, in order, gets its own exact search (decoder.decode_session).
+
 Airtime accounting for TDMA comparisons: a pair session carries two helpers'
 blocks, so at equal bits per session and equal total airtime the TDMA
 baseline must run the squared constellation (2m bits per QAM symbol when the
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SnrPoint, draw_session, transmit, trial_rng, zero_noise
-from .decoder import decode_session
+from .decoder import decode_session, factor_sessions
 from .encoder import build_pair_codeword, build_tdma_codeword, dispersion_basis
 from .lift import Fragment, lift, random_fragment, unlift
 from .storage import NodeContent, StorageConfig, mds_encode, repair_node
@@ -117,26 +125,50 @@ class RepairTrialResult:
     shares_failed: int
 
 
+def _send(points, m, snr, rng, noiseless):
+    """Transmit one session's lattice points over a fresh channel draw.
+
+    Returns (points, received matrix, per-user channels).
+    """
+    if len(points) == 2:
+        codeword = build_pair_codeword(points[0], points[1], m)
+    else:
+        codeword = build_tdma_codeword(points[0], m)
+    chan, noise = draw_session(rng, n_r=2, n_t=1, k_active=len(points), T=3)
+    if noiseless:
+        noise = zero_noise(2, 3)
+    return points, transmit(codeword, chan, noise, snr), chan.per_user
+
+
+def _decode_sent(sent, m, snr, decoder_mode):
+    """Decode sessions returned by _send, in order: one stacked factorization
+    per session size, then each session's exact search."""
+    problems = [None] * len(sent)
+    for k_act in (1, 2):
+        idx = [i for i, (points, _, _) in enumerate(sent) if len(points) == k_act]
+        if idx:
+            stack = factor_sessions(
+                [sent[i][1] for i in idx], [sent[i][2] for i in idx],
+                dispersion_basis(m, k_act), snr, m,
+            )
+            for i, problem in zip(idx, stack):
+                problems[i] = problem
+    return [decode_session(problem, decoder_mode) for problem in problems]
+
+
 def _transmit_plan(plan, fragments, m, snr, decoder_mode, rng, noiseless):
     """Run a session plan over the channel; returns decoded bits and stats."""
     decoded: dict[int, list[str | None]] = {
         h: [None] * len(frags) for h, frags in fragments.items()
     }
+    sent = [
+        _send([lift(fragments[h][b]) for h, b in zip(sess.helpers, sess.blocks)],
+              m, snr, rng, noiseless)
+        for sess in plan.sessions
+    ]
+    decodes = _decode_sent(sent, m, snr, decoder_mode)
     sessions_errored = 0
-    for sess in plan.sessions:
-        k_act = len(sess.helpers)
-        points = [
-            lift(fragments[h][b]) for h, b in zip(sess.helpers, sess.blocks)
-        ]
-        if k_act == 2:
-            codeword = build_pair_codeword(points[0], points[1], m)
-        else:
-            codeword = build_tdma_codeword(points[0], m)
-        chan, noise = draw_session(rng, n_r=2, n_t=1, k_active=k_act, T=3)
-        if noiseless:
-            noise = zero_noise(2, 3)
-        received = transmit(codeword, chan, noise, snr)
-        dec = decode_session(received, chan, dispersion_basis(m, k_act), snr, m, decoder_mode)
+    for sess, (points, _, _), dec in zip(plan.sessions, sent, decodes):
         errored = False
         for i, (h, b) in enumerate(zip(sess.helpers, sess.blocks)):
             decoded[h][b] = unlift(dec.points[i], m).bits
@@ -216,6 +248,27 @@ def run_tdma_trial(
     return _run_repair(cfg, m, snr, decoder_mode, seed, trial_index, "tdma", noiseless)
 
 
+def _session_trials(m, snr, scheme, decoder_mode, seed, trial_indices, noiseless=False):
+    """Storage-free session trials, decoded as one batch.
+
+    Returns (any lattice point decoded wrong, visited enumeration nodes) per
+    trial; each trial draws from its own substream, so the batch consumes
+    the RNG exactly as the trials one by one.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    k_act = 2 if scheme == "pair" else 1
+    sent = []
+    for t in trial_indices:
+        rng = trial_rng(seed, t)
+        fragments = [random_fragment(rng, m) for _ in range(k_act)]
+        sent.append(_send([lift(f) for f in fragments], m, snr, rng, noiseless))
+    return [
+        (any(d.element != p.element for d, p in zip(dec.points, points)), dec.result.visited_nodes)
+        for (points, _, _), dec in zip(sent, _decode_sent(sent, m, snr, decoder_mode))
+    ]
+
+
 def run_session_trial(
     m: int,
     snr: SnrPoint,
@@ -230,23 +283,7 @@ def run_session_trial(
     Returns (any lattice point decoded wrong, visited enumeration nodes);
     the error counts never depend on the decoder mode, both are exact ML.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    rng = trial_rng(seed, trial_index)
-    k_act = 2 if scheme == "pair" else 1
-    fragments = [random_fragment(rng, m) for _ in range(k_act)]
-    points = [lift(f) for f in fragments]
-    if k_act == 2:
-        codeword = build_pair_codeword(points[0], points[1], m)
-    else:
-        codeword = build_tdma_codeword(points[0], m)
-    chan, noise = draw_session(rng, n_r=2, n_t=1, k_active=k_act, T=3)
-    if noiseless:
-        noise = zero_noise(2, 3)
-    received = transmit(codeword, chan, noise, snr)
-    dec = decode_session(received, chan, dispersion_basis(m, k_act), snr, m, decoder_mode)
-    errored = any(d.element != p.element for d, p in zip(dec.points, points))
-    return errored, dec.result.visited_nodes
+    return _session_trials(m, snr, scheme, decoder_mode, seed, [trial_index], noiseless)[0]
 
 
 def _repair_range(task):
@@ -272,13 +309,10 @@ def _repair_range(task):
 def _session_range(task):
     """Worker: storage-free FER trials [start, stop) of one SNR point."""
     m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop = task
-    snr = SnrPoint(snr_db)
-    errors = 0
-    visited = 0
-    for t in range(start, stop):
-        errored, nodes = run_session_trial(
-            m, snr, scheme, decoder_mode, seed, snr_idx * trials + t
-        )
-        errors += errored
-        visited += nodes
+    results = _session_trials(
+        m, SnrPoint(snr_db), scheme, decoder_mode, seed,
+        range(snr_idx * trials + start, snr_idx * trials + stop),
+    )
+    errors = sum(errored for errored, _ in results)
+    visited = sum(nodes for _, nodes in results)
     return snr_idx, np.array([stop - start, errors, visited], dtype=np.int64)

@@ -4,6 +4,7 @@ import os
 from pathlib import Path
 
 import wstsim
+from wstsim.decoder import decode_session, factor_sessions
 
 
 def wstsim_env() -> dict:
@@ -19,3 +20,9 @@ def wstsim_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def decode_one(received, chan, basis, snr, m, mode="sphere"):
+    """Decode one received session through both stages, as a stack of one."""
+    (problem,) = factor_sessions([received], [chan.per_user], basis, snr, m)
+    return decode_session(problem, mode)

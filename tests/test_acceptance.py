@@ -26,7 +26,6 @@ from wstsim.algebra import (
     trace_norm,
 )
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
-from wstsim.decoder import decode_session
 from wstsim.dmt import DmtCurve, SchemeParams, dmt_optimal_mac, dmt_proposed, dmt_tdma
 from wstsim.encoder import build_pair_codeword, dispersion_basis
 from wstsim.lift import Fragment, lift, random_fragment, unlift
@@ -34,7 +33,7 @@ from wstsim.outage import OutageSpec, estimate_slope, run_outage_sweep, wilson_i
 from wstsim.protocol import _repair_range, run_repair_trial
 from wstsim.storage import StorageConfig, mds_encode, mds_reconstruct, repair_node
 
-from conftest import wstsim_env
+from conftest import decode_one, wstsim_env
 
 F = Fraction
 MC_SEED = 42
@@ -122,8 +121,8 @@ def test_ac3_decoder_exactness():
         codeword = build_pair_codeword(p1, p2, 2)
         chan, noise = draw_session(rng, 2, 1, 2, 3)
         received = transmit(codeword, chan, noise, snr)
-        a = decode_session(received, chan, basis, snr, 2, mode="sphere")
-        b = decode_session(received, chan, basis, snr, 2, mode="oracle")
+        a = decode_one(received, chan, basis, snr, 2, mode="sphere")
+        b = decode_one(received, chan, basis, snr, 2, mode="oracle")
         same = a.points == b.points and abs(a.result.metric - b.result.metric) <= 1e-9
         mismatches += not same
     assert mismatches == 0

@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wstsim.cli import main
@@ -109,3 +110,10 @@ def test_traced_run_reports_every_per_layer_metric(tracing, tmp_path):
     assert metrics["protocol.sessions_per_trial"][0] == 11
     assert metrics["lift.calls_per_trial"][0] == 30
     assert metrics["algebra.embed_calls_per_trial"][0] == 90
+    # nodes_per_decode and ns_per_node are per session only while every
+    # session gets its own sphere_decode call
+    name, _, _, chunk = tracer.table()
+    repair = [i for i, (kind, _) in chunks.items() if kind.startswith("repair")]
+    decodes = (name == tracer.name_id["decoder.sphere_decode"]) & np.isin(chunk, repair)
+    trials = sum(chunks[i][1] for i in repair)
+    assert int(decodes.sum()) / trials == metrics["protocol.sessions_per_trial"][0] == 11

@@ -9,6 +9,7 @@ from wstsim.decoder import (
     DecodeResult,
     brute_force_ml,
     decode_session,
+    factor_sessions,
     sphere_decode,
 )
 from wstsim.encoder import (
@@ -20,6 +21,8 @@ from wstsim.encoder import (
 )
 from wstsim.lift import lift, pam_levels, random_fragment
 from wstsim.protocol import run_session_trial
+
+from conftest import decode_one
 
 
 def random_problem(rng, rows=8, cols=6, levels=(-1, 1), noise=0.0):
@@ -116,8 +119,8 @@ def test_sphere_equals_oracle_on_pair_sessions():
         X = build_pair_codeword(p1, p2, 2)
         chan, noise = draw_session(rng, 2, 1, 2, 3)
         Y = transmit(X, chan, noise, snr)
-        a = decode_session(Y, chan, basis, snr, 2, mode="sphere")
-        b = decode_session(Y, chan, basis, snr, 2, mode="oracle")
+        a = decode_one(Y, chan, basis, snr, 2, mode="sphere")
+        b = decode_one(Y, chan, basis, snr, 2, mode="oracle")
         assert a.points == b.points
         assert abs(a.result.metric - b.result.metric) < 1e-9
 
@@ -275,7 +278,7 @@ def test_zero_noise_roundtrip_sessions():
             X = build_tdma_codeword(points[0], 2)
         chan, _ = draw_session(rng, 2, 1, k_act, 3)
         Y = transmit(X, chan, zero_noise(2, 3), snr)
-        dec = decode_session(Y, chan, dispersion_basis(2, k_act), snr, 2)
+        dec = decode_one(Y, chan, dispersion_basis(2, k_act), snr, 2)
         assert [p.element for p in dec.points] == [p.element for p in points]
         assert dec.result.metric < 1e-12
 
@@ -284,7 +287,10 @@ def test_decode_session_mode_validation():
     rng = trial_rng(1)
     chan, _ = draw_session(rng, 2, 1, 1, 3)
     with pytest.raises(ValueError):
-        decode_session(np.zeros((2, 3)), chan, dispersion_basis(2, 1), SnrPoint(0.0), 2, "zf")
+        decode_session(
+            factor_sessions([np.zeros((2, 3))], [chan.per_user], dispersion_basis(2, 1), SnrPoint(0.0), 2)[0],
+            "zf",
+        )
 
 
 def test_visited_nodes_shrink_with_snr():

@@ -1,0 +1,197 @@
+"""The stacked first decoding stage against the per-session path it replaced.
+
+factor_sessions builds, realifies, validates and QR-factors a stack of
+sessions at once.  The per-session path kept here as the oracle
+(old_decode_session: build the equivalent channel, realify and QR-factor
+with a 2-D np.linalg.qr for every session on its own, then search and
+regroup) must give the same systems, R, z and offsets bit for bit, and the
+same decisions, node counts and rank flags on repair and session trials.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import wstsim.protocol as protocol
+from wstsim.algebra import FieldElement, GaussianInt
+from wstsim.channel import SnrPoint, draw_cn, draw_session, trial_rng
+from wstsim.decoder import (
+    DecodeProblem,
+    FactoredProblem,
+    brute_force_ml,
+    factor,
+    factor_sessions,
+    sphere_decode,
+)
+from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
+from wstsim.lift import LatticePoint, pam_levels
+from wstsim.protocol import _session_range, run_repair_trial, run_session_trial, run_tdma_trial
+from wstsim.storage import StorageConfig
+
+CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
+
+
+def per_matrix_factor(a, y):
+    """R, z = Q^T y and the out-of-span residual offset of one 2-D system."""
+    q, r = np.linalg.qr(a)
+    z = q.T @ y
+    resid = y - q @ z
+    return r, z, float(resid @ resid)
+
+
+def old_system(received, per_user, basis, snr):
+    """One session's real system, built on its own."""
+    eqc = build_equivalent_channel(per_user, basis)
+    return realify(
+        math.sqrt(snr.snr_linear) * eqc.matrix,
+        np.asarray(received, dtype=complex).reshape(-1, order="F"),
+    )
+
+
+def old_decode_session(received, chan, basis, snr, m):
+    """The per-session decode: build, realify and 2-D QR, then the search."""
+    p = DecodeProblem(*old_system(received, chan.per_user, basis, snr), pam_levels(m))
+    res = sphere_decode(
+        FactoredProblem(p.matrix, p.observation, p.levels, *per_matrix_factor(p.matrix, p.observation))
+    )
+    c = res.coordinates
+    q = [GaussianInt(c[i], c[i + 1]) for i in range(0, len(c), 2)]
+    points = tuple(
+        LatticePoint.from_element(FieldElement(*q[i : i + 3])) for i in range(0, len(q), 3)
+    )
+    return points, res
+
+
+def assert_same_decode(new, points, old):
+    assert new.points == points
+    assert new.result.coordinates == old.coordinates
+    assert new.result.visited_nodes == old.visited_nodes
+    assert new.result.fallback == old.fallback
+    assert math.isclose(new.result.metric, old.metric, rel_tol=1e-12, abs_tol=1e-300)
+
+
+def record_sessions(monkeypatch):
+    """Record every session the protocol transmits and every decode it runs."""
+    sent, decoded = [], []
+    transmit, decode_session = protocol.transmit, protocol.decode_session
+
+    def recording_transmit(codeword, chan, noise, snr):
+        received = transmit(codeword, chan, noise, snr)
+        sent.append((received, chan, snr, codeword.k_active))
+        return received
+
+    def recording_decode(problem, mode="sphere"):
+        decoded.append(decode_session(problem, mode))
+        return decoded[-1]
+
+    monkeypatch.setattr(protocol, "transmit", recording_transmit)
+    monkeypatch.setattr(protocol, "decode_session", recording_decode)
+    return sent, decoded
+
+
+def test_stacked_factor_equals_per_matrix_qr_bitwise():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for rep in range(12):
+        for size in (1, 2, 3, 5, 8, 11, 14):
+            for rows, cols in ((12, 12), (12, 6), (6, 6)):
+                scale = 10.0 ** rng.uniform(-2, 3)
+                a = scale * rng.standard_normal((size, rows, cols))
+                y = scale * rng.standard_normal((size, rows))
+                if rep % 3 == 0:
+                    a[size // 2, :, rep % cols] = 0.0  # a zero column: R is rank-deficient
+                for f, ai, yi in zip(factor(DecodeProblem(a, y, (-1, 1))), a, y):
+                    r, z, offset = per_matrix_factor(ai, yi)
+                    assert np.array_equal(f.r, r)
+                    assert np.array_equal(f.z, z)
+                    assert f.offset == offset
+                    assert np.array_equal(f.matrix, ai) and np.array_equal(f.observation, yi)
+                    checked += 1
+    assert checked == 12 * 44 * 3
+
+
+def test_single_system_is_a_stack_of_one():
+    rng = np.random.default_rng(3)
+    a, y = rng.standard_normal((9, 6)), rng.standard_normal(9)
+    (f,) = factor(DecodeProblem(a, y, (-1, 1)))
+    r, z, offset = per_matrix_factor(a, y)
+    assert np.array_equal(f.r, r) and np.array_equal(f.z, z) and f.offset == offset
+
+
+@pytest.mark.parametrize("k_act", [1, 2])
+def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
+    rng = trial_rng(77, k_act)
+    basis = dispersion_basis(4, k_act)
+    for size in (1, 4, 9):
+        snr = SnrPoint(17.0)
+        chans = [draw_session(rng, 2, 1, k_act, 3)[0].per_user for _ in range(size)]
+        received = [draw_cn(rng, (2, 3)) for _ in range(size)]
+        stack = factor_sessions(received, chans, basis, snr, 4)
+        assert len(stack) == size
+        for f, y, h in zip(stack, received, chans):
+            mat, obs = old_system(y, h, basis, snr)
+            assert np.array_equal(f.matrix, mat) and np.array_equal(f.observation, obs)
+            r, z, offset = per_matrix_factor(mat, obs)
+            assert np.array_equal(f.r, r) and np.array_equal(f.z, z) and f.offset == offset
+            assert f.levels == pam_levels(4)
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("pair", 4), ("tdma", 4)])
+def test_repair_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
+    sent, decoded = record_sessions(monkeypatch)
+    run = run_repair_trial if scheme == "pair" else run_tdma_trial
+    for t in range(200):
+        run(CFG, m, SnrPoint(10.0 + 5.0 * (t % 5)), "sphere", seed=606, trial_index=t)
+    assert len(sent) == len(decoded) >= 200 * 6  # 6 sessions a trial at m = 4, 11 at m = 2
+    for (received, chan, snr, k_act), new in zip(sent, decoded):
+        assert_same_decode(new, *old_decode_session(received, chan, dispersion_basis(m, k_act), snr, m))
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+def test_session_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
+    sent, decoded = record_sessions(monkeypatch)
+    for t in range(200):
+        run_session_trial(m, SnrPoint(10.0 + 5.0 * (t % 5)), scheme, "sphere", 909, t)
+    assert len(sent) == len(decoded) == 200
+    for (received, chan, snr, k_act), new in zip(sent, decoded):
+        assert_same_decode(new, *old_decode_session(received, chan, dispersion_basis(m, k_act), snr, m))
+
+
+def test_session_block_equals_trials_one_by_one():
+    snr = SnrPoint(12.0)
+    _, counts = _session_range((2, 12.0, "pair", "sphere", 31, 1, 300, 20, 140))
+    single = [run_session_trial(2, snr, "pair", "sphere", 31, 300 + t) for t in range(20, 140)]
+    assert counts.tolist() == [120, sum(e for e, _ in single), sum(n for _, n in single)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_in_a_stack_raises(bad):
+    mats, obs = np.stack([np.eye(3)] * 4), np.zeros((4, 3))
+    mats[2, 1, 0] = bad
+    with pytest.raises(ValueError):
+        DecodeProblem(mats, obs, (-1, 1))
+    obs[3, 1] = bad
+    with pytest.raises(ValueError):
+        DecodeProblem(np.stack([np.eye(3)] * 4), obs, (-1, 1))
+    rng = trial_rng(8)
+    chans = [draw_session(rng, 2, 1, 1, 3)[0].per_user for _ in range(3)]
+    received = [draw_cn(rng, (2, 3)) for _ in range(3)]
+    received[1][0, 2] = bad
+    with pytest.raises(ValueError):
+        factor_sessions(received, chans, dispersion_basis(2, 1), SnrPoint(10.0), 2)
+
+
+def test_stack_validation():
+    with pytest.raises(ValueError):
+        DecodeProblem(np.zeros((2, 3, 4)), np.zeros((2, 3)), (-1, 1))  # wide systems
+    with pytest.raises(ValueError):
+        DecodeProblem(np.zeros((2, 3, 3)), np.zeros((3, 3)), (-1, 1))  # stack sizes differ
+    with pytest.raises(ValueError):
+        DecodeProblem(np.zeros((2, 3, 3)), np.zeros((2, 3)), ())  # empty alphabet
+    with pytest.raises(ValueError):
+        DecodeProblem(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 3)), (-1, 1))
+    stack = DecodeProblem(np.stack([np.eye(2)] * 3), np.zeros((3, 2)), (-1, 1))
+    for decode in (sphere_decode, brute_force_ml):
+        with pytest.raises(ValueError):
+            decode(stack)  # a decoder takes one system

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng, zero_noise
-from wstsim.decoder import decode_session
 from wstsim.encoder import build_tdma_codeword, dispersion_basis, normalizer
 from wstsim.lift import Fragment, lift
 from wstsim.protocol import (
@@ -21,6 +20,8 @@ from wstsim.protocol import (
     tdma_plan,
 )
 from wstsim.storage import StorageConfig
+
+from conftest import decode_one
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
 
@@ -170,7 +171,7 @@ def test_pipeline_identity_exhaustive_m2_single_session():
         codeword = build_pair_codeword(point1, point2, 2)
         chan, _ = draw_session(rng, 2, 1, 2, 3)
         received = transmit(codeword, chan, zero_noise(2, 3), snr)
-        dec = decode_session(received, chan, basis, snr, 2)
+        dec = decode_one(received, chan, basis, snr, 2)
         assert unlift(dec.points[0], 2) == frag1
         assert unlift(dec.points[1], 2) == frag2
 
@@ -193,7 +194,7 @@ def test_tdma_session_matches_independent_mrc_oracle():
         codeword = build_tdma_codeword(sent, m)
         chan, noise = draw_session(rng, 2, 1, 1, 3)
         received = transmit(codeword, chan, noise, snr)
-        dec = decode_session(received, chan, basis, snr, m)
+        dec = decode_one(received, chan, basis, snr, m)
         h = chan.per_user[0][:, 0]
         z = h.conj() @ received
         gain = math.sqrt(snr.snr_linear) * alpha * float(np.vdot(h, h).real)
