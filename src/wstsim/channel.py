@@ -65,51 +65,34 @@ class SnrPoint:
         return 10.0 ** (self.snr_db / 10.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """Per-user fading matrices, shape (k_active, n_r, n_t)."""
-
-    per_user: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseBlock:
-    """Additive noise for one session, shape (n_r, T)."""
-
-    w: np.ndarray
-
-
 def draw_session(
     rng: np.random.Generator, n_r: int, n_t: int, k_active: int, T: int
-) -> tuple[ChannelRealization, NoiseBlock]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fresh fading and noise for one session (channel first, then noise).
 
-    Both come from one draw: the first k_active*n_r*n_t samples are the
-    fading, the rest the noise.
+    Returns the per-user fading matrices, shape (k_active, n_r, n_t), and
+    the additive noise, shape (n_r, T).  Both come from one draw: the first
+    k_active*n_r*n_t samples are the fading, the rest the noise.
     """
     if min(n_r, n_t, k_active, T) < 1:
         raise ValueError("all dimensions must be positive")
     n_h = k_active * n_r * n_t
     z = draw_cn(rng, (n_h + n_r * T,))
-    h = z[:n_h].reshape(k_active, n_r, n_t)
-    return ChannelRealization(h), NoiseBlock(z[n_h:].reshape(n_r, T))
+    return z[:n_h].reshape(k_active, n_r, n_t), z[n_h:].reshape(n_r, T)
 
 
-def zero_noise(n_r: int, T: int) -> NoiseBlock:
-    """All-zero noise block, for forced-noiseless pipeline checks."""
-    return NoiseBlock(np.zeros((n_r, T), dtype=complex))
+def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint) -> np.ndarray:
+    """Received matrix Y = sqrt(snr) * sum_k H_k X_k + W, shape (n_r, T).
 
-
-def transmit(X, chan: ChannelRealization, noise: NoiseBlock, snr: SnrPoint) -> np.ndarray:
-    """Received matrix Y = sqrt(snr) * sum_k H_k X_k + W, shape (n_r, T)."""
-    per_user = chan.per_user
-    k, n_r, n_t = per_user.shape
-    entries = X.entries
-    if X.k_active != k or entries.shape[0] != k * n_t:
+    X stacks the active helpers' transmit rows, shape (k_active*n_t, T); h
+    holds their fading matrices (k_active, n_r, n_t) and w the noise (n_r, T).
+    """
+    k, n_r, n_t = h.shape
+    if X.shape[0] != k * n_t:
         raise ValueError(
-            f"codeword rows {entries.shape[0]} do not match {k} users x {n_t} antennas"
+            f"codeword rows {X.shape[0]} do not match {k} users x {n_t} antennas"
         )
-    if noise.w.shape != (n_r, entries.shape[1]):
-        raise ValueError(f"noise shape {noise.w.shape} != ({n_r}, {entries.shape[1]})")
-    h_all = per_user.transpose(1, 0, 2).reshape(n_r, k * n_t)
-    return math.sqrt(snr.snr_linear) * (h_all @ entries) + noise.w
+    if w.shape != (n_r, X.shape[1]):
+        raise ValueError(f"noise shape {w.shape} != ({n_r}, {X.shape[1]})")
+    h_all = h.transpose(1, 0, 2).reshape(n_r, k * n_t)
+    return math.sqrt(snr.snr_linear) * (h_all @ X) + w

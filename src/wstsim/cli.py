@@ -29,7 +29,7 @@ from .dmt import DmtCurve, emit_fig1
 from .lift import Fragment, lift, unlift
 from .outage import InsufficientSamplesError, OutageSpec, run_outage_sweep
 from .parallel import map_tasks
-from .protocol import _repair_range, _session_range
+from .protocol import run_repair_trial, run_session_trials
 from .storage import StorageConfig
 from . import algebra
 
@@ -270,6 +270,38 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be positive, got {trials}")
 
 
+def _session_range(task):
+    """Worker: storage-free session trials [start, stop) of one SNR point."""
+    m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop = task
+    results = run_session_trials(
+        m, SnrPoint(snr_db), scheme, decoder_mode, seed,
+        range(snr_idx * trials + start, snr_idx * trials + stop),
+    )
+    errors = sum(errored for errored, _ in results)
+    visited = sum(nodes for _, nodes in results)
+    return snr_idx, np.array([stop - start, errors, visited], dtype=np.int64)
+
+
+def _repair_range(task):
+    """Worker: repair trials [start, stop) of one SNR point, as counts."""
+    cfg, m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop, noiseless = task
+    snr = SnrPoint(snr_db)
+    counts = np.zeros(6, dtype=np.int64)  # sessions, errored, shares, failed, repairs, repair_fail
+    for t in range(start, stop):
+        res = run_repair_trial(
+            cfg, m, snr, scheme, decoder_mode, seed, snr_idx * trials + t, noiseless
+        )
+        counts += (
+            res.sessions_total,
+            res.sessions_errored,
+            cfg.d,
+            res.shares_failed,
+            1,
+            0 if res.repaired_share_ok else 1,
+        )
+    return snr_idx, counts
+
+
 def cmd_simulate(args) -> int:
     _check_trials(args.trials)
     snr_grid = _parse_snr_grid(args.snr_grid)
@@ -424,7 +456,7 @@ def _selftest_lift() -> tuple[bool, str]:
     for i in range(64):
         frag = Fragment(format(i, "06b"), 2)
         point = lift(frag)
-        if unlift(point, 2) != frag:
+        if unlift(point.coordinates, 2) != frag:
             return False, f"round trip failed for {frag.bits}"
         seen.add(point.element.coefficients())
     if len(seen) != 64:
@@ -436,7 +468,7 @@ def _selftest_decoder(rng) -> tuple[bool, str]:
     snr = SnrPoint(10.0)
     from .channel import draw_session, transmit
     from .decoder import decode_session, factor_sessions
-    from .encoder import build_pair_codeword, dispersion_basis
+    from .encoder import build_pair_codeword
     from .lift import random_fragment
 
     received, channels = [], []
@@ -444,15 +476,15 @@ def _selftest_decoder(rng) -> tuple[bool, str]:
         p1 = lift(random_fragment(rng, 2))
         p2 = lift(random_fragment(rng, 2))
         codeword = build_pair_codeword(p1, p2, 2)
-        chan, noise = draw_session(rng, 2, 1, 2, 3)
-        received.append(transmit(codeword, chan, noise, snr))
-        channels.append(chan.per_user)
-    for problem in factor_sessions(received, channels, dispersion_basis(2, 2), snr, 2):
+        h, w = draw_session(rng, 2, 1, 2, 3)
+        received.append(transmit(codeword, h, w, snr))
+        channels.append(h)
+    for problem in factor_sessions(received, channels, snr, 2):
         a = decode_session(problem, mode="sphere")
         b = decode_session(problem, mode="oracle")
-        if a.points != b.points:
+        if a.coordinates != b.coordinates:
             return False, "sphere decoder disagrees with the ML oracle"
-        if abs(a.result.metric - b.result.metric) > 1e-9:
+        if abs(a.metric - b.metric) > 1e-9:
             return False, "sphere metric disagrees with the ML oracle"
     return True, "sphere decoder == ML oracle on 50 noisy pair sessions"
 
@@ -591,21 +623,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config_path = getattr(args, "config", None)
     if config_path:
-        # config supplies defaults, explicit flags win: re-parse with the
-        # subcommand's defaults replaced by the file contents
         try:
             data = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"wstsim: cannot read config {config_path}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        target = subparsers[args.command]
-        known = {a.dest for a in target._actions}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            print(f"wstsim: config {config_path} must hold a JSON object", file=sys.stderr)
+            return EXIT_CONFIG
+        defaults = vars(subparsers[args.command].parse_args([]))
+        unknown = set(data) - set(defaults) - {"fn"}
         if unknown:
             print(f"wstsim: unknown config keys {sorted(unknown)}", file=sys.stderr)
             return EXIT_CONFIG
-        target.set_defaults(**data)
-        args = parser.parse_args(argv)
+        # each value stands for its flag, placed ahead of the command line's
+        # own flags, so it gets the flag's type and choices checks and an
+        # explicit flag wins
+        flags = []
+        for key, value in data.items():
+            flag = "--" + key.replace("_", "-")
+            if defaults[key] is False and isinstance(value, bool):  # a store_true switch
+                flags += [flag] if value else []
+            elif value is not None:  # null leaves the default
+                flags.append(f"{flag}={value}")
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     if hasattr(args, "seed") and args.seed is None:
         print("wstsim: a master seed is required (--seed)", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,15 +1,17 @@
 """Exact maximum-likelihood decoding of the per-session linear systems.
 
 Decoding runs in two stages.  The first is stacked: factor_sessions takes
-every session of a batch that shares a shape, builds their equivalent
-channels and real expansions with one call each, validates the stack once
-(DecodeProblem) and QR-factors it with one np.linalg.qr call (factor).  numpy
+the received matrices and per-user channel arrays of every session of a
+batch that shares a shape, builds their equivalent channels and real
+expansions with one call each, validates the stack once (DecodeProblem) and
+QR-factors it with one np.linalg.qr call (factor).  numpy
 factors a stack matrix by matrix with the same LAPACK routines, so every R
 equals the one a per-session factorization gives, bit for bit; the stacked
 products for Q^T y and the residual offset likewise run, per session, the
 BLAS routines of the 2-D products of a lone system.  The second stage runs
 per session: decode_session runs the exact search on one factored system
-and regroups its coordinates into lattice points.
+and returns its DecodeResult, whose integer coordinates hold six PAM levels
+per active helper; the protocol unlifts them and builds no lattice point.
 
 sphere_decode enumerates the finite coordinate alphabet depth-first after the
 QR factorization: natural column order, per-level candidates sorted by their
@@ -42,14 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .channel import SnrPoint
-from .encoder import DispersionBasis, build_equivalent_channel, realify
-from .lift import LatticePoint, pam_levels
-from .algebra import FieldElement, GaussianInt
+from .encoder import build_equivalent_channel, dispersion_basis, realify
+from .lift import pam_levels
 
 #: diagonal magnitude below which R is treated as rank-deficient (and zeroed)
 _RANK_TOL = 1e-10
@@ -257,48 +257,28 @@ def brute_force_ml(p: DecodeProblem | FactoredProblem) -> DecodeResult:
     return DecodeResult(best_coords, best_metric, total)
 
 
-@dataclass(frozen=True, eq=False)
-class SessionDecode:
-    """Per-user decoded lattice points plus the raw decoder statistics."""
-
-    points: tuple[LatticePoint, ...]
-    result: DecodeResult
-
-
-def factor_sessions(
-    received: Sequence[np.ndarray],
-    channels: Sequence[np.ndarray],
-    basis: DispersionBasis,
-    snr: SnrPoint,
-    m: int,
-) -> list[FactoredProblem]:
-    """The factored real systems of sessions that share a basis (stage one).
+def factor_sessions(received, channels, snr: SnrPoint, m: int) -> list[FactoredProblem]:
+    """The factored real systems of sessions with the same number of active
+    helpers on the 2^m-QAM constellation (stage one).
 
     received holds each session's n_r x T received matrix and channels its
     per-user fading (k_active, n_r, 1).  The equivalent channels (absorbing
     the sqrt(SNR) transmit scale) and their real expansions are built for
     the whole stack at once, then validated and QR-factored as one stack.
     """
-    eqc = build_equivalent_channel(channels, basis)
+    eqc = build_equivalent_channel(channels, dispersion_basis(m))
     y = np.asarray(received, dtype=complex)
     # each session's samples stacked column-major, as in vec(Y)
-    mat, obs = realify(math.sqrt(snr.snr_linear) * eqc.matrix, y.transpose(0, 2, 1))
+    mat, obs = realify(math.sqrt(snr.snr_linear) * eqc, y.transpose(0, 2, 1))
     return factor(DecodeProblem(mat, obs, pam_levels(m)))
 
 
-def decode_session(p: FactoredProblem, mode: str = "sphere") -> SessionDecode:
-    """ML-decode one factored session back to per-user lattice points.
+def decode_session(p: FactoredProblem, mode: str = "sphere") -> DecodeResult:
+    """ML-decode one factored session with the selected decoder (stage two).
 
-    Runs the selected decoder and regroups the real solution into
-    Gaussian-integer QAM coordinates, three per user.
+    The result's coordinates hold six PAM levels per active helper, in
+    helper order: the real and imaginary parts of its three QAM symbols.
     """
     if mode not in ("sphere", "oracle"):
         raise ValueError(f"mode must be 'sphere' or 'oracle', got {mode!r}")
-    res = sphere_decode(p) if mode == "sphere" else brute_force_ml(p)
-    c = res.coordinates
-    q = [GaussianInt(c[i], c[i + 1]) for i in range(0, len(c), 2)]
-    points = tuple(
-        LatticePoint.from_element(FieldElement(q[i], q[i + 1], q[i + 2]))
-        for i in range(0, len(q), 3)
-    )
-    return SessionDecode(points, res)
+    return sphere_decode(p) if mode == "sphere" else brute_force_ml(p)

@@ -12,20 +12,21 @@ unit energy per transmit antenna per channel use; with unit-variance noise
 the channel module's sqrt(SNR) scaling then makes received SNR comparisons
 between schemes fair.
 
-In dispersion form the codeword is X = sum_{k,l} x_{k,l} C_{k,l} with
-Gaussian-integer symbols x_{k,l} (the QAM coordinates) and fixed basis rows
-C_{k,l} given by the embeddings of the basis elements {1, eta, eta^2}.
+In dispersion form row k of the codeword is sum_l x_{k,l} C[l] with
+Gaussian-integer symbols x_{k,l} (the QAM coordinates) and one fixed
+(s, T) basis matrix C = alpha * E shared by every helper, E[l, j] =
+sigma_j(eta^l) the embeddings of the basis elements {1, eta, eta^2}.
 Stacking the receive samples column-major turns a session into the linear
-system y = H x whose column (k, l) is vec(H_k C_{k,l}); columns are ordered
+system y = H x whose column (k, l) is vec(h_k C[l]); columns are ordered
 user-major, then basis index, matching x = [x_{1,1} .. x_{1,s} .. x_{K,s}].
+
+Codewords, bases and systems are plain complex numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -55,112 +56,60 @@ def normalizer(m: int) -> float:
     return 1.0 / math.sqrt(average_row_energy(m))
 
 
-@dataclass(frozen=True, eq=False)
-class CodeMatrix:
-    """A transmit matrix: k_active stacked single-antenna rows over T uses."""
-
-    entries: np.ndarray
-    k_active: int
-
-    def __post_init__(self) -> None:
-        if self.entries.shape[0] != self.k_active:
-            raise ValueError("one row per active single-antenna helper expected")
-
-    @property
-    def T(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class DispersionBasis:
-    """Fixed basis matrices C_{k,l}: per user, one 1 x T row per symbol.
-
-    matrices is one read-only array of shape (k_active, s, 1, T), so
-    matrices[k][l] is C_{k,l}; every helper has a single transmit antenna.
-    """
-
-    matrices: np.ndarray
-    s: int
-    T: int
-
-    def __post_init__(self) -> None:
-        if self.matrices.shape[1:] != (self.s, 1, self.T):
-            raise ValueError(
-                f"basis shape {self.matrices.shape} != (k_active, {self.s}, 1, {self.T})"
-            )
-
-    @property
-    def k_active(self) -> int:
-        return len(self.matrices)
-
-
 @lru_cache(maxsize=None)
-def dispersion_basis(m: int, k_active: int) -> DispersionBasis:
-    """Basis for k_active helpers on the 2^m-QAM constellation.
+def dispersion_basis(m: int) -> np.ndarray:
+    """The dispersion rows alpha * E of the 2^m-QAM constellation, shape (s, T).
 
-    C_{k,l} is the normalized 1 x 3 embedding row of the l-th basis element;
-    the user index only dictates which antenna row it occupies when stacked.
+    E[l, j] = sigma_j(eta^l) is the l-th basis element's j-th embedding and
+    alpha the constellation normalizer; every helper has a single transmit
+    antenna and sends the same rows.  Cached and read-only.
     """
     pam_levels(m)  # validates m
-    alpha = normalizer(m)
-    rows = alpha * np.array(
+    basis = normalizer(m) * np.array(
         [[embed(b, j) for j in range(3)] for b in _BASIS_ELEMENTS], dtype=complex
     )
-    matrices = np.repeat(rows[None, :, None, :], k_active, axis=0)
-    matrices.flags.writeable = False
-    return DispersionBasis(matrices, s=3, T=3)
+    basis.flags.writeable = False
+    return basis
 
 
-def build_pair_codeword(p1: LatticePoint, p2: LatticePoint, m: int) -> CodeMatrix:
+def build_pair_codeword(p1: LatticePoint, p2: LatticePoint, m: int) -> np.ndarray:
     """2 x 3 codeword of a pair session: row j is helper j's embedded row."""
     alpha = normalizer(m)
-    rows = np.array([p1.embedded_row, p2.embedded_row], dtype=complex)
-    return CodeMatrix(alpha * rows, k_active=2)
+    return alpha * np.array([p1.embedded_row, p2.embedded_row], dtype=complex)
 
 
-def build_tdma_codeword(p: LatticePoint, m: int) -> CodeMatrix:
+def build_tdma_codeword(p: LatticePoint, m: int) -> np.ndarray:
     """1 x 3 codeword of a single-helper session (TDMA / odd-K leftover)."""
     alpha = normalizer(m)
-    return CodeMatrix(alpha * np.array([p.embedded_row], dtype=complex), k_active=1)
+    return alpha * np.array([p.embedded_row], dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalentChannel:
-    """Flattened system matrix H with y = H x, shape (n_r*T, k_active*s), or
-    a stack of them with a leading session axis."""
+def build_equivalent_channel(channels, basis: np.ndarray) -> np.ndarray:
+    """The system matrix H with y = H x, shape (n_r*T, k_active*s).
 
-    matrix: np.ndarray
-
-
-def build_equivalent_channel(
-    channels: Sequence[np.ndarray], basis: DispersionBasis
-) -> EquivalentChannel:
-    """Column (k, l) is the column-major vectorization of H_k C_{k,l}.
-
-    With one transmit antenna, H_k C_{k,l} is the outer product of h_k and
-    the row C_{k,l}, so entry (t*n_r + i, k*s + l) is C_{k,l}[t] * h_k[i]:
-    the whole matrix is one broadcast product.  channels is one session's
-    per-user channels (k_active, n_r, 1) or a stack (S, k_active, n_r, 1) of
-    sessions sharing the basis; every entry is the same single product either
-    way, so a stacked matrix equals the per-session ones bit for bit.
+    Column (k, l) is the column-major vectorization of H_k C_l, with C_l the
+    basis row l.  With one transmit antenna, H_k C_l is the outer product of
+    h_k and C_l, so entry (t*n_r + i, k*s + l) is C[l, t] * h_k[i]: the whole
+    matrix is one broadcast product.  channels is one session's per-user
+    channels (k_active, n_r, 1) or a stack (S, k_active, n_r, 1) of
+    sessions, which gives a leading session axis; every entry is the same
+    single product either way, so a stacked matrix equals the per-session
+    ones bit for bit.
     """
     h = np.asarray(channels, dtype=complex)
-    if h.ndim not in (3, 4) or h.shape[-3] != basis.k_active:
-        raise ValueError(
-            f"expected {basis.k_active} per-user channels, got shape {h.shape}"
-        )
+    if h.ndim not in (3, 4):
+        raise ValueError(f"expected per-user channels (k_active, n_r, 1), got shape {h.shape}")
     if h.shape[-1] != 1:
         raise ValueError(f"per-user channels must be n_r x 1, got shape {h.shape[-2:]}")
-    n_r = h.shape[-2]
-    rows = basis.matrices[:, :, 0, :].transpose(2, 0, 1)  # (T, k, s)
+    s, T = basis.shape
+    k, n_r = h.shape[-3:-1]
     hs = np.swapaxes(h[..., 0], -1, -2)  # (..., n_r, k)
-    mat = (rows[:, None, :, :] * hs[..., None, :, :, None]).reshape(
-        *h.shape[:-3], basis.T * n_r, basis.k_active * basis.s
+    return (basis.T[:, None, None, :] * hs[..., None, :, :, None]).reshape(
+        *h.shape[:-3], T * n_r, k * s
     )
-    return EquivalentChannel(mat)
 
 
-def realify(H, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def realify(H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand a complex system to a real one over integer PAM coordinates.
 
     Every complex entry h becomes the 2x2 block [[Re h, -Im h], [Im h, Re h]]
@@ -169,7 +118,7 @@ def realify(H, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symbol j.  H may carry a leading session axis; y then holds one
     observation per session.
     """
-    mat = np.asarray(H.matrix if isinstance(H, EquivalentChannel) else H, dtype=complex)
+    mat = np.asarray(H, dtype=complex)
     *lead, rows, cols = mat.shape
     vec = np.asarray(y, dtype=complex).reshape(*lead, -1)
     if vec.shape[-1] != rows:

@@ -119,14 +119,6 @@ class Fragment:
                 f"fragment must hold 3*m = {3 * self.m} bits, got {len(self.bits)}"
             )
 
-    @classmethod
-    def of(cls, bits: str) -> Fragment:
-        """Build a fragment inferring m = len(bits) / 3."""
-        _check_bits(bits)
-        if len(bits) % 3:
-            raise ValueError(f"fragment length must be a multiple of 3, got {len(bits)}")
-        return cls(bits, len(bits) // 3)
-
 
 @dataclass(frozen=True)
 class LatticePoint:
@@ -138,6 +130,11 @@ class LatticePoint:
     @classmethod
     def from_element(cls, element: FieldElement) -> LatticePoint:
         return cls(element, (embed(element, 0), embed(element, 1), embed(element, 2)))
+
+    @property
+    def coordinates(self) -> tuple[int, ...]:
+        """The six PAM levels that unlift reads: re and im of q1, q2, q3."""
+        return tuple(v for q in self.element.coefficients() for v in (q.re, q.im))
 
 
 def lift(frag: Fragment) -> LatticePoint:
@@ -152,19 +149,21 @@ def lift(frag: Fragment) -> LatticePoint:
     return LatticePoint.from_element(FieldElement(q[0], q[1], q[2]))
 
 
-def unlift(point: LatticePoint, m: int) -> Fragment:
+def unlift(coordinates, m: int) -> Fragment:
     """Exact inverse of lift for the 2^m-QAM constellation.
 
-    A coefficient outside the constellation raises ValueError: the decoder
-    contract guarantees in-alphabet coordinates, so that signals a bug
-    upstream rather than channel noise.
+    coordinates are one point's six PAM levels (the real and imaginary parts
+    of q1, q2, q3), as a decoder returns them for each helper.  A level
+    outside the constellation raises ValueError: the decoder contract
+    guarantees in-alphabet coordinates, so that signals a bug upstream
+    rather than channel noise.
     """
     word = _gray_axis(m)[1]
     try:
-        bits = "".join(word[c.re] + word[c.im] for c in point.element.coefficients())
+        bits = "".join(word[c] for c in coordinates)
     except KeyError:
         raise ValueError(
-            f"{point.element!r} has a coefficient outside {1 << m}-QAM"
+            f"{tuple(coordinates)!r} has a level outside {1 << m}-QAM"
         ) from None
     return Fragment(bits, m)
 

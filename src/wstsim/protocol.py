@@ -9,15 +9,22 @@ helper is equally likely (probability 2/K) to occupy any given pair slot.
 Pair sessions use the 2 x 3 codeword, singleton and TDMA sessions the 1 x 3
 one; the newcomer (which has receiver CSI) ML-decodes each session
 independently, unlifts the points, reassembles shares, and runs MDS repair
-on the shares whose blocks all decoded cleanly.
+on the shares whose data bits all decoded right (a wrong bit in the last
+block's zero padding does not spoil a share).
 
-A batch of sessions (a repair trial's plan, or a block of storage-free
-session trials) runs in two passes.  The first transmits every session in
-order (lift, codeword, channel draw, transmit), so the RNG is consumed
-exactly as by one session after another.  The second decodes: the sessions
-are grouped by their number of active helpers, each group's real systems are
-built and QR-factored as one stack (decoder.factor_sessions), and then each
-session, in order, gets its own exact search (decoder.decode_session).
+A session travels as plain values: the fragments of its one or two active
+helpers and the numpy Generator its channel is drawn from.  run_sessions
+takes a batch of sessions (a repair trial's plan, or a block of
+storage-free session trials) in two passes.  The first transmits every
+session in order (lift, codeword, channel draw, transmit), so the RNG is
+consumed exactly as by one session after another.  The second decodes: the
+sessions are grouped by their number of active helpers, each group's real
+systems are built and QR-factored as one stack (decoder.factor_sessions),
+and then each session, in order, gets its own exact search
+(decoder.decode_session).  Each helper's six decoded PAM coordinates are
+unlifted to a fragment, and a session errored when an unlifted fragment
+differs from the one sent; lift is a bijection, so that is the same decision
+as comparing the lattice points.
 
 Airtime accounting for TDMA comparisons: a pair session carries two helpers'
 blocks, so at equal bits per session and equal total airtime the TDMA
@@ -33,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrPoint, draw_session, transmit, trial_rng, zero_noise
-from .decoder import decode_session, factor_sessions
-from .encoder import build_pair_codeword, build_tdma_codeword, dispersion_basis
+from .channel import SnrPoint, draw_session, transmit, trial_rng
+from .decoder import DecodeResult, decode_session, factor_sessions
+from .encoder import build_pair_codeword, build_tdma_codeword
 from .lift import Fragment, lift, random_fragment, unlift
 from .storage import NodeContent, StorageConfig, mds_encode, repair_node
 
@@ -76,12 +83,7 @@ class Session:
             raise ValueError("a session activates one or two helpers")
 
 
-@dataclass(frozen=True)
-class SessionPlan:
-    sessions: tuple[Session, ...]
-
-
-def plan_sessions(helpers, blocks_per_helper: int, rng) -> SessionPlan:
+def plan_sessions(helpers, blocks_per_helper: int, rng) -> tuple[Session, ...]:
     """Seeded random disjoint-pair rounds covering every (helper, block) once.
 
     rng is a numpy Generator or an integer master seed.  A singleton session
@@ -102,83 +104,77 @@ def plan_sessions(helpers, blocks_per_helper: int, rng) -> SessionPlan:
             sessions.append(Session((order[i], order[i + 1]), (block, block)))
         if len(order) % 2:
             sessions.append(Session((order[-1],), (block,)))
-    return SessionPlan(tuple(sessions))
+    return tuple(sessions)
 
 
-def tdma_plan(helpers, blocks_per_helper: int) -> SessionPlan:
+def tdma_plan(helpers, blocks_per_helper: int) -> tuple[Session, ...]:
     """Orthogonal baseline: one singleton session per (helper, block)."""
-    sessions = tuple(
+    return tuple(
         Session((int(h),), (block,))
         for block in range(blocks_per_helper)
         for h in helpers
     )
-    return SessionPlan(sessions)
 
 
 @dataclass(frozen=True)
 class RepairTrialResult:
-    snr_db: float
     sessions_total: int
     sessions_errored: int
-    fragment_ok: bool
     repaired_share_ok: bool
     shares_failed: int
 
 
-def _send(points, m, snr, rng, noiseless):
-    """Transmit one session's lattice points over a fresh channel draw.
+def run_sessions(
+    sessions, m: int, snr: SnrPoint, decoder_mode: str = "sphere", noiseless: bool = False
+) -> list[tuple[list[Fragment], bool, DecodeResult]]:
+    """Transmit and decode a batch of sessions.
 
-    Returns (points, received matrix, per-user channels).
+    sessions is a sequence of (fragments, rng): the 3m-bit fragments of the
+    one or two active helpers, and the Generator that draws the session's
+    channel and noise (noiseless forces the noise to 0 after the draw).
+    Returns, per session, the decoded fragments, whether any of them differs
+    from the one sent, and the decoder's result.
     """
-    if len(points) == 2:
-        codeword = build_pair_codeword(points[0], points[1], m)
-    else:
-        codeword = build_tdma_codeword(points[0], m)
-    chan, noise = draw_session(rng, n_r=2, n_t=1, k_active=len(points), T=3)
-    if noiseless:
-        noise = zero_noise(2, 3)
-    return points, transmit(codeword, chan, noise, snr), chan.per_user
-
-
-def _decode_sent(sent, m, snr, decoder_mode):
-    """Decode sessions returned by _send, in order: one stacked factorization
-    per session size, then each session's exact search."""
-    problems = [None] * len(sent)
+    received, channels = [], []
+    for fragments, rng in sessions:
+        points = [lift(f) for f in fragments]
+        build = build_pair_codeword if len(points) == 2 else build_tdma_codeword
+        codeword = build(*points, m)
+        h, w = draw_session(rng, n_r=2, n_t=1, k_active=len(points), T=3)
+        if noiseless:
+            w = np.zeros_like(w)
+        received.append(transmit(codeword, h, w, snr))
+        channels.append(h)
+    problems = [None] * len(sessions)
     for k_act in (1, 2):
-        idx = [i for i, (points, _, _) in enumerate(sent) if len(points) == k_act]
+        idx = [i for i, (fragments, _) in enumerate(sessions) if len(fragments) == k_act]
         if idx:
-            stack = factor_sessions(
-                [sent[i][1] for i in idx], [sent[i][2] for i in idx],
-                dispersion_basis(m, k_act), snr, m,
-            )
+            stack = factor_sessions([received[i] for i in idx], [channels[i] for i in idx], snr, m)
             for i, problem in zip(idx, stack):
                 problems[i] = problem
-    return [decode_session(problem, decoder_mode) for problem in problems]
+    out = []
+    for (sent, _), problem in zip(sessions, problems):
+        res = decode_session(problem, decoder_mode)
+        got = [unlift(res.coordinates[j : j + 6], m) for j in range(0, 6 * len(sent), 6)]
+        out.append((got, got != sent, res))
+    return out
 
 
-def _transmit_plan(plan, fragments, m, snr, decoder_mode, rng, noiseless):
-    """Run a session plan over the channel; returns decoded bits and stats."""
-    decoded: dict[int, list[str | None]] = {
-        h: [None] * len(frags) for h, frags in fragments.items()
-    }
-    sent = [
-        _send([lift(fragments[h][b]) for h, b in zip(sess.helpers, sess.blocks)],
-              m, snr, rng, noiseless)
-        for sess in plan.sessions
-    ]
-    decodes = _decode_sent(sent, m, snr, decoder_mode)
-    sessions_errored = 0
-    for sess, (points, _, _), dec in zip(plan.sessions, sent, decodes):
-        errored = False
-        for i, (h, b) in enumerate(zip(sess.helpers, sess.blocks)):
-            decoded[h][b] = unlift(dec.points[i], m).bits
-            if dec.points[i].element != points[i].element:
-                errored = True
-        sessions_errored += errored
-    return decoded, sessions_errored
+def run_repair_trial(
+    cfg: StorageConfig,
+    m: int,
+    snr: SnrPoint,
+    scheme: str = "pair",
+    decoder_mode: str = "sphere",
+    seed: int = 0,
+    trial_index: int = 0,
+    noiseless: bool = False,
+) -> RepairTrialResult:
+    """One full repair: encode, erase, transmit, repair.
 
-
-def _run_repair(cfg, m, snr, decoder_mode, seed, trial_index, scheme, noiseless):
+    The helpers' blocks travel in pair-scheduled sessions, or, for scheme
+    "tdma", one helper per session.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if cfg.d is None or cfg.fragment_bits is None:
@@ -197,9 +193,13 @@ def _run_repair(cfg, m, snr, decoder_mode, seed, trial_index, scheme, noiseless)
     else:
         plan = tdma_plan(helpers, n_blocks)
 
-    decoded, sessions_errored = _transmit_plan(
-        plan, fragments, m, snr, decoder_mode, rng, noiseless
-    )
+    batch = [([fragments[h][b] for h, b in zip(s.helpers, s.blocks)], rng) for s in plan]
+    decoded: dict[int, list[str | None]] = {h: [None] * n_blocks for h in helpers}
+    sessions_errored = 0
+    for sess, (got, errored, _) in zip(plan, run_sessions(batch, m, snr, decoder_mode, noiseless)):
+        sessions_errored += errored
+        for h, b, frag in zip(sess.helpers, sess.blocks, got):
+            decoded[h][b] = frag.bits
 
     usable: list[NodeContent] = []
     for h in helpers:
@@ -213,106 +213,34 @@ def _run_repair(cfg, m, snr, decoder_mode, seed, trial_index, scheme, noiseless)
         repaired = repair_node(lost, usable, cfg)
         repaired_ok = repaired.fragment == contents[lost].fragment
     return RepairTrialResult(
-        snr_db=snr.snr_db,
-        sessions_total=len(plan.sessions),
+        sessions_total=len(plan),
         sessions_errored=sessions_errored,
-        fragment_ok=shares_failed == 0,
         repaired_share_ok=repaired_ok,
         shares_failed=shares_failed,
     )
 
 
-def run_repair_trial(
-    cfg: StorageConfig,
+def run_session_trials(
     m: int,
     snr: SnrPoint,
-    decoder_mode: str = "sphere",
-    seed: int = 0,
-    trial_index: int = 0,
-    noiseless: bool = False,
-) -> RepairTrialResult:
-    """One full pair-scheduled repair: encode, erase, transmit, repair."""
-    return _run_repair(cfg, m, snr, decoder_mode, seed, trial_index, "pair", noiseless)
+    scheme: str,
+    decoder_mode: str,
+    seed: int,
+    trial_indices,
+) -> list[tuple[bool, int]]:
+    """Storage-free session trials, each one session with fresh random
+    fragments, decoded as one batch.
 
-
-def run_tdma_trial(
-    cfg: StorageConfig,
-    m: int,
-    snr: SnrPoint,
-    decoder_mode: str = "sphere",
-    seed: int = 0,
-    trial_index: int = 0,
-    noiseless: bool = False,
-) -> RepairTrialResult:
-    """Like run_repair_trial but every session carries a single helper."""
-    return _run_repair(cfg, m, snr, decoder_mode, seed, trial_index, "tdma", noiseless)
-
-
-def _session_trials(m, snr, scheme, decoder_mode, seed, trial_indices, noiseless=False):
-    """Storage-free session trials, decoded as one batch.
-
-    Returns (any lattice point decoded wrong, visited enumeration nodes) per
-    trial; each trial draws from its own substream, so the batch consumes
-    the RNG exactly as the trials one by one.
+    Returns (any fragment decoded wrong, visited enumeration nodes) per
+    trial; the error counts never depend on the decoder mode, both are
+    exact ML.  Each trial draws from its own substream, so the batch
+    consumes the RNG exactly as the trials one by one.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     k_act = 2 if scheme == "pair" else 1
-    sent = []
+    batch = []
     for t in trial_indices:
         rng = trial_rng(seed, t)
-        fragments = [random_fragment(rng, m) for _ in range(k_act)]
-        sent.append(_send([lift(f) for f in fragments], m, snr, rng, noiseless))
-    return [
-        (any(d.element != p.element for d, p in zip(dec.points, points)), dec.result.visited_nodes)
-        for (points, _, _), dec in zip(sent, _decode_sent(sent, m, snr, decoder_mode))
-    ]
-
-
-def run_session_trial(
-    m: int,
-    snr: SnrPoint,
-    scheme: str = "pair",
-    decoder_mode: str = "sphere",
-    seed: int = 0,
-    trial_index: int = 0,
-    noiseless: bool = False,
-) -> tuple[bool, int]:
-    """One storage-free session with fresh random fragments.
-
-    Returns (any lattice point decoded wrong, visited enumeration nodes);
-    the error counts never depend on the decoder mode, both are exact ML.
-    """
-    return _session_trials(m, snr, scheme, decoder_mode, seed, [trial_index], noiseless)[0]
-
-
-def _repair_range(task):
-    """Worker: run trials [start, stop) of one SNR point, return counts."""
-    cfg, m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop, noiseless = task
-    snr = SnrPoint(snr_db)
-    counts = np.zeros(6, dtype=np.int64)  # sessions, errored, shares, failed, repairs, repair_fail
-    for t in range(start, stop):
-        res = _run_repair(
-            cfg, m, snr, decoder_mode, seed, snr_idx * trials + t, scheme, noiseless
-        )
-        counts += (
-            res.sessions_total,
-            res.sessions_errored,
-            cfg.d,
-            res.shares_failed,
-            1,
-            0 if res.repaired_share_ok else 1,
-        )
-    return snr_idx, counts
-
-
-def _session_range(task):
-    """Worker: storage-free FER trials [start, stop) of one SNR point."""
-    m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop = task
-    results = _session_trials(
-        m, SnrPoint(snr_db), scheme, decoder_mode, seed,
-        range(snr_idx * trials + start, snr_idx * trials + stop),
-    )
-    errors = sum(errored for errored, _ in results)
-    visited = sum(nodes for _, nodes in results)
-    return snr_idx, np.array([stop - start, errors, visited], dtype=np.int64)
+        batch.append(([random_fragment(rng, m) for _ in range(k_act)], rng))
+    return [(errored, res.visited_nodes) for _, errored, res in run_sessions(batch, m, snr, decoder_mode)]

@@ -22,7 +22,7 @@ def wstsim_env() -> dict:
     return env
 
 
-def decode_one(received, chan, basis, snr, m, mode="sphere"):
+def decode_one(received, h, snr, m, mode="sphere"):
     """Decode one received session through both stages, as a stack of one."""
-    (problem,) = factor_sessions([received], [chan.per_user], basis, snr, m)
+    (problem,) = factor_sessions([received], [h], snr, m)
     return decode_session(problem, mode)

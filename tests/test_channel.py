@@ -3,16 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from wstsim.channel import (
-    ChannelRealization,
-    NoiseBlock,
-    SnrPoint,
-    draw_cn,
-    draw_session,
-    transmit,
-    trial_rng,
-    zero_noise,
-)
+from wstsim.channel import SnrPoint, draw_cn, draw_session, transmit, trial_rng
 from wstsim.encoder import build_pair_codeword, normalizer
 from wstsim.lift import Fragment, lift
 
@@ -53,10 +44,10 @@ def test_trial_rng_validation():
 
 def test_draw_session_deterministic_across_replays():
     for trial in (0, 17):
-        chan1, noise1 = draw_session(trial_rng(999, trial), 2, 1, 2, 3)
-        chan2, noise2 = draw_session(trial_rng(999, trial), 2, 1, 2, 3)
-        assert np.array_equal(chan1.per_user, chan2.per_user)
-        assert np.array_equal(noise1.w, noise2.w)
+        h1, w1 = draw_session(trial_rng(999, trial), 2, 1, 2, 3)
+        h2, w2 = draw_session(trial_rng(999, trial), 2, 1, 2, 3)
+        assert np.array_equal(h1, h2)
+        assert np.array_equal(w1, w2)
 
 
 def test_draw_cn_into_buffer_equals_fresh_draw():
@@ -71,9 +62,9 @@ def test_draw_cn_into_buffer_equals_fresh_draw():
 def test_draw_session_draws_channel_then_noise():
     for k in (1, 2):
         rng, ref = trial_rng(77, k), trial_rng(77, k)
-        chan, noise = draw_session(rng, 2, 1, k, 3)
-        assert np.array_equal(chan.per_user, draw_cn(ref, (k, 2, 1)))
-        assert np.array_equal(noise.w, draw_cn(ref, (2, 3)))
+        h, w = draw_session(rng, 2, 1, k, 3)
+        assert np.array_equal(h, draw_cn(ref, (k, 2, 1)))
+        assert np.array_equal(w, draw_cn(ref, (2, 3)))
         assert rng.standard_normal() == ref.standard_normal()
 
 
@@ -100,46 +91,48 @@ def test_re_im_uncorrelated():
 # ---------------------------------------------------------------------------
 
 
+ZERO_NOISE = np.zeros((2, 3), dtype=complex)
+
+
 def _pair_codeword(bits1, bits2):
     return build_pair_codeword(lift(Fragment(bits1, 2)), lift(Fragment(bits2, 2)), 2)
 
 
 def test_transmit_identity_channel_zero_noise():
     X = _pair_codeword("010011", "111000")
-    chan = ChannelRealization(np.array([[[1.0], [0.0]], [[0.0], [1.0]]], dtype=complex))
+    h = np.array([[[1.0], [0.0]], [[0.0], [1.0]]], dtype=complex)
     snr = SnrPoint(20.0)
-    Y = transmit(X, chan, zero_noise(2, 3), snr)
-    assert np.allclose(Y, np.sqrt(snr.snr_linear) * X.entries)
+    Y = transmit(X, h, ZERO_NOISE, snr)
+    assert np.allclose(Y, np.sqrt(snr.snr_linear) * X)
 
 
 def test_transmit_zero_codeword_returns_noise():
     X = _pair_codeword("000000", "000000")
-    zero = ChannelRealization(np.zeros((2, 2, 1), dtype=complex))
-    noise = NoiseBlock(np.arange(6, dtype=complex).reshape(2, 3))
+    zero = np.zeros((2, 2, 1), dtype=complex)
+    noise = np.arange(6, dtype=complex).reshape(2, 3)
     Y = transmit(X, zero, noise, SnrPoint(10.0))
-    assert np.array_equal(Y, noise.w)
+    assert np.array_equal(Y, noise)
 
 
 def test_transmit_superposition():
     rng = trial_rng(77)
-    chan, _ = draw_session(rng, 2, 1, 2, 3)
+    h, _ = draw_session(rng, 2, 1, 2, 3)
     snr = SnrPoint(13.0)
     X1 = _pair_codeword("010011", "111000")
     X2 = _pair_codeword("001100", "100101")
-    from wstsim.encoder import CodeMatrix
-
-    X12 = CodeMatrix(X1.entries + X2.entries, k_active=2)
-    y1 = transmit(X1, chan, zero_noise(2, 3), snr)
-    y2 = transmit(X2, chan, zero_noise(2, 3), snr)
-    y12 = transmit(X12, chan, zero_noise(2, 3), snr)
+    y1 = transmit(X1, h, ZERO_NOISE, snr)
+    y2 = transmit(X2, h, ZERO_NOISE, snr)
+    y12 = transmit(X1 + X2, h, ZERO_NOISE, snr)
     assert np.allclose(y12, y1 + y2, atol=1e-12)
 
 
 def test_transmit_shape_mismatch():
     X = _pair_codeword("010011", "111000")
-    chan = ChannelRealization(np.zeros((1, 2, 1), dtype=complex))
+    h = np.zeros((1, 2, 1), dtype=complex)
     with pytest.raises(ValueError):
-        transmit(X, chan, zero_noise(2, 3), SnrPoint(0.0))
+        transmit(X, h, ZERO_NOISE, SnrPoint(0.0))
+    with pytest.raises(ValueError):
+        transmit(X, np.zeros((2, 2, 1), dtype=complex), np.zeros((2, 2)), SnrPoint(0.0))
 
 
 def test_received_snr_calibration():

@@ -217,6 +217,47 @@ def test_edge_inputs_exit_cleanly(tmp_path, args, code):
     assert res.returncode == code, res.stderr
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"trials": 1.5},
+        {"n": 6.0},
+        {"m": 2.0},
+        {"fragment_bits": 24.0},
+        {"decoder": "foo"},
+        {"noiseless": "no"},
+        {"seed": 1.5},  # checked even though the explicit --seed wins
+        {"trials": True},
+        {"trials": False},
+        [1, 2],
+    ],
+)
+def test_config_values_get_the_flag_checks(tmp_path, config):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    res = run_cli("repair", "--seed", "1", "--config", str(cfg), "--trials", "2", "--snr-grid", "30",
+                  "--workers", "1", "--out-dir", str(tmp_path), cwd=tmp_path)
+    assert "Traceback" not in res.stderr, res.stderr
+    assert res.returncode == 2, res.stderr
+    assert not (tmp_path / "repair_pair.csv").exists()
+
+
+def test_config_values_equal_their_flags(tmp_path):
+    flags = ["--scheme", "tdma", "--m", "4", "--fragment-bits", "16", "--snr-grid", "30",
+             "--trials", "2", "--noiseless"]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"scheme": "tdma", "m": 4, "fragment_bits": 16, "snr_grid": "30",
+                               "trials": 2, "noiseless": True, "decoder": None}))
+    outputs = []
+    for name, args in (("flags", flags), ("config", ["--config", str(cfg)])):
+        out = tmp_path / name
+        res = run_cli("repair", *args, "--seed", "3", "--workers", "1", "--out-dir", str(out), cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        outputs.append((out / "repair_tdma.csv").read_text())
+    assert outputs[0] == outputs[1]
+    assert '"noiseless": true' in outputs[0]
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng, zero_noise
+from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
 from wstsim.decoder import (
     DecodeProblem,
     DecodeResult,
@@ -20,7 +20,7 @@ from wstsim.encoder import (
     realify,
 )
 from wstsim.lift import lift, pam_levels, random_fragment
-from wstsim.protocol import run_session_trial
+from wstsim.protocol import run_session_trials
 
 from conftest import decode_one
 
@@ -112,17 +112,16 @@ def test_sphere_equals_oracle_on_noisy_problems():
 
 def test_sphere_equals_oracle_on_pair_sessions():
     snr = SnrPoint(10.0)
-    basis = dispersion_basis(2, 2)
     for t in range(300):
         rng = trial_rng(2024, t)
         p1, p2 = lift(random_fragment(rng, 2)), lift(random_fragment(rng, 2))
         X = build_pair_codeword(p1, p2, 2)
-        chan, noise = draw_session(rng, 2, 1, 2, 3)
-        Y = transmit(X, chan, noise, snr)
-        a = decode_one(Y, chan, basis, snr, 2, mode="sphere")
-        b = decode_one(Y, chan, basis, snr, 2, mode="oracle")
-        assert a.points == b.points
-        assert abs(a.result.metric - b.result.metric) < 1e-9
+        h, w = draw_session(rng, 2, 1, 2, 3)
+        Y = transmit(X, h, w, snr)
+        a = decode_one(Y, h, snr, 2, mode="sphere")
+        b = decode_one(Y, h, snr, 2, mode="oracle")
+        assert a.coordinates == b.coordinates
+        assert abs(a.metric - b.metric) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -142,16 +141,16 @@ def test_sphere_equals_numpy_node_reference(m, rows, cols):
 @pytest.mark.parametrize("m,scheme", [(2, "pair"), (4, "pair"), (2, "tdma"), (4, "tdma")])
 def test_sphere_equals_numpy_node_reference_on_sessions(m, scheme):
     k_act = 2 if scheme == "pair" else 1
-    basis = dispersion_basis(m, k_act)
+    basis = dispersion_basis(m)
     for t in range(60):
         snr = SnrPoint((5.0, 15.0, 25.0)[t % 3])
         rng = trial_rng(4321, t)
         points = [lift(random_fragment(rng, m)) for _ in range(k_act)]
         X = build_pair_codeword(*points, m) if k_act == 2 else build_tdma_codeword(*points, m)
-        chan, noise = draw_session(rng, 2, 1, k_act, 3)
-        Y = transmit(X, chan, noise, snr)
-        eqc = build_equivalent_channel(chan.per_user, basis)
-        mat, obs = realify(math.sqrt(snr.snr_linear) * eqc.matrix, Y.reshape(-1, order="F"))
+        h, w = draw_session(rng, 2, 1, k_act, 3)
+        Y = transmit(X, h, w, snr)
+        eqc = build_equivalent_channel(h, basis)
+        mat, obs = realify(math.sqrt(snr.snr_linear) * eqc, Y.reshape(-1, order="F"))
         assert_matches_reference(DecodeProblem(mat, obs, pam_levels(m)))
 
 
@@ -276,40 +275,32 @@ def test_zero_noise_roundtrip_sessions():
             X = build_pair_codeword(points[0], points[1], 2)
         else:
             X = build_tdma_codeword(points[0], 2)
-        chan, _ = draw_session(rng, 2, 1, k_act, 3)
-        Y = transmit(X, chan, zero_noise(2, 3), snr)
-        dec = decode_one(Y, chan, dispersion_basis(2, k_act), snr, 2)
-        assert [p.element for p in dec.points] == [p.element for p in points]
-        assert dec.result.metric < 1e-12
+        h, _ = draw_session(rng, 2, 1, k_act, 3)
+        Y = transmit(X, h, np.zeros((2, 3), dtype=complex), snr)
+        dec = decode_one(Y, h, snr, 2)
+        assert dec.coordinates == tuple(c for p in points for c in p.coordinates)
+        assert dec.metric < 1e-12
 
 
 def test_decode_session_mode_validation():
     rng = trial_rng(1)
-    chan, _ = draw_session(rng, 2, 1, 1, 3)
+    h, _ = draw_session(rng, 2, 1, 1, 3)
     with pytest.raises(ValueError):
-        decode_session(
-            factor_sessions([np.zeros((2, 3))], [chan.per_user], dispersion_basis(2, 1), SnrPoint(0.0), 2)[0],
-            "zf",
-        )
+        decode_session(factor_sessions([np.zeros((2, 3))], [h], SnrPoint(0.0), 2)[0], "zf")
 
 
 def test_visited_nodes_shrink_with_snr():
     means = []
     for db in (5.0, 15.0, 25.0):
-        total = 0
-        for t in range(1000):
-            _, visited = run_session_trial(2, SnrPoint(db), "pair", "sphere", 77, t)
-            total += visited
-        means.append(total / 1000)
+        results = run_session_trials(2, SnrPoint(db), "pair", "sphere", 77, range(1000))
+        means.append(sum(visited for _, visited in results) / 1000)
     assert means[0] > means[1] > means[2]
 
 
 def test_session_error_rate_30db_oracle_regression():
     # frozen Monte Carlo baseline: zero session errors in 1e4 oracle trials
     # at 30 dB (rate << 1e-2); determinism makes the count reproducible
-    errors = 0
-    for t in range(10**4):
-        errored, _ = run_session_trial(2, SnrPoint(30.0), "pair", "oracle", 1234, t)
-        errors += errored
+    results = run_session_trials(2, SnrPoint(30.0), "pair", "oracle", 1234, range(10**4))
+    errors = sum(errored for errored, _ in results)
     assert errors == 0
     assert errors / 10**4 < 1e-2

@@ -7,7 +7,6 @@ import pytest
 from wstsim.algebra import ETA, FieldElement
 from wstsim.channel import draw_cn, trial_rng
 from wstsim.encoder import (
-    DispersionBasis,
     average_row_energy,
     build_equivalent_channel,
     build_pair_codeword,
@@ -34,8 +33,8 @@ def all_points(m):
 def test_pair_codeword_of_ones():
     p = LatticePoint.from_element(FieldElement(1, 0, 0))
     X = build_pair_codeword(p, p, 2)
-    assert X.entries.shape == (2, 3)
-    assert np.allclose(X.entries / normalizer(2), np.ones((2, 3)))
+    assert X.shape == (2, 3)
+    assert np.allclose(X / normalizer(2), np.ones((2, 3)))
 
 
 def test_pair_codeword_eta_row():
@@ -43,7 +42,7 @@ def test_pair_codeword_eta_row():
     other = LatticePoint.from_element(FieldElement(1, 0, 0))
     X = build_pair_codeword(p, other, 2)
     assert np.allclose(
-        X.entries[0] / normalizer(2),
+        X[0] / normalizer(2),
         [1.246980, -0.445042, -1.801938],
         atol=1e-6,
     )
@@ -52,32 +51,31 @@ def test_pair_codeword_eta_row():
 def test_tdma_codeword_of_one():
     p = LatticePoint.from_element(FieldElement(1, 0, 0))
     X = build_tdma_codeword(p, 2)
-    assert X.entries.shape == (1, 3)
-    assert np.allclose(X.entries / normalizer(2), np.ones((1, 3)))
+    assert X.shape == (1, 3)
+    assert np.allclose(X / normalizer(2), np.ones((1, 3)))
 
 
 def test_dispersion_sum_reproduces_codeword_exhaustive_m2():
-    basis = dispersion_basis(2, 2)
+    basis = dispersion_basis(2)
     points = all_points(2)
     for p1 in points:
         for p2 in points[::7]:  # all p1 against a stride of p2: 64 x 10 pairs
-            direct = build_pair_codeword(p1, p2, 2).entries
+            direct = build_pair_codeword(p1, p2, 2)
             assembled = np.zeros((2, 3), dtype=complex)
             for k, point in enumerate((p1, p2)):
                 for l, coeff in enumerate(point.element.coefficients()):
-                    assembled[k : k + 1, :] += complex(coeff) * basis.matrices[k][l]
+                    assembled[k] += complex(coeff) * basis[l]
             assert np.max(np.abs(assembled - direct)) < 1e-12
 
 
 def test_dispersion_sum_reproduces_codeword_all_pairs_m2():
-    basis = dispersion_basis(2, 2)
+    basis = dispersion_basis(2)
     points = all_points(2)
     rows = np.array([p.embedded_row for p in points]) * normalizer(2)
     coeffs = np.array(
         [[complex(c) for c in p.element.coefficients()] for p in points]
     )
-    basis_rows = np.array([basis.matrices[0][l][0] for l in range(3)])
-    assembled = coeffs @ basis_rows
+    assembled = coeffs @ basis
     assert np.max(np.abs(assembled - rows)) < 1e-12
 
 
@@ -172,26 +170,26 @@ def test_pair_difference_rank_exhaustive_m2():
 
 
 def test_equivalent_channel_single_user_shape_and_identity():
-    basis = dispersion_basis(2, 1)
+    basis = dispersion_basis(2)
     h = np.array([[1.0], [0.0]], dtype=complex)
     eqc = build_equivalent_channel([h], basis)
-    assert eqc.matrix.shape == (6, 3)
+    assert eqc.shape == (6, 3)
     x = np.array([1 + 1j, -1 + 1j, 1 - 1j])
     X = np.zeros((1, 3), dtype=complex)
     for l in range(3):
-        X += x[l] * basis.matrices[0][l]
+        X += x[l] * basis[l : l + 1]
     direct = (h @ X).reshape(-1, order="F")
-    assert np.max(np.abs(eqc.matrix @ x - direct)) < 1e-12
+    assert np.max(np.abs(eqc @ x - direct)) < 1e-12
 
 
 def test_equivalent_channel_zero_channels():
-    basis = dispersion_basis(2, 2)
-    eqc = build_equivalent_channel([np.zeros((2, 1))] * 2, basis)
-    assert not eqc.matrix.any()
+    eqc = build_equivalent_channel([np.zeros((2, 1))] * 2, dispersion_basis(2))
+    assert eqc.shape == (6, 6)
+    assert not eqc.any()
 
 
 def test_equivalent_channel_identity_random_two_user():
-    basis = dispersion_basis(2, 2)
+    basis = dispersion_basis(2)
     rng = trial_rng(11)
     worst = 0.0
     for _ in range(1000):
@@ -202,46 +200,47 @@ def test_equivalent_channel_identity_random_two_user():
         for k in range(2):
             Xk = np.zeros((1, 3), dtype=complex)
             for l in range(3):
-                Xk += xs[k, l] * basis.matrices[k][l]
+                Xk += xs[k, l] * basis[l : l + 1]
             direct += hs[k] @ Xk
-        delta = eqc.matrix @ xs.reshape(-1) - direct.reshape(-1, order="F")
+        delta = eqc @ xs.reshape(-1) - direct.reshape(-1, order="F")
         worst = max(worst, float(np.max(np.abs(delta))))
     assert worst < 1e-12
 
 
 def test_equivalent_channel_linear_in_each_user():
-    basis = dispersion_basis(2, 2)
+    basis = dispersion_basis(2)
     rng = trial_rng(12)
     h1, h2, g1 = (draw_cn(rng, (2, 1)) for _ in range(3))
-    a = build_equivalent_channel([h1, h2], basis).matrix
-    b = build_equivalent_channel([g1, h2], basis).matrix
-    c = build_equivalent_channel([h1 + g1, h2], basis).matrix
+    a = build_equivalent_channel([h1, h2], basis)
+    b = build_equivalent_channel([g1, h2], basis)
+    c = build_equivalent_channel([h1 + g1, h2], basis)
     assert np.max(np.abs(a[:, :3] + b[:, :3] - c[:, :3])) < 1e-12
     assert np.max(np.abs(c[:, 3:] - a[:, 3:])) < 1e-12
 
 
 def test_equivalent_channel_equals_per_column_products_exactly():
     rng = trial_rng(15)
+    basis = dispersion_basis(4)
     for k in (1, 2):
-        basis = dispersion_basis(4, k)
         for _ in range(200):
             hs = draw_cn(rng, (k, 2, 1))
             cols = [
-                (hs[u] @ basis.matrices[u][l]).reshape(-1, order="F")
+                (hs[u] @ basis[l : l + 1]).reshape(-1, order="F")
                 for u in range(k)
                 for l in range(3)
             ]
-            assert np.array_equal(build_equivalent_channel(hs, basis).matrix, np.column_stack(cols))
+            assert np.array_equal(build_equivalent_channel(hs, basis), np.column_stack(cols))
 
 
 def test_dispersion_basis_rejects_multi_antenna_rows():
+    # the basis holds one 1 x T row per symbol: every helper has a single
+    # transmit antenna, so an n_r x 2 per-user channel is refused
+    basis = dispersion_basis(2)
+    assert basis.shape == (3, 3) and not basis.flags.writeable
     with pytest.raises(ValueError):
-        DispersionBasis(np.zeros((2, 3, 2, 3), dtype=complex), s=3, T=3)
-
-
-def test_equivalent_channel_rejects_wrong_count():
+        build_equivalent_channel(np.zeros((2, 2, 2), dtype=complex), basis)
     with pytest.raises(ValueError):
-        build_equivalent_channel([np.zeros((2, 1))], dispersion_basis(2, 2))
+        build_equivalent_channel(np.zeros((2, 1), dtype=complex), basis)  # no user axis
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +267,7 @@ def test_realify_solution_matches_complex_solve():
 
 
 def test_realify_pair_scheme_dimensions():
-    basis = dispersion_basis(2, 2)
+    basis = dispersion_basis(2)
     rng = trial_rng(14)
     eqc = build_equivalent_channel([draw_cn(rng, (2, 1)) for _ in range(2)], basis)
     A, b = realify(eqc, draw_cn(rng, (6,)))

@@ -3,9 +3,9 @@
 factor_sessions builds, realifies, validates and QR-factors a stack of
 sessions at once.  The per-session path kept here as the oracle
 (old_decode_session: build the equivalent channel, realify and QR-factor
-with a 2-D np.linalg.qr for every session on its own, then search and
-regroup) must give the same systems, R, z and offsets bit for bit, and the
-same decisions, node counts and rank flags on repair and session trials.
+with a 2-D np.linalg.qr for every session on its own, then search) must
+give the same systems, R, z and offsets bit for bit, and the
+same coordinates, node counts and rank flags on repair and session trials.
 """
 
 import math
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import wstsim.protocol as protocol
-from wstsim.algebra import FieldElement, GaussianInt
 from wstsim.channel import SnrPoint, draw_cn, draw_session, trial_rng
 from wstsim.decoder import (
     DecodeProblem,
@@ -25,8 +24,9 @@ from wstsim.decoder import (
     sphere_decode,
 )
 from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
-from wstsim.lift import LatticePoint, pam_levels
-from wstsim.protocol import _session_range, run_repair_trial, run_session_trial, run_tdma_trial
+from wstsim.cli import _session_range
+from wstsim.lift import pam_levels
+from wstsim.protocol import run_repair_trial, run_session_trials
 from wstsim.storage import StorageConfig
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
@@ -44,31 +44,24 @@ def old_system(received, per_user, basis, snr):
     """One session's real system, built on its own."""
     eqc = build_equivalent_channel(per_user, basis)
     return realify(
-        math.sqrt(snr.snr_linear) * eqc.matrix,
+        math.sqrt(snr.snr_linear) * eqc,
         np.asarray(received, dtype=complex).reshape(-1, order="F"),
     )
 
 
-def old_decode_session(received, chan, basis, snr, m):
+def old_decode_session(received, h, snr, m):
     """The per-session decode: build, realify and 2-D QR, then the search."""
-    p = DecodeProblem(*old_system(received, chan.per_user, basis, snr), pam_levels(m))
-    res = sphere_decode(
+    p = DecodeProblem(*old_system(received, h, dispersion_basis(m), snr), pam_levels(m))
+    return sphere_decode(
         FactoredProblem(p.matrix, p.observation, p.levels, *per_matrix_factor(p.matrix, p.observation))
     )
-    c = res.coordinates
-    q = [GaussianInt(c[i], c[i + 1]) for i in range(0, len(c), 2)]
-    points = tuple(
-        LatticePoint.from_element(FieldElement(*q[i : i + 3])) for i in range(0, len(q), 3)
-    )
-    return points, res
 
 
-def assert_same_decode(new, points, old):
-    assert new.points == points
-    assert new.result.coordinates == old.coordinates
-    assert new.result.visited_nodes == old.visited_nodes
-    assert new.result.fallback == old.fallback
-    assert math.isclose(new.result.metric, old.metric, rel_tol=1e-12, abs_tol=1e-300)
+def assert_same_decode(new, old):
+    assert new.coordinates == old.coordinates
+    assert new.visited_nodes == old.visited_nodes
+    assert new.fallback == old.fallback
+    assert math.isclose(new.metric, old.metric, rel_tol=1e-12, abs_tol=1e-300)
 
 
 def record_sessions(monkeypatch):
@@ -76,9 +69,9 @@ def record_sessions(monkeypatch):
     sent, decoded = [], []
     transmit, decode_session = protocol.transmit, protocol.decode_session
 
-    def recording_transmit(codeword, chan, noise, snr):
-        received = transmit(codeword, chan, noise, snr)
-        sent.append((received, chan, snr, codeword.k_active))
+    def recording_transmit(codeword, h, w, snr):
+        received = transmit(codeword, h, w, snr)
+        sent.append((received, h, snr))
         return received
 
     def recording_decode(problem, mode="sphere"):
@@ -122,12 +115,12 @@ def test_single_system_is_a_stack_of_one():
 @pytest.mark.parametrize("k_act", [1, 2])
 def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
     rng = trial_rng(77, k_act)
-    basis = dispersion_basis(4, k_act)
+    basis = dispersion_basis(4)
     for size in (1, 4, 9):
         snr = SnrPoint(17.0)
-        chans = [draw_session(rng, 2, 1, k_act, 3)[0].per_user for _ in range(size)]
+        chans = [draw_session(rng, 2, 1, k_act, 3)[0] for _ in range(size)]
         received = [draw_cn(rng, (2, 3)) for _ in range(size)]
-        stack = factor_sessions(received, chans, basis, snr, 4)
+        stack = factor_sessions(received, chans, snr, 4)
         assert len(stack) == size
         for f, y, h in zip(stack, received, chans):
             mat, obs = old_system(y, h, basis, snr)
@@ -140,28 +133,27 @@ def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("pair", 4), ("tdma", 4)])
 def test_repair_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     sent, decoded = record_sessions(monkeypatch)
-    run = run_repair_trial if scheme == "pair" else run_tdma_trial
     for t in range(200):
-        run(CFG, m, SnrPoint(10.0 + 5.0 * (t % 5)), "sphere", seed=606, trial_index=t)
+        run_repair_trial(CFG, m, SnrPoint(10.0 + 5.0 * (t % 5)), scheme, "sphere", seed=606, trial_index=t)
     assert len(sent) == len(decoded) >= 200 * 6  # 6 sessions a trial at m = 4, 11 at m = 2
-    for (received, chan, snr, k_act), new in zip(sent, decoded):
-        assert_same_decode(new, *old_decode_session(received, chan, dispersion_basis(m, k_act), snr, m))
+    for (received, h, snr), new in zip(sent, decoded):
+        assert_same_decode(new, old_decode_session(received, h, snr, m))
 
 
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
 def test_session_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     sent, decoded = record_sessions(monkeypatch)
     for t in range(200):
-        run_session_trial(m, SnrPoint(10.0 + 5.0 * (t % 5)), scheme, "sphere", 909, t)
+        run_session_trials(m, SnrPoint(10.0 + 5.0 * (t % 5)), scheme, "sphere", 909, [t])
     assert len(sent) == len(decoded) == 200
-    for (received, chan, snr, k_act), new in zip(sent, decoded):
-        assert_same_decode(new, *old_decode_session(received, chan, dispersion_basis(m, k_act), snr, m))
+    for (received, h, snr), new in zip(sent, decoded):
+        assert_same_decode(new, old_decode_session(received, h, snr, m))
 
 
 def test_session_block_equals_trials_one_by_one():
     snr = SnrPoint(12.0)
     _, counts = _session_range((2, 12.0, "pair", "sphere", 31, 1, 300, 20, 140))
-    single = [run_session_trial(2, snr, "pair", "sphere", 31, 300 + t) for t in range(20, 140)]
+    single = [run_session_trials(2, snr, "pair", "sphere", 31, [300 + t])[0] for t in range(20, 140)]
     assert counts.tolist() == [120, sum(e for e, _ in single), sum(n for _, n in single)]
 
 
@@ -175,11 +167,11 @@ def test_non_finite_entry_in_a_stack_raises(bad):
     with pytest.raises(ValueError):
         DecodeProblem(np.stack([np.eye(3)] * 4), obs, (-1, 1))
     rng = trial_rng(8)
-    chans = [draw_session(rng, 2, 1, 1, 3)[0].per_user for _ in range(3)]
+    chans = [draw_session(rng, 2, 1, 1, 3)[0] for _ in range(3)]
     received = [draw_cn(rng, (2, 3)) for _ in range(3)]
     received[1][0, 2] = bad
     with pytest.raises(ValueError):
-        factor_sessions(received, chans, dispersion_basis(2, 1), SnrPoint(10.0), 2)
+        factor_sessions(received, chans, SnrPoint(10.0), 2)
 
 
 def test_stack_validation():

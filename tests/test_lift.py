@@ -119,30 +119,30 @@ def test_lift_equals_gray_encode_composition():
 def test_roundtrip_exhaustive_m2():
     for bits in all_bitstrings(6):
         frag = Fragment(bits, 2)
-        assert unlift(lift(frag), 2) == frag
+        assert unlift(lift(frag).coordinates, 2) == frag
 
 
 def test_roundtrip_exhaustive_m4():
     for bits in all_bitstrings(12):
         frag = Fragment(bits, 4)
-        assert unlift(lift(frag), 4) == frag
+        assert unlift(lift(frag).coordinates, 4) == frag
 
 
 def test_roundtrip_random_m6():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         frag = random_fragment(rng, 6)
-        assert unlift(lift(frag), 6) == frag
+        assert unlift(lift(frag).coordinates, 6) == frag
 
 
 def test_unlift_rejects_out_of_constellation():
-    point = LatticePoint.from_element(
-        lift(Fragment("0000" * 3, 4)).element
-    )  # coefficients reach +-3
+    coords = lift(Fragment("0000" * 3, 4)).coordinates  # levels reach +-3
     with pytest.raises(ValueError):
-        unlift(point, 2)
+        unlift(coords, 2)
     with pytest.raises(ValueError):
-        unlift(point, 3)  # odd m
+        unlift(coords, 3)  # odd m
+    with pytest.raises(ValueError):
+        unlift((1,) * 5, 2)  # one level short of a point
 
 
 def test_fragment_validation():
@@ -150,7 +150,6 @@ def test_fragment_validation():
         Fragment("0000000", 2)  # wrong length
     with pytest.raises(ValueError):
         Fragment("0" * 9, 3)  # odd m
-    assert Fragment.of("0" * 12).m == 4
 
 
 # ---------------------------------------------------------------------------
