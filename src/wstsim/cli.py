@@ -29,7 +29,7 @@ from .dmt import DmtCurve, emit_fig1
 from .lift import Fragment, lift, unlift
 from .outage import InsufficientSamplesError, OutageSpec, run_outage_sweep
 from .parallel import map_tasks
-from .protocol import run_repair_trial, run_session_trials
+from .protocol import run_repair_trials, run_session_trials
 from .storage import StorageConfig
 from . import algebra
 
@@ -285,12 +285,12 @@ def _session_range(task):
 def _repair_range(task):
     """Worker: repair trials [start, stop) of one SNR point, as counts."""
     cfg, m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop, noiseless = task
-    snr = SnrPoint(snr_db)
+    results = run_repair_trials(
+        cfg, m, SnrPoint(snr_db), scheme, decoder_mode, seed,
+        range(snr_idx * trials + start, snr_idx * trials + stop), noiseless,
+    )
     counts = np.zeros(6, dtype=np.int64)  # sessions, errored, shares, failed, repairs, repair_fail
-    for t in range(start, stop):
-        res = run_repair_trial(
-            cfg, m, snr, scheme, decoder_mode, seed, snr_idx * trials + t, noiseless
-        )
+    for res in results:
         counts += (
             res.sessions_total,
             res.sessions_errored,
@@ -454,10 +454,10 @@ def _selftest_algebra(rng) -> tuple[bool, str]:
 def _selftest_lift() -> tuple[bool, str]:
     seen = set()
     for i in range(64):
-        frag = Fragment(format(i, "06b"), 2)
+        frag = Fragment(i, 2)
         point = lift(frag)
         if unlift(point.coordinates, 2) != frag:
-            return False, f"round trip failed for {frag.bits}"
+            return False, f"round trip failed for {i:06b}"
         seen.add(point.element.coefficients())
     if len(seen) != 64:
         return False, "lift is not injective at m=2"

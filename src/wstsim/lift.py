@@ -9,6 +9,12 @@ basis coefficients of the field element x = q1 + q2*eta + q3*eta^2, and the
 transmitted row is the triple of real embeddings of x.  Every step is exact
 and invertible, so the composite map is a bijection between {0,1}^(3m) and
 the 2^(3m)-point constellation.
+
+A Fragment holds its bits as one integer below 2^(3m), most significant bit
+first, so its (m/2)-bit Gray words are integer fields.  lift and unlift
+index per-axis tables by those fields; the string Gray coder
+(gray_encode/gray_decode) builds the tables and is the reference the tests
+check them against.
 """
 
 from __future__ import annotations
@@ -90,33 +96,33 @@ def gray_decode(q: QamSymbol) -> str:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _gray_axis(m: int) -> tuple[dict[str, int], dict[int, str]]:
+def _gray_axis(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     """Per-axis Gray tables of 2^m-QAM: (m/2)-bit word -> PAM level, and back.
 
-    Built once per m through gray_encode (a word written on both axes is the
-    symbol with that level on both), 2^(m/2) entries each; lift and unlift
-    index them, and must not write to them.
+    The first is indexed by the word's integer value, the second maps a
+    level to that value.  Built once per m through gray_encode (a word
+    written on both axes is the symbol with that level on both), 2^(m/2)
+    entries each; lift and unlift index them, and must not write to them.
     """
     _check_m(m)
     half = m // 2
-    words = [format(v, f"0{half}b") for v in range(1 << half)]
-    level = {w: gray_encode(w + w).value.re for w in words}
-    return level, {v: w for w, v in level.items()}
+    level = tuple(gray_encode(format(v, f"0{half}b") * 2).value.re for v in range(1 << half))
+    return level, {lv: v for v, lv in enumerate(level)}
 
 
 @dataclass(frozen=True)
 class Fragment:
-    """An encoded-share chunk of exactly 3*m bits (one lattice point)."""
+    """An encoded-share chunk of exactly 3*m bits (one lattice point), held
+    as the integer they spell, most significant bit first."""
 
-    bits: str
+    value: int
     m: int
 
     def __post_init__(self) -> None:
         _check_m(self.m)
-        _check_bits(self.bits)
-        if len(self.bits) != 3 * self.m:
+        if not isinstance(self.value, int) or not 0 <= self.value < 1 << (3 * self.m):
             raise ValueError(
-                f"fragment must hold 3*m = {3 * self.m} bits, got {len(self.bits)}"
+                f"fragment must be an int of 3*m = {3 * self.m} bits, got {self.value!r}"
             )
 
 
@@ -139,12 +145,13 @@ class LatticePoint:
 
 def lift(frag: Fragment) -> LatticePoint:
     """Lift a fragment onto the lattice: (b1, b2, b3) -> q1 + q2*eta + q3*eta^2."""
-    m, bits = frag.m, frag.bits
+    m, v = frag.m, frag.value
     half = m // 2
+    mask = (1 << half) - 1
     level = _gray_axis(m)[0]
     q = [
-        GaussianInt(level[bits[i : i + half]], level[bits[i + half : i + m]])
-        for i in range(0, 3 * m, m)
+        GaussianInt(level[(v >> (shift + half)) & mask], level[(v >> shift) & mask])
+        for shift in (2 * m, m, 0)
     ]
     return LatticePoint.from_element(FieldElement(q[0], q[1], q[2]))
 
@@ -159,17 +166,25 @@ def unlift(coordinates, m: int) -> Fragment:
     rather than channel noise.
     """
     word = _gray_axis(m)[1]
+    if len(coordinates) != 6:
+        raise ValueError(f"a point has six PAM levels, got {len(coordinates)}")
+    half = m // 2
+    value = 0
     try:
-        bits = "".join(word[c] for c in coordinates)
+        for c in coordinates:
+            value = (value << half) | word[c]
     except KeyError:
         raise ValueError(
             f"{tuple(coordinates)!r} has a level outside {1 << m}-QAM"
         ) from None
-    return Fragment(bits, m)
+    return Fragment(value, m)
 
 
 def random_fragment(rng, m: int) -> Fragment:
-    """Draw a uniformly random fragment from a numpy Generator."""
+    """Draw a uniformly random fragment from a numpy Generator (one 0/1
+    draw per bit, most significant first)."""
     _check_m(m)
-    draws = rng.integers(0, 2, size=3 * m)
-    return Fragment("".join("1" if b else "0" for b in draws), m)
+    value = 0
+    for b in rng.integers(0, 2, size=3 * m).tolist():
+        value = (value << 1) | b
+    return Fragment(value, m)

@@ -14,17 +14,24 @@ block's zero padding does not spoil a share).
 
 A session travels as plain values: the fragments of its one or two active
 helpers and the numpy Generator its channel is drawn from.  run_sessions
-takes a batch of sessions (a repair trial's plan, or a block of
-storage-free session trials) in two passes.  The first transmits every
-session in order (lift, codeword, channel draw, transmit), so the RNG is
-consumed exactly as by one session after another.  The second decodes: the
-sessions are grouped by their number of active helpers, each group's real
-systems are built and QR-factored as one stack (decoder.factor_sessions),
-and then each session, in order, gets its own exact search
-(decoder.decode_session).  Each helper's six decoded PAM coordinates are
-unlifted to a fragment, and a session errored when an unlifted fragment
-differs from the one sent; lift is a bijection, so that is the same decision
-as comparing the lattice points.
+takes a batch of sessions (the plans of a range of repair trials, or a
+block of storage-free session trials) in two passes.  The first transmits
+every session in order (lift, codeword, channel draw, transmit); every
+trial draws from its own Generator, so the RNG is consumed exactly as by
+one trial after another.  The second decodes: the sessions are grouped by
+their number of active helpers, each group's real systems are built and
+QR-factored as stacks of at most SESSION_BATCH systems
+(decoder.factor_sessions), and then each session, in order, gets its own
+exact search (decoder.decode_session).  Each helper's six decoded PAM
+coordinates are unlifted to a fragment, and a session errored when an
+unlifted fragment differs from the one sent; lift is a bijection, so that
+is the same decision as comparing the lattice points.  A stacked
+factorization equals the per-session ones bit for bit, so how trials are
+split into batches changes no result.
+
+Shares are cut into fragments, and reassembled from them, as integers: a
+share's bytes are one big-endian integer, zero-padded at the end to whole
+fragments.
 
 Airtime accounting for TDMA comparisons: a pair session carries two helpers'
 blocks, so at equal bits per session and equal total airtime the TDMA
@@ -49,26 +56,34 @@ from .storage import NodeContent, StorageConfig, mds_encode, repair_node
 SCHEMES = ("pair", "tdma")
 
 
-def bytes_to_bits(data: bytes) -> str:
-    """MSB-first bit string of a byte string."""
-    return "".join(format(b, "08b") for b in data)
-
-
-def bits_to_bytes(bits: str) -> bytes:
-    if len(bits) % 8:
-        raise ValueError("bit string length must be a multiple of 8")
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+#: most sessions run_repair_trials holds before decoding them, and the
+#: largest stack run_sessions factors at once: a pair session's arrays take
+#: ~7 KB while its stack is factored, so a stack peaks near 8 MB
+SESSION_BATCH = 1024
 
 
 def share_fragments(data: bytes, m: int) -> list[Fragment]:
     """Cut a share into 3m-bit fragments, zero-padding the last one."""
-    bits = bytes_to_bits(data)
-    if not bits:
+    if not data:
         raise ValueError("cannot fragment an empty share")
     step = 3 * m
-    chunks = [bits[i : i + step] for i in range(0, len(bits), step)]
-    chunks[-1] = chunks[-1].ljust(step, "0")
-    return [Fragment(c, m) for c in chunks]
+    count = -(-8 * len(data) // step)
+    value = int.from_bytes(data, "big") << (count * step - 8 * len(data))
+    mask = (1 << step) - 1
+    return [Fragment((value >> (step * i)) & mask, m) for i in range(count - 1, -1, -1)]
+
+
+def join_fragments(fragments, n_bytes: int) -> bytes:
+    """The n_bytes share that share_fragments cut into these fragments,
+    whatever bits their zero padding holds."""
+    value, width = 0, 0
+    for f in fragments:
+        value = (value << 3 * f.m) | f.value
+        width += 3 * f.m
+    pad = width - 8 * n_bytes
+    if not 0 <= pad < 3 * fragments[-1].m:
+        raise ValueError(f"{len(fragments)} fragments do not hold a {n_bytes}-byte share")
+    return (value >> pad).to_bytes(n_bytes, "big")
 
 
 @dataclass(frozen=True)
@@ -148,9 +163,10 @@ def run_sessions(
     problems = [None] * len(sessions)
     for k_act in (1, 2):
         idx = [i for i, (fragments, _) in enumerate(sessions) if len(fragments) == k_act]
-        if idx:
-            stack = factor_sessions([received[i] for i in idx], [channels[i] for i in idx], snr, m)
-            for i, problem in zip(idx, stack):
+        for lo in range(0, len(idx), SESSION_BATCH):
+            part = idx[lo : lo + SESSION_BATCH]
+            stack = factor_sessions([received[i] for i in part], [channels[i] for i in part], snr, m)
+            for i, problem in zip(part, stack):
                 problems[i] = problem
     out = []
     for (sent, _), problem in zip(sessions, problems):
@@ -160,26 +176,14 @@ def run_sessions(
     return out
 
 
-def run_repair_trial(
-    cfg: StorageConfig,
-    m: int,
-    snr: SnrPoint,
-    scheme: str = "pair",
-    decoder_mode: str = "sphere",
-    seed: int = 0,
-    trial_index: int = 0,
-    noiseless: bool = False,
-) -> RepairTrialResult:
-    """One full repair: encode, erase, transmit, repair.
+def _send_repair(cfg: StorageConfig, m: int, scheme: str, seed: int, trial: int):
+    """A repair trial's sending side: encode, erase, pick helpers, plan.
 
-    The helpers' blocks travel in pair-scheduled sessions, or, for scheme
-    "tdma", one helper per session.
+    Returns (shares, lost node, helpers, session plan), and the plan's
+    sessions as run_sessions takes them, drawing from the trial's own
+    Generator.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if cfg.d is None or cfg.fragment_bits is None:
-        raise ValueError("repair trials need StorageConfig.d and fragment_bits")
-    rng = trial_rng(seed, trial_index)
+    rng = trial_rng(seed, trial)
     file = rng.bytes(cfg.k * cfg.fragment_bits // 8)
     contents = mds_encode(file, cfg)
     lost = int(rng.integers(cfg.n))
@@ -192,32 +196,82 @@ def run_repair_trial(
         plan = plan_sessions(helpers, n_blocks, rng)
     else:
         plan = tdma_plan(helpers, n_blocks)
+    sessions = [([fragments[h][b] for h, b in zip(s.helpers, s.blocks)], rng) for s in plan]
+    return (contents, lost, helpers, plan), sessions
 
-    batch = [([fragments[h][b] for h, b in zip(s.helpers, s.blocks)], rng) for s in plan]
-    decoded: dict[int, list[str | None]] = {h: [None] * n_blocks for h in helpers}
+
+def _finish_repair(cfg: StorageConfig, sent, outcomes) -> RepairTrialResult:
+    """Reassemble a trial's decoded shares and repair from the right ones."""
+    contents, lost, helpers, plan = sent
+    decoded: dict[int, dict[int, Fragment]] = {h: {} for h in helpers}
     sessions_errored = 0
-    for sess, (got, errored, _) in zip(plan, run_sessions(batch, m, snr, decoder_mode, noiseless)):
+    for sess, (got, errored, _) in zip(plan, outcomes):
         sessions_errored += errored
         for h, b, frag in zip(sess.helpers, sess.blocks, got):
-            decoded[h][b] = frag.bits
+            decoded[h][b] = frag
 
     usable: list[NodeContent] = []
     for h in helpers:
-        bits = "".join(decoded[h])[: cfg.fragment_bits]
-        share = bits_to_bytes(bits)
-        if share == contents[h].fragment:
-            usable.append(NodeContent(h, share, contents[h].pad_len))
-    shares_failed = len(helpers) - len(usable)
+        share = contents[h].fragment
+        blocks = decoded[h]
+        if join_fragments([blocks[b] for b in range(len(blocks))], len(share)) == share:
+            usable.append(contents[h])
     repaired_ok = False
     if len(usable) >= cfg.k:
-        repaired = repair_node(lost, usable, cfg)
-        repaired_ok = repaired.fragment == contents[lost].fragment
+        repaired_ok = repair_node(lost, usable, cfg).fragment == contents[lost].fragment
     return RepairTrialResult(
         sessions_total=len(plan),
         sessions_errored=sessions_errored,
         repaired_share_ok=repaired_ok,
-        shares_failed=shares_failed,
+        shares_failed=len(helpers) - len(usable),
     )
+
+
+def run_repair_trials(
+    cfg: StorageConfig,
+    m: int,
+    snr: SnrPoint,
+    scheme: str,
+    decoder_mode: str,
+    seed: int,
+    trial_indices,
+    noiseless: bool = False,
+) -> list[RepairTrialResult]:
+    """Full repairs (encode, erase, transmit, repair), one per trial index.
+
+    The helpers' blocks travel in pair-scheduled sessions, or, for scheme
+    "tdma", one helper per session.  Each trial's shares, plan and sessions
+    are drawn from its own substream; the sessions of consecutive trials are
+    decoded as one batch once they number SESSION_BATCH or more, and each
+    trial is then repaired from its decoded shares.  The results equal those
+    of the trials run one at a time.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if cfg.d is None or cfg.fragment_bits is None:
+        raise ValueError("repair trials need StorageConfig.d and fragment_bits")
+    results: list[RepairTrialResult] = []
+    pending, batch = [], []
+
+    def flush() -> None:
+        outcomes = run_sessions(batch, m, snr, decoder_mode, noiseless)
+        start = 0
+        for sent in pending:
+            stop = start + len(sent[3])  # one outcome per planned session
+            results.append(_finish_repair(cfg, sent, outcomes[start:stop]))
+            start = stop
+        pending.clear()
+        batch.clear()
+
+    for t in trial_indices:
+        sent, sessions = _send_repair(cfg, m, scheme, seed, t)
+        pending.append(sent)
+        batch.extend(sessions)
+        if len(batch) >= SESSION_BATCH:
+            flush()
+    if pending:
+        flush()
+    return results
 
 
 def run_session_trials(

@@ -9,8 +9,11 @@ chunks, shares 0..k-1 equal the data chunks themselves, and any k shares
 reconstruct the file.  The padded file is split into k contiguous chunks, so
 share length = ceil(padded_len / k).
 
-Repair is functional: rebuild the file from any k helper shares, then
-re-encode the lost share, which is therefore byte-identical to the original.
+Repair is functional: the lost share is the one that rebuilding the file
+from k helper shares and re-encoding it would give, byte-identical to the
+original.  For an unpadded file repair_node computes it in one pass, as the
+row G[lost] * inv(G_S) applied to the helper shares S; that row is cached
+per (n, k, helper ids, lost node).
 
 Serialized share format (also in the README): an 8-byte header
 
@@ -124,6 +127,18 @@ def _xor_dot(a: list[int], b: list[int]) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _generator_array(n: int, k: int) -> np.ndarray:
+    """The generator matrix as a read-only (n, k) uint8 array."""
+    gen = np.array(_generator_matrix(n, k), dtype=np.uint8)
+    gen.flags.writeable = False
+    return gen
+
+
+#: products computed per slice of mds_encode, bounding its n*k*L temporary
+_ENCODE_SLICE = 1 << 20
+
+
 def _apply_rows(rows, data: np.ndarray) -> np.ndarray:
     """Multiply GF matrix rows (len-k int tuples) by data of shape (k, L)."""
     table = _mul_table()
@@ -182,15 +197,20 @@ def mds_encode(file: bytes, cfg: StorageConfig) -> list[NodeContent]:
     padded = file + b"\0" * pad_len
     length = len(padded) // cfg.k
     data = np.frombuffer(padded, dtype=np.uint8).reshape(cfg.k, length)
-    shares = _apply_rows(_generator_matrix(cfg.n, cfg.k), data)
+    gen = _generator_array(cfg.n, cfg.k)[:, :, None]
+    table = _mul_table()
+    shares = np.empty((cfg.n, length), dtype=np.uint8)
+    step = max(1, _ENCODE_SLICE // (cfg.n * cfg.k))
+    for lo in range(0, length, step):
+        shares[:, lo : lo + step] = np.bitwise_xor.reduce(
+            table[gen, data[None, :, lo : lo + step]], axis=1
+        )
     return [NodeContent(i, shares[i].tobytes(), pad_len) for i in range(cfg.n)]
 
 
-def mds_reconstruct(shares: list[NodeContent], cfg: StorageConfig) -> bytes:
-    """Rebuild the exact file from any >= k distinct shares.
-
-    Deterministic: the k shares with the smallest node ids are used.
-    """
+def _chosen_shares(shares: list[NodeContent], cfg: StorageConfig) -> list[NodeContent]:
+    """The k shares with the smallest distinct node ids (the first share of
+    each id), after checking ids, lengths and padding metadata."""
     by_id = {}
     for s in shares:
         if not 0 <= s.node_id < cfg.n:
@@ -203,26 +223,61 @@ def mds_reconstruct(shares: list[NodeContent], cfg: StorageConfig) -> bytes:
     pads = {s.pad_len for s in chosen}
     if len(lengths) != 1 or len(pads) != 1:
         raise ValueError("inconsistent share lengths or padding metadata")
-    gen = _generator_matrix(cfg.n, cfg.k)
-    sub = [list(gen[s.node_id]) for s in chosen]
-    inv = _gf_matrix_inverse(sub)
-    stacked = np.stack(
-        [np.frombuffer(s.fragment, dtype=np.uint8) for s in chosen]
-    )
-    data = _apply_rows([tuple(r) for r in inv], stacked)
+    return chosen
+
+
+@lru_cache(maxsize=256)
+def _decoding_rows(n: int, k: int, ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """inv(G_S): the data chunks from the shares of nodes ids (ascending)."""
+    gen = _generator_matrix(n, k)
+    return tuple(tuple(r) for r in _gf_matrix_inverse([list(gen[i]) for i in ids]))
+
+
+@lru_cache(maxsize=1024)
+def _repair_row(n: int, k: int, ids: tuple[int, ...], lost: int) -> tuple[int, ...]:
+    """G[lost] * inv(G_S): the lost share from the shares of nodes ids."""
+    inv = _decoding_rows(n, k, ids)
+    row = _generator_matrix(n, k)[lost]
+    return tuple(_xor_dot(row, [inv[t][j] for t in range(k)]) for j in range(k))
+
+
+def _stack(shares: list[NodeContent]) -> np.ndarray:
+    return np.stack([np.frombuffer(s.fragment, dtype=np.uint8) for s in shares])
+
+
+def mds_reconstruct(shares: list[NodeContent], cfg: StorageConfig) -> bytes:
+    """Rebuild the exact file from any >= k distinct shares.
+
+    Deterministic: the k shares with the smallest node ids are used.
+    """
+    chosen = _chosen_shares(shares, cfg)
+    ids = tuple(s.node_id for s in chosen)
+    data = _apply_rows(_decoding_rows(cfg.n, cfg.k, ids), _stack(chosen))
     padded = data.tobytes()
     pad_len = chosen[0].pad_len
     return padded[: len(padded) - pad_len] if pad_len else padded
 
 
 def repair_node(lost: int, helpers: list[NodeContent], cfg: StorageConfig) -> NodeContent:
-    """Regenerate the lost share exactly from >= k helper shares."""
+    """Regenerate the lost share exactly from >= k helper shares.
+
+    The result is mds_encode(mds_reconstruct(helpers, cfg), cfg)[lost] for
+    every input.  Without file padding that is the combined row G[lost] *
+    inv(G_S) applied to the shares.  With padding, rebuilding drops the
+    file's pad_len trailing bytes and re-encoding pads them back as zeros,
+    which a tampered share can make differ from what it decodes to, so
+    padded shares take the rebuild-and-re-encode path itself.
+    """
     if not 0 <= lost < cfg.n:
         raise ValueError(f"node id {lost} out of range for n={cfg.n}")
     if any(h.node_id == lost for h in helpers):
         raise ValueError("helpers must not include the lost node")
-    file = mds_reconstruct(helpers, cfg)
-    return mds_encode(file, cfg)[lost]
+    chosen = _chosen_shares(helpers, cfg)
+    if chosen[0].pad_len:
+        return mds_encode(mds_reconstruct(helpers, cfg), cfg)[lost]
+    ids = tuple(s.node_id for s in chosen)
+    share = _apply_rows((_repair_row(cfg.n, cfg.k, ids, lost),), _stack(chosen))
+    return NodeContent(lost, share[0].tobytes(), 0)
 
 
 def share_to_bytes(share: NodeContent, cfg: StorageConfig) -> bytes:

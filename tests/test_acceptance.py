@@ -31,7 +31,7 @@ from wstsim.encoder import build_pair_codeword
 from wstsim.lift import Fragment, lift, random_fragment, unlift
 from wstsim.outage import OutageSpec, estimate_slope, run_outage_sweep, wilson_interval
 from wstsim.cli import _repair_range
-from wstsim.protocol import run_repair_trial
+from wstsim.protocol import run_repair_trials
 from wstsim.storage import StorageConfig, mds_encode, mds_reconstruct, repair_node
 
 from conftest import decode_one, wstsim_env
@@ -153,8 +153,8 @@ def test_ac5_lift_bijectivity():
     start = time.perf_counter()
     for m, total in ((2, 64), (4, 4096)):
         images = set()
-        for bits in itertools.product("01", repeat=3 * m):
-            frag = Fragment("".join(bits), m)
+        for v in range(1 << (3 * m)):
+            frag = Fragment(v, m)
             point = lift(frag)
             assert unlift(point.coordinates, m) == frag
             images.add(point.element.coefficients())
@@ -190,8 +190,7 @@ def test_ac6_end_to_end_repair():
         separated = hi_cell["wilson"][0] > lo_cell["wilson"][1]
         assert not (increased and separated), (lo_cell, hi_cell)
     # forced noiseless channel: no failures of any kind
-    for t in range(50):
-        res = run_repair_trial(cfg, 2, SnrPoint(20.0), seed=MC_SEED, trial_index=t, noiseless=True)
+    for res in run_repair_trials(cfg, 2, SnrPoint(20.0), "pair", "sphere", MC_SEED, range(50), noiseless=True):
         assert res.repaired_share_ok and res.shares_failed == 0 and res.sessions_errored == 0
     # session-error slope between 20 and 30 dB against the analytic d1(0) = 2
     # (empty cells are excluded by the estimator's stated rule)

@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -94,12 +93,12 @@ def test_re_im_uncorrelated():
 ZERO_NOISE = np.zeros((2, 3), dtype=complex)
 
 
-def _pair_codeword(bits1, bits2):
-    return build_pair_codeword(lift(Fragment(bits1, 2)), lift(Fragment(bits2, 2)), 2)
+def _pair_codeword(v1, v2):
+    return build_pair_codeword(lift(Fragment(v1, 2)), lift(Fragment(v2, 2)), 2)
 
 
 def test_transmit_identity_channel_zero_noise():
-    X = _pair_codeword("010011", "111000")
+    X = _pair_codeword(0b010011, 0b111000)
     h = np.array([[[1.0], [0.0]], [[0.0], [1.0]]], dtype=complex)
     snr = SnrPoint(20.0)
     Y = transmit(X, h, ZERO_NOISE, snr)
@@ -107,7 +106,7 @@ def test_transmit_identity_channel_zero_noise():
 
 
 def test_transmit_zero_codeword_returns_noise():
-    X = _pair_codeword("000000", "000000")
+    X = _pair_codeword(0, 0)
     zero = np.zeros((2, 2, 1), dtype=complex)
     noise = np.arange(6, dtype=complex).reshape(2, 3)
     Y = transmit(X, zero, noise, SnrPoint(10.0))
@@ -118,8 +117,8 @@ def test_transmit_superposition():
     rng = trial_rng(77)
     h, _ = draw_session(rng, 2, 1, 2, 3)
     snr = SnrPoint(13.0)
-    X1 = _pair_codeword("010011", "111000")
-    X2 = _pair_codeword("001100", "100101")
+    X1 = _pair_codeword(0b010011, 0b111000)
+    X2 = _pair_codeword(0b001100, 0b100101)
     y1 = transmit(X1, h, ZERO_NOISE, snr)
     y2 = transmit(X2, h, ZERO_NOISE, snr)
     y12 = transmit(X1 + X2, h, ZERO_NOISE, snr)
@@ -127,7 +126,7 @@ def test_transmit_superposition():
 
 
 def test_transmit_shape_mismatch():
-    X = _pair_codeword("010011", "111000")
+    X = _pair_codeword(0b010011, 0b111000)
     h = np.zeros((1, 2, 1), dtype=complex)
     with pytest.raises(ValueError):
         transmit(X, h, ZERO_NOISE, SnrPoint(0.0))
@@ -140,9 +139,7 @@ def test_received_snr_calibration():
     # snr * n_t * K_active (here 2 * snr) to within Monte Carlo error
     rng = trial_rng(1234)
     trials = 10**5
-    rows = np.array(
-        [lift(Fragment("".join(b), 2)).embedded_row for b in itertools.product("01", repeat=6)]
-    ) * normalizer(2)
+    rows = np.array([lift(Fragment(v, 2)).embedded_row for v in range(64)]) * normalizer(2)
     h = draw_cn(rng, (trials, 2, 2))  # receive antenna x user
     idx = rng.integers(0, 64, size=(trials, 2))
     x = rows[idx]  # (trials, user, T)

@@ -258,6 +258,20 @@ def test_config_values_equal_their_flags(tmp_path):
     assert '"noiseless": true' in outputs[0]
 
 
+def test_repair_ranges_split_across_workers_give_the_same_csv(tmp_path):
+    # 260 trials run as two ranges, of 250 and 10 trials, each decoded as
+    # one batch: one worker runs both, two workers one each
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        res = run_cli("repair", "--snr-grid", "12", "--trials", "260", "--seed", "6",
+                      "--workers", workers, "--out-dir", str(out), cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        outputs.append((out / "repair_pair.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"\n12.0,260," in outputs[0]
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -20,9 +19,7 @@ from wstsim.lift import Fragment, LatticePoint, lift
 
 
 def all_points(m):
-    return [
-        lift(Fragment("".join(b), m)) for b in itertools.product("01", repeat=3 * m)
-    ]
+    return [lift(Fragment(v, m)) for v in range(1 << (3 * m))]
 
 
 # ---------------------------------------------------------------------------

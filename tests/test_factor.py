@@ -26,7 +26,7 @@ from wstsim.decoder import (
 from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
 from wstsim.cli import _session_range
 from wstsim.lift import pam_levels
-from wstsim.protocol import run_repair_trial, run_session_trials
+from wstsim.protocol import run_repair_trials, run_session_trials
 from wstsim.storage import StorageConfig
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
@@ -133,8 +133,8 @@ def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("pair", 4), ("tdma", 4)])
 def test_repair_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     sent, decoded = record_sessions(monkeypatch)
-    for t in range(200):
-        run_repair_trial(CFG, m, SnrPoint(10.0 + 5.0 * (t % 5)), scheme, "sphere", seed=606, trial_index=t)
+    for k in range(5):  # one range of 40 trials, decoded as one batch, per SNR
+        run_repair_trials(CFG, m, SnrPoint(10.0 + 5.0 * k), scheme, "sphere", 606, range(40 * k, 40 * k + 40))
     assert len(sent) == len(decoded) >= 200 * 6  # 6 sessions a trial at m = 4, 11 at m = 2
     for (received, h, snr), new in zip(sent, decoded):
         assert_same_decode(new, old_decode_session(received, h, snr, m))

@@ -38,7 +38,7 @@ def test_no_module_imports_a_private_name_of_another():
 def test_the_check_sees_relative_and_absolute_imports(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
-        "from .protocol import _repair_range, run_repair_trial\n"
+        "from .protocol import _repair_range, run_repair_trials\n"
         "from wstsim.lift import _gray_axis\n"
         "from os import _exit\n"
         "from . import __version__\n"

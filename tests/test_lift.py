@@ -22,6 +22,12 @@ def all_bitstrings(width):
     return ("".join(b) for b in itertools.product("01", repeat=width))
 
 
+def string_lift(bits: str, m: int) -> LatticePoint:
+    """The lattice point of a 3m-bit string through the string Gray coder."""
+    q = [gray_encode(bits[i * m : (i + 1) * m]).value for i in range(3)]
+    return LatticePoint.from_element(FieldElement(*q))
+
+
 # ---------------------------------------------------------------------------
 # Gray map
 # ---------------------------------------------------------------------------
@@ -86,14 +92,14 @@ def test_pam_levels():
 
 
 def test_lift_all_zero_fragment():
-    point = lift(Fragment("000000", 2))
+    point = lift(Fragment(0, 2))
     expected = GaussianInt(-1, -1)
     assert point.element.coefficients() == (expected, expected, expected)
     assert abs(point.embedded_row[0] - complex(-1, -1) * 3.801938) < 1e-5
 
 
 def test_lift_block_order_example():
-    point = lift(Fragment("110001", 2))
+    point = lift(Fragment(0b110001, 2))
     assert point.element.coefficients() == (
         GaussianInt(1, 1),
         GaussianInt(-1, -1),
@@ -102,29 +108,43 @@ def test_lift_block_order_example():
 
 
 def test_lift_injective_m2():
-    images = {lift(Fragment(b, 2)).element.coefficients() for b in all_bitstrings(6)}
+    images = {lift(Fragment(v, 2)).element.coefficients() for v in range(64)}
     assert len(images) == 64
 
 
 def test_lift_equals_gray_encode_composition():
     rng = np.random.default_rng(7)
-    cases = [(2, list(all_bitstrings(6))), (4, list(all_bitstrings(12)))]
-    cases += [(m, [random_fragment(rng, m).bits for _ in range(500)]) for m in (6, 8)]
-    for m, fragments in cases:
-        for bits in fragments:
-            q = [gray_encode(bits[i * m : (i + 1) * m]).value for i in range(3)]
-            assert lift(Fragment(bits, m)) == LatticePoint.from_element(FieldElement(*q))
+    for m in (6, 8):
+        for _ in range(500):
+            frag = random_fragment(rng, m)
+            assert lift(frag) == string_lift(format(frag.value, f"0{3 * m}b"), m)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_integer_fragments_match_the_string_gray_path(m):
+    # every 3m-bit integer, MSB first, lifts to the point its bit string
+    # gives through gray_encode, and unlift inverts it
+    for v, bits in enumerate(all_bitstrings(3 * m)):
+        frag = Fragment(v, m)
+        point = lift(frag)
+        assert point == string_lift(bits, m)
+        assert unlift(point.coordinates, m) == frag
+    # random_fragment reads its 0/1 draws as the bits, most significant first
+    for seed in range(50):
+        draws = np.random.default_rng(seed).integers(0, 2, size=3 * m)
+        old_bits = "".join("1" if b else "0" for b in draws)
+        assert random_fragment(np.random.default_rng(seed), m) == Fragment(int(old_bits, 2), m)
 
 
 def test_roundtrip_exhaustive_m2():
-    for bits in all_bitstrings(6):
-        frag = Fragment(bits, 2)
+    for v in range(1 << 6):
+        frag = Fragment(v, 2)
         assert unlift(lift(frag).coordinates, 2) == frag
 
 
 def test_roundtrip_exhaustive_m4():
-    for bits in all_bitstrings(12):
-        frag = Fragment(bits, 4)
+    for v in range(1 << 12):
+        frag = Fragment(v, 4)
         assert unlift(lift(frag).coordinates, 4) == frag
 
 
@@ -136,7 +156,7 @@ def test_roundtrip_random_m6():
 
 
 def test_unlift_rejects_out_of_constellation():
-    coords = lift(Fragment("0000" * 3, 4)).coordinates  # levels reach +-3
+    coords = lift(Fragment(0, 4)).coordinates  # levels reach +-3
     with pytest.raises(ValueError):
         unlift(coords, 2)
     with pytest.raises(ValueError):
@@ -147,9 +167,13 @@ def test_unlift_rejects_out_of_constellation():
 
 def test_fragment_validation():
     with pytest.raises(ValueError):
-        Fragment("0000000", 2)  # wrong length
+        Fragment(1 << 6, 2)  # more than 3m bits
     with pytest.raises(ValueError):
-        Fragment("0" * 9, 3)  # odd m
+        Fragment(-1, 2)
+    with pytest.raises(ValueError):
+        Fragment("000000", 2)  # bits are an int, not a string
+    with pytest.raises(ValueError):
+        Fragment(0, 3)  # odd m
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +183,7 @@ def test_fragment_validation():
 
 def test_embedded_rows_differ_everywhere_m2():
     # nonzero differences have nonzero norm, so no embedding can vanish
-    rows = np.array([lift(Fragment(b, 2)).embedded_row for b in all_bitstrings(6)])
+    rows = np.array([lift(Fragment(v, 2)).embedded_row for v in range(64)])
     n = len(rows)
     for i in range(n - 1):
         diffs = rows[i + 1 :] - rows[i]
@@ -169,6 +193,6 @@ def test_embedded_rows_differ_everywhere_m2():
 def test_average_energy_matches_encoder_normalizer():
     # cross-module consistency: exhaustive mean energy at m=2 equals the
     # analytic value the encoder normalizes with
-    rows = np.array([lift(Fragment(b, 2)).embedded_row for b in all_bitstrings(6)])
+    rows = np.array([lift(Fragment(v, 2)).embedded_row for v in range(64)])
     measured = float(np.mean(np.sum(np.abs(rows) ** 2, axis=1))) / 3.0
     assert abs(measured - average_row_energy(2)) < 1e-9

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,13 +6,13 @@ import pytest
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
 from wstsim.encoder import build_tdma_codeword, normalizer
 from wstsim.lift import Fragment, lift
+import wstsim.protocol as protocol
 from wstsim.protocol import (
     RepairTrialResult,
     Session,
-    bits_to_bytes,
-    bytes_to_bits,
+    join_fragments,
     plan_sessions,
-    run_repair_trial,
+    run_repair_trials,
     run_session_trials,
     share_fragments,
     tdma_plan,
@@ -31,16 +30,28 @@ CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
 
 
 def test_bit_roundtrip():
-    data = bytes(range(17))
-    assert bits_to_bytes(bytes_to_bits(data)) == data
-    assert bytes_to_bits(b"\x80\x01") == "1000000000000001"
+    # a share cut into fragments and joined again, for every fragment width
+    # and whether or not 3m divides its bit count
+    rng = np.random.default_rng(5)
+    for n_bytes in (1, 2, 3, 7, 17, 64):
+        data = rng.bytes(n_bytes)
+        for m in (2, 4, 6, 8):
+            frags = share_fragments(data, m)
+            assert len(frags) == -(-8 * n_bytes // (3 * m))
+            assert join_fragments(frags, n_bytes) == data
+    assert [f.value for f in share_fragments(b"\x80\x01", 4)] == [0b100000000000, 0b000100000000]
 
 
 def test_share_fragments_pads_last_block():
     frags = share_fragments(b"\xff\xff", 2)  # 16 bits -> 6+6+4, padded to 6
-    assert [f.bits for f in frags] == ["111111", "111111", "111100"]
+    assert [f.value for f in frags] == [0b111111, 0b111111, 0b111100]
     frags = share_fragments(bytes(3), 2)  # 24 bits -> exactly 4 blocks
     assert len(frags) == 4
+    # the padding bits are dropped on the way back, whatever they hold
+    last = Fragment(0b111111, 2)
+    assert join_fragments(share_fragments(b"\xff\xff", 2)[:2] + [last], 2) == b"\xff\xff"
+    with pytest.raises(ValueError):
+        join_fragments(frags[:3], 3)  # too few fragments
 
 
 # ---------------------------------------------------------------------------
@@ -118,28 +129,26 @@ def test_tdma_plan_is_exhaustive_singletons():
 
 
 def test_noiseless_repair_always_succeeds():
-    for t in range(25):
-        res = run_repair_trial(CFG, 2, SnrPoint(0.0), seed=2, trial_index=t, noiseless=True)
+    for res in run_repair_trials(CFG, 2, SnrPoint(0.0), "pair", "sphere", 2, range(25), noiseless=True):
         assert res.repaired_share_ok
         assert res.shares_failed == 0
         assert res.sessions_errored == 0
 
 
 def test_noiseless_tdma_repair_always_succeeds():
-    for t in range(10):
-        res = run_repair_trial(CFG, 4, SnrPoint(0.0), "tdma", seed=2, trial_index=t, noiseless=True)
+    for res in run_repair_trials(CFG, 4, SnrPoint(0.0), "tdma", "sphere", 2, range(10), noiseless=True):
         assert res.repaired_share_ok
         assert res.sessions_total == 2 * 5  # 24 bits -> two 12-bit blocks per helper
 
 
 def test_trial_determinism():
-    a = run_repair_trial(CFG, 2, SnrPoint(12.0), seed=9, trial_index=4)
-    b = run_repair_trial(CFG, 2, SnrPoint(12.0), seed=9, trial_index=4)
+    a = run_repair_trials(CFG, 2, SnrPoint(12.0), "pair", "sphere", 9, [4])
+    b = run_repair_trials(CFG, 2, SnrPoint(12.0), "pair", "sphere", 9, [4])
     assert a == b
 
 
 def test_trial_counts_are_consistent():
-    res = run_repair_trial(CFG, 2, SnrPoint(6.0), seed=31, trial_index=1)
+    (res,) = run_repair_trials(CFG, 2, SnrPoint(6.0), "pair", "sphere", 31, [1])
     assert isinstance(res, RepairTrialResult)
     assert res.sessions_total == 12  # 4 blocks x (2 pairs + 1 singleton)
     assert 0 <= res.sessions_errored <= res.sessions_total
@@ -150,21 +159,23 @@ def test_trial_counts_are_consistent():
 
 def test_trial_requires_protocol_fields():
     with pytest.raises(ValueError):
-        run_repair_trial(StorageConfig(6, 3), 2, SnrPoint(10.0))
+        run_repair_trials(StorageConfig(6, 3), 2, SnrPoint(10.0), "pair", "sphere", 0, [0])
+    with pytest.raises(ValueError):
+        run_repair_trials(CFG, 2, SnrPoint(10.0), "fdma", "sphere", 0, [0])
 
 
 def test_pipeline_identity_exhaustive_m2_single_session():
     # unlift(decode(transmit(build(lift(.))))) is the identity on fragments
     # when the noise is forced to zero; exhaustive over one pair session
     snr = SnrPoint(14.0)
-    frag2 = Fragment("101101", 2)
+    frag2 = Fragment(0b101101, 2)
     point2 = lift(frag2)
     rng = trial_rng(55)
     from wstsim.encoder import build_pair_codeword
     from wstsim.lift import unlift
 
-    for bits in itertools.product("01", repeat=6):
-        frag1 = Fragment("".join(bits), 2)
+    for v in range(64):
+        frag1 = Fragment(v, 2)
         point1 = lift(frag1)
         codeword = build_pair_codeword(point1, point2, 2)
         h, _ = draw_session(rng, 2, 1, 2, 3)
@@ -179,7 +190,7 @@ def test_tdma_session_matches_independent_mrc_oracle():
     # the 64-point constellation: an independent decoding route that must
     # agree with the equivalent-channel sphere decoder
     m = 2
-    points = [lift(Fragment("".join(b), m)) for b in itertools.product("01", repeat=3 * m)]
+    points = [lift(Fragment(v, m)) for v in range(1 << (3 * m))]
     rows = np.array([p.embedded_row for p in points])
     alpha = normalizer(m)
     snr = SnrPoint(8.0)
@@ -204,3 +215,49 @@ def test_session_trial_modes_agree_on_errors():
     sphere = run_session_trials(2, snr, "pair", "sphere", 71, range(60))
     oracle = run_session_trials(2, snr, "pair", "oracle", 71, range(60))
     assert [e for e, _ in sphere] == [e for e, _ in oracle]
+
+
+# ---------------------------------------------------------------------------
+# trial ranges as one batch
+# ---------------------------------------------------------------------------
+
+
+PADDED = StorageConfig(6, 3, d=5, fragment_bits=16)  # 16-bit shares end in a padded block
+
+
+@pytest.mark.parametrize("cfg", [CFG, PADDED], ids=["24-bit", "16-bit"])
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("pair", 4), ("tdma", 4)])
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_trial_range_equals_trials_one_by_one(cfg, scheme, m, noiseless, monkeypatch):
+    snr = SnrPoint(9.0)
+    single = [run_repair_trials(cfg, m, snr, scheme, "sphere", 13, [t], noiseless)[0] for t in range(40, 60)]
+    batch = run_repair_trials(cfg, m, snr, scheme, "sphere", 13, range(40, 60), noiseless)
+    assert batch == single
+    # a cap of 25 sessions flushes the batch every few trials and splits stacks
+    monkeypatch.setattr(protocol, "SESSION_BATCH", 25)
+    assert run_repair_trials(cfg, m, snr, scheme, "sphere", 13, range(40, 60), noiseless) == single
+    if not noiseless:
+        assert any(r.sessions_errored for r in batch)  # the comparison saw errors
+
+
+def test_no_stack_exceeds_the_session_batch(monkeypatch):
+    sizes = []
+    factor_sessions = protocol.factor_sessions
+
+    def recording(received, channels, snr, m):
+        sizes.append(len(received))
+        return factor_sessions(received, channels, snr, m)
+
+    monkeypatch.setattr(protocol, "factor_sessions", recording)
+    assert protocol.SESSION_BATCH == 1024
+    cfg = StorageConfig(6, 3, d=5, fragment_bits=4096)
+    # 342 blocks a share at m = 4: 1,710 singleton sessions a trial, each
+    # trial a batch of its own and its stack split at the cap
+    results = run_repair_trials(cfg, 4, SnrPoint(30.0), "tdma", "sphere", 3, range(2), noiseless=True)
+    assert [r.sessions_total for r in results] == [1710] * 2
+    assert sizes == [1024, 686] * 2
+    sizes.clear()
+    # 683 blocks at m = 2: 683 singleton and 1,366 pair sessions a trial
+    results = run_repair_trials(cfg, 2, SnrPoint(30.0), "pair", "sphere", 3, range(2), noiseless=True)
+    assert all(r.repaired_share_ok and not r.shares_failed for r in results)
+    assert sizes == [683, 1024, 342] * 2

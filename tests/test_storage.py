@@ -15,6 +15,7 @@ from wstsim.storage import (
     share_from_bytes,
     share_to_bytes,
 )
+from wstsim.storage import _apply_rows, _generator_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,57 @@ def test_repair_is_byte_identical_10_5():
         lost = int(rng.integers(10))
         helpers = [s for s in shares if s.node_id != lost][:7]
         assert repair_node(lost, helpers, cfg).fragment == shares[lost].fragment
+
+
+def old_repair(lost, helpers, cfg):
+    """Repair as rebuild-then-re-encode, the oracle of repair_node."""
+    return mds_encode(mds_reconstruct(helpers, cfg), cfg)[lost]
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (10, 4)])
+def test_repair_equals_rebuild_and_reencode_on_every_subset(n, k):
+    cfg = StorageConfig(n, k, d=k)
+    rng = np.random.default_rng(n)
+    for size in (k * 5, k * 5 + 1, k * 5 + k - 1):  # pad_len 0, k - 1 and 1
+        shares = mds_encode(rng.bytes(size), cfg)
+        for lost in range(n):
+            for ids in itertools.combinations([i for i in range(n) if i != lost], k):
+                helpers = [shares[i] for i in ids]
+                got = repair_node(lost, helpers, cfg)
+                assert got == old_repair(lost, helpers, cfg)
+                assert got == shares[lost]
+
+
+def test_repair_equals_rebuild_and_reencode_on_tampered_shares():
+    # random bytes in place of the shares: the rebuilt file's padding bytes
+    # are nonzero, and re-encoding zeroes them
+    rng = np.random.default_rng(11)
+    for n, k in ((6, 3), (10, 4), (5, 4), (2, 1), (12, 7)):
+        cfg = StorageConfig(n, k)
+        for _ in range(60):
+            length = int(rng.integers(0, 9))
+            pad_len = int(rng.integers(-1, k + 2))  # also outside [0, k)
+            lost = int(rng.integers(n))
+            ids = [int(i) for i in rng.permutation([i for i in range(n) if i != lost])]
+            ids = ids[: int(rng.integers(k, n))] if n > k else ids
+            if len(ids) < k:
+                continue
+            helpers = [NodeContent(i, rng.bytes(length), pad_len) for i in ids]
+            assert repair_node(lost, helpers, cfg) == old_repair(lost, helpers, cfg)
+
+
+def test_encode_equals_per_row_products():
+    rng = np.random.default_rng(12)
+    for n, k in ((1, 1), (6, 3), (255, 1), (255, 255)):
+        cfg = StorageConfig(n, k)
+        for size in (0, 1, k, k + 1, 3 * k - 1, 40):
+            file = rng.bytes(size)
+            pad_len = (-size) % k
+            data = np.frombuffer(file + bytes(pad_len), dtype=np.uint8).reshape(k, -1)
+            rows = _apply_rows(_generator_matrix(n, k), data)
+            assert mds_encode(file, cfg) == [
+                NodeContent(i, rows[i].tobytes(), pad_len) for i in range(n)
+            ]
 
 
 def test_repair_replication_parity_node():
