@@ -3,16 +3,20 @@
 Subcommands: dmt (analytic curves + SVG chart), outage (Monte Carlo outage
 sweep + slope summary), simulate (decoder-level session error sweep), repair
 (end-to-end storage repair sweep), selftest (algebra and oracle-equivalence
-checks).  Every output file embeds a provenance header (version + full
-config including the master seed) sufficient to re-run it bit-identically;
-all merged statistics are integer counts, so results do not depend on the
-worker count.  Exit codes: 0 success, 2 configuration error, 3 runtime
-error, 4 statistical insufficiency.
+checks).  Every option is checked where argparse parses it, so a bad value
+exits 2 before any work starts.  Every output file embeds a provenance
+header: the version and every parsed option except the run-time ones
+(--out-dir, --workers, --config), the master seed included, which is enough
+to re-run it bit-identically.  simulate and repair run their trials through
+one block-sweep driver; all merged statistics are integer counts, so results
+do not depend on the worker count.  Exit codes: 0 success, 2 configuration
+error, 3 runtime error, 4 statistical insufficiency.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,10 +30,10 @@ import numpy as np
 from . import __version__
 from .channel import SnrPoint, trial_rng
 from .dmt import DmtCurve, emit_fig1
-from .lift import Fragment, lift, unlift
+from .lift import Fragment, lift, random_fragment, unlift
 from .outage import InsufficientSamplesError, OutageSpec, run_outage_sweep
 from .parallel import map_tasks
-from .protocol import run_repair_trials, run_session_trials
+from .protocol import run_repair_trials, run_session_trials, run_sessions
 from .storage import StorageConfig
 from . import algebra
 
@@ -49,32 +53,80 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 #: accepted SNR values in dB: snr_linear stays within 1e-100 .. 1e100
 SNR_DB_RANGE = (-1000.0, 1000.0)
 
-#: most points an SNR grid may have
+#: most points an SNR grid, or rows a DMT grid, may have
 MAX_GRID_POINTS = 10_000
+
+#: most bits per QAM symbol: 256 levels per axis
+MAX_QAM_BITS = 16
+
+#: most trials one worker task runs
+BLOCK_TRIALS = 250
+
+#: parsed options that do not change what a run computes, and argparse's
+#: handler entry; every other option goes into the provenance header
+RUNTIME_OPTIONS = ("out_dir", "workers", "config", "fn")
+
+#: --decoder value -> decoder mode of the protocol routines
+DECODER_MODES = {"sphere": "sphere", "ml": "oracle"}
+
+
+def _checked(convert, ok, expected: str):
+    """An argparse type: convert the text, then require ok(value)."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            good = ok(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_helper_count = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_grid_rows = _checked(
+    int, lambda v: 2 <= v <= MAX_GRID_POINTS, f"an integer in 2..{MAX_GRID_POINTS}"
+)
+_qam_bits = _checked(
+    int, lambda v: 2 <= v <= MAX_QAM_BITS and v % 2 == 0, f"an even integer in 2..{MAX_QAM_BITS}"
+)
+_finite_float = _checked(float, math.isfinite, "a finite number")
+#: multiplexing gain: an exact nonnegative fraction with a finite float value
+_gain = _checked(
+    Fraction, lambda v: v >= 0 and math.isfinite(float(v)), "a nonnegative fraction or decimal"
+)
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer")
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
     """Parse 'lo:hi:step' (inclusive, dB) or a single dB value.
 
     Every value must be finite, the end points must lie inside SNR_DB_RANGE,
-    and the grid may hold at most MAX_GRID_POINTS points.
+    and the grid may hold at most MAX_GRID_POINTS points; otherwise an
+    argparse.ArgumentTypeError says which rule failed.
     """
     parts = str(text).split(":")
     if len(parts) not in (1, 3):
-        raise ValueError(f"SNR grid must be 'lo:hi:step' or a single value, got {text!r}")
-    values = [float(p) for p in parts]
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi:step' or one value, got {text!r}")
+    values = [_finite_float(p) for p in parts]
     lo_db, hi_db = SNR_DB_RANGE
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"SNR grid values must be finite, got {text!r}")
     if not all(lo_db <= v <= hi_db for v in values[:2]):
-        raise ValueError(f"SNR values must lie in [{lo_db:g}, {hi_db:g}] dB, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"SNR values must lie in [{lo_db:g}, {hi_db:g}] dB, got {text!r}"
+        )
     if len(parts) == 1:
         return (values[0],)
     lo, hi, step = values
     if step <= 0 or hi < lo:
-        raise ValueError(f"bad SNR grid {text!r}")
+        raise argparse.ArgumentTypeError(f"bad SNR grid {text!r}")
     if (hi - lo) / step >= MAX_GRID_POINTS:
-        raise ValueError(f"SNR grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise argparse.ArgumentTypeError(
+            f"SNR grid {text!r} has more than {MAX_GRID_POINTS} points"
+        )
     grid = []
     v = lo
     while v <= hi + 1e-9:
@@ -83,20 +135,30 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def _provenance(command: str, config: dict) -> list[str]:
-    payload = json.dumps({"command": command, **config}, sort_keys=True)
-    return [f"wstsim {__version__}", f"config: {payload}"]
+def _config(args) -> dict:
+    """The provenance of a run: the command and every parsed option but the
+    run-time ones, the SNR grid as its list of dB values and r as a fraction."""
+    config = {key: v for key, v in vars(args).items() if key not in RUNTIME_OPTIONS}
+    if "snr_grid" in config:
+        config["snr_grid_db"] = list(config.pop("snr_grid"))
+    if "r" in config:
+        config["r"] = str(config["r"])
+    return config
 
 
-def _write_csv(path: Path, provenance: list[str], header: str, rows) -> None:
-    lines = [f"# {p}" for p in provenance] + [header] + [",".join(r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _provenance(args) -> list[str]:
+    return [f"wstsim {__version__}", f"config: {json.dumps(_config(args), sort_keys=True)}"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _write_csv(args, name: str, header: str, rows) -> Path:
+    """Write rows of values, each as str() spells it, under the provenance
+    header to out_dir/name."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    lines = [f"# {p}" for p in _provenance(args)] + [header]
+    path.write_text("\n".join(lines + [",".join(map(str, r)) for r in rows]) + "\n")
+    return path
 
 
 def _write_dmt_svg(path: Path, rows, provenance: list[str]) -> None:
@@ -169,82 +231,39 @@ def _write_dmt_svg(path: Path, rows, provenance: list[str]) -> None:
 
 def cmd_dmt(args) -> int:
     rows = emit_fig1(args.K, args.grid)
-    config = {"K": args.K, "grid": args.grid}
-    prov = _provenance("dmt", config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"dmt_K{args.K}.csv"
-    _write_csv(
-        csv_path,
-        prov,
-        DMT_HEADER,
-        ([_fmt(float(v)) for v in row] for row in rows),
-    )
-    svg_path = out_dir / f"dmt_K{args.K}.svg"
-    _write_dmt_svg(svg_path, rows, prov)
+    values = ([float(v) for v in row] for row in rows)
+    csv_path = _write_csv(args, f"dmt_K{args.K}.csv", DMT_HEADER, values)
+    svg_path = csv_path.with_suffix(".svg")
+    _write_dmt_svg(svg_path, rows, _provenance(args))
     print(f"dmt: wrote {csv_path} and {svg_path} ({len(rows)} grid rows)")
     return EXIT_OK
 
 
 def cmd_outage(args) -> int:
+    if args.offset is None:
+        # r = 0 means zero rate and no outage event; default to 1 bit there
+        args.offset = 1.0 if args.r == 0 else 0.0
     spec = OutageSpec(
         scheme=args.scheme,
         K=args.K,
-        r=Fraction(args.r),
+        r=args.r,
         rate_offset_bits=args.offset,
-        snr_grid_db=_parse_snr_grid(args.snr_grid),
+        snr_grid_db=args.snr_grid,
         trials=args.trials,
         seed=args.seed,
     )
     start = time.perf_counter()
     est = run_outage_sweep(spec, workers=args.workers)
     elapsed = time.perf_counter() - start
-    config = {
-        "scheme": spec.scheme,
-        "K": spec.K,
-        "r": str(spec.r),
-        "offset": spec.rate_offset_bits,
-        "snr_grid_db": list(spec.snr_grid_db),
-        "trials": spec.trials,
-        "seed": spec.seed,
-    }
-    prov = _provenance("outage", config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"outage_{spec.scheme}_K{spec.K}.csv"
-    _write_csv(
-        csv_path,
-        prov,
-        OUTAGE_HEADER,
-        (
-            [
-                spec.scheme,
-                str(spec.K),
-                str(spec.r),
-                _fmt(spec.rate_offset_bits),
-                _fmt(c.snr_db),
-                str(c.trials),
-                str(c.outages),
-                _fmt(c.p_hat),
-                _fmt(c.ci_lo),
-                _fmt(c.ci_hi),
-            ]
-            for c in est.cells
-        ),
-    )
+    fixed = (spec.scheme, spec.K, spec.r, spec.rate_offset_bits)
+    rows = (fixed + (c.snr_db, c.trials, c.outages, c.p_hat, c.ci_lo, c.ci_hi) for c in est.cells)
+    csv_path = _write_csv(args, f"outage_{spec.scheme}_K{spec.K}.csv", OUTAGE_HEADER, rows)
     summary = {
-        "provenance": {"version": __version__, "command": "outage", **config},
-        "slope": None
-        if est.slope is None
-        else {
-            "d_hat": est.slope.d_hat,
-            "stderr": est.slope.stderr,
-            "used_points": est.slope.used_points,
-            "excluded_points": est.slope.excluded_points,
-        },
+        "provenance": {"version": __version__, **_config(args)},
+        "slope": None if est.slope is None else dataclasses.asdict(est.slope),
         "slope_error": est.slope_error,
     }
-    json_path = out_dir / f"outage_{spec.scheme}_K{spec.K}_summary.json"
+    json_path = csv_path.with_name(f"{csv_path.stem}_summary.json")
     json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(
         f"outage: {spec.trials} trials x {len(spec.snr_grid_db)} SNR points "
@@ -257,25 +276,32 @@ def cmd_outage(args) -> int:
     return EXIT_OK
 
 
-def _blocked_ranges(trials: int, block: int = 250):
-    start = 0
-    while start < trials:
-        stop = min(start + block, trials)
-        yield start, stop
-        start = stop
+def _block_sweep(worker, params, args, width: int) -> list[list[int]]:
+    """Run args.trials trials at each point of args.snr_grid and return the
+    width integer counts summed per point.
 
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    Trial t of point i has trial index i * args.trials + t.  A task is
+    (params, seed, point index, snr_db, start, stop): at most BLOCK_TRIALS
+    consecutive trial indices of one point, and worker(task) returns the
+    point index and the task's counts.
+    """
+    n = args.trials
+    tasks = [
+        (params, args.seed, idx, db, idx * n + lo, idx * n + min(lo + BLOCK_TRIALS, n))
+        for idx, db in enumerate(args.snr_grid)
+        for lo in range(0, n, BLOCK_TRIALS)
+    ]
+    totals = np.zeros((len(args.snr_grid), width), dtype=np.int64)
+    for idx, counts in map_tasks(worker, tasks, args.workers):
+        totals[idx] += counts
+    return totals.tolist()
 
 
 def _session_range(task):
-    """Worker: storage-free session trials [start, stop) of one SNR point."""
-    m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop = task
+    """Worker: storage-free session trials [start, stop) at one SNR point."""
+    (m, scheme, decoder_mode), seed, snr_idx, snr_db, start, stop = task
     results = run_session_trials(
-        m, SnrPoint(snr_db), scheme, decoder_mode, seed,
-        range(snr_idx * trials + start, snr_idx * trials + stop),
+        m, SnrPoint(snr_db), scheme, decoder_mode, seed, range(start, stop)
     )
     errors = sum(errored for errored, _ in results)
     visited = sum(nodes for _, nodes in results)
@@ -283,11 +309,10 @@ def _session_range(task):
 
 
 def _repair_range(task):
-    """Worker: repair trials [start, stop) of one SNR point, as counts."""
-    cfg, m, snr_db, scheme, decoder_mode, seed, snr_idx, trials, start, stop, noiseless = task
+    """Worker: repair trials [start, stop) at one SNR point, as counts."""
+    (cfg, m, scheme, decoder_mode, noiseless), seed, snr_idx, snr_db, start, stop = task
     results = run_repair_trials(
-        cfg, m, SnrPoint(snr_db), scheme, decoder_mode, seed,
-        range(snr_idx * trials + start, snr_idx * trials + stop), noiseless,
+        cfg, m, SnrPoint(snr_db), scheme, decoder_mode, seed, range(start, stop), noiseless
     )
     counts = np.zeros(6, dtype=np.int64)  # sessions, errored, shares, failed, repairs, repair_fail
     for res in results:
@@ -303,52 +328,19 @@ def _repair_range(task):
 
 
 def cmd_simulate(args) -> int:
-    _check_trials(args.trials)
-    snr_grid = _parse_snr_grid(args.snr_grid)
-    decoder_mode = "oracle" if args.decoder == "ml" else "sphere"
-    tasks = [
-        (args.m, db, args.scheme, decoder_mode, args.seed, idx, args.trials, start, stop)
-        for idx, db in enumerate(snr_grid)
-        for start, stop in _blocked_ranges(args.trials)
+    start = time.perf_counter()
+    params = (args.m, args.scheme, DECODER_MODES[args.decoder])
+    totals = _block_sweep(_session_range, params, args, 3)
+    elapsed = time.perf_counter() - start
+    rows = [
+        (args.scheme, args.m, args.decoder, db, n, errors, errors / n, visited / n)
+        for db, (n, errors, visited) in zip(args.snr_grid, totals)
     ]
-    start_t = time.perf_counter()
-    totals = {idx: np.zeros(3, dtype=np.int64) for idx in range(len(snr_grid))}
-    for idx, counts in map_tasks(_session_range, tasks, args.workers):
-        totals[idx] += counts
-    elapsed = time.perf_counter() - start_t
-    config = {
-        "scheme": args.scheme,
-        "m": args.m,
-        "decoder": args.decoder,
-        "snr_grid_db": list(snr_grid),
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    prov = _provenance("simulate", config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"simulate_{args.scheme}_m{args.m}_{args.decoder}.csv"
-    rows = []
-    visited_total = 0
-    for idx, db in enumerate(snr_grid):
-        n, errors, visited = (int(v) for v in totals[idx])
-        visited_total += visited
-        rows.append(
-            [
-                args.scheme,
-                str(args.m),
-                args.decoder,
-                _fmt(float(db)),
-                str(n),
-                str(errors),
-                _fmt(errors / n),
-                _fmt(visited / n),
-            ]
-        )
-    _write_csv(csv_path, prov, SIMULATE_HEADER, rows)
-    mean_visited = visited_total / (args.trials * len(snr_grid))
+    name = f"simulate_{args.scheme}_m{args.m}_{args.decoder}.csv"
+    csv_path = _write_csv(args, name, SIMULATE_HEADER, rows)
+    mean_visited = sum(row[2] for row in totals) / (args.trials * len(args.snr_grid))
     print(
-        f"simulate: {args.trials} trials x {len(snr_grid)} SNR points in "
+        f"simulate: {args.trials} trials x {len(args.snr_grid)} SNR points in "
         f"{elapsed:.1f}s, visited-node mean {mean_visited:.1f} -> {csv_path}"
     )
     return EXIT_OK
@@ -356,66 +348,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_repair(args) -> int:
     cfg = StorageConfig(n=args.n, k=args.k, d=args.d, fragment_bits=args.fragment_bits)
-    _check_trials(args.trials)
-    snr_grid = _parse_snr_grid(args.snr_grid)
-    decoder_mode = "oracle" if args.decoder == "ml" else "sphere"
-    tasks = [
-        (
-            cfg,
-            args.m,
-            db,
-            args.scheme,
-            decoder_mode,
-            args.seed,
-            idx,
-            args.trials,
-            start,
-            stop,
-            bool(args.noiseless),
-        )
-        for idx, db in enumerate(snr_grid)
-        for start, stop in _blocked_ranges(args.trials)
+    start = time.perf_counter()
+    params = (cfg, args.m, args.scheme, DECODER_MODES[args.decoder], args.noiseless)
+    totals = _block_sweep(_repair_range, params, args, 6)
+    elapsed = time.perf_counter() - start
+    rows = [
+        (db, repairs, errored / sessions, failed / shares, unrepaired / repairs, args.scheme)
+        for db, (sessions, errored, shares, failed, repairs, unrepaired) in zip(args.snr_grid, totals)
     ]
-    start_t = time.perf_counter()
-    totals = {idx: np.zeros(6, dtype=np.int64) for idx in range(len(snr_grid))}
-    for idx, counts in map_tasks(_repair_range, tasks, args.workers):
-        totals[idx] += counts
-    elapsed = time.perf_counter() - start_t
-    config = {
-        "n": args.n,
-        "k": args.k,
-        "d": args.d,
-        "fragment_bits": args.fragment_bits,
-        "m": args.m,
-        "scheme": args.scheme,
-        "decoder": args.decoder,
-        "snr_grid_db": list(snr_grid),
-        "trials": args.trials,
-        "seed": args.seed,
-        "noiseless": bool(args.noiseless),
-    }
-    prov = _provenance("repair", config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"repair_{args.scheme}.csv"
-    rows = []
-    for idx, db in enumerate(snr_grid):
-        sessions, errored, shares, failed, repairs, repair_fail = (
-            int(v) for v in totals[idx]
-        )
-        rows.append(
-            [
-                _fmt(float(db)),
-                str(repairs),
-                _fmt(errored / sessions),
-                _fmt(failed / shares),
-                _fmt(repair_fail / repairs),
-                args.scheme,
-            ]
-        )
-    _write_csv(csv_path, prov, REPAIR_HEADER, rows)
+    csv_path = _write_csv(args, f"repair_{args.scheme}.csv", REPAIR_HEADER, rows)
     print(
-        f"repair: {args.trials} trials x {len(snr_grid)} SNR points in "
+        f"repair: {args.trials} trials x {len(args.snr_grid)} SNR points in "
         f"{elapsed:.1f}s -> {csv_path}"
     )
     return EXIT_OK
@@ -426,16 +369,10 @@ def _selftest_algebra(rng) -> tuple[bool, str]:
         if abs(algebra.min_poly_value(root)) > 1e-12:
             return False, f"minimal polynomial fails at root {root}"
     for _ in range(500):
-        coeffs = rng.integers(-50, 51, size=12)
-        a = algebra.FieldElement(
-            algebra.GaussianInt(int(coeffs[0]), int(coeffs[1])),
-            algebra.GaussianInt(int(coeffs[2]), int(coeffs[3])),
-            algebra.GaussianInt(int(coeffs[4]), int(coeffs[5])),
-        )
-        b = algebra.FieldElement(
-            algebra.GaussianInt(int(coeffs[6]), int(coeffs[7])),
-            algebra.GaussianInt(int(coeffs[8]), int(coeffs[9])),
-            algebra.GaussianInt(int(coeffs[10]), int(coeffs[11])),
+        c = rng.integers(-50, 51, size=12).tolist()
+        a, b = (
+            algebra.FieldElement(*(algebra.GaussianInt(c[i], c[i + 1]) for i in range(lo, lo + 6, 2)))
+            for lo in (0, 6)
         )
         ta, tb = algebra.apply_tau(a, 1), algebra.apply_tau(b, 1)
         if algebra.apply_tau(a + b, 1) != ta + tb or algebra.apply_tau(a * b, 1) != ta * tb:
@@ -464,24 +401,15 @@ def _selftest_lift() -> tuple[bool, str]:
     return True, "lift bijective on all 64 fragments at m=2"
 
 
-def _selftest_decoder(rng) -> tuple[bool, str]:
-    snr = SnrPoint(10.0)
-    from .channel import draw_session, transmit
-    from .decoder import decode_session, factor_sessions
-    from .encoder import build_pair_codeword
-    from .lift import random_fragment
+def _selftest_decoder(seed: int) -> tuple[bool, str]:
+    def sessions():
+        rngs = [trial_rng(seed, i) for i in range(50)]
+        return [([random_fragment(rng, 2), random_fragment(rng, 2)], rng) for rng in rngs]
 
-    received, channels = [], []
-    for _ in range(50):
-        p1 = lift(random_fragment(rng, 2))
-        p2 = lift(random_fragment(rng, 2))
-        codeword = build_pair_codeword(p1, p2, 2)
-        h, w = draw_session(rng, 2, 1, 2, 3)
-        received.append(transmit(codeword, h, w, snr))
-        channels.append(h)
-    for problem in factor_sessions(received, channels, snr, 2):
-        a = decode_session(problem, mode="sphere")
-        b = decode_session(problem, mode="oracle")
+    snr = SnrPoint(10.0)
+    sphere = run_sessions(sessions(), 2, snr, "sphere")
+    oracle = run_sessions(sessions(), 2, snr, "oracle")
+    for (_, _, a), (_, _, b) in zip(sphere, oracle):
         if a.coordinates != b.coordinates:
             return False, "sphere decoder disagrees with the ML oracle"
         if abs(a.metric - b.metric) > 1e-9:
@@ -529,7 +457,7 @@ def cmd_selftest(args) -> int:
     checks = [
         ("algebra", lambda: _selftest_algebra(rng)),
         ("lift", _selftest_lift),
-        ("decoder", lambda: _selftest_decoder(rng)),
+        ("decoder", lambda: _selftest_decoder(args.seed)),
         ("dmt", _selftest_dmt),
         ("outage", lambda: _selftest_outage(rng)),
     ]
@@ -541,7 +469,7 @@ def cmd_selftest(args) -> int:
     return EXIT_RUNTIME if failed else EXIT_OK
 
 
-def _add_common(parser, seeded: bool = True) -> None:
+def _add_common(parser) -> None:
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument(
         "--workers",
@@ -550,10 +478,7 @@ def _add_common(parser, seeded: bool = True) -> None:
         help="worker processes (results are worker-count independent)",
     )
     parser.add_argument("--config", default=None, help="JSON file with flag defaults")
-    if seeded:
-        parser.add_argument(
-            "--seed", type=int, default=None, help="64-bit master seed (required)"
-        )
+    parser.add_argument("--seed", type=_seed, default=None, help="64-bit master seed (required)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -566,8 +491,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     subparsers = {}
 
     p = sub.add_parser("dmt", help="emit analytic DMT curves (CSV + SVG)")
-    p.add_argument("--K", type=int, default=10, help="number of helper nodes")
-    p.add_argument("--grid", type=int, default=101, help="number of grid rows")
+    p.add_argument("--K", type=_helper_count, default=10, help="number of helper nodes")
+    p.add_argument("--grid", type=_grid_rows, default=101, help="number of grid rows")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_dmt)
@@ -575,21 +500,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("outage", help="Monte Carlo outage sweep + slope estimate")
     p.add_argument("--scheme", choices=("tdma", "pair", "full-mac"), default="pair")
-    p.add_argument("--K", type=int, default=10)
-    p.add_argument("--r", default="0", help="multiplexing gain (fraction or decimal)")
-    p.add_argument("--offset", type=float, default=None, help="rate offset in bits")
-    p.add_argument("--snr-grid", default="10:25:5", help="lo:hi:step in dB")
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--K", type=_positive_int, default=10)
+    p.add_argument("--r", type=_gain, default="0", help="multiplexing gain (fraction or decimal)")
+    p.add_argument("--offset", type=_finite_float, default=None, help="rate offset in bits")
+    p.add_argument("--snr-grid", type=_parse_snr_grid, default="10:25:5", help="lo:hi:step in dB")
+    p.add_argument("--trials", type=_positive_int, default=100000)
     _add_common(p)
     p.set_defaults(fn=cmd_outage)
     subparsers["outage"] = p
 
     p = sub.add_parser("simulate", help="decoder-level session error sweep")
     p.add_argument("--scheme", choices=("pair", "tdma"), default="pair")
-    p.add_argument("--m", type=int, default=2, help="bits per QAM symbol (even)")
-    p.add_argument("--decoder", choices=("sphere", "ml"), default="sphere")
-    p.add_argument("--snr-grid", default="10:30:5")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--m", type=_qam_bits, default=2, help="bits per QAM symbol (even)")
+    p.add_argument("--decoder", choices=tuple(DECODER_MODES), default="sphere")
+    p.add_argument("--snr-grid", type=_parse_snr_grid, default="10:30:5")
+    p.add_argument("--trials", type=_positive_int, default=1000)
     _add_common(p)
     p.set_defaults(fn=cmd_simulate)
     subparsers["simulate"] = p
@@ -599,18 +524,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--d", type=int, default=5)
     p.add_argument("--fragment-bits", type=int, default=24)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_qam_bits, default=2)
     p.add_argument("--scheme", choices=("pair", "tdma"), default="pair")
-    p.add_argument("--decoder", choices=("sphere", "ml"), default="sphere")
-    p.add_argument("--snr-grid", default="10:30:5")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--decoder", choices=tuple(DECODER_MODES), default="sphere")
+    p.add_argument("--snr-grid", type=_parse_snr_grid, default="10:30:5")
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--noiseless", action="store_true", help="force W = 0")
     _add_common(p)
     p.set_defaults(fn=cmd_repair)
     subparsers["repair"] = p
 
     p = sub.add_parser("selftest", help="run algebra and oracle-equivalence checks")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_seed, default=12345)
     p.set_defaults(fn=cmd_selftest)
     subparsers["selftest"] = p
 
@@ -651,9 +576,6 @@ def main(argv=None) -> int:
     if hasattr(args, "seed") and args.seed is None:
         print("wstsim: a master seed is required (--seed)", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "outage" and args.offset is None:
-        # r = 0 means zero rate and no outage event; default to 1 bit there
-        args.offset = 1.0 if Fraction(args.r) == 0 else 0.0
     try:
         return args.fn(args)
     except (ValueError, KeyError) as exc:

@@ -51,8 +51,10 @@ def average_row_energy(m: int) -> float:
     return qam_power * basis_power
 
 
+@lru_cache(maxsize=None)
 def normalizer(m: int) -> float:
-    """Row scale factor making average energy 1 per antenna per channel use."""
+    """Row scale factor making average energy 1 per antenna per channel use
+    (cached per m)."""
     return 1.0 / math.sqrt(average_row_energy(m))
 
 

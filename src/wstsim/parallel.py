@@ -2,7 +2,8 @@
 
 Tasks must be picklable and the mapped function a module-level callable.
 Results come back in task order, so reductions are trivially independent of
-the worker count (all sweep statistics are integer counts anyway).
+the worker count (all sweep statistics are integer counts anyway).  A pool
+starts at most one process per task and per CPU, whatever count is asked.
 
 Workers are spawned with one BLAS thread each: a pool already uses every
 core it asks for, and BLAS threads inside each worker would only compete
@@ -28,7 +29,8 @@ def map_tasks(fn, tasks, workers: int = 1) -> list:
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
-        pool = mp.get_context("spawn").Pool(processes=min(workers, len(tasks)))
+        processes = min(workers, len(tasks), os.cpu_count() or 1)
+        pool = mp.get_context("spawn").Pool(processes=processes)
     finally:
         for name, value in saved.items():
             if value is None:

@@ -1,19 +1,25 @@
 """(n, k) systematic MDS erasure code over GF(256) and node repair.
 
 GF(256) arithmetic uses the AES reduction polynomial x^8+x^4+x^3+x+1 (0x11B)
-with log/exp tables built from the generator 0x03.  Shares come from the
-systematic Vandermonde generator G = V * V_k^{-1}, where V[i, j] = x_i^j and
-the evaluation point of node i is x_i = i + 1 (node ids run 0..n-1).  Share i
-is then p(i + 1) for the unique polynomial of degree < k through the k data
-chunks, shares 0..k-1 equal the data chunks themselves, and any k shares
-reconstruct the file.  The padded file is split into k contiguous chunks, so
-share length = ceil(padded_len / k).
+with log/exp tables built from the generator 0x03.  Node i (ids run
+0..n-1) has the evaluation point x_i = i + 1, and share i is p(i + 1) for
+the unique polynomial p of degree < k through the k data chunks at the
+points of nodes 0..k-1.  Shares 0..k-1 therefore equal the data chunks
+themselves, and any k shares reconstruct the file.  The padded file is split
+into k contiguous chunks, so share length = ceil(padded_len / k).
+
+Every matrix is a Lagrange basis evaluated at node points, built in closed
+form (barycentric weights over the log/exp tables) by _lagrange_rows(ids,
+points), which maps p's values at the points of nodes ids to its values at
+the points of nodes points: the generator G is rows(range(k), range(n)), the
+decoding matrix inv(G_S) of the shares of nodes S is rows(S, range(k)), and
+the repair row G[lost] * inv(G_S) is rows(S, (lost,)).  No matrix is
+inverted, and one bounded cache holds them.
 
 Repair is functional: the lost share is the one that rebuilding the file
 from k helper shares and re-encoding it would give, byte-identical to the
 original.  For an unpadded file repair_node computes it in one pass, as the
-row G[lost] * inv(G_S) applied to the helper shares S; that row is cached
-per (n, k, helper ids, lost node).
+repair row applied to the helper shares.
 
 Serialized share format (also in the README): an 8-byte header
 
@@ -58,26 +64,6 @@ def _build_tables() -> tuple[list[int], list[int]]:
 _EXP, _LOG = _build_tables()
 
 
-def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return _EXP[255 - _LOG[a]]
-
-
-def gf_pow(a: int, e: int) -> int:
-    if e == 0:
-        return 1
-    if a == 0:
-        return 0
-    return _EXP[(_LOG[a] * e) % 255]
-
-
 @lru_cache(maxsize=None)
 def _mul_table() -> np.ndarray:
     """256 x 256 product table, built lazily on first encode."""
@@ -89,67 +75,45 @@ def _mul_table() -> np.ndarray:
     return table
 
 
-def _gf_matrix_inverse(m: list[list[int]]) -> list[list[int]]:
-    k = len(m)
-    aug = [row[:] + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(m)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(256)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = gf_inv(aug[col][col])
-        aug[col] = [gf_mul(x, inv) for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x ^ gf_mul(factor, y) for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
+@lru_cache(maxsize=1024)
+def _lagrange_rows(ids: tuple[int, ...], points: tuple[int, ...]) -> np.ndarray:
+    """Lagrange interpolation over GF(256) as a read-only (len(points),
+    len(ids)) uint8 matrix.
+
+    Row a takes the values at x = id + 1 (for id in ids, distinct) of any
+    polynomial of degree < len(ids) to its value at x = a + 1: entry j is
+    the basis polynomial L_j(x) = w_j / (x - x_j) * prod_m (x - x_m), with
+    barycentric weight w_j = 1 / prod_(m != j) (x_j - x_m), and a row whose
+    x is one of the x_j is the unit row of j.  Subtraction is XOR, and each
+    product is a sum of logs mod 255.
+    """
+    xs = [i + 1 for i in ids]
+    log_w = [-sum(_LOG[xj ^ xm] for xm in xs if xm != xj) % 255 for xj in xs]
+    rows = np.zeros((len(points), len(xs)), dtype=np.uint8)
+    for r, a in enumerate(points):
+        x = a + 1
+        if x in xs:
+            rows[r, xs.index(x)] = 1
+            continue
+        log_all = sum(_LOG[x ^ xm] for xm in xs)
+        rows[r] = [_EXP[(log_all + lw - _LOG[x ^ xj]) % 255] for xj, lw in zip(xs, log_w)]
+    rows.flags.writeable = False
+    return rows
 
 
-@lru_cache(maxsize=None)
-def _generator_matrix(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    vand = [[gf_pow(i + 1, j) for j in range(k)] for i in range(n)]
-    vk_inv = _gf_matrix_inverse([row[:] for row in vand[:k]])
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple(
-                _xor_dot(vand[i], [vk_inv[t][j] for t in range(k)]) for j in range(k)
-            )
-        )
-    return tuple(rows)
+#: products computed per slice of _apply_rows, bounding its r*k*L temporary
+_PRODUCT_SLICE = 1 << 20
 
 
-def _xor_dot(a: list[int], b: list[int]) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        acc ^= gf_mul(x, y)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _generator_array(n: int, k: int) -> np.ndarray:
-    """The generator matrix as a read-only (n, k) uint8 array."""
-    gen = np.array(_generator_matrix(n, k), dtype=np.uint8)
-    gen.flags.writeable = False
-    return gen
-
-
-#: products computed per slice of mds_encode, bounding its n*k*L temporary
-_ENCODE_SLICE = 1 << 20
-
-
-def _apply_rows(rows, data: np.ndarray) -> np.ndarray:
-    """Multiply GF matrix rows (len-k int tuples) by data of shape (k, L)."""
+def _apply_rows(rows: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """The GF(256) matrix product of rows (r, k) and data (k, L), both uint8."""
     table = _mul_table()
-    length = data.shape[1]
-    out = np.zeros((len(rows), length), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        acc = np.zeros(length, dtype=np.uint8)
-        for coef, chunk in zip(row, data):
-            if coef:
-                acc ^= table[coef, chunk]
-        out[i] = acc
+    out = np.empty((rows.shape[0], data.shape[1]), dtype=np.uint8)
+    step = max(1, _PRODUCT_SLICE // rows.size)
+    for lo in range(0, data.shape[1], step):
+        out[:, lo : lo + step] = np.bitwise_xor.reduce(
+            table[rows[:, :, None], data[None, :, lo : lo + step]], axis=1
+        )
     return out
 
 
@@ -197,14 +161,7 @@ def mds_encode(file: bytes, cfg: StorageConfig) -> list[NodeContent]:
     padded = file + b"\0" * pad_len
     length = len(padded) // cfg.k
     data = np.frombuffer(padded, dtype=np.uint8).reshape(cfg.k, length)
-    gen = _generator_array(cfg.n, cfg.k)[:, :, None]
-    table = _mul_table()
-    shares = np.empty((cfg.n, length), dtype=np.uint8)
-    step = max(1, _ENCODE_SLICE // (cfg.n * cfg.k))
-    for lo in range(0, length, step):
-        shares[:, lo : lo + step] = np.bitwise_xor.reduce(
-            table[gen, data[None, :, lo : lo + step]], axis=1
-        )
+    shares = _apply_rows(_lagrange_rows(tuple(range(cfg.k)), tuple(range(cfg.n))), data)
     return [NodeContent(i, shares[i].tobytes(), pad_len) for i in range(cfg.n)]
 
 
@@ -226,21 +183,6 @@ def _chosen_shares(shares: list[NodeContent], cfg: StorageConfig) -> list[NodeCo
     return chosen
 
 
-@lru_cache(maxsize=256)
-def _decoding_rows(n: int, k: int, ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """inv(G_S): the data chunks from the shares of nodes ids (ascending)."""
-    gen = _generator_matrix(n, k)
-    return tuple(tuple(r) for r in _gf_matrix_inverse([list(gen[i]) for i in ids]))
-
-
-@lru_cache(maxsize=1024)
-def _repair_row(n: int, k: int, ids: tuple[int, ...], lost: int) -> tuple[int, ...]:
-    """G[lost] * inv(G_S): the lost share from the shares of nodes ids."""
-    inv = _decoding_rows(n, k, ids)
-    row = _generator_matrix(n, k)[lost]
-    return tuple(_xor_dot(row, [inv[t][j] for t in range(k)]) for j in range(k))
-
-
 def _stack(shares: list[NodeContent]) -> np.ndarray:
     return np.stack([np.frombuffer(s.fragment, dtype=np.uint8) for s in shares])
 
@@ -252,7 +194,7 @@ def mds_reconstruct(shares: list[NodeContent], cfg: StorageConfig) -> bytes:
     """
     chosen = _chosen_shares(shares, cfg)
     ids = tuple(s.node_id for s in chosen)
-    data = _apply_rows(_decoding_rows(cfg.n, cfg.k, ids), _stack(chosen))
+    data = _apply_rows(_lagrange_rows(ids, tuple(range(cfg.k))), _stack(chosen))
     padded = data.tobytes()
     pad_len = chosen[0].pad_len
     return padded[: len(padded) - pad_len] if pad_len else padded
@@ -276,7 +218,7 @@ def repair_node(lost: int, helpers: list[NodeContent], cfg: StorageConfig) -> No
     if chosen[0].pad_len:
         return mds_encode(mds_reconstruct(helpers, cfg), cfg)[lost]
     ids = tuple(s.node_id for s in chosen)
-    share = _apply_rows((_repair_row(cfg.n, cfg.k, ids, lost),), _stack(chosen))
+    share = _apply_rows(_lagrange_rows(ids, (lost,)), _stack(chosen))
     return NodeContent(lost, share[0].tobytes(), 0)
 
 

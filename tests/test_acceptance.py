@@ -172,7 +172,7 @@ def test_ac6_end_to_end_repair():
     cells = []
     for idx, db in enumerate(snr_grid):
         _, counts = _repair_range(
-            (cfg, 2, db, "pair", "sphere", MC_SEED, idx, trials, 0, trials, False)
+            ((cfg, 2, "pair", "sphere", False), MC_SEED, idx, db, idx * trials, (idx + 1) * trials)
         )
         sessions, sess_err, shares, share_fail = (int(v) for v in counts[:4])
         cells.append(

@@ -7,6 +7,8 @@ import sys
 import pytest
 from conftest import wstsim_env
 
+from wstsim.cli import MAX_GRID_POINTS, MAX_QAM_BITS, build_parser, main
+
 RUN = [sys.executable, "-m", "wstsim"]
 
 
@@ -208,6 +210,11 @@ def test_repair_golden_header(tmp_path):
         (("outage", "--snr-grid", "0:10:1e-300"), 2),
         (("simulate", "--snr-grid", "-1000", "--trials", "2"), 0),
         (("outage", "--scheme", "full-mac", "--K", "4", "--snr-grid=-1000:1000:1000", "--trials", "64"), 0),
+        (("outage", "--r", "abc", "--trials", "64", "--snr-grid", "10"), 2),
+        (("outage", "--r", "1/0", "--trials", "64", "--snr-grid", "10"), 2),
+        (("outage", "--r", "1e400", "--offset", "1", "--trials", "64", "--snr-grid", "10"), 2),
+        (("outage", "--offset", "nan", "--trials", "64", "--snr-grid", "10"), 2),
+        (("outage", "--offset", "inf", "--trials", "64", "--snr-grid", "10"), 2),
     ],
 )
 def test_edge_inputs_exit_cleanly(tmp_path, args, code):
@@ -270,6 +277,74 @@ def test_repair_ranges_split_across_workers_give_the_same_csv(tmp_path):
         outputs.append((out / "repair_pair.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert b"\n12.0,260," in outputs[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # parsing stops at these, before anything is allocated or started
+        ("simulate", "--m", "100"),
+        ("repair", "--m", str(MAX_QAM_BITS + 2)),
+        ("simulate", "--m", "3"),
+        ("repair", "--m", "0"),
+        ("dmt", "--grid", str(MAX_GRID_POINTS + 1)),
+        ("dmt", "--grid", "1"),
+        ("outage", "--trials", "0"),
+        ("outage", "--seed", "-1"),
+        ("outage", "--seed", str(2**64)),
+    ],
+)
+def test_parser_bounds_exit_2(args, capsys):
+    parser, _ = build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(args)
+    assert exc.value.code == 2
+    assert "expected" in capsys.readouterr().err
+
+
+#: each command's provenance keys besides "command": every option that shapes
+#: its output, so an option added to a command must be added here too
+PROVENANCE_KEYS = {
+    "dmt": {"K", "grid"},
+    "outage": {"scheme", "K", "r", "offset", "snr_grid_db", "trials", "seed"},
+    "simulate": {"scheme", "m", "decoder", "snr_grid_db", "trials", "seed"},
+    "repair": {"n", "k", "d", "fragment_bits", "m", "scheme", "decoder", "snr_grid_db", "trials",
+               "seed", "noiseless"},
+}
+PROVENANCE_RUNS = {
+    "dmt": (["dmt", "--grid", "3"], "dmt_K10.csv"),
+    "outage": (["outage", "--scheme", "tdma", "--K", "2", "--snr-grid", "0:5:5", "--trials", "200",
+                "--seed", "1"], "outage_tdma_K2.csv"),
+    "simulate": (["simulate", "--snr-grid", "30", "--trials", "2", "--seed", "1"],
+                 "simulate_pair_m2_sphere.csv"),
+    "repair": (["repair", "--snr-grid", "30", "--trials", "1", "--seed", "1"], "repair_pair.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROVENANCE_KEYS))
+def test_provenance_holds_every_option_but_the_run_time_ones(command, tmp_path):
+    _, subparsers = build_parser()
+    options = set(vars(subparsers[command].parse_args([]))) - {"out_dir", "workers", "config", "fn"}
+    expected = PROVENANCE_KEYS[command]
+    assert {"snr_grid_db" if o == "snr_grid" else o for o in options} == expected
+    argv, name = PROVENANCE_RUNS[command]
+    workers = [] if command == "dmt" else ["--workers", "1"]
+    assert main(argv + workers + ["--out-dir", str(tmp_path)]) in (0, 4)
+    header = (tmp_path / name).read_text().splitlines()[1]
+    config = json.loads(header.removeprefix("# config: "))
+    assert set(config) == expected | {"command"}
+    assert config["command"] == command
+
+
+def test_outage_r_as_decimal_or_fraction_writes_the_same_files(tmp_path):
+    for r in ("0.05", "1/20"):
+        out = tmp_path / r.replace("/", "_")
+        res = main(["outage", "--scheme", "pair", "--K", "4", "--r", r, "--snr-grid", "0:10:5",
+                    "--trials", "500", "--seed", "2", "--workers", "1", "--out-dir", str(out)])
+        assert res in (0, 4)
+    for name in ("outage_pair_K4.csv", "outage_pair_K4_summary.json"):
+        assert (tmp_path / "0.05" / name).read_bytes() == (tmp_path / "1_20" / name).read_bytes()
+    assert '"r": "1/20"' in (tmp_path / "0.05" / "outage_pair_K4.csv").read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_session_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
 
 def test_session_block_equals_trials_one_by_one():
     snr = SnrPoint(12.0)
-    _, counts = _session_range((2, 12.0, "pair", "sphere", 31, 1, 300, 20, 140))
+    _, counts = _session_range(((2, "pair", "sphere"), 31, 1, 12.0, 320, 440))
     single = [run_session_trials(2, snr, "pair", "sphere", 31, [300 + t])[0] for t in range(20, 140)]
     assert counts.tolist() == [120, sum(e for e, _ in single), sum(n for _, n in single)]
 

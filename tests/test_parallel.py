@@ -1,5 +1,8 @@
 import os
 
+import pytest
+
+from wstsim import parallel
 from wstsim.parallel import BLAS_THREAD_VARS, map_tasks
 
 
@@ -10,3 +13,29 @@ def test_workers_start_with_one_blas_thread(monkeypatch):
     # the calling process keeps its own settings
     assert os.environ["OMP_NUM_THREADS"] == "4"
     assert "MKL_NUM_THREADS" not in os.environ
+
+
+class InlinePool:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+
+@pytest.mark.parametrize("workers, n_tasks, processes", [(100_000, 50, 3), (2, 50, 2), (100_000, 2, 2)])
+def test_pool_starts_at_most_one_process_per_task_and_cpu(monkeypatch, workers, n_tasks, processes):
+    asked = []
+
+    class RecordingContext:
+        def Pool(self, processes):
+            asked.append(processes)
+            return InlinePool()
+
+    monkeypatch.setattr(parallel.mp, "get_context", lambda method: RecordingContext())
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    assert map_tasks(abs, range(-n_tasks, 0), workers) == list(range(n_tasks, 0, -1))
+    assert asked == [processes]

@@ -6,16 +6,13 @@ import pytest
 from wstsim.storage import (
     NodeContent,
     StorageConfig,
-    gf_inv,
-    gf_mul,
-    gf_pow,
     mds_encode,
     mds_reconstruct,
     repair_node,
     share_from_bytes,
     share_to_bytes,
 )
-from wstsim.storage import _apply_rows, _generator_matrix
+from wstsim.storage import _EXP, _LOG, _mul_table
 
 
 # ---------------------------------------------------------------------------
@@ -23,28 +20,46 @@ from wstsim.storage import _apply_rows, _generator_matrix
 # ---------------------------------------------------------------------------
 
 
+def gf_mul(a, b):
+    """Carry-less product reduced by the AES polynomial 0x11B, shift by shift."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return acc
+
+
 def test_gf_tables_cover_all_nonzero_elements():
-    seen = {gf_pow(3, e) for e in range(255)}
-    assert seen == set(range(1, 256))
+    assert sorted(_EXP[:255]) == list(range(1, 256))
+    assert all(_EXP[e] == _EXP[e - 255] for e in range(255, 510))
+    power = 1
+    for e in range(255):
+        assert _EXP[e] == power and _LOG[power] == e  # powers of the generator 0x03
+        power = gf_mul(power, 3)
 
 
 def test_gf_inverses():
     for a in range(1, 256):
-        assert gf_mul(a, gf_inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        gf_inv(0)
+        assert gf_mul(a, _EXP[255 - _LOG[a]]) == 1
 
 
 def test_gf_known_product():
     # 0x53 * 0xCA = 0x01 under the AES polynomial
     assert gf_mul(0x53, 0xCA) == 0x01
+    assert _mul_table()[0x53, 0xCA] == 0x01
 
 
 def test_gf_distributivity_sample():
     rng = np.random.default_rng(0)
+    table = _mul_table()
     for _ in range(200):
         a, b, c = (int(v) for v in rng.integers(0, 256, size=3))
         assert gf_mul(a, b ^ c) == gf_mul(a, b) ^ gf_mul(a, c)
+        assert table[a, b] == gf_mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +192,48 @@ def test_repair_equals_rebuild_and_reencode_on_tampered_shares():
             assert repair_node(lost, helpers, cfg) == old_repair(lost, helpers, cfg)
 
 
+def evaluate(coeffs, x):
+    """p(x) for p = sum_j coeffs[j] x^j, by Horner's rule with scalar products."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = gf_mul(acc, x) ^ c
+    return acc
+
+
 def test_encode_equals_per_row_products():
+    # share i holds p(i + 1), byte column by byte column, for the polynomial
+    # of degree < k whose values at nodes 0..k-1 are the data chunks: draw
+    # p, write its values at the data nodes as the file, check every share
     rng = np.random.default_rng(12)
-    for n, k in ((1, 1), (6, 3), (255, 1), (255, 255)):
+    for n, k in ((1, 1), (6, 3), (255, 1), (255, 128), (255, 255)):
         cfg = StorageConfig(n, k)
-        for size in (0, 1, k, k + 1, 3 * k - 1, 40):
-            file = rng.bytes(size)
-            pad_len = (-size) % k
-            data = np.frombuffer(file + bytes(pad_len), dtype=np.uint8).reshape(k, -1)
-            rows = _apply_rows(_generator_matrix(n, k), data)
+        for length in (0, 1, 3):
+            coeffs = rng.integers(0, 256, size=(length, k)).tolist()
+            values = [bytes(evaluate(c, i + 1) for c in coeffs) for i in range(n)]
+            file = b"".join(values[:k])
+            assert mds_encode(file, cfg) == [NodeContent(i, v, 0) for i, v in enumerate(values)]
+        # a padded file encodes as the zero-padded one, with pad_len recorded
+        for size in (1, k + 1, 3 * k - 1):
+            file, pad_len = rng.bytes(size), (-size) % k
+            padded = mds_encode(file + bytes(pad_len), cfg)
             assert mds_encode(file, cfg) == [
-                NodeContent(i, rows[i].tobytes(), pad_len) for i in range(n)
+                NodeContent(i, s.fragment, pad_len) for i, s in enumerate(padded)
             ]
+
+
+def test_reconstruct_and_repair_from_high_node_ids():
+    # helper sets drawn from all 255 nodes, so every evaluation point serves
+    # as an interpolation node somewhere
+    rng = np.random.default_rng(13)
+    for k in (3, 128):
+        cfg = StorageConfig(255, k)
+        file = rng.bytes(2 * k)
+        shares = mds_encode(file, cfg)
+        for _ in range(4):
+            ids = sorted(int(i) for i in rng.choice(255, size=k + 1, replace=False))
+            lost, helpers = ids[0], [shares[i] for i in ids[1:]]
+            assert mds_reconstruct(helpers, cfg) == file
+            assert repair_node(lost, helpers, cfg) == shares[lost]
 
 
 def test_repair_replication_parity_node():
