@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .channel import SnrPoint, trial_rng
-from .dmt import DmtCurve, emit_fig1
+from .dmt import DmtCurve, dmt_group, emit_fig1
 from .lift import Fragment, lift, random_fragment, unlift
 from .outage import InsufficientSamplesError, OutageSpec, run_outage_sweep
 from .parallel import map_tasks
@@ -59,8 +59,11 @@ MAX_GRID_POINTS = 10_000
 #: most bits per QAM symbol: 256 levels per axis
 MAX_QAM_BITS = 16
 
-#: most trials one worker task runs
+#: most trials a worker runs as one batch
 BLOCK_TRIALS = 250
+
+#: most bits a repair share may hold: 8 KiB
+MAX_FRAGMENT_BITS = 65_536
 
 #: parsed options that do not change what a run computes, and argparse's
 #: handler entry; every other option goes into the provenance header
@@ -93,6 +96,11 @@ _grid_rows = _checked(
 )
 _qam_bits = _checked(
     int, lambda v: 2 <= v <= MAX_QAM_BITS and v % 2 == 0, f"an even integer in 2..{MAX_QAM_BITS}"
+)
+_fragment_bits = _checked(
+    int,
+    lambda v: 8 <= v <= MAX_FRAGMENT_BITS and v % 8 == 0,
+    f"a positive multiple of 8 up to {MAX_FRAGMENT_BITS}",
 )
 _finite_float = _checked(float, math.isfinite, "a finite number")
 #: multiplexing gain: an exact nonnegative fraction with a finite float value
@@ -280,16 +288,18 @@ def _block_sweep(worker, params, args, width: int) -> list[list[int]]:
     """Run args.trials trials at each point of args.snr_grid and return the
     width integer counts summed per point.
 
-    Trial t of point i has trial index i * args.trials + t.  A task is
-    (params, seed, point index, snr_db, start, stop): at most BLOCK_TRIALS
-    consecutive trial indices of one point, and worker(task) returns the
-    point index and the task's counts.
+    Trial t of point i has trial index i * args.trials + t.  Each point's
+    trials are cut into at most as many contiguous ranges as there are
+    workers, CPUs and trials, one task each: (params, seed, point index,
+    snr_db, start, stop).  worker(task) returns the point index and the
+    task's counts.
     """
     n = args.trials
+    parts = max(1, min(args.workers, os.cpu_count() or 1, n))
     tasks = [
-        (params, args.seed, idx, db, idx * n + lo, idx * n + min(lo + BLOCK_TRIALS, n))
+        (params, args.seed, idx, db, idx * n + j * n // parts, idx * n + (j + 1) * n // parts)
         for idx, db in enumerate(args.snr_grid)
-        for lo in range(0, n, BLOCK_TRIALS)
+        for j in range(parts)
     ]
     totals = np.zeros((len(args.snr_grid), width), dtype=np.int64)
     for idx, counts in map_tasks(worker, tasks, args.workers):
@@ -297,33 +307,37 @@ def _block_sweep(worker, params, args, width: int) -> list[list[int]]:
     return totals.tolist()
 
 
+def _blocks(start: int, stop: int):
+    """The trial indices [start, stop) as ranges of at most BLOCK_TRIALS."""
+    return (range(lo, min(lo + BLOCK_TRIALS, stop)) for lo in range(start, stop, BLOCK_TRIALS))
+
+
 def _session_range(task):
     """Worker: storage-free session trials [start, stop) at one SNR point."""
     (m, scheme, decoder_mode), seed, snr_idx, snr_db, start, stop = task
-    results = run_session_trials(
-        m, SnrPoint(snr_db), scheme, decoder_mode, seed, range(start, stop)
-    )
-    errors = sum(errored for errored, _ in results)
-    visited = sum(nodes for _, nodes in results)
-    return snr_idx, np.array([stop - start, errors, visited], dtype=np.int64)
+    counts = np.zeros(3, dtype=np.int64)  # trials, errors, visited nodes
+    for block in _blocks(start, stop):
+        results = run_session_trials(m, SnrPoint(snr_db), scheme, decoder_mode, seed, block)
+        counts += (len(block), sum(e for e, _ in results), sum(v for _, v in results))
+    return snr_idx, counts
 
 
 def _repair_range(task):
     """Worker: repair trials [start, stop) at one SNR point, as counts."""
     (cfg, m, scheme, decoder_mode, noiseless), seed, snr_idx, snr_db, start, stop = task
-    results = run_repair_trials(
-        cfg, m, SnrPoint(snr_db), scheme, decoder_mode, seed, range(start, stop), noiseless
-    )
     counts = np.zeros(6, dtype=np.int64)  # sessions, errored, shares, failed, repairs, repair_fail
-    for res in results:
-        counts += (
-            res.sessions_total,
-            res.sessions_errored,
-            cfg.d,
-            res.shares_failed,
-            1,
-            0 if res.repaired_share_ok else 1,
-        )
+    for block in _blocks(start, stop):
+        for res in run_repair_trials(
+            cfg, m, SnrPoint(snr_db), scheme, decoder_mode, seed, block, noiseless
+        ):
+            counts += (
+                res.sessions_total,
+                res.sessions_errored,
+                cfg.d,
+                res.shares_failed,
+                1,
+                0 if res.repaired_share_ok else 1,
+            )
     return snr_idx, counts
 
 
@@ -418,23 +432,15 @@ def _selftest_decoder(seed: int) -> tuple[bool, str]:
 
 
 def _selftest_dmt() -> tuple[bool, str]:
-    from .dmt import SchemeParams, dmt_optimal_mac, dmt_proposed, dmt_tdma
-
-    params = SchemeParams(K=10)
-    opt = dmt_optimal_mac(params)
-    expected = DmtCurve(
-        (
-            (Fraction(0), Fraction(2)),
-            (Fraction(2, 11), Fraction(18, 11)),
-            (Fraction(1, 5), Fraction(0)),
-        )
-    )
-    if opt != expected:
-        return False, "optimal MAC curve breakpoints are wrong"
-    if dmt_proposed(params) != DmtCurve(((Fraction(0), Fraction(2)), (Fraction(1, 5), Fraction(0)))):
-        return False, "pair-scheme curve breakpoints are wrong"
-    if dmt_tdma(params) != DmtCurve(((Fraction(0), Fraction(2)), (Fraction(1, 10), Fraction(0)))):
-        return False, "TDMA curve breakpoints are wrong"
+    F = Fraction
+    expected = {
+        10: ("optimal MAC", ((F(0), F(2)), (F(2, 11), F(18, 11)), (F(1, 5), F(0)))),
+        2: ("pair-scheme", ((F(0), F(2)), (F(1, 5), F(0)))),
+        1: ("TDMA", ((F(0), F(2)), (F(1, 10), F(0)))),
+    }
+    for g, (name, breakpoints) in expected.items():
+        if dmt_group(10, g) != DmtCurve(breakpoints):
+            return False, f"{name} curve breakpoints are wrong"
     return True, "K=10 curve breakpoints exact"
 
 
@@ -523,7 +529,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--d", type=int, default=5)
-    p.add_argument("--fragment-bits", type=int, default=24)
+    p.add_argument("--fragment-bits", type=_fragment_bits, default=24)
     p.add_argument("--m", type=_qam_bits, default=2)
     p.add_argument("--scheme", choices=("pair", "tdma"), default="pair")
     p.add_argument("--decoder", choices=tuple(DECODER_MODES), default="sphere")

@@ -99,6 +99,8 @@ def pointwise_min(a: DmtCurve, b: DmtCurve) -> DmtCurve:
     the minimum is identically 0 there; the result therefore stops at that
     point and inherits the 0-beyond-the-end convention exactly.
     """
+    if a == b:  # canonical curves: equal breakpoints, the same function
+        return a
     r_stop = min(a.breakpoints[-1][0], b.breakpoints[-1][0])
     grid = sorted(
         {r for r, _ in a.breakpoints if r <= r_stop}
@@ -118,55 +120,25 @@ def pointwise_min(a: DmtCurve, b: DmtCurve) -> DmtCurve:
     return DmtCurve(tuple(pts))
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Helper count and antenna geometry of one repair scenario.
+def dmt_group(K: int, g: int) -> DmtCurve:
+    """K single-antenna helpers sent in groups of g to a 2-antenna receiver.
 
-    The transmission protocol itself needs K >= 2, which the CLI enforces;
-    K = 1 is allowed here so degenerate reductions stay expressible.
+    Each group is a g x 2 MAC whose users run at gain K*r/g, so the curve is
+    min{d*_{1,2}(K*r/g), d*_{g,2}(K*r)}: with single-antenna users only the
+    subsets of size 1 and g bind (Tse, Viswanath & Zheng 2004).  g = 1 is
+    TDMA, g = 2 the pair scheme and g = K the optimal MAC.
     """
-
-    K: int
-    n_t: int = 1
-    n_r: int = 2
-
-    def __post_init__(self) -> None:
-        if self.K < 1 or self.n_t < 1 or self.n_r < 1:
-            raise ValueError("K, n_t and n_r must be positive")
-
-
-def dmt_optimal_mac(p: SchemeParams) -> DmtCurve:
-    """Optimal MAC curve: min of the single-user curve and the K-fold
-    antenna-pooled curve at argument K*r."""
+    if not 1 <= g <= K:
+        raise ValueError(f"the group size must lie in 1..K, got g={g} for K={K}")
     return pointwise_min(
-        dmt_ptp(p.n_t, p.n_r),
-        scale_arg(dmt_ptp(p.K * p.n_t, p.n_r), p.K),
+        scale_arg(dmt_ptp(1, 2), Fraction(K, g)),
+        scale_arg(dmt_ptp(g, 2), K),
     )
-
-
-def dmt_proposed(p: SchemeParams) -> DmtCurve:
-    """Pair-scheduling scheme: min{d*_{1,2}(K*r/2), d*_{2,2}(K*r)}.
-
-    Only defined for the scheme's geometry n_t = 1, n_r = 2.
-    """
-    if p.n_t != 1 or p.n_r != 2:
-        raise ValueError("the pair scheme assumes n_t = 1 and n_r = 2")
-    return pointwise_min(
-        scale_arg(dmt_ptp(1, 2), Fraction(p.K, 2)),
-        scale_arg(dmt_ptp(2, 2), p.K),
-    )
-
-
-def dmt_tdma(p: SchemeParams) -> DmtCurve:
-    """Orthogonal baseline: each helper takes turns at multiplexing gain K*r,
-    so the curve is d*_{1,n_r}(K*r)."""
-    if p.n_t != 1:
-        raise ValueError("the TDMA baseline assumes n_t = 1")
-    return scale_arg(dmt_ptp(1, p.n_r), p.K)
 
 
 def emit_fig1(K: int, grid: int) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Sample (r, d_optimal, d_proposed, d_tdma) on a uniform rational grid.
+    """Sample (r, d_optimal, d_proposed, d_tdma), the group sizes g = K, 2
+    and 1, on a uniform rational grid.
 
     The grid has exactly `grid` rows and covers [0, r_max], where r_max is
     the largest zero point among the three curves.
@@ -175,8 +147,7 @@ def emit_fig1(K: int, grid: int) -> list[tuple[Fraction, Fraction, Fraction, Fra
         raise ValueError("the comparison needs at least two helpers")
     if grid < 2:
         raise ValueError("grid must have at least two points")
-    params = SchemeParams(K=K)
-    curves = (dmt_optimal_mac(params), dmt_proposed(params), dmt_tdma(params))
+    curves = (dmt_group(K, K), dmt_group(K, 2), dmt_group(K, 1))
     r_max = max(c.zero_point for c in curves)
     rows = []
     for i in range(grid):

@@ -1,10 +1,11 @@
 """Monte Carlo outage-probability estimation and diversity-slope regression.
 
 Rates follow the finite-SNR convention R = gain * log2(snr_linear) + offset
-bits per channel use, where the scheme dictates the gain (K*r/2 per active
-user for the pair scheme, K*r for TDMA, r per user for the full MAC).  The
-offset keeps r = 0 measurable (zero rate has no outage event), so sweeps at
-r = 0 default to a 1-bit offset upstream.
+bits per channel use.  Each scheme sends the K users in groups of g (TDMA
+g = 1, the pair scheme g = 2, the full MAC g = K), so an active user's gain
+is K*r/g: K*r for TDMA, K*r/2 for a pair member and r for a full-MAC user.
+The offset keeps r = 0 measurable (zero rate has no outage event), so sweeps
+at r = 0 default to a 1-bit offset upstream.
 
 The full-MAC predicate decides each row in one of three ways.  A
 Cauchy-Binet lower bound on the determinants of every subset size clears

@@ -1,12 +1,14 @@
-"""Pair-scheduled repair transmissions and the end-to-end repair pipeline.
+"""Group-scheduled repair transmissions and the end-to-end repair pipeline.
 
 A repair contacts d helpers.  Each helper's share is cut into blocks of 3m
-bits (the last block zero-padded) and every block is one lattice point.  Per
-block round the scheduler draws a seeded random partition of the helpers
-into disjoint pairs - plus one leftover singleton when the helper count is
-odd - so each (helper, block) pair is transmitted exactly once and every
-helper is equally likely (probability 2/K) to occupy any given pair slot.
-Pair sessions use the 2 x 3 codeword, singleton and TDMA sessions the 1 x 3
+bits (the last block zero-padded) and every block is one lattice point.  A
+scheme is a group size g (GROUP_SIZES: TDMA 1, the pair scheme 2): per block
+round the planner cuts the helpers into groups of g, so each (helper, block)
+pair is transmitted exactly once.  For the pair scheme each round's order is
+a seeded random permutation, so the groups are disjoint pairs - plus one
+leftover singleton when the helper count is odd - and every helper is
+equally likely (probability 2/K) to occupy any given pair slot.  Pair
+sessions use the 2 x 3 codeword, singleton and TDMA sessions the 1 x 3
 one; the newcomer (which has receiver CSI) ML-decodes each session
 independently, unlifts the points, reassembles shares, and runs MDS repair
 on the shares whose data bits all decoded right (a wrong bit in the last
@@ -53,7 +55,8 @@ from .encoder import build_pair_codeword, build_tdma_codeword
 from .lift import Fragment, lift, random_fragment, unlift
 from .storage import NodeContent, StorageConfig, mds_encode, repair_node
 
-SCHEMES = ("pair", "tdma")
+#: session group size of each scheme
+GROUP_SIZES = {"tdma": 1, "pair": 2}
 
 
 #: most sessions run_repair_trials holds before decoding them, and the
@@ -86,49 +89,24 @@ def join_fragments(fragments, n_bytes: int) -> bytes:
     return (value >> pad).to_bytes(n_bytes, "big")
 
 
-@dataclass(frozen=True)
-class Session:
-    """One transmission period: the active helpers and their block indices."""
+def plan_sessions(helpers, blocks_per_helper: int, rng, g: int) -> list[tuple[tuple[int, ...], int]]:
+    """Sessions covering every (helper, block) once, as (helpers, block).
 
-    helpers: tuple[int, ...]
-    blocks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.helpers) not in (1, 2) or len(self.blocks) != len(self.helpers):
-            raise ValueError("a session activates one or two helpers")
-
-
-def plan_sessions(helpers, blocks_per_helper: int, rng) -> tuple[Session, ...]:
-    """Seeded random disjoint-pair rounds covering every (helper, block) once.
-
-    rng is a numpy Generator or an integer master seed.  A singleton session
-    appears only as the final leftover of a round when the helper count is
-    odd.
+    Each block round cuts the helper order into groups of g; the last group
+    of a round is smaller when g does not divide the helper count.  For
+    g > 1 every round's order is a fresh permutation drawn from the numpy
+    Generator rng; g = 1 keeps the given order and draws nothing.
     """
     helpers = [int(h) for h in helpers]
     if not helpers:
         raise ValueError("at least one helper is required")
     if blocks_per_helper < 1:
         raise ValueError("blocks_per_helper must be positive")
-    if isinstance(rng, (int, np.integer)):
-        rng = trial_rng(int(rng))
     sessions = []
     for block in range(blocks_per_helper):
-        order = [helpers[i] for i in rng.permutation(len(helpers))]
-        for i in range(0, len(order) - 1, 2):
-            sessions.append(Session((order[i], order[i + 1]), (block, block)))
-        if len(order) % 2:
-            sessions.append(Session((order[-1],), (block,)))
-    return tuple(sessions)
-
-
-def tdma_plan(helpers, blocks_per_helper: int) -> tuple[Session, ...]:
-    """Orthogonal baseline: one singleton session per (helper, block)."""
-    return tuple(
-        Session((int(h),), (block,))
-        for block in range(blocks_per_helper)
-        for h in helpers
-    )
+        order = [helpers[i] for i in rng.permutation(len(helpers))] if g > 1 else helpers
+        sessions += [(tuple(order[i : i + g]), block) for i in range(0, len(order), g)]
+    return sessions
 
 
 @dataclass(frozen=True)
@@ -192,11 +170,8 @@ def _send_repair(cfg: StorageConfig, m: int, scheme: str, seed: int, trial: int)
 
     fragments = {h: share_fragments(contents[h].fragment, m) for h in helpers}
     n_blocks = len(fragments[helpers[0]])
-    if scheme == "pair":
-        plan = plan_sessions(helpers, n_blocks, rng)
-    else:
-        plan = tdma_plan(helpers, n_blocks)
-    sessions = [([fragments[h][b] for h, b in zip(s.helpers, s.blocks)], rng) for s in plan]
+    plan = plan_sessions(helpers, n_blocks, rng, GROUP_SIZES[scheme])
+    sessions = [([fragments[h][block] for h in group], rng) for group, block in plan]
     return (contents, lost, helpers, plan), sessions
 
 
@@ -205,10 +180,10 @@ def _finish_repair(cfg: StorageConfig, sent, outcomes) -> RepairTrialResult:
     contents, lost, helpers, plan = sent
     decoded: dict[int, dict[int, Fragment]] = {h: {} for h in helpers}
     sessions_errored = 0
-    for sess, (got, errored, _) in zip(plan, outcomes):
+    for (group, block), (got, errored, _) in zip(plan, outcomes):
         sessions_errored += errored
-        for h, b, frag in zip(sess.helpers, sess.blocks, got):
-            decoded[h][b] = frag
+        for h, frag in zip(group, got):
+            decoded[h][block] = frag
 
     usable: list[NodeContent] = []
     for h in helpers:
@@ -239,15 +214,14 @@ def run_repair_trials(
 ) -> list[RepairTrialResult]:
     """Full repairs (encode, erase, transmit, repair), one per trial index.
 
-    The helpers' blocks travel in pair-scheduled sessions, or, for scheme
-    "tdma", one helper per session.  Each trial's shares, plan and sessions
-    are drawn from its own substream; the sessions of consecutive trials are
-    decoded as one batch once they number SESSION_BATCH or more, and each
-    trial is then repaired from its decoded shares.  The results equal those
-    of the trials run one at a time.
+    The helpers' blocks travel in sessions of the scheme's group size.  Each
+    trial's shares, plan and sessions are drawn from its own substream; the
+    sessions of consecutive trials are decoded as one batch once they number
+    SESSION_BATCH or more, and each trial is then repaired from its decoded
+    shares.  The results equal those of the trials run one at a time.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if scheme not in GROUP_SIZES:
+        raise ValueError(f"scheme must be one of {tuple(GROUP_SIZES)}, got {scheme!r}")
     if cfg.d is None or cfg.fragment_bits is None:
         raise ValueError("repair trials need StorageConfig.d and fragment_bits")
     results: list[RepairTrialResult] = []
@@ -290,11 +264,10 @@ def run_session_trials(
     exact ML.  Each trial draws from its own substream, so the batch
     consumes the RNG exactly as the trials one by one.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    k_act = 2 if scheme == "pair" else 1
+    if scheme not in GROUP_SIZES:
+        raise ValueError(f"scheme must be one of {tuple(GROUP_SIZES)}, got {scheme!r}")
     batch = []
     for t in trial_indices:
         rng = trial_rng(seed, t)
-        batch.append(([random_fragment(rng, m) for _ in range(k_act)], rng))
+        batch.append(([random_fragment(rng, m) for _ in range(GROUP_SIZES[scheme])], rng))
     return [(errored, res.visited_nodes) for _, errored, res in run_sessions(batch, m, snr, decoder_mode)]

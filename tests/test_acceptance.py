@@ -26,7 +26,7 @@ from wstsim.algebra import (
     trace_norm,
 )
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
-from wstsim.dmt import DmtCurve, SchemeParams, dmt_optimal_mac, dmt_proposed, dmt_tdma
+from wstsim.dmt import DmtCurve, dmt_group
 from wstsim.encoder import build_pair_codeword
 from wstsim.lift import Fragment, lift, random_fragment, unlift
 from wstsim.outage import OutageSpec, estimate_slope, run_outage_sweep, wilson_interval
@@ -46,10 +46,9 @@ def _passed(name: str) -> None:
 
 def test_ac1_fig1_reproduction_exact():
     start = time.perf_counter()
-    params = SchemeParams(K=10, n_t=1, n_r=2)
-    opt = dmt_optimal_mac(params)
-    prop = dmt_proposed(params)
-    tdma = dmt_tdma(params)
+    opt = dmt_group(10, 10)
+    prop = dmt_group(10, 2)
+    tdma = dmt_group(10, 1)
     # all three start at diversity 2
     assert opt(0) == prop(0) == tdma(0) == 2
     # TDMA dies at r = 1/10

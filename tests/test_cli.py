@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import wstsim_env
 
-from wstsim.cli import MAX_GRID_POINTS, MAX_QAM_BITS, build_parser, main
+import wstsim.cli as cli
+from wstsim.cli import MAX_FRAGMENT_BITS, MAX_GRID_POINTS, MAX_QAM_BITS, build_parser, main
 
 RUN = [sys.executable, "-m", "wstsim"]
 
@@ -266,8 +268,9 @@ def test_config_values_equal_their_flags(tmp_path):
 
 
 def test_repair_ranges_split_across_workers_give_the_same_csv(tmp_path):
-    # 260 trials run as two ranges, of 250 and 10 trials, each decoded as
-    # one batch: one worker runs both, two workers one each
+    # one worker runs the 260 trials as one range, two workers as two ranges
+    # of 130; a range runs as batches of at most 250 trials, so one worker
+    # decodes batches of 250 and 10 trials, two workers batches of 130
     outputs = []
     for workers in ("1", "2"):
         out = tmp_path / workers
@@ -292,6 +295,9 @@ def test_repair_ranges_split_across_workers_give_the_same_csv(tmp_path):
         ("outage", "--trials", "0"),
         ("outage", "--seed", "-1"),
         ("outage", "--seed", str(2**64)),
+        ("repair", "--fragment-bits", "0"),
+        ("repair", "--fragment-bits", "12"),
+        ("repair", "--fragment-bits", str(MAX_FRAGMENT_BITS + 8)),
     ],
 )
 def test_parser_bounds_exit_2(args, capsys):
@@ -300,6 +306,49 @@ def test_parser_bounds_exit_2(args, capsys):
         parser.parse_args(args)
     assert exc.value.code == 2
     assert "expected" in capsys.readouterr().err
+
+
+def capture_tasks(monkeypatch):
+    """Make the sweep driver hand its tasks to a list instead of running
+    them; each task reports its trial count for every count."""
+    tasks = []
+
+    def fake_map_tasks(worker, task_list, workers):
+        tasks.extend(task_list)
+        width = 3 if worker is cli._session_range else 6
+        return [(t[2], np.full(width, t[5] - t[4])) for t in tasks]
+
+    monkeypatch.setattr(cli, "map_tasks", fake_map_tasks)
+    return tasks
+
+
+def test_a_huge_trial_count_makes_one_range_per_worker(monkeypatch, tmp_path):
+    # 10**12 trials at 5 SNR points: 2 tasks a point, tiling the trial
+    # indices [0, 5 * 10**12) once; the tasks are only collected, not run
+    tasks = capture_tasks(monkeypatch)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    trials = 10**12
+    argv = ["simulate", "--trials", str(trials), "--snr-grid", "10:30:5", "--workers", "2",
+            "--seed", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(tasks) == 10
+    assert [t[2] for t in tasks] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+    assert [t[3] for t in tasks[::2]] == [10.0, 15.0, 20.0, 25.0, 30.0]
+    bounds = [(t[4], t[5]) for t in tasks]
+    assert bounds[0][0] == 0 and bounds[-1][1] == 5 * trials
+    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+    assert all(t[2] * trials <= t[4] < t[5] <= (t[2] + 1) * trials for t in tasks)
+
+
+def test_one_worker_makes_one_range_per_point(monkeypatch, tmp_path):
+    # the benchmark's shape: 10 repair trials at 5 SNR points, one worker
+    tasks = capture_tasks(monkeypatch)
+    argv = ["repair", "--trials", "10", "--snr-grid", "10:30:5", "--workers", "1",
+            "--seed", "4", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert [t[1:] for t in tasks] == [
+        (4, i, db, 10 * i, 10 * i + 10) for i, db in enumerate((10.0, 15.0, 20.0, 25.0, 30.0))
+    ]
 
 
 #: each command's provenance keys besides "command": every option that shapes

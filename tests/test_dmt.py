@@ -1,15 +1,13 @@
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from wstsim.dmt import (
     DmtCurve,
-    SchemeParams,
-    dmt_optimal_mac,
-    dmt_proposed,
+    dmt_group,
     dmt_ptp,
-    dmt_tdma,
     emit_fig1,
     pointwise_min,
     scale_arg,
@@ -102,7 +100,7 @@ def test_min_idempotent():
 
 def test_min_crossing_inserted_exactly():
     # K=10 optimal curve: 2-2r crosses the 18-90r segment at r = 2/11
-    c = dmt_optimal_mac(SchemeParams(K=10))
+    c = dmt_group(10, 10)
     assert (F(2, 11), F(18, 11)) in c.breakpoints
 
 
@@ -152,18 +150,14 @@ def test_min_commutative_associative_idempotent():
 
 
 def test_optimal_mac_k10():
-    c = dmt_optimal_mac(SchemeParams(K=10, n_t=1, n_r=2))
+    c = dmt_group(10, 10)
     assert c(0) == 2
     assert c.zero_point == F(1, 5)
     assert c(F(1, 10)) == F(9, 5)  # single-user branch 2 - 2r active below 2/11
 
 
-def test_optimal_mac_k1_reduces_to_ptp():
-    assert dmt_optimal_mac(SchemeParams(K=1, n_t=2, n_r=2)) == dmt_ptp(2, 2)
-
-
 def test_proposed_k10():
-    c = dmt_proposed(SchemeParams(K=10))
+    c = dmt_group(10, 2)
     assert c(0) == 2
     assert c(F(1, 10)) == 1
     assert c(F(1, 5)) == 0
@@ -173,27 +167,42 @@ def test_proposed_k10():
 
 
 def test_proposed_k2():
-    c = dmt_proposed(SchemeParams(K=2))
+    c = dmt_group(2, 2)
     assert c(0) == 2
     assert c == pointwise_min(dmt_ptp(1, 2), scale_arg(dmt_ptp(2, 2), 2))
 
 
-def test_proposed_requires_scheme_geometry():
-    with pytest.raises(ValueError):
-        dmt_proposed(SchemeParams(K=4, n_t=2, n_r=2))
-
-
 def test_tdma_curves():
-    c = dmt_tdma(SchemeParams(K=10))
+    c = dmt_group(10, 1)
     assert c(0) == 2
     assert c.zero_point == F(1, 10)
     assert c(F(1, 20)) == 1  # 2*(1 - 10r)
-    assert dmt_tdma(SchemeParams(K=1)) == dmt_ptp(1, 2)
+    assert dmt_group(1, 1) == dmt_ptp(1, 2)
 
 
-def test_scheme_params():
-    with pytest.raises(ValueError):
-        SchemeParams(K=0)
+def test_dmt_group_validation():
+    for K, g in ((0, 1), (4, 0), (4, 5)):
+        with pytest.raises(ValueError):
+            dmt_group(K, g)
+
+
+def test_dmt_group_equals_the_three_scheme_curves():
+    # the optimal MAC, pair-scheme and TDMA curves as separate compositions
+    for K in range(2, 65):
+        optimal = pointwise_min(dmt_ptp(1, 2), scale_arg(dmt_ptp(K, 2), K))
+        pair = pointwise_min(scale_arg(dmt_ptp(1, 2), F(K, 2)), scale_arg(dmt_ptp(2, 2), K))
+        tdma = scale_arg(dmt_ptp(1, 2), K)
+        assert dmt_group(K, K) == optimal
+        assert dmt_group(K, 2) == pair
+        assert dmt_group(K, 1) == tdma
+
+
+def test_dmt_group_equals_the_minimum_over_every_subset_size():
+    # d_g(r) = min over j = 1..g of d*_{j,2}(j*K*r/g): only j = 1 and g bind
+    for K in range(1, 25):
+        for g in range(1, K + 1):
+            every_j = (scale_arg(dmt_ptp(j, 2), F(j * K, g)) for j in range(1, g + 1))
+            assert dmt_group(K, g) == reduce(pointwise_min, every_j), (K, g)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +224,7 @@ def test_fig1_table_k10():
 
 def test_fig1_ordering_holds_on_dense_grid_for_other_k():
     for K in (2, 3, 6):
-        params = SchemeParams(K=K)
-        opt, prop, tdma = dmt_optimal_mac(params), dmt_proposed(params), dmt_tdma(params)
+        opt, prop, tdma = dmt_group(K, K), dmt_group(K, 2), dmt_group(K, 1)
         for i in range(0, 200):
             r = F(i, 400)
             assert tdma(r) <= prop(r) <= opt(r)

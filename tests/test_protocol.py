@@ -9,13 +9,11 @@ from wstsim.lift import Fragment, lift
 import wstsim.protocol as protocol
 from wstsim.protocol import (
     RepairTrialResult,
-    Session,
     join_fragments,
     plan_sessions,
     run_repair_trials,
     run_session_trials,
     share_fragments,
-    tdma_plan,
 )
 from wstsim.storage import StorageConfig
 
@@ -60,15 +58,15 @@ def test_share_fragments_pads_last_block():
 
 
 def test_two_helpers_one_block():
-    plan = plan_sessions([4, 9], 1, 0)
+    plan = plan_sessions([4, 9], 1, trial_rng(0), 2)
     assert len(plan) == 1
-    assert sorted(plan[0].helpers) == [4, 9]
-    assert plan[0].blocks == (0, 0)
+    assert sorted(plan[0][0]) == [4, 9]
+    assert plan[0][1] == 0
 
 
 def test_nine_helpers_yield_four_pairs_plus_singleton():
-    plan = plan_sessions(list(range(9)), 1, 3)
-    sizes = sorted(len(s.helpers) for s in plan)
+    plan = plan_sessions(list(range(9)), 1, trial_rng(3), 2)
+    sizes = sorted(len(group) for group, _ in plan)
     assert sizes == [1, 2, 2, 2, 2]
 
 
@@ -76,21 +74,20 @@ def test_plan_covers_every_helper_block_once():
     rng = trial_rng(10)
     for helpers, blocks in (([3, 1, 4, 1 + 4, 9], 4), (list(range(10)), 3), ([7], 2)):
         helpers = list(dict.fromkeys(helpers))
-        plan = plan_sessions(helpers, blocks, rng)
-        seen = [
-            (h, b) for sess in plan for h, b in zip(sess.helpers, sess.blocks)
-        ]
-        assert sorted(seen) == sorted((h, b) for h in helpers for b in range(blocks))
+        for g in (1, 2, 3, len(helpers)):
+            plan = plan_sessions(helpers, blocks, rng, g)
+            seen = [(h, block) for group, block in plan for h in group]
+            assert sorted(seen) == sorted((h, b) for h in helpers for b in range(blocks))
 
 
 def test_singletons_only_for_odd_counts():
     rng = trial_rng(11)
-    even = plan_sessions(list(range(10)), 5, rng)
-    assert all(len(s.helpers) == 2 for s in even)
-    odd = plan_sessions(list(range(7)), 5, rng)
+    even = plan_sessions(list(range(10)), 5, rng, 2)
+    assert all(len(group) == 2 for group, _ in even)
+    odd = plan_sessions(list(range(7)), 5, rng, 2)
     per_round = 4  # 3 pairs + 1 singleton
-    for i, sess in enumerate(odd):
-        if len(sess.helpers) == 1:
+    for i, (group, _) in enumerate(odd):
+        if len(group) == 1:
             assert i % per_round == per_round - 1  # singleton closes its round
 
 
@@ -101,26 +98,45 @@ def test_pair_slot_membership_frequency():
     slot = 2  # third pair session of the round
     counts = dict.fromkeys(range(K), 0)
     for seed in range(plans):
-        plan = plan_sessions(list(range(K)), 1, trial_rng(123, seed))
-        for h in plan[slot].helpers:
+        plan = plan_sessions(list(range(K)), 1, trial_rng(123, seed), 2)
+        for h in plan[slot][0]:
             counts[h] += 1
     for h in range(K):
         assert abs(counts[h] / plans - 2 / K) < 0.01
 
 
-def test_session_validation():
+def test_plan_validation():
     with pytest.raises(ValueError):
-        Session((1, 2, 3), (0, 0, 0))
+        plan_sessions([], 1, trial_rng(0), 2)
     with pytest.raises(ValueError):
-        Session((1, 2), (0,))
-    with pytest.raises(ValueError):
-        plan_sessions([], 1, 0)
+        plan_sessions([1, 2], 0, trial_rng(0), 2)
 
 
 def test_tdma_plan_is_exhaustive_singletons():
-    plan = tdma_plan([2, 5, 8], 2)
+    plan = plan_sessions([2, 5, 8], 2, trial_rng(0), 1)
     assert len(plan) == 6
-    assert all(len(s.helpers) == 1 for s in plan)
+    assert all(len(group) == 1 for group, _ in plan)
+
+
+def test_group_size_one_keeps_the_helper_order_and_draws_nothing():
+    # the TDMA plan: block by block, each round in the helpers' given order
+    rng = trial_rng(7)
+    plan = plan_sessions([2, 5, 8], 3, rng, 1)
+    assert plan == [((h,), b) for b in range(3) for h in (2, 5, 8)]
+    assert rng.random(4).tolist() == trial_rng(7).random(4).tolist()
+
+
+def test_group_size_two_draws_one_permutation_per_round():
+    # the pair plan: each round's permutation, cut into pairs and a leftover
+    helpers, blocks = [3, 4, 6, 9, 11], 3
+    rng, twin = trial_rng(8), trial_rng(8)
+    plan = plan_sessions(helpers, blocks, rng, 2)
+    expected = []
+    for b in range(blocks):
+        order = [helpers[i] for i in twin.permutation(len(helpers))]
+        expected += [(tuple(order[0:2]), b), (tuple(order[2:4]), b), ((order[4],), b)]
+    assert plan == expected
+    assert rng.random(4).tolist() == twin.random(4).tolist()
 
 
 # ---------------------------------------------------------------------------
