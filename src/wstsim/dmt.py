@@ -99,8 +99,6 @@ def pointwise_min(a: DmtCurve, b: DmtCurve) -> DmtCurve:
     the minimum is identically 0 there; the result therefore stops at that
     point and inherits the 0-beyond-the-end convention exactly.
     """
-    if a == b:  # canonical curves: equal breakpoints, the same function
-        return a
     r_stop = min(a.breakpoints[-1][0], b.breakpoints[-1][0])
     grid = sorted(
         {r for r, _ in a.breakpoints if r <= r_stop}

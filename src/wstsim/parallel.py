@@ -3,7 +3,9 @@
 Tasks must be picklable and the mapped function a module-level callable.
 Results come back in task order, so reductions are trivially independent of
 the worker count (all sweep statistics are integer counts anyway).  A pool
-starts at most one process per task and per CPU, whatever count is asked.
+starts at most one process per task and per CPU, whatever count is asked,
+and hands out one task at a time, so a free worker takes the next task
+instead of a precut chunk landing on one worker.
 
 Workers are spawned with one BLAS thread each: a pool already uses every
 core it asks for, and BLAS threads inside each worker would only compete
@@ -38,4 +40,4 @@ def map_tasks(fn, tasks, workers: int = 1) -> list:
             else:
                 os.environ[name] = value
     with pool:
-        return pool.map(fn, tasks)
+        return pool.map(fn, tasks, chunksize=1)

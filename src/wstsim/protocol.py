@@ -102,6 +102,8 @@ def plan_sessions(helpers, blocks_per_helper: int, rng, g: int) -> list[tuple[tu
         raise ValueError("at least one helper is required")
     if blocks_per_helper < 1:
         raise ValueError("blocks_per_helper must be positive")
+    if g < 1:
+        raise ValueError("the group size g must be positive")
     sessions = []
     for block in range(blocks_per_helper):
         order = [helpers[i] for i in rng.permutation(len(helpers))] if g > 1 else helpers

@@ -16,26 +16,32 @@ def test_workers_start_with_one_blas_thread(monkeypatch):
 
 
 class InlinePool:
+    def __init__(self, chunksizes):
+        self.chunksizes = chunksizes
+
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=None):
+        self.chunksizes.append(chunksize)
         return [fn(t) for t in tasks]
 
 
 @pytest.mark.parametrize("workers, n_tasks, processes", [(100_000, 50, 3), (2, 50, 2), (100_000, 2, 2)])
 def test_pool_starts_at_most_one_process_per_task_and_cpu(monkeypatch, workers, n_tasks, processes):
-    asked = []
+    asked, chunksizes = [], []
 
     class RecordingContext:
         def Pool(self, processes):
             asked.append(processes)
-            return InlinePool()
+            return InlinePool(chunksizes)
 
     monkeypatch.setattr(parallel.mp, "get_context", lambda method: RecordingContext())
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
     assert map_tasks(abs, range(-n_tasks, 0), workers) == list(range(n_tasks, 0, -1))
     assert asked == [processes]
+    # one task per dispatch: default chunks could put a point's ranges on one worker
+    assert chunksizes == [1]

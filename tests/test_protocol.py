@@ -110,6 +110,9 @@ def test_plan_validation():
         plan_sessions([], 1, trial_rng(0), 2)
     with pytest.raises(ValueError):
         plan_sessions([1, 2], 0, trial_rng(0), 2)
+    for g in (0, -1):
+        with pytest.raises(ValueError):
+            plan_sessions([1, 2], 1, trial_rng(0), g)
 
 
 def test_tdma_plan_is_exhaustive_singletons():
