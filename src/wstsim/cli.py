@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -479,7 +480,7 @@ def _add_common(parser) -> None:
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="worker processes (results are worker-count independent)",
     )
@@ -487,7 +488,11 @@ def _add_common(parser) -> None:
     parser.add_argument("--seed", type=_seed, default=None, help="64-bit master seed (required)")
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its subcommand parsers, built once per process:
+    they hold no per-run state, and a --config file's values are parsed as
+    flags rather than set as defaults."""
     parser = argparse.ArgumentParser(
         prog="wstsim",
         description="Wireless storage repair simulator: space-time codes over a fading MAC",

@@ -10,9 +10,15 @@ at r = 0 default to a 1-bit offset upstream.
 The full-MAC predicate decides each row in one of three ways.  A
 Cauchy-Binet lower bound on the determinants of every subset size clears
 most rows, and exact checks of the weakest user and of the full set put
-others in outage; only the remaining rows walk all 2^K - 1 subsets.  Rows
-too close to the boundary to call under rounding go to the direct evaluator,
-so flags equal full_mac_outage_reference exactly.
+others in outage; only the remaining rows check all 2^K - 1 subsets.  Those
+rows take the subsets of the first b users as one table, built by doubling,
+and walk the rest of the users depth-first, each walk step adding one
+user's column to a (4, 2^b, N) slab; b grows as fewer rows are left, and
+the slabs of the walk's path, (K - b + 1) 4 2^b N floats, stay within a
+fixed element budget.  Either way each subset's sums add its users' columns
+in ascending order, so the margins, and their rounding bound, do not depend
+on b.  Rows too close to the boundary to call under rounding go to the
+direct evaluator, so flags equal full_mac_outage_reference exactly.
 
 The outage predicates are pure and vectorized: they accept one channel
 realization or any leading batch shape.  Sweeps draw channels in fixed-size
@@ -149,6 +155,12 @@ def _user_terms(h: np.ndarray, s: float) -> np.ndarray:
     return terms
 
 
+#: elements the squared (c, d) planes of one subset step may hold: the
+#: first b users' subset table gives each of the N rows 2^b columns, with b
+#: the largest count such that 2^(b+1) N stays within this budget
+_WALK_BUDGET = 2**13
+
+
 def _full_mac_margin(h: np.ndarray, s: float, K: int, rate: float) -> np.ndarray:
     """Minimum over the 2^K - 1 subsets S of the relative margin
     1 - (c^2 + d^2 + 2^{|S| R}) / ((1+a)(1+b)), for h of shape (N, 2, K).
@@ -156,11 +168,27 @@ def _full_mac_margin(h: np.ndarray, s: float, K: int, rate: float) -> np.ndarray
     (a, b, c, d) are s times the sums over S of |h0k|^2, |h1k|^2 and the real
     and imaginary parts of h0k conj(h1k), so (1+a)(1+b) - c^2 - d^2 is
     det(I + s H_S H_S^H) and S fails exactly when the margin is negative.
-    The subsets are visited depth-first over the prefix tree of ascending
-    user lists; a child's (1+a, 1+b, c, d) slab is its parent's plus one
-    user's column, written into the buffer of its depth.  Nothing is ever
-    subtracted, so a subset's sums carry only the rounding of its own terms
-    and no error drifts along the walk.  Memory is O(K N), not O(2^K N).
+
+    Every subset's (1+a, 1+b, c, d) is its parent's plus the column of its
+    largest user, starting from (1, 1, 0, 0) for the empty set, so each sum
+    adds its users' columns in ascending user order.  The subsets of the
+    first b users are built at once as a table by doubling: for each user
+    k < b in turn, T[S + {k}] = T[S] + column k for every S of users below
+    k, giving a (4, 2^b, N) slab.  The other K - b users are walked
+    depth-first over the prefix tree of their ascending lists, and each node
+    of the walk adds one user's column to its parent's whole slab, which
+    covers the node's subset joined with every table subset.  b is the
+    largest count with 2^(b+1) N <= _WALK_BUDGET, capped at K: a few rows
+    are decided by the table alone, and a block of more than _WALK_BUDGET / 4
+    rows gets b = 0, a plain walk over single subsets.  The slabs along the
+    walk's path hold (K - b + 1) 4 2^b N floats; for b > 0 that is at most
+    2 (K + 1) _WALK_BUDGET, whatever N is.
+
+    Nothing is ever subtracted, so a subset's sums carry only the rounding
+    of its own terms and no error drifts along the walk; and since the
+    terms are added in the same ascending order, and each ratio takes the
+    same operations in the same order, as a walk over single subsets, the
+    margins do not depend on b, bit for bit.
 
     Rounding bound, with u = 2^-53 and |S| <= 12: each of a, b, c, d is off
     by less than (|S| + 3) u times the sum of its terms' magnitudes, and
@@ -175,33 +203,46 @@ def _full_mac_margin(h: np.ndarray, s: float, K: int, rate: float) -> np.ndarray
     times inside _MARGIN_TOL.
     """
     n = h.shape[0]
-    cols = _user_terms(h, s).transpose(1, 0, 2).copy()  # user k's column is cols[k]
-    thresh = np.exp2(np.arange(K + 1) * rate)
-    # slab[depth] holds (1+a, 1+b, c, d) of the subset at that depth of the path
-    slab = np.empty((K + 1, 4, n))
-    slab[0] = ((1.0,), (1.0,), (0.0,), (0.0,))
-    worst = np.full(n, -np.inf)  # running max of (c^2 + d^2 + 2^{|S| R}) / ((1+a)(1+b))
-    sq = np.empty((2, n))
-    ratio = np.empty(n)
-    det = np.empty(n)
+    cols = _user_terms(h, s).transpose(1, 0, 2)[:, :, None].copy()  # user k's is cols[k]
+    b = min(K, max(0, (_WALK_BUDGET // max(n, 1)).bit_length() - 2))
+    width = 1 << b
+    # level[depth][A] = 2^{|S| R} for table subset A joined with depth walked
+    # users, except that the empty set's is -inf, so its ratio never counts
+    sizes = np.array([A.bit_count() for A in range(width)]) + np.arange(K - b + 1)[:, None]
+    level = np.exp2(np.arange(K + 1) * rate)[sizes][..., None]
+    level[0, 0] = -np.inf
+    # slab[depth] holds the table's (1+a, 1+b, c, d) joined with the walk
+    # path's subset at that depth; slab[0] is the table itself
+    slab = np.empty((K - b + 1, 4, width, n))
+    slab[0, :, 0] = ((1.0,), (1.0,), (0.0,), (0.0,))
+    for k in range(b):
+        np.add(slab[0, :, : 1 << k], cols[k], out=slab[0, :, 1 << k : 2 << k])
+    # running max, per table column, of (c^2 + d^2 + 2^{|S| R}) / ((1+a)(1+b))
+    worst = np.full((width, n), -np.inf)
+    sq = np.empty((2, width, n))
+    ratio = np.empty((width, n))
+    det = np.empty((width, n))
     # (depth, k): extend the path's subset at that depth by user k; a child
     # is pushed after its next sibling, so its whole subtree is done before
     # the sibling overwrites slab[depth + 1]
-    stack = [(0, 0)] if K else []
-    while stack:
+    stack = [(0, b)] if b < K else []
+    depth = 0
+    while True:
+        sums = slab[depth]
+        np.square(sums[2:], out=sq)
+        np.add(sq[0], sq[1], out=ratio)
+        np.add(ratio, level[depth], out=ratio)
+        np.multiply(sums[0], sums[1], out=det)
+        np.divide(ratio, det, out=ratio)
+        np.maximum(worst, ratio, out=worst)
+        if not stack:
+            return 1.0 - worst.max(axis=0)
         depth, k = stack.pop()
         if k + 1 < K:
             stack.append((depth, k + 1))
             stack.append((depth + 1, k + 1))
-        child = slab[depth + 1]
-        np.add(slab[depth], cols[k], out=child)
-        np.square(child[2:], out=sq)
-        np.add(sq[0], sq[1], out=ratio)
-        np.add(ratio, thresh[depth + 1], out=ratio)
-        np.multiply(child[0], child[1], out=det)
-        np.divide(ratio, det, out=ratio)
-        np.maximum(worst, ratio, out=worst)
-    return 1.0 - worst
+        depth += 1
+        np.add(slab[depth - 1], cols[k], out=slab[depth])
 
 
 def _subset_bound_gaps(terms: np.ndarray, rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +322,7 @@ def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
       size j by more than its tolerance: not in outage;
     - the exact size-1 (weakest user) or size-K (full set) check fails by
       more than that tolerance: in outage;
-    - otherwise every subset is checked by the drift-free prefix-tree walk of
+    - otherwise every subset is checked by the drift-free table and walk of
       _full_mac_margin, and the row is in outage iff its minimum relative
       margin is negative.  Rows whose margin lies within _MARGIN_TOL of zero
       (or is not finite) are too close to call under rounding and are

@@ -308,6 +308,41 @@ def test_parser_bounds_exit_2(args, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["outage", "simulate", "repair"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(command, workers, tmp_path, capsys):
+    argv = [command, "--trials", "2", "--snr-grid", "30", "--seed", "1", "--workers", workers,
+            "--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--workers: expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_parser_serves_many_runs_without_carrying_state(tmp_path):
+    good = ["outage", "--scheme", "tdma", "--K", "2", "--snr-grid", "0:10:5", "--trials", "400",
+            "--seed", "1", "--workers", "1"]
+    names = ("outage_tdma_K2.csv", "outage_tdma_K2_summary.json")
+    build_parser.cache_clear()  # the good run on its own, with a parser of its own
+    assert main(good + ["--out-dir", str(tmp_path / "alone")]) == 0
+    alone = [(tmp_path / "alone" / name).read_bytes() for name in names]
+    parser = build_parser()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"scheme": "pair", "r": "1/4", "offset": 0.5, "trials": 300}))
+    assert main(["outage", "--config", str(cfg), "--K", "3", "--seed", "2", "--workers", "1",
+                 "--out-dir", str(tmp_path / "config")]) in (0, 4)
+    assert main(["outage", "--scheme", "full-mac", "--K", "3", "--r", "1/3", "--trials", "100",
+                 "--seed", "3", "--workers", "1", "--out-dir", str(tmp_path / "plain")]) in (0, 4)
+    with pytest.raises(SystemExit) as exc:
+        main(["outage", "--r", "1/5", "--offset", "2", "--seed", "4", "--workers", "0",
+              "--out-dir", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert main(good + ["--out-dir", str(tmp_path / "after")]) == 0
+    assert build_parser() is parser
+    assert [(tmp_path / "after" / name).read_bytes() for name in names] == alone
+
+
 def capture_tasks(monkeypatch):
     """Make the sweep driver hand its tasks to a list instead of running
     them; each task reports its trial count for every count."""

@@ -128,6 +128,63 @@ def test_full_mac_walk_sign_equals_reference(K):
     assert decided > 0.99 * rows
 
 
+def prefix_tree_margin(h, s, K, rate):
+    """_full_mac_margin as a walk over single subsets: depth-first over the
+    prefix tree of ascending user lists, each subset's (1+a, 1+b, c, d) its
+    parent's plus one user's column, one (4, N) slab per depth."""
+    n = h.shape[0]
+    cols = outage._user_terms(h, s).transpose(1, 0, 2).copy()
+    thresh = np.exp2(np.arange(K + 1) * rate)
+    slab = np.empty((K + 1, 4, n))
+    slab[0] = ((1.0,), (1.0,), (0.0,), (0.0,))
+    worst = np.full(n, -np.inf)
+    sq, ratio, det = np.empty((2, n)), np.empty(n), np.empty(n)
+    stack = [(0, 0)]
+    while stack:
+        depth, k = stack.pop()
+        if k + 1 < K:
+            stack.append((depth, k + 1))
+            stack.append((depth + 1, k + 1))
+        child = slab[depth + 1]
+        np.add(slab[depth], cols[k], out=child)
+        np.square(child[2:], out=sq)
+        np.add(sq[0], sq[1], out=ratio)
+        np.add(ratio, thresh[depth + 1], out=ratio)
+        np.multiply(child[0], child[1], out=det)
+        np.divide(ratio, det, out=ratio)
+        np.maximum(worst, ratio, out=worst)
+    return 1.0 - worst
+
+
+def table_users(n, K):
+    """The b of _full_mac_margin for n rows: the largest b <= K with
+    2^(b+1) n within the budget, or 0."""
+    return max([b for b in range(K + 1) if 2 ** (b + 1) * n <= outage._WALK_BUDGET] or [0])
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_full_mac_margin_bitwise_equals_prefix_tree_walk(K):
+    budget = outage._WALK_BUDGET
+    mid = K // 2
+    # the largest row counts with b = K and b = mid (the budget boundary),
+    # one row past the latter, and a count past budget / 4 for b = 0
+    counts = {budget >> (K + 1) or 1, budget >> (mid + 1), (budget >> (mid + 1)) + 1, budget // 4 + 1}
+    bs = {table_users(n, K) for n in counts}
+    assert {0, K} <= bs and (K == 1 or any(0 < b < K for b in bs))
+    for n in sorted(counts):
+        h = draw_cn(trial_rng(12, K, n), (n, 2, K))
+        h[: n // 4, :, -1] = h[: n // 4, :, 0]  # a repeated user
+        h[n // 4 : n // 2, :, 0] = 0.0  # a zero column
+        for db in (10.0, 60.0) if K >= 10 else (-10.0, 10.0, 30.0, 60.0):
+            s = SnrPoint(db).snr_linear
+            for r, offset in FULL_MAC_RATES:
+                rate = float(r) * math.log2(s) + offset
+                got = outage._full_mac_margin(h, s, K, rate)
+                want = prefix_tree_margin(h, s, K, rate)
+                assert got.shape == (n,)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, db, r, offset)
+
+
 def _brute_force_min_dets(h, s, K):
     """Minimum det(I + s H_S H_S^H) over the subsets of each size, (K, N)."""
     best = np.full((K, h.shape[0]), np.inf)
