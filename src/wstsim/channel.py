@@ -51,9 +51,11 @@ def draw_cn(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> n
     size = 2 * math.prod(shape)
     buf = np.empty(size) if out is None else out[:size]
     rng.standard_normal(out=buf)
-    z = buf.view(complex).reshape(shape)
-    z /= math.sqrt(2.0)
-    return z
+    # the samples of dividing the complex view by sqrt(2), which numpy does as
+    # a multiplication by 1/sqrt(2), without the complex division; only a
+    # normal that is exactly -0.0 could come out with the other sign of zero
+    buf *= 1.0 / math.sqrt(2.0)
+    return buf.view(complex).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -4,34 +4,51 @@ Decoding runs in two stages.  The first is stacked: factor_sessions takes
 the received matrices and per-user channel arrays of every session of a
 batch that shares a shape, builds their equivalent channels and real
 expansions with one call each, validates the stack once (DecodeProblem) and
-QR-factors it with one np.linalg.qr call (factor).  numpy
-factors a stack matrix by matrix with the same LAPACK routines, so every R
-equals the one a per-session factorization gives, bit for bit; the stacked
-products for Q^T y and the residual offset likewise run, per session, the
-BLAS routines of the 2-D products of a lone system.  The second stage runs
-per session: decode_session runs the exact search on one factored system
-and returns its DecodeResult, whose integer coordinates hold six PAM levels
-per active helper; the protocol unlifts them and builds no lattice point.
+QR-factors it with one np.linalg.qr call (factor).  numpy factors a stack
+matrix by matrix with the same LAPACK routines, so every R equals the one a
+per-session factorization gives, bit for bit; the stacked products for
+Q^T y and the residual offset likewise run, per session, the BLAS routines
+of the 2-D products of a lone system.  factor also builds, for the whole
+stack with a few numpy calls, the tables the search reads: R and z = Q^T y
+as lists of floats, the rank flag, and per level l the products R[l][l] * a
+over the alphabet, with a diagonal entry below 1e-10 taken as exactly 0.
+The second stage runs per session: decode_session runs the exact search on
+one factored system and returns its DecodeResult, whose integer coordinates
+hold six PAM levels per active helper; the protocol unlifts them and builds
+no lattice point.
 
 sphere_decode enumerates the finite coordinate alphabet depth-first after the
-QR factorization: natural column order, per-level candidates sorted by their
-partial-metric increment, radius set by each completed leaf (the initial
-radius is infinite, so the search can never come back empty).  Pruning is
-strict (> radius), which lets exact metric ties reach the leaves; ties are
-broken toward the lexicographically smallest coordinate vector.  The result
-is therefore the exact ML minimizer, bit-for-bit comparable against
+QR factorization (Schnorr-Euchner): natural column order, per-level
+candidates taken in order of their partial-metric increment (ties toward the
+smaller level), radius set by each completed leaf (the initial radius is
+infinite, so the search can never come back empty).  Pruning is strict
+(> radius), which lets exact metric ties reach the leaves; ties are broken
+toward the lexicographically smallest coordinate vector.  The result is
+therefore the exact ML minimizer, bit-for-bit comparable against
 brute_force_ml, the definitional oracle (chunked exhaustive argmin in
 lexicographic order with the same tie rule).  A rank-deficient R is searched
 the same way, with its near-zero diagonal entries set to exactly 0: every
 candidate of such a level then has the same increment, and the tie rule
 picks the smallest level wherever the metric does not depend on it.
 
-The search itself runs on Python floats and lists (R and Q^T y converted
-once per problem, R[l][l] * a precomputed per level), which costs about half
-as much per visited node as numpy scalars.  The interference term of each
-node is summed in ascending column order, so the partial metrics can differ
-from a numpy dot product in the last bits; the tests keep a numpy-node
-search as the reference and require equal coordinates and node counts.
+The search is a loop over explicit state rather than a recursion: the
+current level, each level's untried candidates in order, the partial
+metrics, the coordinates x and the best leaf so far.  Entering a level
+orders its candidates (a single comparison for a two-level alphabet, a sort
+of (increment, level) pairs otherwise) and tries the first; the leaf level
+tries all of its candidates in place; a candidate outside the radius, or an
+exhausted level, sends the search up to the nearest level with a candidate
+left.  Everything runs on Python floats and lists, which costs far less per
+visited node than numpy scalars.  Its float operations are those of the
+recursive search that the tests keep as the bit-exact oracle, in the same
+order: each node's interference term is summed in ascending column order
+from 0.0, its increments are (rhs - R[l][l] a)^2 with the products from the
+table, and x holds the levels as floats, whose products with R are the same
+doubles as with the integer levels.  So coordinates, metrics, node counts
+and rank flags do not depend on which of the two runs, nor on the stack a
+system was factored in.  A numpy dot product could round the interference
+terms differently; the tests also keep a numpy-node search as a reference
+for coordinates and node counts.
 
 The reported metric is the full residual ||y - A x||^2: the enumeration
 works with the reduced metric ||Q^T y - R x||^2 and the constant component
@@ -119,25 +136,37 @@ class DecodeResult:
 
 @dataclass(frozen=True, eq=False)
 class FactoredProblem:
-    """One system of a factored stack: the system itself (matrix, observation
-    and alphabet, as in DecodeProblem), its R factor, z = Q^T y and offset,
-    the squared norm of the component of y outside the column span."""
+    """One system of a factored stack, as its searches read it.
+
+    matrix, observation and levels are the system itself (as in
+    DecodeProblem; the brute-force oracle reads them).  The exact search
+    reads the rest, built by factor for the whole stack: the rows of the R
+    factor and z = Q^T y as lists of floats, offset (the squared norm of the
+    component of y outside the column span), scaled[l], the products
+    R[l][l] * a over the ascending levels a, with a diagonal entry below
+    1e-10 taken as exactly 0, and rank_deficient, whether any was.
+    """
 
     matrix: np.ndarray
     observation: np.ndarray
     levels: tuple[int, ...]
-    r: np.ndarray
-    z: np.ndarray
+    r: list[list[float]]
+    z: list[float]
     offset: float
+    scaled: list[list[float]]
+    rank_deficient: bool
 
 
 def factor(p: DecodeProblem) -> list[FactoredProblem]:
-    """QR-factor every system of p with one np.linalg.qr call.
+    """QR-factor every system of p with one np.linalg.qr call and build the
+    search's tables for the whole stack.
 
     A single system is factored as a stack of one.  z and the residual come
     from stacked matmuls, which numpy evaluates system by system with the
     same BLAS products as a lone 2-D factorization (bit-identical, checked
-    against per-system products in the tests).
+    against per-system products in the tests); the tables are elementwise
+    products and one tolist call each, so no system's tables depend on the
+    stack it was factored in.
     """
     mats = p.matrix if p.matrix.ndim == 3 else p.matrix[None]
     obs = p.observation.reshape(mats.shape[:-1])
@@ -145,15 +174,26 @@ def factor(p: DecodeProblem) -> list[FactoredProblem]:
     z = (q.transpose(0, 2, 1) @ obs[..., None])[..., 0]
     resid = obs - (q @ z[..., None])[..., 0]
     offset = (resid[:, None, :] @ resid[..., None])[:, 0, 0].tolist()
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    deficient = np.abs(diag) < _RANK_TOL
+    scaled = np.where(deficient, 0.0, diag)[..., None] * np.asarray(p.levels, dtype=float)
     return [
-        FactoredProblem(a, y, p.levels, ri, zi, oi)
-        for a, y, ri, zi, oi in zip(mats, obs, r, z, offset)
+        FactoredProblem(a, y, p.levels, ri, zi, oi, si, di)
+        for a, y, ri, zi, oi, si, di in zip(
+            mats, obs, r.tolist(), z.tolist(), offset, scaled.tolist(), deficient.any(axis=1).tolist()
+        )
     ]
 
 
 def _check_one_system(p) -> None:
     if p.matrix.ndim != 2:
         raise ValueError("a decoder takes one system; factor a stack and decode each")
+
+
+@lru_cache(maxsize=64)
+def _level_values(levels: tuple[int, ...]) -> tuple[float, ...]:
+    """The levels as floats, the values the search gives x."""
+    return tuple(float(a) for a in levels)
 
 
 def sphere_decode(p: DecodeProblem | FactoredProblem) -> DecodeResult:
@@ -167,44 +207,86 @@ def sphere_decode(p: DecodeProblem | FactoredProblem) -> DecodeResult:
     _check_one_system(p)
     if not isinstance(p, FactoredProblem):
         (p,) = factor(p)
-    n = p.r.shape[1]
-    rows = p.r.tolist()
-    zl = p.z.tolist()
-    rank_deficient = False
-    for l, row in enumerate(rows):
-        if abs(row[l]) < _RANK_TOL:
-            row[l] = 0.0
-            rank_deficient = True
-    # (R[l][l] * a, a) per level l, candidates a in ascending order
-    scaled = [[(row[l] * a, a) for a in p.levels] for l, row in enumerate(rows)]
-    x = [0] * n
-    best_coords: tuple[int, ...] | None = None
+    rows, zl, scaled = p.r, p.z, p.scaled
+    values = _level_values(p.levels)
+    size = len(values)
+    if size == 2:
+        lo, hi = values
+    elif size == 4:
+        v0, v1, v2, v3 = values
+    n = len(zl)
+    x = [0.0] * n  # the coordinates as floats, so row[j] * x[j] multiplies two doubles
+    dist = [0.0] * (n + 1)  # dist[l + 1]: partial metric of the levels above l
+    rest = [None] * n  # each level's untried (increment, value) pairs, next one last
     best_metric = math.inf
+    best_coords: tuple[float, ...] | None = None
     visited = 0
-
-    def descend(level: int, dist: float) -> None:
-        nonlocal best_coords, best_metric, visited
+    level = n - 1
+    while True:
+        # enter `level`: its interference term, then its candidates in order
         row = rows[level]
         acc = 0.0
         for j in range(level + 1, n):
             acc += row[j] * x[j]
         rhs = zl[level] - acc
-        for inc, val in sorted([((rhs - ra) * (rhs - ra), a) for ra, a in scaled[level]]):
-            visited += 1
-            nd = dist + inc
-            if nd > best_metric:
-                return  # candidates are sorted, the rest are no better
-            x[level] = val
-            if level:
-                descend(level - 1, nd)
-            elif nd < best_metric:
-                best_metric = nd
-                best_coords = tuple(x)
-            elif tuple(x) < best_coords:  # an exact tie: lexicographic rule
-                best_coords = tuple(x)
-
-    descend(n - 1, 0.0)
-    return DecodeResult(best_coords, best_metric + p.offset, visited, rank_deficient)
+        if size == 2:
+            ra0, ra1 = scaled[level]
+            i0 = (rhs - ra0) * (rhs - ra0)
+            i1 = (rhs - ra1) * (rhs - ra1)
+            if i1 < i0:  # exactly when sorted() puts (i1, hi) before (i0, lo)
+                inc, val, order = i1, hi, [(i0, lo)]
+            else:
+                inc, val, order = i0, lo, [(i1, hi)]
+        else:
+            if size == 4:  # the same increments, written out
+                ra0, ra1, ra2, ra3 = scaled[level]
+                e0, e1, e2, e3 = rhs - ra0, rhs - ra1, rhs - ra2, rhs - ra3
+                pairs = [(e0 * e0, v0), (e1 * e1, v1), (e2 * e2, v2), (e3 * e3, v3)]
+            else:
+                pairs = [((rhs - ra) * (rhs - ra), a) for ra, a in zip(scaled[level], values)]
+            order = sorted(pairs, reverse=True)  # the values differ, so this reverses sorted()
+            inc, val = order.pop()
+        # try the first candidate; at level 0 try every candidate in turn
+        visited += 1
+        nd = dist[level + 1] + inc
+        if level:
+            if nd <= best_metric:
+                x[level] = val
+                dist[level] = nd
+                rest[level] = order
+                level -= 1
+                continue
+        else:
+            while nd <= best_metric:
+                x[0] = val
+                if nd < best_metric:
+                    best_metric = nd
+                    best_coords = tuple(x)
+                elif tuple(x) < best_coords:  # an exact tie: lexicographic rule
+                    best_coords = tuple(x)
+                if not order:
+                    break
+                inc, val = order.pop()
+                visited += 1
+                nd = dist[1] + inc
+        # climb to the nearest level with a candidate inside the radius;
+        # candidates are in order, so one outside it ends its level
+        level += 1
+        while level < n:
+            order = rest[level]
+            if order:
+                inc, val = order.pop()
+                visited += 1
+                nd = dist[level + 1] + inc
+                if nd <= best_metric:
+                    x[level] = val
+                    dist[level] = nd
+                    level -= 1
+                    break
+            level += 1
+        else:
+            coords = tuple(map(int, best_coords))
+            return DecodeResult(coords, best_metric + p.offset, visited, p.rank_deficient)
 
 
 def _candidates(levels: tuple[int, ...], n: int, start: int, stop: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ def test_draw_session_deterministic_across_replays():
         h2, w2 = draw_session(trial_rng(999, trial), 2, 1, 2, 3)
         assert np.array_equal(h1, h2)
         assert np.array_equal(w1, w2)
+
+
+def test_draw_cn_equals_complex_division_bitwise():
+    # draw_cn scales the doubles by 1/sqrt(2); the samples must equal, bit for
+    # bit, those of dividing the complex view by sqrt(2)
+    for seed in (41, 2**63 + 5):
+        shape = (2**19, 2)  # 2^20 samples, 2^21 normals
+        z = draw_cn(trial_rng(seed, 3), shape)
+        normals = np.empty(2 * math.prod(shape))
+        trial_rng(seed, 3).standard_normal(out=normals)
+        ref = normals.view(complex).reshape(shape)
+        ref /= math.sqrt(2.0)
+        assert np.array_equal(z.view(np.uint64), ref.view(np.uint64))
 
 
 def test_draw_cn_into_buffer_equals_fresh_draw():

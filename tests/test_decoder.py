@@ -76,6 +76,70 @@ def reference_sphere_decode(p: DecodeProblem) -> DecodeResult:
     return DecodeResult(best_coords, best_metric + offset, visited, rank_deficient)
 
 
+def recursive_sphere_decode(r, z, offset, levels) -> DecodeResult:
+    """sphere_decode as it was before the state machine: a recursive search
+    over tables built per session from the 2-D arrays r and z = Q^T y, with
+    a sorted list per node.  Kept verbatim (p.r, p.z, p.offset and p.levels
+    are now arguments) as the bit-exact oracle: the state machine must
+    return the same DecodeResult, metric bits included."""
+    n = r.shape[1]
+    rows = r.tolist()
+    zl = z.tolist()
+    rank_deficient = False
+    for l, row in enumerate(rows):
+        if abs(row[l]) < 1e-10:
+            row[l] = 0.0
+            rank_deficient = True
+    # (R[l][l] * a, a) per level l, candidates a in ascending order
+    scaled = [[(row[l] * a, a) for a in levels] for l, row in enumerate(rows)]
+    x = [0] * n
+    best_coords: tuple[int, ...] | None = None
+    best_metric = math.inf
+    visited = 0
+
+    def descend(level: int, dist: float) -> None:
+        nonlocal best_coords, best_metric, visited
+        row = rows[level]
+        acc = 0.0
+        for j in range(level + 1, n):
+            acc += row[j] * x[j]
+        rhs = zl[level] - acc
+        for inc, val in sorted([((rhs - ra) * (rhs - ra), a) for ra, a in scaled[level]]):
+            visited += 1
+            nd = dist + inc
+            if nd > best_metric:
+                return  # candidates are sorted, the rest are no better
+            x[level] = val
+            if level:
+                descend(level - 1, nd)
+            elif nd < best_metric:
+                best_metric = nd
+                best_coords = tuple(x)
+            elif tuple(x) < best_coords:  # an exact tie: lexicographic rule
+                best_coords = tuple(x)
+
+    descend(n - 1, 0.0)
+    return DecodeResult(best_coords, best_metric + offset, visited, rank_deficient)
+
+
+def per_matrix_factor(a, y):
+    """R, z = Q^T y and the out-of-span residual offset of one 2-D system."""
+    q, r = np.linalg.qr(a)
+    z = q.T @ y
+    resid = y - q @ z
+    return r, z, float(resid @ resid)
+
+
+def assert_equals_oracle(p: DecodeProblem) -> DecodeResult:
+    """sphere_decode against the recursive oracle on the system factored on
+    its own: the whole DecodeResult, metric compared with ==."""
+    new = sphere_decode(p)
+    old = recursive_sphere_decode(*per_matrix_factor(p.matrix, p.observation), p.levels)
+    assert new == old and new.metric == old.metric
+    assert all(type(c) is int for c in new.coordinates)
+    return new
+
+
 def assert_matches_reference(p: DecodeProblem) -> DecodeResult:
     res = sphere_decode(p)
     ref = reference_sphere_decode(p)
@@ -152,6 +216,65 @@ def test_sphere_equals_numpy_node_reference_on_sessions(m, scheme):
         eqc = build_equivalent_channel(h, basis)
         mat, obs = realify(math.sqrt(snr.snr_linear) * eqc, Y.reshape(-1, order="F"))
         assert_matches_reference(DecodeProblem(mat, obs, pam_levels(m)))
+
+
+ALPHABETS = {1: (5,), 2: pam_levels(2), 4: pam_levels(4), 8: pam_levels(6)}
+
+
+@pytest.mark.parametrize("size", sorted(ALPHABETS))
+@pytest.mark.parametrize("rows,cols", [(6, 6), (12, 12), (9, 6), (12, 5)])
+def test_state_machine_equals_recursive_oracle(size, rows, cols):
+    levels = ALPHABETS[size]
+    rng = np.random.default_rng([size, rows, cols])
+    for noise in (0.0, 0.3, 1.0, 3.0):
+        for _ in range(40 if size < 8 else 5):
+            p, _ = random_problem(rng, rows, cols, levels, noise)
+            assert_equals_oracle(p)
+
+
+@pytest.mark.parametrize("size", sorted(ALPHABETS))
+@pytest.mark.parametrize("tall", [0, 3])
+def test_state_machine_equals_recursive_oracle_on_exact_ties(size, tall):
+    # upper-triangular integer systems factor exactly (Q = I, R = A), and
+    # half-integer observations make many increments, and partial metrics,
+    # exactly equal; y = 0 on the identity ties the two candidates of every
+    # level (i0 == i1 at each node of a two-level search)
+    levels = ALPHABETS[size]
+    rng = np.random.default_rng([size, tall, 7])
+    n = 6 if size < 8 else 4
+    eye = np.vstack([np.eye(n), np.zeros((tall, n))])
+    assert_equals_oracle(DecodeProblem(eye, np.zeros(n + tall), levels))
+    for _ in range(150):
+        a = np.triu(rng.integers(-2, 3, (n, n))).astype(float)
+        a[np.diag_indices(n)] = rng.choice([-2.0, -1.0, 1.0, 2.0], n)
+        a = np.vstack([a, np.zeros((tall, n))])
+        y = 0.5 * rng.integers(-4 * max(levels), 4 * max(levels) + 1, n + tall)
+        assert_equals_oracle(DecodeProblem(a, y, levels))
+
+
+@pytest.mark.parametrize("m", [2, 6])
+def test_state_machine_equals_recursive_oracle_when_rank_deficient(m):
+    rng = np.random.default_rng([m, 13])
+    levels = pam_levels(m)
+    for cols, tall in ((6, 0), (6, 2), (12, 0)):
+        if m == 6 and cols == 12:
+            continue  # 8^12 leaves: covered beyond the guard below
+        for dead in ((0,), (cols - 1,), (1, 3)):
+            p, _ = random_problem(rng, cols + tall, cols, levels, noise=0.5)
+            a = p.matrix.copy()
+            a[:, list(dead)] = 0.0
+            res = assert_equals_oracle(DecodeProblem(a, p.observation, levels))
+            assert res.fallback
+
+
+def test_state_machine_equals_recursive_oracle_beyond_oracle_guard():
+    rng = np.random.default_rng(12)
+    levels = pam_levels(6)
+    for col in (3, 11):
+        p, _ = random_problem(rng, rows=12, cols=12, levels=levels, noise=0.5)
+        a = p.matrix.copy()
+        a[:, col] = 0.0
+        assert assert_equals_oracle(DecodeProblem(a, p.observation, levels)).fallback
 
 
 def test_scalar_problem_quantizes_to_closest_level():

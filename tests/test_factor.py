@@ -1,11 +1,14 @@
 """The stacked first decoding stage against the per-session path it replaced.
 
 factor_sessions builds, realifies, validates and QR-factors a stack of
-sessions at once.  The per-session path kept here as the oracle
-(old_decode_session: build the equivalent channel, realify and QR-factor
-with a 2-D np.linalg.qr for every session on its own, then search) must
-give the same systems, R, z and offsets bit for bit, and the
-same coordinates, node counts and rank flags on repair and session trials.
+sessions at once, and builds the search's tables for the whole stack.  The
+per-session path kept here as the oracle (old_decode_session: build the
+equivalent channel, realify and QR-factor with a 2-D np.linalg.qr for every
+session on its own, then run the recursive search of
+test_decoder.recursive_sphere_decode) must give the same systems, R, z and
+offsets bit for bit, and the same DecodeResults (coordinates, metric bits,
+node counts and rank flags) on repair and session trials.  How sessions are
+cut into stacks changes no result.
 """
 
 import math
@@ -14,30 +17,29 @@ import numpy as np
 import pytest
 
 import wstsim.protocol as protocol
-from wstsim.channel import SnrPoint, draw_cn, draw_session, trial_rng
+from wstsim.channel import SnrPoint, draw_cn, draw_session, transmit, trial_rng
 from wstsim.decoder import (
     DecodeProblem,
-    FactoredProblem,
     brute_force_ml,
     factor,
     factor_sessions,
     sphere_decode,
 )
-from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
+from wstsim.encoder import (
+    build_equivalent_channel,
+    build_pair_codeword,
+    build_tdma_codeword,
+    dispersion_basis,
+    realify,
+)
 from wstsim.cli import _session_range
-from wstsim.lift import pam_levels
-from wstsim.protocol import run_repair_trials, run_session_trials
+from wstsim.lift import lift, pam_levels, random_fragment
+from wstsim.protocol import GROUP_SIZES, run_repair_trials, run_session_trials
 from wstsim.storage import StorageConfig
 
+from test_decoder import per_matrix_factor, recursive_sphere_decode
+
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
-
-
-def per_matrix_factor(a, y):
-    """R, z = Q^T y and the out-of-span residual offset of one 2-D system."""
-    q, r = np.linalg.qr(a)
-    z = q.T @ y
-    resid = y - q @ z
-    return r, z, float(resid @ resid)
 
 
 def old_system(received, per_user, basis, snr):
@@ -50,18 +52,14 @@ def old_system(received, per_user, basis, snr):
 
 
 def old_decode_session(received, h, snr, m):
-    """The per-session decode: build, realify and 2-D QR, then the search."""
-    p = DecodeProblem(*old_system(received, h, dispersion_basis(m), snr), pam_levels(m))
-    return sphere_decode(
-        FactoredProblem(p.matrix, p.observation, p.levels, *per_matrix_factor(p.matrix, p.observation))
-    )
+    """The per-session decode: build, realify and 2-D QR, then the recursive search."""
+    mat, obs = old_system(received, h, dispersion_basis(m), snr)
+    return recursive_sphere_decode(*per_matrix_factor(mat, obs), pam_levels(m))
 
 
 def assert_same_decode(new, old):
-    assert new.coordinates == old.coordinates
-    assert new.visited_nodes == old.visited_nodes
-    assert new.fallback == old.fallback
-    assert math.isclose(new.metric, old.metric, rel_tol=1e-12, abs_tol=1e-300)
+    assert new == old  # coordinates, metric, node count and rank flag
+    assert new.metric == old.metric
 
 
 def record_sessions(monkeypatch):
@@ -148,6 +146,33 @@ def test_session_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     assert len(sent) == len(decoded) == 200
     for (received, h, snr), new in zip(sent, decoded):
         assert_same_decode(new, old_decode_session(received, h, snr, m))
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+def test_decodes_do_not_depend_on_the_stack(scheme, m):
+    # rank flags and the R[l][l] * a tables are built per stack: the same
+    # sessions factored alone and in stacks of 2, 110 and 1,024 must decode
+    # to identical DecodeResults
+    k_act = GROUP_SIZES[scheme]
+    build = build_pair_codeword if k_act == 2 else build_tdma_codeword
+    snr = SnrPoint(12.0)
+    received, chans = [], []
+    for t in range(1024):
+        rng = trial_rng(4242, t)
+        points = [lift(random_fragment(rng, m)) for _ in range(k_act)]
+        h, w = draw_session(rng, 2, 1, k_act, 3)
+        received.append(transmit(build(*points, m), h, w, snr))
+        chans.append(h)
+    decodes = {}
+    for size in (1, 2, 110, 1024):
+        decodes[size] = [
+            sphere_decode(problem)
+            for lo in range(0, 1024, size)
+            for problem in factor_sessions(received[lo : lo + size], chans[lo : lo + size], snr, m)
+        ]
+    for size in (2, 110, 1024):
+        assert decodes[size] == decodes[1]
+        assert [d.metric.hex() for d in decodes[size]] == [d.metric.hex() for d in decodes[1]]
 
 
 def test_session_block_equals_trials_one_by_one():
