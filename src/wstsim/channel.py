@@ -13,12 +13,20 @@ the generator with the 64-bit master seed and places the path words (trial
 index, grid index, ...) in the upper counter words, so distinct paths get
 non-overlapping streams and every draw is a pure function of
 (master_seed, path) no matter the execution order or worker count.
+
+Stacks: draw_session also draws a run of sessions that share one Generator
+(a repair trial's) with a single draw_cn call, and transmit takes a leading
+session axis.  Neither changes a sample or a product: the joint draw holds
+the per-session draws in turn, and a stacked product is the per-session one
+repeated, so the stacked values equal the per-session ones bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,19 +76,44 @@ class SnrPoint:
 
 
 def draw_session(
-    rng: np.random.Generator, n_r: int, n_t: int, k_active: int, T: int
+    rng: np.random.Generator, n_r: int, n_t: int, k_active: int | Sequence[int], T: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fresh fading and noise for one session (channel first, then noise).
 
     Returns the per-user fading matrices, shape (k_active, n_r, n_t), and
     the additive noise, shape (n_r, T).  Both come from one draw: the first
     k_active*n_r*n_t samples are the fading, the rest the noise.
+
+    k_active may also be a sequence of active counts: sessions drawn one
+    after another from rng, in order.  They then take one draw, which holds
+    the samples of the per-session draws in turn, and come back as stacks:
+    the fading of every user, session by session, shape
+    (sum(k_active), n_r, n_t), and the noise, shape (len(k_active), n_r, T).
     """
-    if min(n_r, n_t, k_active, T) < 1:
+    single = isinstance(k_active, (int, np.integer))
+    counts = (k_active,) if single else tuple(k_active)
+    if not counts or min(n_r, n_t, T, *counts) < 1:
         raise ValueError("all dimensions must be positive")
-    n_h = k_active * n_r * n_t
-    z = draw_cn(rng, (n_h + n_r * T,))
-    return z[:n_h].reshape(k_active, n_r, n_t), z[n_h:].reshape(n_r, T)
+    if single:
+        n_h = k_active * n_r * n_t
+        z = draw_cn(rng, (n_h + n_r * T,))
+        return z[:n_h].reshape(k_active, n_r, n_t), z[n_h:].reshape(n_r, T)
+    fading, noise = _draw_layout(n_r * n_t, n_r * T, counts)
+    z = draw_cn(rng, (fading.size + noise.size,))
+    return z[fading].reshape(-1, n_r, n_t), z[noise].reshape(-1, n_r, T)
+
+
+@lru_cache(maxsize=256)
+def _draw_layout(per_user: int, per_noise: int, counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where the fading and the noise samples of sessions drawn in turn sit
+    in their joint draw (cached per layout, read-only)."""
+    sizes = np.array(counts) * per_user + per_noise
+    starts = np.cumsum(sizes) - sizes
+    fading = np.concatenate([np.arange(s, s + k * per_user) for s, k in zip(starts.tolist(), counts)])
+    noise = (starts + sizes - per_noise)[:, None] + np.arange(per_noise)
+    fading.flags.writeable = False
+    noise.flags.writeable = False
+    return fading, noise.reshape(-1)
 
 
 def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint) -> np.ndarray:
@@ -88,13 +121,17 @@ def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint) -> np.n
 
     X stacks the active helpers' transmit rows, shape (k_active*n_t, T); h
     holds their fading matrices (k_active, n_r, n_t) and w the noise (n_r, T).
+    All three may carry a leading session axis, (S, ...), and Y then does
+    too: a stacked product runs, session by session, the matrix product of
+    a lone session, so each received matrix equals its own call's bit for
+    bit.
     """
-    k, n_r, n_t = h.shape
-    if X.shape[0] != k * n_t:
+    k, n_r, n_t = h.shape[-3:]
+    if X.shape[-2] != k * n_t:
         raise ValueError(
-            f"codeword rows {X.shape[0]} do not match {k} users x {n_t} antennas"
+            f"codeword rows {X.shape[-2]} do not match {k} users x {n_t} antennas"
         )
-    if w.shape != (n_r, X.shape[1]):
-        raise ValueError(f"noise shape {w.shape} != ({n_r}, {X.shape[1]})")
-    h_all = h.transpose(1, 0, 2).reshape(n_r, k * n_t)
+    if w.shape[-2:] != (n_r, X.shape[-1]):
+        raise ValueError(f"noise shape {w.shape[-2:]} != ({n_r}, {X.shape[-1]})")
+    h_all = np.swapaxes(h, -3, -2).reshape(*h.shape[:-3], n_r, k * n_t)
     return math.sqrt(snr.snr_linear) * (h_all @ X) + w

@@ -3,15 +3,18 @@
 Decoding runs in two stages.  The first is stacked: factor_sessions takes
 the received matrices and per-user channel arrays of every session of a
 batch that shares a shape, builds their equivalent channels and real
-expansions with one call each, validates the stack once (DecodeProblem) and
-QR-factors it with one np.linalg.qr call (factor).  numpy factors a stack
-matrix by matrix with the same LAPACK routines, so every R equals the one a
-per-session factorization gives, bit for bit; the stacked products for
-Q^T y and the residual offset likewise run, per session, the BLAS routines
-of the 2-D products of a lone system.  factor also builds, for the whole
-stack with a few numpy calls, the tables the search reads: R and z = Q^T y
-as lists of floats, the rank flag, and per level l the products R[l][l] * a
-over the alphabet, with a diagonal entry below 1e-10 taken as exactly 0.
+expansions with one call each, validates the stack once (DecodeProblem:
+shapes, alphabet, and a bound that keeps every residual metric a finite
+double) and QR-factors it with one np.linalg.qr call (factor).  numpy
+factors a stack matrix by matrix with the same LAPACK routines, so every R
+equals the one a per-session factorization gives, bit for bit; the stacked
+products for Q^T y and the residual offset likewise run, per session, the
+BLAS routines of the 2-D products of a lone system.  factor also builds,
+for the whole stack with a few numpy calls, the tables the search reads: R
+and z = Q^T y as lists of floats, the rank flag, and per level l the
+products R[l][l] * a over the alphabet, with a diagonal entry below 1e-10
+taken as exactly 0, and hands each system's share over as a plain
+FactoredProblem record.
 The second stage runs per session: decode_session runs the exact search on
 one factored system and returns its DecodeResult, whose integer coordinates
 hold six PAM levels per active helper; the protocol unlifts them and builds
@@ -82,8 +85,9 @@ class DecodeProblem:
     """Real integer least-squares instances over one finite PAM alphabet.
 
     matrix is one rows x cols system, with observation of length rows, or a
-    stack (S, rows, cols) of systems with observations (S, rows).  Shape,
-    alphabet and finiteness are checked once for the whole stack.
+    stack (S, rows, cols) of systems with observations (S, rows).  Shape and
+    alphabet are checked once for the whole stack, and each system must be
+    finite with a residual metric that cannot overflow.
     """
 
     matrix: np.ndarray
@@ -103,15 +107,23 @@ class DecodeProblem:
             raise ValueError("observation length must match the row count")
         if not self.levels:
             raise ValueError("alphabet must be nonempty")
-        # a finite sum proves every entry finite; a non-finite sum (which an
-        # overflow can also give) is settled entry by entry
-        if not math.isfinite(mat.sum() + obs.sum()) and not (
-            np.isfinite(mat).all() and np.isfinite(obs).all()
-        ):
-            raise ValueError("matrix and observation must be finite")
+        levels = _canonical_levels(tuple(self.levels))
+        # every residual ||y - A x||^2 over the alphabet is at most
+        # (max|a| * sum|A| + sum|y|)^2, and so is every partial metric of the
+        # search; twice that bound squared being finite keeps both decoders'
+        # metrics finite, rounding included.  A non-finite entry makes it
+        # non-finite too.
+        top = max(-levels[0], levels[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = top * np.abs(mat).sum(axis=(-2, -1)) + np.abs(obs).sum(axis=-1)
+            bounded = np.isfinite(np.square(2.0 * bound)).all()
+        if not bounded:
+            raise ValueError(
+                "matrix and observation must be finite, and small enough that no residual metric overflows"
+            )
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "observation", obs)
-        object.__setattr__(self, "levels", _canonical_levels(tuple(self.levels)))
+        object.__setattr__(self, "levels", levels)
 
 
 @lru_cache(maxsize=64)
@@ -134,7 +146,6 @@ class DecodeResult:
     fallback: bool = False
 
 
-@dataclass(frozen=True, eq=False)
 class FactoredProblem:
     """One system of a factored stack, as its searches read it.
 
@@ -144,17 +155,21 @@ class FactoredProblem:
     factor and z = Q^T y as lists of floats, offset (the squared norm of the
     component of y outside the column span), scaled[l], the products
     R[l][l] * a over the ascending levels a, with a diagonal entry below
-    1e-10 taken as exactly 0, and rank_deficient, whether any was.
+    1e-10 taken as exactly 0, and rank_deficient, whether any was.  A plain
+    record, built once per session and only read after.
     """
 
-    matrix: np.ndarray
-    observation: np.ndarray
-    levels: tuple[int, ...]
-    r: list[list[float]]
-    z: list[float]
-    offset: float
-    scaled: list[list[float]]
-    rank_deficient: bool
+    __slots__ = ("matrix", "observation", "levels", "r", "z", "offset", "scaled", "rank_deficient")
+
+    def __init__(self, matrix, observation, levels, r, z, offset, scaled, rank_deficient):
+        self.matrix = matrix
+        self.observation = observation
+        self.levels = levels
+        self.r = r
+        self.z = z
+        self.offset = offset
+        self.scaled = scaled
+        self.rank_deficient = rank_deficient
 
 
 def factor(p: DecodeProblem) -> list[FactoredProblem]:

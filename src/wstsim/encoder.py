@@ -20,12 +20,15 @@ Stacking the receive samples column-major turns a session into the linear
 system y = H x whose column (k, l) is vec(h_k C[l]); columns are ordered
 user-major, then basis index, matching x = [x_{1,1} .. x_{1,s} .. x_{K,s}].
 
-Codewords, bases and systems are plain complex numpy arrays.
+Codewords, bases and systems are plain complex numpy arrays.  The codeword
+builders and build_equivalent_channel also build a stack of sessions at
+once, with a leading session axis, equal to the lone ones bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -74,16 +77,38 @@ def dispersion_basis(m: int) -> np.ndarray:
     return basis
 
 
-def build_pair_codeword(p1: LatticePoint, p2: LatticePoint, m: int) -> np.ndarray:
-    """2 x 3 codeword of a pair session: row j is helper j's embedded row."""
-    alpha = normalizer(m)
-    return alpha * np.array([p1.embedded_row, p2.embedded_row], dtype=complex)
+def build_pair_codeword(
+    p1: LatticePoint | Sequence[LatticePoint], p2: LatticePoint | Sequence[LatticePoint], m: int
+) -> np.ndarray:
+    """2 x 3 codeword of a pair session: row j is helper j's embedded row.
+
+    p1 and p2 may also be equal-length sequences of points, one pair per
+    session, for a stack (S, 2, 3) of codewords.
+    """
+    return _codewords(m, p1, p2)
 
 
-def build_tdma_codeword(p: LatticePoint, m: int) -> np.ndarray:
-    """1 x 3 codeword of a single-helper session (TDMA / odd-K leftover)."""
-    alpha = normalizer(m)
-    return alpha * np.array([p.embedded_row], dtype=complex)
+def build_tdma_codeword(p: LatticePoint | Sequence[LatticePoint], m: int) -> np.ndarray:
+    """1 x 3 codeword of a single-helper session (TDMA / odd-K leftover).
+
+    p may also be a sequence of points, one per session, for a stack
+    (S, 1, 3) of codewords.
+    """
+    return _codewords(m, p)
+
+
+def _codewords(m: int, *helpers) -> np.ndarray:
+    """The helpers' embedded rows times alpha: one codeword when each helper
+    is a LatticePoint, a stack when each is a sequence of them.  Either way
+    every entry is the same product, so a stacked codeword equals the lone
+    one bit for bit."""
+    rows = np.array(
+        [h.embedded_row if isinstance(h, LatticePoint) else [p.embedded_row for p in h] for h in helpers],
+        dtype=complex,
+    )
+    if rows.ndim == 3:  # (helper, session, T): sessions first
+        rows = np.ascontiguousarray(rows.swapaxes(0, 1))
+    return normalizer(m) * rows
 
 
 def build_equivalent_channel(channels, basis: np.ndarray) -> np.ndarray:

@@ -17,19 +17,21 @@ block's zero padding does not spoil a share).
 A session travels as plain values: the fragments of its one or two active
 helpers and the numpy Generator its channel is drawn from.  run_sessions
 takes a batch of sessions (the plans of a range of repair trials, or a
-block of storage-free session trials) in two passes.  The first transmits
-every session in order (lift, codeword, channel draw, transmit); every
-trial draws from its own Generator, so the RNG is consumed exactly as by
-one trial after another.  The second decodes: the sessions are grouped by
-their number of active helpers, each group's real systems are built and
+block of storage-free session trials) in stages, each run on stacks.  The
+draw comes first: each run of consecutive sessions that share a Generator
+(one repair trial's) gets its fading and noise from one draw_session call,
+in session order, so the RNG is consumed exactly as by one session after
+another.  Then, for each number of active helpers in turn, every helper's
+fragment is lifted, the sessions' codewords are built as one stack and sent
+through one stacked transmit, and their real systems are built and
 QR-factored as stacks of at most SESSION_BATCH systems
-(decoder.factor_sessions), and then each session, in order, gets its own
-exact search (decoder.decode_session).  Each helper's six decoded PAM
-coordinates are unlifted to a fragment, and a session errored when an
-unlifted fragment differs from the one sent; lift is a bijection, so that
-is the same decision as comparing the lattice points.  A stacked
-factorization equals the per-session ones bit for bit, so how trials are
-split into batches changes no result.
+(decoder.factor_sessions); each session then gets its own exact search
+(decoder.decode_session), taken in the stack's order.  Each helper's six
+decoded PAM coordinates are unlifted to a fragment, and a session errored
+when an unlifted fragment differs from the one sent; lift is a bijection,
+so that is the same decision as comparing the lattice points.  A stacked
+draw, product or factorization equals the per-session one bit for bit, so
+neither the stages nor how trials are split into batches change a result.
 
 Shares are cut into fragments, and reassembled from them, as integers: a
 share's bytes are one big-endian integer, zero-padded at the end to whole
@@ -59,7 +61,7 @@ from .storage import NodeContent, StorageConfig, mds_encode, repair_node
 GROUP_SIZES = {"tdma": 1, "pair": 2}
 
 
-#: most sessions run_repair_trials holds before decoding them, and the
+#: most sessions run_repair_trials holds before sending them, and the
 #: largest stack run_sessions factors at once: a pair session's arrays take
 #: ~7 KB while its stack is factored, so a stack peaks near 8 MB
 SESSION_BATCH = 1024
@@ -130,29 +132,36 @@ def run_sessions(
     Returns, per session, the decoded fragments, whether any of them differs
     from the one sent, and the decoder's result.
     """
-    received, channels = [], []
-    for fragments, rng in sessions:
-        points = [lift(f) for f in fragments]
-        build = build_pair_codeword if len(points) == 2 else build_tdma_codeword
-        codeword = build(*points, m)
-        h, w = draw_session(rng, n_r=2, n_t=1, k_active=len(points), T=3)
-        if noiseless:
-            w = np.zeros_like(w)
-        received.append(transmit(codeword, h, w, snr))
-        channels.append(h)
-    problems = [None] * len(sessions)
-    for k_act in (1, 2):
-        idx = [i for i, (fragments, _) in enumerate(sessions) if len(fragments) == k_act]
+    if not sessions:
+        return []
+    sizes = [len(fragments) for fragments, _ in sessions]
+    if not set(sizes) <= {1, 2}:
+        raise ValueError("a session has one or two active helpers")
+    fading, noise, start = [], [], 0
+    for stop in range(1, len(sessions) + 1):
+        if stop == len(sessions) or sessions[stop][1] is not sessions[start][1]:
+            h, w = draw_session(sessions[start][1], 2, 1, sizes[start:stop], 3)
+            fading.append(h)
+            noise.append(w)
+            start = stop
+    fading, noise = np.concatenate(fading), np.concatenate(noise)
+    if noiseless:
+        noise = np.zeros_like(noise)
+    first_user = np.cumsum(sizes) - sizes
+    out = [None] * len(sessions)
+    for k, build in ((1, build_tdma_codeword), (2, build_pair_codeword)):
+        idx = [i for i, size in enumerate(sizes) if size == k]
+        if not idx:
+            continue
+        points = [[lift(sessions[i][0][j]) for i in idx] for j in range(k)]
+        h = fading[first_user[idx][:, None] + np.arange(k)]
+        received = transmit(build(*points, m), h, noise[idx], snr)
         for lo in range(0, len(idx), SESSION_BATCH):
-            part = idx[lo : lo + SESSION_BATCH]
-            stack = factor_sessions([received[i] for i in part], [channels[i] for i in part], snr, m)
-            for i, problem in zip(part, stack):
-                problems[i] = problem
-    out = []
-    for (sent, _), problem in zip(sessions, problems):
-        res = decode_session(problem, decoder_mode)
-        got = [unlift(res.coordinates[j : j + 6], m) for j in range(0, 6 * len(sent), 6)]
-        out.append((got, got != sent, res))
+            part = slice(lo, lo + SESSION_BATCH)
+            for i, problem in zip(idx[part], factor_sessions(received[part], h[part], snr, m)):
+                res = decode_session(problem, decoder_mode)
+                got = [unlift(res.coordinates[j : j + 6], m) for j in range(0, 6 * k, 6)]
+                out[i] = (got, got != sessions[i][0], res)
     return out
 
 

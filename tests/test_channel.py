@@ -163,3 +163,51 @@ def test_received_snr_calibration():
     ratio = float(np.mean(np.abs(signal) ** 2).sum() / np.mean(np.abs(w) ** 2).sum())
     expected = snr.snr_linear * 1 * 2
     assert abs(ratio - expected) / expected < 0.03
+
+
+# ---------------------------------------------------------------------------
+# stacks: one draw for a run of sessions, one product for many
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_r,n_t,T", [(2, 1, 3), (3, 2, 4)])
+def test_draw_session_sequence_equals_the_draws_in_turn(n_r, n_t, T):
+    for counts in ([2], [1], [2, 2, 1] * 4, [1] * 10, [1, 3, 2]):
+        rng, ref = trial_rng(55, len(counts)), trial_rng(55, len(counts))
+        h, w = draw_session(rng, n_r, n_t, counts, T)
+        singles = [draw_session(ref, n_r, n_t, k, T) for k in counts]
+        assert h.shape == (sum(counts), n_r, n_t) and w.shape == (len(counts), n_r, T)
+        assert np.array_equal(_bits(h), _bits(np.concatenate([hk for hk, _ in singles])))
+        assert np.array_equal(_bits(w), _bits(np.stack([wk for _, wk in singles])))
+        assert rng.standard_normal() == ref.standard_normal()  # the Generators agree after
+
+
+def test_draw_session_sequence_validation():
+    for counts in ([], [2, 0, 1], [-1]):
+        with pytest.raises(ValueError):
+            draw_session(trial_rng(1), 2, 1, counts, 3)
+    with pytest.raises(ValueError):
+        draw_session(trial_rng(1), 0, 1, [1, 2], 3)
+
+
+@pytest.mark.parametrize("k,n_t", [(1, 1), (2, 1), (2, 2)])
+def test_stacked_transmit_equals_per_session_bitwise(k, n_t):
+    rng = trial_rng(606, k, n_t)
+    S = 400
+    X = draw_cn(rng, (S, k * n_t, 3))
+    h = draw_cn(rng, (S, k, 2, n_t))
+    w = draw_cn(rng, (S, 2, 3))
+    w[::3] = 0.0  # zero noise, where a product's sign of zero would show
+    snr = SnrPoint(11.0)
+    Y = transmit(X, h, w, snr)
+    assert Y.shape == (S, 2, 3)
+    for n in range(S):
+        assert np.array_equal(_bits(Y[n]), _bits(transmit(X[n], h[n], w[n], snr)))
+    with pytest.raises(ValueError):
+        transmit(X, h[:, :1] if k == 2 else np.concatenate([h, h], axis=1), w, snr)
+    with pytest.raises(ValueError):
+        transmit(X, h, w[..., :2], snr)

@@ -52,6 +52,19 @@ def test_tdma_codeword_of_one():
     assert np.allclose(X / normalizer(2), np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_stacked_codewords_equal_per_session_bitwise(m):
+    rng = np.random.default_rng(m)
+    first, second = ([lift(Fragment(int(v), m)) for v in rng.integers(0, 1 << (3 * m), 300)] for _ in range(2))
+    pairs = build_pair_codeword(first, second, m)
+    singles = build_tdma_codeword(first, m)
+    assert pairs.shape == (300, 2, 3) and singles.shape == (300, 1, 3)
+    assert pairs.flags.c_contiguous and singles.flags.c_contiguous
+    for n, (p1, p2) in enumerate(zip(first, second)):
+        assert np.array_equal(pairs[n].view(np.uint64), build_pair_codeword(p1, p2, m).view(np.uint64))
+        assert np.array_equal(singles[n].view(np.uint64), build_tdma_codeword(p1, m).view(np.uint64))
+
+
 def test_dispersion_sum_reproduces_codeword_exhaustive_m2():
     basis = dispersion_basis(2)
     points = all_points(2)

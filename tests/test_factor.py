@@ -63,13 +63,18 @@ def assert_same_decode(new, old):
 
 
 def record_sessions(monkeypatch):
-    """Record every session the protocol transmits and every decode it runs."""
+    """Record every session the protocol transmits and every decode it runs.
+
+    The protocol transmits a stack of sessions at a time and decodes them in
+    the stack's order, so each session of a stacked call is recorded on its
+    own.
+    """
     sent, decoded = [], []
     transmit, decode_session = protocol.transmit, protocol.decode_session
 
     def recording_transmit(codeword, h, w, snr):
         received = transmit(codeword, h, w, snr)
-        sent.append((received, h, snr))
+        sent.extend((received[n], h[n], snr) for n in range(len(received)))
         return received
 
     def recording_decode(problem, mode="sphere"):
@@ -197,6 +202,22 @@ def test_non_finite_entry_in_a_stack_raises(bad):
     received[1][0, 2] = bad
     with pytest.raises(ValueError):
         factor_sessions(received, chans, SnrPoint(10.0), 2)
+
+
+def test_a_metric_that_can_overflow_is_refused():
+    # finite entries whose residual metric overflows a double: sphere_decode
+    # raised TypeError on this system and brute_force_ml returned coordinates None
+    with pytest.raises(ValueError):
+        DecodeProblem(np.array([[1e308]]), np.array([3e307]), (-3, -1, 1, 3))
+    mats, obs = np.stack([np.eye(2)] * 3), np.zeros((3, 2))
+    mats[1, 0, 0] = 1e200  # one system of the stack: (2e200)^2 overflows
+    with pytest.raises(ValueError):
+        DecodeProblem(mats, obs, (-1, 1))
+    # a large system inside the bound decodes, and both decoders agree
+    p = DecodeProblem(np.array([[1e150, 0.0], [2e149, 5e149]]), np.array([3e149, -4e149]), (-3, -1, 1, 3))
+    sphere, oracle = sphere_decode(p), brute_force_ml(p)
+    assert sphere.coordinates == oracle.coordinates == (1, -1)
+    assert math.isfinite(sphere.metric) and math.isclose(sphere.metric, oracle.metric, rel_tol=1e-12)
 
 
 def test_stack_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
-from wstsim.encoder import build_tdma_codeword, normalizer
+from wstsim.encoder import build_pair_codeword, build_tdma_codeword, normalizer
 from wstsim.lift import Fragment, lift
 import wstsim.protocol as protocol
 from wstsim.protocol import (
@@ -280,3 +280,67 @@ def test_no_stack_exceeds_the_session_batch(monkeypatch):
     results = run_repair_trials(cfg, 2, SnrPoint(30.0), "pair", "sphere", 3, range(2), noiseless=True)
     assert all(r.repaired_share_ok and not r.shares_failed for r in results)
     assert sizes == [683, 1024, 342] * 2
+
+
+# ---------------------------------------------------------------------------
+# the stacked send stage against a session-by-session loop
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _send_one_by_one(sessions, m, snr, noiseless):
+    """Each session's own draw, codeword and transmit, in session order."""
+    out = []
+    for fragments, rng in sessions:
+        points = [lift(f) for f in fragments]
+        h, w = draw_session(rng, 2, 1, len(points), 3)
+        if noiseless:
+            w = np.zeros_like(w)
+        codeword = build_pair_codeword(*points, m) if len(points) == 2 else build_tdma_codeword(*points, m)
+        out.append((transmit(codeword, h, w, snr), h))
+    return out
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_stacked_send_equals_the_per_session_loop(scheme, m, noiseless, monkeypatch):
+    snr = SnrPoint(14.0)
+    stacks = []
+    stacked_transmit = protocol.transmit
+
+    def recording(codeword, h, w, snr):
+        received = stacked_transmit(codeword, h, w, snr)
+        stacks.append((received, h))
+        return received
+
+    def batch():
+        return [s for t in range(30) for s in protocol._send_repair(CFG, m, scheme, 21, t)[1]]
+
+    monkeypatch.setattr(protocol, "transmit", recording)
+    stacked, single = batch(), batch()
+    protocol.run_sessions(stacked, m, snr, noiseless=noiseless)
+    looped = _send_one_by_one(single, m, snr, noiseless)
+    # one stack per session size, singletons first, each in session order
+    sizes = [len(fragments) for fragments, _ in single]
+    order = [i for k in (1, 2) for i, size in enumerate(sizes) if size == k]
+    received = [y for ys, _ in stacks for y in ys]
+    channels = [h for _, hs in stacks for h in hs]
+    assert len(stacks) == len(set(sizes)) and len(received) == len(single) == 30 * (12 if m == 2 else 10)
+    for n, i in enumerate(order):
+        assert np.array_equal(_bits(received[n]), _bits(looped[i][0]))
+        assert np.array_equal(_bits(channels[n]), _bits(looped[i][1]))
+    # every trial's Generator is left where the per-session loop leaves it
+    after = [rng.standard_normal() for rng in {id(rng): rng for _, rng in stacked}.values()]
+    assert after == [rng.standard_normal() for rng in {id(rng): rng for _, rng in single}.values()]
+    assert len(after) == 30
+
+
+def test_run_sessions_refuses_other_session_sizes():
+    rng = trial_rng(3)
+    frags = [Fragment(1, 2)] * 3
+    with pytest.raises(ValueError):
+        protocol.run_sessions([(frags, rng)], 2, SnrPoint(10.0))
+    assert protocol.run_sessions([], 2, SnrPoint(10.0)) == []
