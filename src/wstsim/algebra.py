@@ -133,6 +133,22 @@ class FieldElement:
         g0, g1, g2 = _as_gaussian(c0), _as_gaussian(c1), _as_gaussian(c2)
         self._v = (g0.re, g0.im, g1.re, g1.im, g2.re, g2.im)
 
+    @classmethod
+    def from_ints(cls, r0: int, i0: int, r1: int, i1: int, r2: int, i2: int) -> FieldElement:
+        """The element with coefficients r0 + i0*i, r1 + i1*i and r2 + i2*i,
+        from six Python ints and without a GaussianInt per coefficient."""
+        if not (
+            isinstance(r0, int) and isinstance(i0, int) and isinstance(r1, int)
+            and isinstance(i1, int) and isinstance(r2, int) and isinstance(i2, int)
+        ):
+            raise TypeError("FieldElement coefficients must be Python ints")
+        return _element((r0, i0, r1, i1, r2, i2))
+
+    @property
+    def ints(self) -> tuple[int, int, int, int, int, int]:
+        """The six coefficient ints, in the order from_ints takes them."""
+        return self._v
+
     @property
     def c0(self) -> GaussianInt:
         return GaussianInt(self._v[0], self._v[1])
@@ -259,12 +275,18 @@ def apply_tau(x: FieldElement, power: int) -> FieldElement:
 
 
 def embed(x: FieldElement, j: int) -> complex:
-    """Numerical embedding sigma_j = tau^j: evaluate coefficients at rho_j."""
+    """Numerical embedding sigma_j = tau^j: evaluate coefficients at rho_j.
+
+    The real and imaginary parts are evaluated separately; each equals, to
+    the bit, that of the complex sum c0 + c1*rho + c2*(rho*rho), signs of
+    zero included.
+    """
     if j not in (0, 1, 2):
         raise ValueError(f"embedding index must be 0, 1 or 2, got {j!r}")
     rho = ROOTS[j]
+    rho2 = rho * rho
     r0, i0, r1, i1, r2, i2 = x._v
-    return complex(r0, i0) + complex(r1, i1) * rho + complex(r2, i2) * (rho * rho)
+    return complex(r0 + r1 * rho + r2 * rho2, i0 + i1 * rho + i2 * rho2)
 
 
 def trace_norm(x: FieldElement) -> tuple[GaussianInt, GaussianInt]:

@@ -326,20 +326,18 @@ def _session_range(task):
 def _repair_range(task):
     """Worker: repair trials [start, stop) at one SNR point, as counts."""
     (cfg, m, scheme, decoder_mode, noiseless), seed, snr_idx, snr_db, start, stop = task
-    counts = np.zeros(6, dtype=np.int64)  # sessions, errored, shares, failed, repairs, repair_fail
+    sessions = errored = failed = repair_fail = 0
     for block in _blocks(start, stop):
         for res in run_repair_trials(
             cfg, m, SnrPoint(snr_db), scheme, decoder_mode, seed, block, noiseless
         ):
-            counts += (
-                res.sessions_total,
-                res.sessions_errored,
-                cfg.d,
-                res.shares_failed,
-                1,
-                0 if res.repaired_share_ok else 1,
-            )
-    return snr_idx, counts
+            sessions += res.sessions_total
+            errored += res.sessions_errored
+            failed += res.shares_failed
+            repair_fail += not res.repaired_share_ok
+    repairs = stop - start
+    # sessions, errored, shares, failed, repairs, repair_fail
+    return snr_idx, (sessions, errored, cfg.d * repairs, failed, repairs, repair_fail)
 
 
 def cmd_simulate(args) -> int:
@@ -404,16 +402,18 @@ def _selftest_algebra(rng) -> tuple[bool, str]:
 
 
 def _selftest_lift() -> tuple[bool, str]:
-    seen = set()
-    for i in range(64):
-        frag = Fragment(i, 2)
-        point = lift(frag)
-        if unlift(point.coordinates, 2) != frag:
-            return False, f"round trip failed for {i:06b}"
-        seen.add(point.element.coefficients())
-    if len(seen) != 64:
-        return False, "lift is not injective at m=2"
-    return True, "lift bijective on all 64 fragments at m=2"
+    # m=2 and m=4 are the constellations of the benchmark's pair and TDMA runs
+    for m in (2, 4):
+        seen = set()
+        for i in range(1 << (3 * m)):
+            frag = Fragment(i, m)
+            point = lift(frag)
+            if unlift(point.coordinates, m) != frag:
+                return False, f"round trip failed for {i:0{3 * m}b} at m={m}"
+            seen.add(point.element)
+        if len(seen) != 1 << (3 * m):
+            return False, f"lift is not injective at m={m}"
+    return True, "lift bijective on all 64 fragments at m=2 and all 4,096 at m=4"
 
 
 def _selftest_decoder(seed: int) -> tuple[bool, str]:

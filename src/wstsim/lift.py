@@ -19,10 +19,21 @@ check them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from .algebra import FieldElement, GaussianInt, embed
+
+
+_set = object.__setattr__
+
+
+def _no_assign(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _no_delete(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _check_m(m: int) -> None:
@@ -110,28 +121,53 @@ def _gray_axis(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     return level, {lv: v for v, lv in enumerate(level)}
 
 
-@dataclass(frozen=True)
 class Fragment:
     """An encoded-share chunk of exactly 3*m bits (one lattice point), held
-    as the integer they spell, most significant bit first."""
+    as the integer they spell, most significant bit first.  Immutable;
+    equal fragments hash equal."""
 
-    value: int
-    m: int
+    __slots__ = ("value", "m")
 
-    def __post_init__(self) -> None:
-        _check_m(self.m)
-        if not isinstance(self.value, int) or not 0 <= self.value < 1 << (3 * self.m):
-            raise ValueError(
-                f"fragment must be an int of 3*m = {3 * self.m} bits, got {self.value!r}"
-            )
+    def __init__(self, value: int, m: int) -> None:
+        if not (
+            isinstance(m, int) and m >= 2 and not m % 2
+            and isinstance(value, int) and 0 <= value < 1 << (3 * m)
+        ):
+            _check_m(m)  # raises first when m is the bad argument
+            raise ValueError(f"fragment must be an int of 3*m = {3 * m} bits, got {value!r}")
+        _set(self, "value", value)
+        _set(self, "m", m)
+
+    __setattr__ = _no_assign
+    __delattr__ = _no_delete
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value and self.m == other.m
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.m))
+
+    def __repr__(self) -> str:
+        return f"Fragment(value={self.value!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        return Fragment, (self.value, self.m)
 
 
-@dataclass(frozen=True)
 class LatticePoint:
-    """A constellation point: field element plus its three embeddings."""
+    """A constellation point: field element plus its three embeddings.
+    Immutable; equal points hash equal."""
 
-    element: FieldElement
-    embedded_row: tuple[complex, complex, complex]
+    __slots__ = ("element", "embedded_row")
+
+    def __init__(self, element: FieldElement, embedded_row: tuple[complex, complex, complex]) -> None:
+        _set(self, "element", element)
+        _set(self, "embedded_row", embedded_row)
+
+    __setattr__ = _no_assign
+    __delattr__ = _no_delete
 
     @classmethod
     def from_element(cls, element: FieldElement) -> LatticePoint:
@@ -140,20 +176,39 @@ class LatticePoint:
     @property
     def coordinates(self) -> tuple[int, ...]:
         """The six PAM levels that unlift reads: re and im of q1, q2, q3."""
-        return tuple(v for q in self.element.coefficients() for v in (q.re, q.im))
+        return self.element.ints
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.element == other.element and self.embedded_row == other.embedded_row
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.element, self.embedded_row))
+
+    def __repr__(self) -> str:
+        return f"LatticePoint(element={self.element!r}, embedded_row={self.embedded_row!r})"
+
+    def __reduce__(self):
+        return LatticePoint, (self.element, self.embedded_row)
 
 
 def lift(frag: Fragment) -> LatticePoint:
-    """Lift a fragment onto the lattice: (b1, b2, b3) -> q1 + q2*eta + q3*eta^2."""
+    """Lift a fragment onto the lattice: (b1, b2, b3) -> q1 + q2*eta + q3*eta^2.
+
+    The six (m/2)-bit Gray words of the fragment, most significant first,
+    are the in-phase and quadrature words of q1, q2 and q3.
+    """
     m, v = frag.m, frag.value
     half = m // 2
     mask = (1 << half) - 1
     level = _gray_axis(m)[0]
-    q = [
-        GaussianInt(level[(v >> (shift + half)) & mask], level[(v >> shift) & mask])
-        for shift in (2 * m, m, 0)
-    ]
-    return LatticePoint.from_element(FieldElement(q[0], q[1], q[2]))
+    x = FieldElement.from_ints(
+        level[v >> 5 * half & mask], level[v >> 4 * half & mask],
+        level[v >> 3 * half & mask], level[v >> m & mask],
+        level[v >> half & mask], level[v & mask],
+    )
+    return LatticePoint(x, (embed(x, 0), embed(x, 1), embed(x, 2)))
 
 
 def unlift(coordinates, m: int) -> Fragment:
@@ -168,11 +223,13 @@ def unlift(coordinates, m: int) -> Fragment:
     word = _gray_axis(m)[1]
     if len(coordinates) != 6:
         raise ValueError(f"a point has six PAM levels, got {len(coordinates)}")
+    c0, c1, c2, c3, c4, c5 = coordinates
     half = m // 2
-    value = 0
     try:
-        for c in coordinates:
-            value = (value << half) | word[c]
+        value = (
+            word[c0] << 5 * half | word[c1] << 4 * half | word[c2] << 3 * half
+            | word[c3] << m | word[c4] << half | word[c5]
+        )
     except KeyError:
         raise ValueError(
             f"{tuple(coordinates)!r} has a level outside {1 << m}-QAM"

@@ -48,6 +48,8 @@ K*r/2); callers pick the TDMA m accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -108,7 +110,7 @@ def plan_sessions(helpers, blocks_per_helper: int, rng, g: int) -> list[tuple[tu
         raise ValueError("the group size g must be positive")
     sessions = []
     for block in range(blocks_per_helper):
-        order = [helpers[i] for i in rng.permutation(len(helpers))] if g > 1 else helpers
+        order = [helpers[i] for i in rng.permutation(len(helpers)).tolist()] if g > 1 else helpers
         sessions += [(tuple(order[i : i + g]), block) for i in range(0, len(order), g)]
     return sessions
 
@@ -137,13 +139,11 @@ def run_sessions(
     sizes = [len(fragments) for fragments, _ in sessions]
     if not set(sizes) <= {1, 2}:
         raise ValueError("a session has one or two active helpers")
-    fading, noise, start = [], [], 0
-    for stop in range(1, len(sessions) + 1):
-        if stop == len(sessions) or sessions[stop][1] is not sessions[start][1]:
-            h, w = draw_session(sessions[start][1], 2, 1, sizes[start:stop], 3)
-            fading.append(h)
-            noise.append(w)
-            start = stop
+    fading, noise = [], []
+    for rng, run in groupby(sessions, key=itemgetter(1)):  # a Generator equals only itself
+        h, w = draw_session(rng, 2, 1, [len(fragments) for fragments, _ in run], 3)
+        fading.append(h)
+        noise.append(w)
     fading, noise = np.concatenate(fading), np.concatenate(noise)
     if noiseless:
         noise = np.zeros_like(noise)
@@ -160,7 +160,8 @@ def run_sessions(
             part = slice(lo, lo + SESSION_BATCH)
             for i, problem in zip(idx[part], factor_sessions(received[part], h[part], snr, m)):
                 res = decode_session(problem, decoder_mode)
-                got = [unlift(res.coordinates[j : j + 6], m) for j in range(0, 6 * k, 6)]
+                c = res.coordinates
+                got = [unlift(c, m)] if k == 1 else [unlift(c[:6], m), unlift(c[6:], m)]
                 out[i] = (got, got != sessions[i][0], res)
     return out
 
@@ -177,30 +178,39 @@ def _send_repair(cfg: StorageConfig, m: int, scheme: str, seed: int, trial: int)
     contents = mds_encode(file, cfg)
     lost = int(rng.integers(cfg.n))
     survivors = [i for i in range(cfg.n) if i != lost]
-    helpers = sorted(int(h) for h in rng.choice(survivors, size=cfg.d, replace=False))
+    helpers = sorted(rng.choice(survivors, size=cfg.d, replace=False).tolist())
 
     fragments = {h: share_fragments(contents[h].fragment, m) for h in helpers}
-    n_blocks = len(fragments[helpers[0]])
-    plan = plan_sessions(helpers, n_blocks, rng, GROUP_SIZES[scheme])
+    plan = plan_sessions(helpers, len(fragments[helpers[0]]), rng, GROUP_SIZES[scheme])
     sessions = [([fragments[h][block] for h in group], rng) for group, block in plan]
     return (contents, lost, helpers, plan), sessions
 
 
 def _finish_repair(cfg: StorageConfig, sent, outcomes) -> RepairTrialResult:
-    """Reassemble a trial's decoded shares and repair from the right ones."""
+    """Reassemble a trial's decoded shares and repair from the right ones.
+
+    A session that did not err decoded every fragment it carried right, so
+    only the shares of helpers in an errored session are reassembled (the
+    plan lists each helper's blocks in order) and compared with the sent
+    ones.
+    """
     contents, lost, helpers, plan = sent
-    decoded: dict[int, dict[int, Fragment]] = {h: {} for h in helpers}
+    decoded: dict[int, list[Fragment]] = {}
     sessions_errored = 0
-    for (group, block), (got, errored, _) in zip(plan, outcomes):
-        sessions_errored += errored
-        for h, frag in zip(group, got):
-            decoded[h][block] = frag
+    for (group, _), (_, errored, _) in zip(plan, outcomes):
+        if errored:
+            sessions_errored += 1
+            decoded.update((h, []) for h in group)
+    if decoded:
+        for (group, _), (got, _, _) in zip(plan, outcomes):
+            for h, frag in zip(group, got):
+                if h in decoded:
+                    decoded[h].append(frag)
 
     usable: list[NodeContent] = []
     for h in helpers:
         share = contents[h].fragment
-        blocks = decoded[h]
-        if join_fragments([blocks[b] for b in range(len(blocks))], len(share)) == share:
+        if h not in decoded or join_fragments(decoded[h], len(share)) == share:
             usable.append(contents[h])
     repaired_ok = False
     if len(usable) >= cfg.k:

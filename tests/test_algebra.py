@@ -261,3 +261,39 @@ def test_gaussian_int_arithmetic():
 def test_gaussian_int_rejects_non_ints():
     with pytest.raises(TypeError):
         GaussianInt(1.5, 0)
+
+
+def test_from_ints_equals_the_gaussian_constructor():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        c = [int(v) for v in rng.integers(-1000, 1001, size=6)]
+        x = FieldElement.from_ints(*c)
+        assert x == FieldElement(GaussianInt(c[0], c[1]), GaussianInt(c[2], c[3]), GaussianInt(c[4], c[5]))
+        assert hash(x) == hash(FieldElement(GaussianInt(c[0], c[1]), GaussianInt(c[2], c[3]), GaussianInt(c[4], c[5])))
+        assert x.ints == tuple(c)
+        assert x.ints == tuple(v for q in x.coefficients() for v in (q.re, q.im))
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+def test_from_ints_rejects_non_ints_like_the_constructor(bad):
+    for pos in range(6):
+        coeffs = [1, -1, 3, 1, -3, 1]
+        coeffs[pos] = bad
+        with pytest.raises(TypeError):
+            FieldElement.from_ints(*coeffs)
+    with pytest.raises(TypeError):
+        FieldElement(GaussianInt(1, 1), bad, 0)
+
+
+def test_embed_equals_the_complex_sum_bit_for_bit():
+    # embed evaluates real and imaginary parts apart; both must equal those
+    # of the complex sum c0 + c1*rho + c2*(rho*rho), signs of zero included
+    rng = np.random.default_rng(13)
+    for bound in (1, 3, 255, 10**6, 2**62):
+        for _ in range(3000):
+            c = [int(v) for v in rng.integers(-bound, bound, size=6, endpoint=True)]
+            x = FieldElement.from_ints(*c)
+            for j, rho in enumerate(ROOTS):
+                want = complex(c[0], c[1]) + complex(c[2], c[3]) * rho + complex(c[4], c[5]) * (rho * rho)
+                got = embed(x, j)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

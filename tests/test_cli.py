@@ -441,4 +441,18 @@ def test_selftest_passes(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
     assert res.stdout.count("ok") >= 4
     assert "selftest outage: ok" in res.stdout
+    assert "all 4,096 at m=4" in res.stdout
     assert "FAIL" not in res.stdout
+
+
+def test_selftest_lift_checks_m4(monkeypatch):
+    # a lift that breaks only in the benchmark's TDMA constellation fails it
+    real = cli.unlift
+
+    def broken(coordinates, m):
+        frag = real(coordinates, m)
+        return cli.Fragment(frag.value ^ 1, m) if m == 4 and frag.value == 4000 else frag
+
+    monkeypatch.setattr(cli, "unlift", broken)
+    ok, detail = cli._selftest_lift()
+    assert not ok and "m=4" in detail

@@ -20,6 +20,12 @@ decode right would change these files and no other entry.
 The dmt entries (both K = 10 files and the K = 3 CSV) and simulate_tdma_m4
 were added from the CLI before the three DMT curves became one group-size
 formula and TDMA became the group size 1 of the session planner.
+
+The 20-trial repair entries (the benchmark's arguments, pair m=2 and tdma
+m=4) and repair_pair_m2_ml (the exhaustive ML decoder, 5 trials) were added
+from the CLI at commit e9161db, before lift, Fragment and LatticePoint lost
+their per-value objects: they cover many more sessions than the 3-trial
+entries.
 """
 
 import numpy as np
@@ -395,6 +401,48 @@ GOLDEN = {
             'tdma,4,sphere,10.0,40,23,0.575,22.2\n'
             'tdma,4,sphere,20.0,40,2,0.05,12.475\n'
             'tdma,4,sphere,30.0,40,0,0.0,12.0\n'
+        ),
+    ),
+    'repair_pair_m2_20trials': (
+        ['repair', '--n', '6', '--k', '3', '--d', '5', '--fragment-bits', '24', '--decoder', 'sphere', '--snr-grid', '10:30:5', '--trials', '20', '--scheme', 'pair', '--m', '2', '--seed', '11'],
+        'repair_pair.csv',
+        (
+            '# wstsim 0.1.0\n'
+            '# config: {"command": "repair", "d": 5, "decoder": "sphere", "fragment_bits": 24, "k": 3, "m": 2, "n": 6, "noiseless": false, "scheme": "pair", "seed": 11, "snr_grid_db": [10.0, 15.0, 20.0, 25.0, 30.0], "trials": 20}\n'
+            'snr_db,trials,session_err_rate,share_fail_rate,repair_fail_rate,scheme\n'
+            '10.0,20,0.09166666666666666,0.25,0.05,pair\n'
+            '15.0,20,0.016666666666666666,0.04,0.0,pair\n'
+            '20.0,20,0.0,0.0,0.0,pair\n'
+            '25.0,20,0.0,0.0,0.0,pair\n'
+            '30.0,20,0.0,0.0,0.0,pair\n'
+        ),
+    ),
+    'repair_tdma_m4_20trials': (
+        ['repair', '--n', '6', '--k', '3', '--d', '5', '--fragment-bits', '24', '--decoder', 'sphere', '--snr-grid', '10:30:5', '--trials', '20', '--scheme', 'tdma', '--m', '4', '--seed', '11'],
+        'repair_tdma.csv',
+        (
+            '# wstsim 0.1.0\n'
+            '# config: {"command": "repair", "d": 5, "decoder": "sphere", "fragment_bits": 24, "k": 3, "m": 4, "n": 6, "noiseless": false, "scheme": "tdma", "seed": 11, "snr_grid_db": [10.0, 15.0, 20.0, 25.0, 30.0], "trials": 20}\n'
+            'snr_db,trials,session_err_rate,share_fail_rate,repair_fail_rate,scheme\n'
+            '10.0,20,0.62,0.91,1.0,tdma\n'
+            '15.0,20,0.165,0.28,0.1,tdma\n'
+            '20.0,20,0.055,0.11,0.0,tdma\n'
+            '25.0,20,0.005,0.01,0.0,tdma\n'
+            '30.0,20,0.005,0.01,0.0,tdma\n'
+        ),
+    ),
+    'repair_pair_m2_ml': (
+        ['repair', '--n', '6', '--k', '3', '--d', '5', '--fragment-bits', '24', '--decoder', 'ml', '--snr-grid', '10:30:5', '--trials', '5', '--scheme', 'pair', '--m', '2', '--seed', '11'],
+        'repair_pair.csv',
+        (
+            '# wstsim 0.1.0\n'
+            '# config: {"command": "repair", "d": 5, "decoder": "ml", "fragment_bits": 24, "k": 3, "m": 2, "n": 6, "noiseless": false, "scheme": "pair", "seed": 11, "snr_grid_db": [10.0, 15.0, 20.0, 25.0, 30.0], "trials": 5}\n'
+            'snr_db,trials,session_err_rate,share_fail_rate,repair_fail_rate,scheme\n'
+            '10.0,5,0.11666666666666667,0.28,0.0,pair\n'
+            '15.0,5,0.03333333333333333,0.12,0.2,pair\n'
+            '20.0,5,0.0,0.0,0.0,pair\n'
+            '25.0,5,0.0,0.0,0.0,pair\n'
+            '30.0,5,0.0,0.0,0.0,pair\n'
         ),
     ),
 }

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -174,6 +176,69 @@ def test_fragment_validation():
         Fragment("000000", 2)  # bits are an int, not a string
     with pytest.raises(ValueError):
         Fragment(0, 3)  # odd m
+
+
+def _float_bits(row):
+    return [(z.real.hex(), z.imag.hex()) for z in row]
+
+
+def test_lift_equals_the_object_path_bit_for_bit():
+    # the table-indexed lift against GaussianInt -> FieldElement ->
+    # LatticePoint.from_element built through gray_encode: same element and
+    # the same floats, signs of zero included
+    rng = np.random.default_rng(20)
+    for m in range(2, 17, 2):
+        if m <= 4:
+            values = range(1 << (3 * m))
+        else:
+            values = [int(v) for v in rng.integers(0, 1 << (3 * m), size=2000)]
+        for v in values:
+            point = lift(Fragment(v, m))
+            oracle = string_lift(format(v, f"0{3 * m}b"), m)
+            assert point.element == oracle.element
+            assert _float_bits(point.embedded_row) == _float_bits(oracle.embedded_row)
+
+
+def test_fragment_and_lattice_point_are_immutable_values():
+    frag = Fragment(5, 2)
+    point = lift(frag)
+    for obj, name in ((frag, "value"), (frag, "m"), (point, "element"), (point, "embedded_row")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        frag.bits = "000101"
+    assert (frag.value, frag.m) == (5, 2)
+    # the constructor's messages
+    with pytest.raises(ValueError, match=r"fragment must be an int of 3\*m = 6 bits, got 64"):
+        Fragment(64, 2)
+    with pytest.raises(ValueError, match="m must be an even integer >= 2, got 3"):
+        Fragment(0, 3)
+    # equal values are equal and hash equal, whatever object holds them
+    assert Fragment(5, 2) == frag and hash(Fragment(5, 2)) == hash(frag)
+    assert Fragment(5, 4) != frag and Fragment(6, 2) != frag
+    assert lift(Fragment(5, 2)) == point and hash(lift(Fragment(5, 2))) == hash(point)
+    assert lift(Fragment(6, 2)) != point
+    # a fragment is not a tuple, and not the point it lifts to
+    assert frag != (5, 2) and (5, 2) != frag
+    assert frag != point and point != frag
+    assert point != (point.element, point.embedded_row)
+    assert len({frag, Fragment(5, 2), Fragment(5, 4)}) == 2
+    # copies and pickles are equal values
+    for obj in (frag, point):
+        assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_value_object_reprs():
+    assert repr(Fragment(5, 2)) == "Fragment(value=5, m=2)"
+    assert repr(lift(Fragment(5, 2))) == (
+        "LatticePoint(element=FieldElement(c0=GaussianInt(re=-1, im=-1), "
+        "c1=GaussianInt(re=-1, im=1), c2=GaussianInt(re=-1, im=1)), "
+        "embedded_row=((-3.801937735804839+1.8019377358048387j), "
+        "(-0.7530203962825329-1.246979603717467j), (-2.4450418679126282+0.44504186791262823j)))"
+    )
 
 
 # ---------------------------------------------------------------------------
