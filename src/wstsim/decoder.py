@@ -9,16 +9,37 @@ double) and QR-factors it with one np.linalg.qr call (factor).  numpy
 factors a stack matrix by matrix with the same LAPACK routines, so every R
 equals the one a per-session factorization gives, bit for bit; the stacked
 products for Q^T y and the residual offset likewise run, per session, the
-BLAS routines of the 2-D products of a lone system.  factor also builds,
-for the whole stack with a few numpy calls, the tables the search reads: R
-and z = Q^T y as lists of floats, the rank flag, and per level l the
-products R[l][l] * a over the alphabet, with a diagonal entry below 1e-10
-taken as exactly 0, and hands each system's share over as a plain
-FactoredProblem record.
+BLAS routines of the 2-D products of a lone system.  factor then settles
+most searches for the whole stack at once with the first-leaf certificate
+below, and builds the scalar search's tables (R and z = Q^T y as lists of
+floats, and per level l the products R[l][l] * a over the alphabet, with a
+diagonal entry below 1e-10 taken as exactly 0) only for the sessions the
+certificate leaves to it.  Each system's share, with the rank flag, goes
+into a plain FactoredProblem record.
 The second stage runs per session: decode_session runs the exact search on
 one factored system and returns its DecodeResult, whose integer coordinates
 hold six PAM levels per active helper; the protocol unlifts them and builds
 no lattice point.
+
+The first-leaf certificate.  The first leaf of the Schnorr-Euchner search
+below is the Babai point (Agrell, Eriksson, Vardy and Zeger, IEEE Trans.
+IT 2002): the first candidate of every level, top level first.  If every
+level's second candidate already lies outside the radius that leaf sets,
+the search visits exactly those 2n nodes and returns the leaf, which at
+moderate and high SNR is most sessions.  factor runs that descent as one
+numpy pass over the stack with the scalar search's float operations in its
+order (elementwise adds and products, which numpy neither fuses nor
+reorders), so the leaf, its metric and each second candidate's partial
+metric are the doubles the scalar search computes.  When every such
+partial metric exceeds the leaf metric strictly, the record carries the
+finished DecodeResult (the leaf's levels, its metric plus the offset,
+n * min(2, |alphabet|) visited nodes, the rank flag) and sphere_decode
+returns it.  Everything else falls through to the unchanged scalar search:
+a second candidate that ties the leaf metric, a first candidate that ties
+its level's second (so an exact tie of increments, and every level of a
+rank-deficient R, whose increments are all equal), and any leaf a second
+candidate beats.  A certified result is therefore the scalar search's,
+field for field.
 
 sphere_decode enumerates the finite coordinate alphabet depth-first after the
 QR factorization (Schnorr-Euchner): natural column order, per-level
@@ -151,15 +172,23 @@ class FactoredProblem:
 
     matrix, observation and levels are the system itself (as in
     DecodeProblem; the brute-force oracle reads them).  The exact search
-    reads the rest, built by factor for the whole stack: the rows of the R
-    factor and z = Q^T y as lists of floats, offset (the squared norm of the
-    component of y outside the column span), scaled[l], the products
-    R[l][l] * a over the ascending levels a, with a diagonal entry below
-    1e-10 taken as exactly 0, and rank_deficient, whether any was.  A plain
-    record, built once per session and only read after.
+    reads the rest, built by factor for the whole stack: r, the R factor,
+    and z = Q^T y, offset (the squared norm of the component of y outside
+    the column span), scaled[l], the products R[l][l] * a over the ascending
+    levels a, with a diagonal entry below 1e-10 taken as exactly 0, and
+    rank_deficient, whether any was.
+
+    result is the search's DecodeResult when factor's first-leaf
+    certificate settled the system, and None otherwise.  A certified
+    system keeps r, z and scaled as numpy rows of the stack, which nothing
+    on the decoding path reads; the others carry them as lists of floats
+    (r row by row), which the scalar search reads.  A plain record, built
+    once per session and only read after.
     """
 
-    __slots__ = ("matrix", "observation", "levels", "r", "z", "offset", "scaled", "rank_deficient")
+    __slots__ = (
+        "matrix", "observation", "levels", "r", "z", "offset", "scaled", "rank_deficient", "result",
+    )
 
     def __init__(self, matrix, observation, levels, r, z, offset, scaled, rank_deficient):
         self.matrix = matrix
@@ -170,18 +199,20 @@ class FactoredProblem:
         self.offset = offset
         self.scaled = scaled
         self.rank_deficient = rank_deficient
+        self.result = None
 
 
 def factor(p: DecodeProblem) -> list[FactoredProblem]:
-    """QR-factor every system of p with one np.linalg.qr call and build the
-    search's tables for the whole stack.
+    """QR-factor every system of p with one np.linalg.qr call, certify the
+    first leaf of every search at once, and build the tables the scalar
+    search reads for the systems the certificate leaves to it.
 
     A single system is factored as a stack of one.  z and the residual come
     from stacked matmuls, which numpy evaluates system by system with the
     same BLAS products as a lone 2-D factorization (bit-identical, checked
-    against per-system products in the tests); the tables are elementwise
-    products and one tolist call each, so no system's tables depend on the
-    stack it was factored in.
+    against per-system products in the tests); the certificate and the
+    tables are elementwise numpy operations and tolist calls, so no
+    system's result depends on the stack it was factored in.
     """
     mats = p.matrix if p.matrix.ndim == 3 else p.matrix[None]
     obs = p.observation.reshape(mats.shape[:-1])
@@ -192,12 +223,64 @@ def factor(p: DecodeProblem) -> list[FactoredProblem]:
     diag = np.diagonal(r, axis1=1, axis2=2)
     deficient = np.abs(diag) < _RANK_TOL
     scaled = np.where(deficient, 0.0, diag)[..., None] * np.asarray(p.levels, dtype=float)
-    return [
+    flags = deficient.any(axis=1).tolist()
+    certified, coords, leaf = _first_leaf(r, z, scaled, p.levels)
+    records = [
         FactoredProblem(a, y, p.levels, ri, zi, oi, si, di)
-        for a, y, ri, zi, oi, si, di in zip(
-            mats, obs, r.tolist(), z.tolist(), offset, scaled.tolist(), deficient.any(axis=1).tolist()
-        )
+        for a, y, ri, zi, oi, si, di in zip(mats, obs, r, z, offset, scaled, flags)
     ]
+    visited = z.shape[1] * min(2, len(p.levels))
+    done = np.flatnonzero(certified)
+    for i, xi, li in zip(done.tolist(), coords[done].tolist(), leaf[done].tolist()):
+        rec = records[i]
+        rec.result = DecodeResult(tuple(xi), li + rec.offset, visited, rec.rank_deficient)
+    rest = np.flatnonzero(~certified)
+    for i, ri, zi, si in zip(rest.tolist(), r[rest].tolist(), z[rest].tolist(), scaled[rest].tolist()):
+        rec = records[i]
+        rec.r, rec.z, rec.scaled = ri, zi, si
+    return records
+
+
+def _first_leaf(r, z, scaled, levels):
+    """The first-leaf certificate (module docstring) for a whole stack.
+
+    One Babai descent over the stack in the scalar search's float
+    operations and order: the interference term summed over ascending
+    columns from 0.0, increments (rhs - R[l][l] a)^2, the smallest taken
+    with ties toward the smaller level (argmin's first minimum), partial
+    metrics summed from the top.  A system is certified when every level's
+    second candidate (its parent's partial metric plus the second-smallest
+    increment; none for a one-level alphabet) exceeds the leaf metric
+    strictly.  Returns, for every system, whether it is certified (S,), its
+    first leaf's coordinates (int levels, (S, n)) and that leaf's reduced
+    metric (S,).
+    """
+    size, n = z.shape
+    values = np.asarray(levels, dtype=float)
+    rt = np.ascontiguousarray(r.transpose(1, 2, 0))  # rt[l, j]: R[l][j] of every system
+    st = np.ascontiguousarray(scaled.transpose(1, 2, 0))  # st[l, k]: R[l][l] * levels[k]
+    zt = np.ascontiguousarray(z.T)
+    x = np.empty((n, size))
+    picks = np.empty((n, size), dtype=np.intp)
+    dist = np.zeros(size)
+    seconds = []
+    for level in range(n - 1, -1, -1):
+        acc = 0.0
+        for j in range(level + 1, n):
+            acc = acc + rt[level, j] * x[j]
+        e = (zt[level] - acc) - st[level]
+        inc = e * e
+        picks[level] = k = inc.argmin(axis=0)
+        x[level] = values[k]
+        if len(levels) == 2:
+            seconds.append(dist + inc.max(axis=0))
+        elif len(levels) > 2:
+            seconds.append(dist + np.partition(inc, 1, axis=0)[1])
+        dist = dist + inc.min(axis=0)
+    certified = np.ones(size, dtype=bool)
+    for partial in seconds:
+        certified &= partial > dist
+    return certified, np.asarray(levels)[picks.T], dist
 
 
 def _check_one_system(p) -> None:
@@ -215,13 +298,16 @@ def sphere_decode(p: DecodeProblem | FactoredProblem) -> DecodeResult:
     """Exact ML search by depth-first enumeration with a shrinking radius.
 
     p is one factored system, or a single DecodeProblem, which is factored
-    first.  A rank-deficient R (diagonal below 1e-10) is enumerated with
+    first.  A system whose first leaf factor certified returns its stored
+    result, the one this search would find.  A rank-deficient R (diagonal below 1e-10) is enumerated with
     those diagonal entries set to exactly 0, and the event is flagged in the
     result's fallback field.
     """
     _check_one_system(p)
     if not isinstance(p, FactoredProblem):
         (p,) = factor(p)
+    if p.result is not None:
+        return p.result
     rows, zl, scaled = p.r, p.z, p.scaled
     values = _level_values(p.levels)
     size = len(values)

@@ -7,8 +7,11 @@ from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
 from wstsim.decoder import (
     DecodeProblem,
     DecodeResult,
+    FactoredProblem,
+    _first_leaf,
     brute_force_ml,
     decode_session,
+    factor,
     factor_sessions,
     sphere_decode,
 )
@@ -427,3 +430,185 @@ def test_session_error_rate_30db_oracle_regression():
     errors = sum(errored for errored, _ in results)
     assert errors == 0
     assert errors / 10**4 < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the first-leaf certificate
+# ---------------------------------------------------------------------------
+
+
+def scalar_search(rec: FactoredProblem) -> DecodeResult:
+    """The scalar loop on a factored record, whatever the certificate said:
+    the same system with its tables as lists and no stored result."""
+    r, z, scaled = (np.asarray(t).tolist() for t in (rec.r, rec.z, rec.scaled))
+    bare = FactoredProblem(
+        rec.matrix, rec.observation, rec.levels, r, z, rec.offset, scaled, rec.rank_deficient
+    )
+    assert bare.result is None
+    return sphere_decode(bare)
+
+
+def certified_results(mats, obs, levels) -> int:
+    """Factor a stack and check every certified record against the scalar
+    loop and the recursive oracle (the whole DecodeResult, metric with ==);
+    returns how many records were certified."""
+    certified = 0
+    for rec in factor(DecodeProblem(mats, obs, levels)):
+        if rec.result is None:
+            continue
+        certified += 1
+        scalar = scalar_search(rec)
+        oracle = recursive_sphere_decode(*per_matrix_factor(rec.matrix, rec.observation), levels)
+        assert rec.result == scalar == oracle
+        assert rec.result.metric == scalar.metric == oracle.metric
+        assert all(type(c) is int for c in rec.result.coordinates)
+        assert sphere_decode(rec) is rec.result
+    return certified
+
+
+@pytest.mark.parametrize("size", sorted(ALPHABETS))
+@pytest.mark.parametrize("rows,cols", [(6, 6), (12, 12), (9, 6), (12, 5)])
+def test_certified_results_equal_the_scalar_search(size, rows, cols):
+    levels = ALPHABETS[size]
+    rng = np.random.default_rng([size, rows, cols, 21])
+    count = 40 if size < 8 else 8
+    certified = 0
+    for noise in (0.0, 0.01, 0.3, 1.0):
+        a = rng.standard_normal((count, rows, cols))
+        x = np.asarray(levels)[rng.integers(0, size, (count, cols))]
+        y = np.einsum("sij,sj->si", a, x) + noise * rng.standard_normal((count, rows))
+        certified += certified_results(a, y, levels)
+    assert certified >= count  # every noiseless system at least
+    if size == 1:
+        assert certified == 4 * count  # no second candidate to refute the first leaf
+
+
+@pytest.mark.parametrize("size", sorted(ALPHABETS))
+@pytest.mark.parametrize("tall", [0, 3])
+def test_certified_results_equal_the_scalar_search_on_exact_ties(size, tall):
+    # the integer systems of the exact-tie corpus above, as one stack
+    levels = ALPHABETS[size]
+    rng = np.random.default_rng([size, tall, 7])
+    n = 6 if size < 8 else 4
+    a = np.triu(rng.integers(-2, 3, (150, n, n))).astype(float)
+    a[:, np.arange(n), np.arange(n)] = rng.choice([-2.0, -1.0, 1.0, 2.0], (150, n))
+    a = np.concatenate([a, np.zeros((150, tall, n))], axis=1)
+    y = 0.5 * rng.integers(-4 * max(levels), 4 * max(levels) + 1, (150, n + tall))
+    certified_results(a, y, levels)
+
+
+@pytest.mark.parametrize("m", [2, 6])
+def test_rank_deficient_systems_are_left_to_the_scalar_search(m):
+    rng = np.random.default_rng([m, 31])
+    levels = pam_levels(m)
+    a = rng.standard_normal((30, 6, 6))
+    y = rng.standard_normal((30, 6))
+    a[:10, :, 0] = 0.0
+    a[10:20, :, 5] = 0.0
+    a[20:, :, 3] = a[20:, :, 2]  # two equal columns
+    for rec in factor(DecodeProblem(a, y, levels)):
+        assert rec.rank_deficient and rec.result is None
+        oracle = recursive_sphere_decode(*per_matrix_factor(rec.matrix, rec.observation), levels)
+        assert sphere_decode(rec) == oracle
+    # a one-level alphabet has no second candidate, so its leaf is certified
+    # even when R is rank-deficient, and the flag is kept
+    assert certified_results(a, y, (5,)) == 30
+    assert all(rec.result.fallback for rec in factor(DecodeProblem(a, y, (5,))))
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4), ("pair", 4), ("tdma", 6)])
+def test_certified_session_results_equal_the_scalar_search(scheme, m):
+    k_act = 2 if scheme == "pair" else 1
+    build = build_pair_codeword if k_act == 2 else build_tdma_codeword
+    count = 40 if (scheme, m) == ("pair", 4) else 150
+    certified = 0
+    for db in (10.0, 20.0, 30.0, 60.0):
+        snr = SnrPoint(db)
+        received, chans = [], []
+        for t in range(count):
+            rng = trial_rng(2121, t, int(db))
+            points = [lift(random_fragment(rng, m)) for _ in range(k_act)]
+            h, w = draw_session(rng, 2, 1, k_act, 3)
+            received.append(transmit(build(*points, m), h, w, snr))
+            chans.append(h)
+        for rec in factor_sessions(received, chans, snr, m):
+            if rec.result is not None:
+                certified += 1
+                scalar = scalar_search(rec)
+                assert rec.result == scalar and rec.result.metric == scalar.metric
+    assert certified > 2 * count  # most sessions at 30 and 60 dB
+
+
+def test_certificate_does_not_depend_on_the_stack():
+    rng = np.random.default_rng(44)
+    levels = pam_levels(4)
+    a = rng.standard_normal((64, 9, 6))
+    y = np.einsum("sij,sj->si", a, np.asarray(levels)[rng.integers(0, 4, (64, 6))])
+    y += 0.7 * rng.standard_normal((64, 9))
+    alone = [factor(DecodeProblem(ai, yi, levels))[0].result for ai, yi in zip(a, y)]
+    for size in (2, 7, 64):
+        stacked = [
+            rec.result
+            for lo in range(0, 64, size)
+            for rec in factor(DecodeProblem(a[lo : lo + size], y[lo : lo + size], levels))
+        ]
+        assert stacked == alone
+        assert [r and r.metric.hex() for r in stacked] == [r and r.metric.hex() for r in alone]
+    assert 0 < sum(r is not None for r in alone) < 64
+
+
+def test_second_candidate_tying_the_leaf_is_not_certified():
+    # R = I: the top level takes +1 (increment 0.5625) with its second
+    # candidate at 1.5625, and level 0 takes +1 (increment 1), so the leaf
+    # metric 1.5625 equals the top level's second partial metric exactly.
+    # The scalar search must descend under that candidate as well (5 nodes,
+    # not 2n = 4); a certificate with >= in place of > would store 4.
+    (rec,) = factor(DecodeProblem(np.eye(2), np.array([2.0, 0.25]), (-1, 1)))
+    assert np.array_equal(rec.r, np.eye(2))
+    assert rec.result is None
+    res = sphere_decode(rec)
+    assert res == DecodeResult((1, 1), 1.5625, 5, False)
+    assert res == recursive_sphere_decode(*per_matrix_factor(np.eye(2), np.array([2.0, 0.25])), (-1, 1))
+    # the same tie at the leaf level: both candidates of level 0 at increment 1
+    (rec,) = factor(DecodeProblem(np.eye(2), np.array([0.0, 2.0]), (-1, 1)))
+    assert rec.result is None
+    assert sphere_decode(rec) == DecodeResult((-1, 1), 2.0, 4, False)
+
+
+def babai_first_leaf(rec: FactoredProblem) -> tuple[int, ...]:
+    """The scalar search's first leaf: the first candidate in (increment,
+    level) order at every level, top level first."""
+    r, z = np.asarray(rec.r).tolist(), np.asarray(rec.z).tolist()
+    scaled = np.asarray(rec.scaled).tolist()
+    n = len(z)
+    x = [0.0] * n
+    for level in range(n - 1, -1, -1):
+        acc = 0.0
+        for j in range(level + 1, n):
+            acc += r[level][j] * x[j]
+        rhs = z[level] - acc
+        _, x[level] = min(((rhs - ra) * (rhs - ra), a) for ra, a in zip(scaled[level], rec.levels))
+    return tuple(int(v) for v in x)
+
+
+@pytest.mark.parametrize("size", [2, 4, 8])
+def test_first_leaf_breaks_ties_toward_the_smaller_level(size):
+    # certified systems never tie at a first candidate, so the tie rule shows
+    # only in the descent itself: on the exact-tie corpus it must reach the
+    # scalar search's first leaf, smaller level first, certified or not
+    levels = ALPHABETS[size]
+    rng = np.random.default_rng([size, 57])
+    n = 5
+    a = np.triu(rng.integers(-2, 3, (200, n, n))).astype(float)
+    a[:, np.arange(n), np.arange(n)] = rng.choice([-2.0, -1.0, 1.0, 2.0], (200, n))
+    y = 0.5 * rng.integers(-4 * max(levels), 4 * max(levels) + 1, (200, n))
+    y[:20] = 0.0  # the top level ties its two middle candidates
+    records = factor(DecodeProblem(a, y, levels))
+    r = np.stack([np.asarray(rec.r) for rec in records])
+    z = np.stack([np.asarray(rec.z) for rec in records])
+    scaled = np.stack([np.asarray(rec.scaled) for rec in records])
+    certified, coords, _ = _first_leaf(r, z, scaled, levels)
+    assert certified.tolist() == [rec.result is not None for rec in records]
+    assert [tuple(c) for c in coords.tolist()] == [babai_first_leaf(rec) for rec in records]
+    assert (coords[:20, n - 1] == levels[size // 2 - 1]).all()
+    assert not certified[:20].any()
