@@ -299,9 +299,9 @@ def sphere_decode(p: DecodeProblem | FactoredProblem) -> DecodeResult:
 
     p is one factored system, or a single DecodeProblem, which is factored
     first.  A system whose first leaf factor certified returns its stored
-    result, the one this search would find.  A rank-deficient R (diagonal below 1e-10) is enumerated with
-    those diagonal entries set to exactly 0, and the event is flagged in the
-    result's fallback field.
+    result, the one this search would find.  A rank-deficient R (diagonal
+    below 1e-10) is enumerated with those diagonal entries set to exactly 0,
+    and the event is flagged in the result's fallback field.
     """
     _check_one_system(p)
     if not isinstance(p, FactoredProblem):

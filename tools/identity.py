@@ -12,8 +12,7 @@ wall-clock sidecars are left out) and the sha256 of its stdout and stderr,
 with elapsed times ("in 1.2s") and the checkout's path masked.  `write`
 stores the manifest as JSON, with one digest over all runs; `compare` takes
 two checkouts or two manifests (or one of each), prints every run whose
-record differs and exits 1 if any does.  `--match TEXT` restricts either
-command to the runs whose argv contains TEXT.
+record differs and exits 1 if any does.
 
 The fixed set is BENCH_19.json's 122 runs (simulate, repair and outage at
 --workers 1 and 2, and the benchmark's outage arguments) plus `dmt` and
@@ -124,10 +123,6 @@ def build_manifest(tree: Path, runs, progress=None) -> dict:
         records[argv] = record(Path(tree) / "src", argv)
         if progress:
             print(f"[{i + 1}/{len(runs)}] exit {records[argv]['exit']}: {argv}", file=progress)
-    return _manifest(records)
-
-
-def _manifest(records: dict) -> dict:
     return {"runs": records, "digest": _sha(json.dumps(records, sort_keys=True).encode())}
 
 
@@ -144,18 +139,16 @@ def differences(a: dict, b: dict) -> list[str]:
     return out
 
 
-def _load(path: str, match: str) -> dict:
-    """A checkout's manifest, built now, or a written one; either restricted
-    to the runs whose argv contains match."""
+def _load(path: str) -> dict:
+    """A checkout's manifest, built now, or a written one."""
     p = Path(path)
     if p.is_dir():
-        return build_manifest(p, [run for run in RUNS if match in run], progress=sys.stderr)
-    return _manifest({k: v for k, v in json.loads(p.read_text())["runs"].items() if match in k})
+        return build_manifest(p, RUNS, progress=sys.stderr)
+    return json.loads(p.read_text())
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--match", default="", help="only the runs whose argv contains this text")
     sub = parser.add_subparsers(dest="command", required=True)
     w = sub.add_parser("write", help="run the set against a checkout and write its manifest")
     w.add_argument("tree")
@@ -165,11 +158,11 @@ def main(argv=None) -> int:
     c.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "write":
-        manifest = _load(args.tree, args.match)
+        manifest = _load(args.tree)
         Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
         print(f"{len(manifest['runs'])} runs, digest {manifest['digest']}")
         return 0
-    a, b = _load(args.a, args.match), _load(args.b, args.match)
+    a, b = _load(args.a), _load(args.b)
     diff = differences(a, b)
     for line in diff:
         print(line)
