@@ -16,9 +16,11 @@ non-overlapping streams and every draw is a pure function of
 
 Stacks: draw_session also draws a run of sessions that share one Generator
 (a repair trial's) with a single draw_cn call, and transmit takes a leading
-session axis.  Neither changes a sample or a product: the joint draw holds
-the per-session draws in turn, and a stacked product is the per-session one
-repeated, so the stacked values equal the per-session ones bit for bit.
+session axis, with one SNR for the stack or one per session.  Neither
+changes a sample or a product: the joint draw holds the per-session draws in
+turn, a stacked product is the per-session one repeated, and a per-session
+scale is the same IEEE multiply as a scalar one, so the stacked values equal
+the per-session ones bit for bit.
 """
 
 from __future__ import annotations
@@ -75,6 +77,25 @@ class SnrPoint:
         return 10.0 ** (self.snr_db / 10.0)
 
 
+def amplitudes(snr: SnrPoint | Sequence[SnrPoint], count: int) -> np.ndarray:
+    """The amplitude sqrt(snr_linear) of each of count sessions, as a float
+    array: snr is one SnrPoint for all of them, or a sequence of one each."""
+    if isinstance(snr, SnrPoint):
+        return np.full(count, math.sqrt(snr.snr_linear))
+    points = list(snr)
+    if len(points) != count:
+        raise ValueError(f"{len(points)} SNR points for {count} sessions")
+    root = {db: math.sqrt(SnrPoint(db).snr_linear) for db in {p.snr_db for p in points}}
+    return np.array([root[p.snr_db] for p in points], dtype=float)
+
+
+def amplitude(snr: SnrPoint | np.ndarray) -> float | np.ndarray:
+    """The factor that scales a session's signal: sqrt(snr_linear) of an
+    SnrPoint, or per-session amplitudes (S,) reshaped to (S, 1, 1) to scale
+    a stack of S matrices."""
+    return math.sqrt(snr.snr_linear) if isinstance(snr, SnrPoint) else np.asarray(snr)[:, None, None]
+
+
 def draw_session(
     rng: np.random.Generator, n_r: int, n_t: int, k_active: int | Sequence[int], T: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +137,7 @@ def _draw_layout(per_user: int, per_noise: int, counts: tuple[int, ...]) -> tupl
     return fading, noise.reshape(-1)
 
 
-def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint) -> np.ndarray:
+def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint | np.ndarray) -> np.ndarray:
     """Received matrix Y = sqrt(snr) * sum_k H_k X_k + W, shape (n_r, T).
 
     X stacks the active helpers' transmit rows, shape (k_active*n_t, T); h
@@ -124,7 +145,9 @@ def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint) -> np.n
     All three may carry a leading session axis, (S, ...), and Y then does
     too: a stacked product runs, session by session, the matrix product of
     a lone session, so each received matrix equals its own call's bit for
-    bit.
+    bit.  snr is an SnrPoint, or for a stack each session's amplitude
+    sqrt(snr_linear) as an (S,) array (see amplitudes); either way every
+    entry takes the one multiply by its session's amplitude.
     """
     k, n_r, n_t = h.shape[-3:]
     if X.shape[-2] != k * n_t:
@@ -134,4 +157,4 @@ def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint) -> np.n
     if w.shape[-2:] != (n_r, X.shape[-1]):
         raise ValueError(f"noise shape {w.shape[-2:]} != ({n_r}, {X.shape[-1]})")
     h_all = np.swapaxes(h, -3, -2).reshape(*h.shape[:-3], n_r, k * n_t)
-    return math.sqrt(snr.snr_linear) * (h_all @ X) + w
+    return amplitude(snr) * (h_all @ X) + w

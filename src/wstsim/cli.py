@@ -8,8 +8,11 @@ exits 2 before any work starts.  Every output file embeds a provenance
 header: the version and every parsed option except the run-time ones
 (--out-dir, --workers, --config), the master seed included, which is enough
 to re-run it bit-identically.  simulate and repair run their trials through
-one block-sweep driver; all merged statistics are integer counts, so results
-do not depend on the worker count.  Exit codes: 0 success, 2 configuration
+one block-sweep driver: it cuts the trial offsets into one range per worker,
+each range spanning the whole SNR grid, so a worker's batches mix the
+points' trials.  Every trial keeps its own index and substream, and all
+merged statistics are integer counts, so results depend neither on the
+worker count nor on the batching.  Exit codes: 0 success, 2 configuration
 error, 3 runtime error, 4 statistical insufficiency.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -35,7 +39,7 @@ from .lift import Fragment, lift, random_fragment, unlift
 from .outage import InsufficientSamplesError, OutageSpec, run_outage_sweep
 from .parallel import map_tasks
 from .protocol import run_repair_trials, run_session_trials, run_sessions
-from .storage import StorageConfig
+from .storage import StorageConfig, mds_encode, repair_node
 from . import algebra
 
 EXIT_OK = 0
@@ -289,55 +293,65 @@ def _block_sweep(worker, params, args, width: int) -> list[list[int]]:
     """Run args.trials trials at each point of args.snr_grid and return the
     width integer counts summed per point.
 
-    Trial t of point i has trial index i * args.trials + t.  Each point's
-    trials are cut into at most as many contiguous ranges as there are
-    workers, CPUs and trials, one task each: (params, seed, point index,
-    snr_db, start, stop).  worker(task) returns the point index and the
-    task's counts.
+    Trial t of point i has trial index i * args.trials + t.  The trial
+    offsets [0, args.trials) are cut into at most as many contiguous ranges
+    as there are workers, CPUs and trials, and each range spans the whole
+    grid, one task each: (params, seed, grid, trials, start, stop) runs
+    trials [start, stop) of every point.  worker(task) returns the task's
+    counts, one row per point.
     """
     n = args.trials
     parts = max(1, min(args.workers, os.cpu_count() or 1, n))
-    tasks = [
-        (params, args.seed, idx, db, idx * n + j * n // parts, idx * n + (j + 1) * n // parts)
-        for idx, db in enumerate(args.snr_grid)
-        for j in range(parts)
-    ]
-    totals = np.zeros((len(args.snr_grid), width), dtype=np.int64)
-    for idx, counts in map_tasks(worker, tasks, args.workers):
-        totals[idx] += counts
+    grid = tuple(args.snr_grid)
+    tasks = [(params, args.seed, grid, n, j * n // parts, (j + 1) * n // parts) for j in range(parts)]
+    totals = np.zeros((len(grid), width), dtype=np.int64)
+    for counts in map_tasks(worker, tasks, args.workers):
+        totals += counts
     return totals.tolist()
 
 
-def _blocks(start: int, stop: int):
-    """The trial indices [start, stop) as ranges of at most BLOCK_TRIALS."""
-    return (range(lo, min(lo + BLOCK_TRIALS, stop)) for lo in range(start, stop, BLOCK_TRIALS))
+def _grid_blocks(grid, trials: int, start: int, stop: int):
+    """The trials [start, stop) of every point of grid, point by point, in
+    blocks of at most BLOCK_TRIALS, each generated as it is taken: the
+    block's point indices, SnrPoints and trial indices, three tuples."""
+    points = [SnrPoint(db) for db in grid]
+    cells = ((i, p, i * trials + t) for i, p in enumerate(points) for t in range(start, stop))
+    while block := list(itertools.islice(cells, BLOCK_TRIALS)):
+        yield zip(*block)
 
 
 def _session_range(task):
-    """Worker: storage-free session trials [start, stop) at one SNR point."""
-    (m, scheme, decoder_mode), seed, snr_idx, snr_db, start, stop = task
-    counts = np.zeros(3, dtype=np.int64)  # trials, errors, visited nodes
-    for block in _blocks(start, stop):
-        results = run_session_trials(m, SnrPoint(snr_db), scheme, decoder_mode, seed, block)
-        counts += (len(block), sum(e for e, _ in results), sum(v for _, v in results))
-    return snr_idx, counts
+    """Worker: storage-free session trials [start, stop) of every SNR point,
+    as counts per point."""
+    (m, scheme, decoder_mode), seed, grid, trials, start, stop = task
+    counts = [[0, 0, 0] for _ in grid]  # trials, errors, visited nodes
+    for rows, points, indices in _grid_blocks(grid, trials, start, stop):
+        results = run_session_trials(m, points, scheme, decoder_mode, seed, indices)
+        for i, (errored, visited) in zip(rows, results):
+            row = counts[i]
+            row[0] += 1
+            row[1] += errored
+            row[2] += visited
+    return np.array(counts, dtype=np.int64)
 
 
 def _repair_range(task):
-    """Worker: repair trials [start, stop) at one SNR point, as counts."""
-    (cfg, m, scheme, decoder_mode, noiseless), seed, snr_idx, snr_db, start, stop = task
-    sessions = errored = failed = repair_fail = 0
-    for block in _blocks(start, stop):
-        for res in run_repair_trials(
-            cfg, m, SnrPoint(snr_db), scheme, decoder_mode, seed, block, noiseless
-        ):
-            sessions += res.sessions_total
-            errored += res.sessions_errored
-            failed += res.shares_failed
-            repair_fail += not res.repaired_share_ok
-    repairs = stop - start
+    """Worker: repair trials [start, stop) of every SNR point, as counts per
+    point."""
+    (cfg, m, scheme, decoder_mode, noiseless), seed, grid, trials, start, stop = task
     # sessions, errored, shares, failed, repairs, repair_fail
-    return snr_idx, (sessions, errored, cfg.d * repairs, failed, repairs, repair_fail)
+    counts = [[0] * 6 for _ in grid]
+    for rows, points, indices in _grid_blocks(grid, trials, start, stop):
+        results = run_repair_trials(cfg, m, points, scheme, decoder_mode, seed, indices, noiseless)
+        for i, res in zip(rows, results):
+            row = counts[i]
+            row[0] += res.sessions_total
+            row[1] += res.sessions_errored
+            row[2] += cfg.d
+            row[3] += res.shares_failed
+            row[4] += 1
+            row[5] += not res.repaired_share_ok
+    return np.array(counts, dtype=np.int64)
 
 
 def cmd_simulate(args) -> int:
@@ -463,6 +477,26 @@ def _selftest_outage(rng) -> tuple[bool, str]:
     return True, "full-MAC outage == direct evaluator on 300 K=4 draws at 0 and 10 dB"
 
 
+def _selftest_storage(rng) -> tuple[bool, str]:
+    # the interleaved layout a batch of repair trials encodes, and repair
+    # from every k survivors, at the repair defaults n=6, k=3, 24-bit shares
+    cfg = StorageConfig(6, 3)
+    size = 3
+    files = [rng.bytes(cfg.k * size) for _ in range(20)]
+    batch = mds_encode(b"".join(f[j * size : (j + 1) * size] for j in range(cfg.k) for f in files), cfg)
+    for t, file in enumerate(files):
+        own = mds_encode(file, cfg)
+        if any(batch[i].fragment[t * size : (t + 1) * size] != own[i].fragment for i in range(cfg.n)):
+            return False, "a file encoded in the interleaved batch differs from its own encoding"
+        for lost in range(cfg.n):
+            survivors = [s for s in own if s.node_id != lost]
+            for helpers in itertools.combinations(survivors, cfg.k):
+                if repair_node(lost, list(helpers), cfg) != own[lost]:
+                    ids = [h.node_id for h in helpers]
+                    return False, f"repair of node {lost} from nodes {ids} is wrong"
+    return True, "20 files encoded interleaved == each alone, repair from every 3 of 5 survivors at n=6"
+
+
 def cmd_selftest(args) -> int:
     rng = trial_rng(args.seed)
     checks = [
@@ -471,6 +505,7 @@ def cmd_selftest(args) -> int:
         ("decoder", lambda: _selftest_decoder(args.seed)),
         ("dmt", _selftest_dmt),
         ("outage", lambda: _selftest_outage(rng)),
+        ("storage", lambda: _selftest_storage(rng)),
     ]
     failed = False
     for name, fn in checks:

@@ -16,26 +16,46 @@ block's zero padding does not spoil a share).
 
 A session travels as plain values: the fragments of its one or two active
 helpers and the numpy Generator its channel is drawn from.  run_sessions
-takes a batch of sessions (the plans of a range of repair trials, or a
-block of storage-free session trials) in stages, each run on stacks.  The
-draw comes first: each run of consecutive sessions that share a Generator
-(one repair trial's) gets its fading and noise from one draw_session call,
-in session order, so the RNG is consumed exactly as by one session after
-another.  Then, for each number of active helpers in turn, every helper's
-fragment is lifted, the sessions' codewords are built as one stack and sent
-through one stacked transmit, and their real systems are built and
+takes a batch of sessions (the plans of a batch of repair trials, or a
+block of storage-free session trials) with an SNR point per session, so a
+batch may mix the sessions of several points, and runs it in stages, each
+on stacks.  The draw comes first: each run of consecutive sessions that
+share a Generator (one repair trial's) gets its fading and noise from one
+draw_session call, in session order, so the RNG is consumed exactly as by
+one session after another.  Then, for each number of active helpers in
+turn, every helper's fragment is lifted, the sessions' codewords are built
+as one stack and sent through one stacked transmit, each session scaled by
+its own amplitude sqrt(snr), and their real systems are built and
 QR-factored as stacks of at most SESSION_BATCH systems
 (decoder.factor_sessions); each session then gets its own exact search
 (decoder.decode_session), taken in the stack's order.  Each helper's six
 decoded PAM coordinates are unlifted to a fragment, and a session errored
 when an unlifted fragment differs from the one sent; lift is a bijection,
 so that is the same decision as comparing the lattice points.  A stacked
-draw, product or factorization equals the per-session one bit for bit, so
-neither the stages nor how trials are split into batches change a result.
+draw, product or factorization equals the per-session one bit for bit, and
+a per-session amplitude is the same multiply as a scalar one, so neither
+the stages nor how trials and SNR points are mixed in batches change a
+result.
 
-Shares are cut into fragments, and reassembled from them, as integers: a
-share's bytes are one big-endian integer, zero-padded at the end to whole
-fragments.
+Repair trials run in batches of at most SESSION_BATCH sessions (a trial
+with more is a batch of its own), and the storage side runs once per batch:
+
+- send: each trial draws from its own substream, in this order, its file
+  bytes, its lost node, its d helpers and its plan's permutations (pair
+  plans only), as one trial run alone does;
+- encode: one mds_encode call encodes the virtual file whose chunk j holds
+  every trial's chunk j in turn.  A repair file is k * fragment_bits / 8
+  bytes, so none is padded, and share i of the virtual file holds every
+  trial's share i in turn (the interleaving property in storage.py);
+- cut: every share of the batch is cut into 3m-bit fragments at once, its
+  bytes read as one big-endian bit string, zero-padded at the end to whole
+  fragments;
+- repair: a trial repairs from the shares that came through right when
+  there are at least k of them.  Only the shares of helpers in an errored
+  session are reassembled from their decoded fragments (join_fragments)
+  and compared with the sent ones.  The trials that would hand repair_node
+  the same lost node and the same k chosen helpers share one repair_node
+  call, on their shares laid end to end.
 
 Airtime accounting for TDMA comparisons: a pair session carries two helpers'
 blocks, so at equal bits per session and equal total airtime the TDMA
@@ -47,13 +67,14 @@ K*r/2); callers pick the TDMA m accordingly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
-from .channel import SnrPoint, draw_session, transmit, trial_rng
+from .channel import SnrPoint, amplitudes, draw_session, transmit, trial_rng
 from .decoder import DecodeResult, decode_session, factor_sessions
 from .encoder import build_pair_codeword, build_tdma_codeword
 from .lift import Fragment, lift, random_fragment, unlift
@@ -63,26 +84,31 @@ from .storage import NodeContent, StorageConfig, mds_encode, repair_node
 GROUP_SIZES = {"tdma": 1, "pair": 2}
 
 
-#: most sessions run_repair_trials holds before sending them, and the
-#: largest stack run_sessions factors at once: a pair session's arrays take
-#: ~7 KB while its stack is factored, so a stack peaks near 8 MB
-SESSION_BATCH = 1024
+#: most sessions in a batch of repair trials, and the largest stack
+#: run_sessions factors at once.  A pair session's arrays take ~7 KB while
+#: its stack is factored, so a stack peaks near 2 MB; the batch's storage
+#: side adds its shares, their bits and fragment values, a few hundred
+#: bytes a trial at the default 24-bit shares.  A larger batch saves little
+#: per-stack time and raises the peak RSS of a run.
+SESSION_BATCH = 256
 
 
-def share_fragments(data: bytes, m: int) -> list[Fragment]:
-    """Cut a share into 3m-bit fragments, zero-padding the last one."""
-    if not data:
-        raise ValueError("cannot fragment an empty share")
+def _fragment_values(shares: np.ndarray, m: int) -> np.ndarray:
+    """The 3m-bit fragments of uint8 shares (..., L), as int64 values
+    (..., blocks): each share's bytes read as one big-endian bit string,
+    zero-padded at the end to whole fragments."""
     step = 3 * m
-    count = -(-8 * len(data) // step)
-    value = int.from_bytes(data, "big") << (count * step - 8 * len(data))
-    mask = (1 << step) - 1
-    return [Fragment((value >> (step * i)) & mask, m) for i in range(count - 1, -1, -1)]
+    bits = np.unpackbits(shares, axis=-1)
+    blocks = -(-bits.shape[-1] // step)
+    pad = np.zeros((*bits.shape[:-1], blocks * step - bits.shape[-1]), dtype=np.uint8)
+    words = np.concatenate([bits, pad], axis=-1).reshape(*bits.shape[:-1], blocks, step)
+    return words @ (1 << np.arange(step - 1, -1, -1, dtype=np.int64))
 
 
 def join_fragments(fragments, n_bytes: int) -> bytes:
-    """The n_bytes share that share_fragments cut into these fragments,
-    whatever bits their zero padding holds."""
+    """The n_bytes share whose bytes, cut into 3m-bit fragments and
+    zero-padded at the end, are these fragments, whatever bits their
+    padding holds."""
     value, width = 0, 0
     for f in fragments:
         value = (value << 3 * f.m) | f.value
@@ -124,21 +150,27 @@ class RepairTrialResult:
 
 
 def run_sessions(
-    sessions, m: int, snr: SnrPoint, decoder_mode: str = "sphere", noiseless: bool = False
+    sessions,
+    m: int,
+    snr: SnrPoint | Sequence[SnrPoint],
+    decoder_mode: str = "sphere",
+    noiseless: bool = False,
 ) -> list[tuple[list[Fragment], bool, DecodeResult]]:
     """Transmit and decode a batch of sessions.
 
     sessions is a sequence of (fragments, rng): the 3m-bit fragments of the
     one or two active helpers, and the Generator that draws the session's
     channel and noise (noiseless forces the noise to 0 after the draw).
-    Returns, per session, the decoded fragments, whether any of them differs
-    from the one sent, and the decoder's result.
+    snr is one SnrPoint for every session, or a sequence of one per
+    session.  Returns, per session, the decoded fragments, whether any of
+    them differs from the one sent, and the decoder's result.
     """
     if not sessions:
         return []
     sizes = [len(fragments) for fragments, _ in sessions]
     if not set(sizes) <= {1, 2}:
         raise ValueError("a session has one or two active helpers")
+    scale = amplitudes(snr, len(sessions))
     fading, noise = [], []
     for rng, run in groupby(sessions, key=itemgetter(1)):  # a Generator equals only itself
         h, w = draw_session(rng, 2, 1, [len(fragments) for fragments, _ in run], 3)
@@ -155,10 +187,11 @@ def run_sessions(
             continue
         points = [[lift(sessions[i][0][j]) for i in idx] for j in range(k)]
         h = fading[first_user[idx][:, None] + np.arange(k)]
-        received = transmit(build(*points, m), h, noise[idx], snr)
+        amp = scale[idx]
+        received = transmit(build(*points, m), h, noise[idx], amp)
         for lo in range(0, len(idx), SESSION_BATCH):
             part = slice(lo, lo + SESSION_BATCH)
-            for i, problem in zip(idx[part], factor_sessions(received[part], h[part], snr, m)):
+            for i, problem in zip(idx[part], factor_sessions(received[part], h[part], amp[part], m)):
                 res = decode_session(problem, decoder_mode)
                 c = res.coordinates
                 got = [unlift(c, m)] if k == 1 else [unlift(c[:6], m), unlift(c[6:], m)]
@@ -166,67 +199,88 @@ def run_sessions(
     return out
 
 
-def _send_repair(cfg: StorageConfig, m: int, scheme: str, seed: int, trial: int):
-    """A repair trial's sending side: encode, erase, pick helpers, plan.
+def _send_repairs(cfg: StorageConfig, m: int, g: int, seed: int, trials):
+    """The sending side of a batch of repair trials: draw, encode, cut, plan.
 
-    Returns (shares, lost node, helpers, session plan), and the plan's
-    sessions as run_sessions takes them, drawing from the trial's own
-    Generator.
+    Each trial draws from its own Generator its file, lost node, helpers
+    and plan.  Returns the batch's shares as a uint8 array (n, trials,
+    share bytes), each trial's (lost node, helpers, plan), and the plans'
+    sessions as run_sessions takes them.
     """
-    rng = trial_rng(seed, trial)
-    file = rng.bytes(cfg.k * cfg.fragment_bits // 8)
-    contents = mds_encode(file, cfg)
-    lost = int(rng.integers(cfg.n))
-    survivors = [i for i in range(cfg.n) if i != lost]
-    helpers = sorted(rng.choice(survivors, size=cfg.d, replace=False).tolist())
+    share_bytes = cfg.fragment_bits // 8
+    blocks = -(-cfg.fragment_bits // (3 * m))
+    files, sent, rngs = [], [], []
+    for t in trials:
+        rng = trial_rng(seed, t)
+        files.append(rng.bytes(cfg.k * share_bytes))
+        lost = int(rng.integers(cfg.n))
+        survivors = [i for i in range(cfg.n) if i != lost]
+        helpers = sorted(rng.choice(survivors, size=cfg.d, replace=False).tolist())
+        sent.append((lost, helpers, plan_sessions(helpers, blocks, rng, g)))
+        rngs.append(rng)
+    # chunk j of the virtual file holds every trial's chunk j in turn
+    chunks = np.frombuffer(b"".join(files), dtype=np.uint8).reshape(len(files), cfg.k, share_bytes)
+    contents = mds_encode(chunks.transpose(1, 0, 2).tobytes(), cfg)
+    shares = np.frombuffer(b"".join(c.fragment for c in contents), dtype=np.uint8)
+    shares = shares.reshape(cfg.n, len(files), share_bytes)
+    # one Fragment per distinct value, shared wherever the value recurs
+    values = _fragment_values(shares, m)
+    distinct, which = np.unique(values.ravel(), return_inverse=True)
+    pool = [Fragment(v, m) for v in distinct.tolist()]
+    which = which.reshape(values.shape).transpose(1, 0, 2).tolist()  # trial, node, block
+    sessions = []
+    for (_, helpers, plan), rng, trial_which in zip(sent, rngs, which):
+        fragments = {h: [pool[i] for i in trial_which[h]] for h in helpers}
+        sessions += [([fragments[h][block] for h in group], rng) for group, block in plan]
+    return shares, sent, sessions
 
-    fragments = {h: share_fragments(contents[h].fragment, m) for h in helpers}
-    plan = plan_sessions(helpers, len(fragments[helpers[0]]), rng, GROUP_SIZES[scheme])
-    sessions = [([fragments[h][block] for h in group], rng) for group, block in plan]
-    return (contents, lost, helpers, plan), sessions
 
-
-def _finish_repair(cfg: StorageConfig, sent, outcomes) -> RepairTrialResult:
-    """Reassemble a trial's decoded shares and repair from the right ones.
+def _finish_repairs(cfg: StorageConfig, shares: np.ndarray, sent, outcomes) -> list[RepairTrialResult]:
+    """Repair each trial of a batch from its shares that came through right.
 
     A session that did not err decoded every fragment it carried right, so
     only the shares of helpers in an errored session are reassembled (the
     plan lists each helper's blocks in order) and compared with the sent
-    ones.
+    ones.  A trial with at least k right shares repairs from the k with
+    the smallest ids, as repair_node chooses them; trials with the same
+    lost node and chosen ids share one repair_node call.
     """
-    contents, lost, helpers, plan = sent
-    decoded: dict[int, list[Fragment]] = {}
-    sessions_errored = 0
-    for (group, _), (_, errored, _) in zip(plan, outcomes):
-        if errored:
-            sessions_errored += 1
-            decoded.update((h, []) for h in group)
-    if decoded:
-        for (group, _), (got, _, _) in zip(plan, outcomes):
-            for h, frag in zip(group, got):
-                if h in decoded:
-                    decoded[h].append(frag)
-
-    usable: list[NodeContent] = []
-    for h in helpers:
-        share = contents[h].fragment
-        if h not in decoded or join_fragments(decoded[h], len(share)) == share:
-            usable.append(contents[h])
-    repaired_ok = False
-    if len(usable) >= cfg.k:
-        repaired_ok = repair_node(lost, usable, cfg).fragment == contents[lost].fragment
-    return RepairTrialResult(
-        sessions_total=len(plan),
-        sessions_errored=sessions_errored,
-        repaired_share_ok=repaired_ok,
-        shares_failed=len(helpers) - len(usable),
-    )
+    counts, groups = [], {}
+    start = 0
+    for t, (lost, helpers, plan) in enumerate(sent):
+        trial = outcomes[start : start + len(plan)]
+        start += len(plan)
+        decoded: dict[int, list[Fragment]] = {}
+        sessions_errored = 0
+        for (group, _), (_, errored, _) in zip(plan, trial):
+            if errored:
+                sessions_errored += 1
+                decoded.update((h, []) for h in group)
+        if decoded:
+            for (group, _), (got, _, _) in zip(plan, trial):
+                for h, frag in zip(group, got):
+                    if h in decoded:
+                        decoded[h].append(frag)
+        usable = [
+            h for h in helpers
+            if h not in decoded or join_fragments(decoded[h], shares.shape[2]) == shares[h, t].tobytes()
+        ]
+        if len(usable) >= cfg.k:
+            groups.setdefault((lost, *usable[: cfg.k]), []).append(t)
+        counts.append([len(plan), sessions_errored, False, len(helpers) - len(usable)])
+    for (lost, *chosen), trials in groups.items():
+        helpers = [NodeContent(h, shares[h, trials].tobytes()) for h in chosen]
+        repaired = np.frombuffer(repair_node(lost, helpers, cfg).fragment, dtype=np.uint8)
+        right = (repaired.reshape(len(trials), -1) == shares[lost, trials]).all(axis=1)
+        for t, ok in zip(trials, right.tolist()):
+            counts[t][2] = ok
+    return [RepairTrialResult(*c) for c in counts]
 
 
 def run_repair_trials(
     cfg: StorageConfig,
     m: int,
-    snr: SnrPoint,
+    snr: SnrPoint | Sequence[SnrPoint],
     scheme: str,
     decoder_mode: str,
     seed: int,
@@ -235,43 +289,36 @@ def run_repair_trials(
 ) -> list[RepairTrialResult]:
     """Full repairs (encode, erase, transmit, repair), one per trial index.
 
-    The helpers' blocks travel in sessions of the scheme's group size.  Each
-    trial's shares, plan and sessions are drawn from its own substream; the
-    sessions of consecutive trials are decoded as one batch once they number
-    SESSION_BATCH or more, and each trial is then repaired from its decoded
-    shares.  The results equal those of the trials run one at a time.
+    snr is one SnrPoint for every trial, or a sequence of one per trial.
+    The helpers' blocks travel in sessions of the scheme's group size.
+    Each trial's shares, plan and sessions are drawn from its own
+    substream; the trials run in batches of at most SESSION_BATCH sessions
+    (module docstring), and the results equal those of the trials run one
+    at a time.
     """
     if scheme not in GROUP_SIZES:
         raise ValueError(f"scheme must be one of {tuple(GROUP_SIZES)}, got {scheme!r}")
     if cfg.d is None or cfg.fragment_bits is None:
         raise ValueError("repair trials need StorageConfig.d and fragment_bits")
+    trials = list(trial_indices)
+    points = [snr] * len(trials) if isinstance(snr, SnrPoint) else list(snr)
+    if len(points) != len(trials):
+        raise ValueError(f"{len(points)} SNR points for {len(trials)} trials")
+    g = GROUP_SIZES[scheme]
+    per_trial = -(-cfg.fragment_bits // (3 * m)) * -(-cfg.d // g)
+    step = max(1, SESSION_BATCH // per_trial)
     results: list[RepairTrialResult] = []
-    pending, batch = [], []
-
-    def flush() -> None:
-        outcomes = run_sessions(batch, m, snr, decoder_mode, noiseless)
-        start = 0
-        for sent in pending:
-            stop = start + len(sent[3])  # one outcome per planned session
-            results.append(_finish_repair(cfg, sent, outcomes[start:stop]))
-            start = stop
-        pending.clear()
-        batch.clear()
-
-    for t in trial_indices:
-        sent, sessions = _send_repair(cfg, m, scheme, seed, t)
-        pending.append(sent)
-        batch.extend(sessions)
-        if len(batch) >= SESSION_BATCH:
-            flush()
-    if pending:
-        flush()
+    for lo in range(0, len(trials), step):
+        shares, sent, sessions = _send_repairs(cfg, m, g, seed, trials[lo : lo + step])
+        session_points = [p for p in points[lo : lo + step] for _ in range(per_trial)]
+        outcomes = run_sessions(sessions, m, session_points, decoder_mode, noiseless)
+        results += _finish_repairs(cfg, shares, sent, outcomes)
     return results
 
 
 def run_session_trials(
     m: int,
-    snr: SnrPoint,
+    snr: SnrPoint | Sequence[SnrPoint],
     scheme: str,
     decoder_mode: str,
     seed: int,
@@ -280,6 +327,7 @@ def run_session_trials(
     """Storage-free session trials, each one session with fresh random
     fragments, decoded as one batch.
 
+    snr is one SnrPoint for every trial, or a sequence of one per trial.
     Returns (any fragment decoded wrong, visited enumeration nodes) per
     trial; the error counts never depend on the decoder mode, both are
     exact ML.  Each trial draws from its own substream, so the batch

@@ -21,6 +21,14 @@ from k helper shares and re-encoding it would give, byte-identical to the
 original.  For an unpadded file repair_node computes it in one pass, as the
 repair row applied to the helper shares.
 
+Interleaved files.  Every row of these matrices acts on the shares or
+chunks bytewise: byte b of an output depends only on byte b of each input.
+So when T unpadded files of k*L bytes are laid out as one virtual file
+whose chunk j holds every file's chunk j in turn, share i of the virtual
+file holds every file's own share i in turn, and repair_node on such
+shares repairs every file's share at once.  The repair pipeline encodes
+and repairs a batch of trials this way (protocol.py).
+
 Serialized share format (also in the README): an 8-byte header
 
     magic "WS" (2) | version (1) | n (1) | k (1) | node_id (1) | pad_len (2, BE)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import wstsim
 from wstsim.decoder import decode_session, factor_sessions
+from wstsim.lift import Fragment
 
 
 def wstsim_env() -> dict:
@@ -26,3 +27,16 @@ def decode_one(received, h, snr, m, mode="sphere"):
     """Decode one received session through both stages, as a stack of one."""
     (problem,) = factor_sessions([received], [h], snr, m)
     return decode_session(problem, mode)
+
+
+def share_fragments(data: bytes, m: int) -> list[Fragment]:
+    """Cut a share into 3m-bit fragments, zero-padding the last one: the
+    share read as one big-endian integer, shifted left to whole fragments.
+    The oracle for the protocol's stacked cutter."""
+    if not data:
+        raise ValueError("cannot fragment an empty share")
+    step = 3 * m
+    count = -(-8 * len(data) // step)
+    value = int.from_bytes(data, "big") << (count * step - 8 * len(data))
+    mask = (1 << step) - 1
+    return [Fragment((value >> (step * i)) & mask, m) for i in range(count - 1, -1, -1)]

@@ -169,11 +169,10 @@ def test_ac6_end_to_end_repair():
     snr_grid = (10.0, 15.0, 20.0, 25.0, 30.0)
     trials = 1000
     cells = []
-    for idx, db in enumerate(snr_grid):
-        _, counts = _repair_range(
-            ((cfg, 2, "pair", "sphere", False), MC_SEED, idx, db, idx * trials, (idx + 1) * trials)
-        )
-        sessions, sess_err, shares, share_fail = (int(v) for v in counts[:4])
+    # one range over the whole grid: trial t of point i has index i * trials + t
+    counts = _repair_range(((cfg, 2, "pair", "sphere", False), MC_SEED, snr_grid, trials, 0, trials))
+    for db, row in zip(snr_grid, counts, strict=True):
+        sessions, sess_err, shares, share_fail = (int(v) for v in row[:4])
         cells.append(
             {
                 "snr_db": db,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wstsim.channel import SnrPoint, draw_cn, draw_session, transmit, trial_rng
+from wstsim.channel import SnrPoint, amplitudes, draw_cn, draw_session, transmit, trial_rng
 from wstsim.encoder import build_pair_codeword, normalizer
 from wstsim.lift import Fragment, lift
 
@@ -211,3 +211,31 @@ def test_stacked_transmit_equals_per_session_bitwise(k, n_t):
         transmit(X, h[:, :1] if k == 2 else np.concatenate([h, h], axis=1), w, snr)
     with pytest.raises(ValueError):
         transmit(X, h, w[..., :2], snr)
+
+
+@pytest.mark.parametrize("k,n_t", [(1, 1), (2, 1), (2, 2)])
+def test_stacked_transmit_at_per_session_snr_equals_per_session_bitwise(k, n_t):
+    # each session scaled by its own amplitude: the received matrix of its
+    # own call at its own SnrPoint, bit for bit
+    rng = trial_rng(607, k, n_t)
+    S = 400
+    X = draw_cn(rng, (S, k * n_t, 3))
+    h = draw_cn(rng, (S, k, 2, n_t))
+    w = draw_cn(rng, (S, 2, 3))
+    w[::3] = 0.0
+    points = [SnrPoint(db) for db in rng.choice([-20.0, 0.0, 10.0, 12.5, 25.0, 30.0, 80.0], size=S)]
+    Y = transmit(X, h, w, amplitudes(points, S))
+    assert Y.shape == (S, 2, 3)
+    for n, snr in enumerate(points):
+        assert np.array_equal(_bits(Y[n]), _bits(transmit(X[n], h[n], w[n], snr)))
+    # one SnrPoint for the stack is the same as its amplitude for every session
+    assert np.array_equal(_bits(transmit(X, h, w, points[0])), _bits(transmit(X, h, w, amplitudes(points[0], S))))
+
+
+def test_amplitudes_of_one_point_or_one_per_session():
+    points = [SnrPoint(10.0), SnrPoint(-3.5), SnrPoint(10.0)]
+    assert amplitudes(points, 3).tolist() == [math.sqrt(p.snr_linear) for p in points]
+    assert amplitudes(SnrPoint(7.0), 4).tolist() == [math.sqrt(SnrPoint(7.0).snr_linear)] * 4
+    assert amplitudes([], 0).shape == (0,)
+    with pytest.raises(ValueError):
+        amplitudes(points, 2)

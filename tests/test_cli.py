@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -345,45 +346,46 @@ def test_one_parser_serves_many_runs_without_carrying_state(tmp_path):
 
 def capture_tasks(monkeypatch):
     """Make the sweep driver hand its tasks to a list instead of running
-    them; each task reports its trial count for every count."""
+    them; each task reports its trial count for every count of every point."""
     tasks = []
 
     def fake_map_tasks(worker, task_list, workers):
         tasks.extend(task_list)
         width = 3 if worker is cli._session_range else 6
-        return [(t[2], np.full(width, t[5] - t[4])) for t in tasks]
+        return [np.full((len(t[2]), width), t[5] - t[4]) for t in tasks]
 
     monkeypatch.setattr(cli, "map_tasks", fake_map_tasks)
     return tasks
 
 
 def test_a_huge_trial_count_makes_one_range_per_worker(monkeypatch, tmp_path):
-    # 10**12 trials at 5 SNR points: 2 tasks a point, tiling the trial
-    # indices [0, 5 * 10**12) once; the tasks are only collected, not run
+    # 10**12 trials at 5 SNR points: 2 tasks, each spanning the grid, whose
+    # offsets tile [0, 10**12) once, so trial t of point i (index
+    # i * 10**12 + t) falls in exactly one; the tasks are only collected,
+    # not run
     tasks = capture_tasks(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     trials = 10**12
     argv = ["simulate", "--trials", str(trials), "--snr-grid", "10:30:5", "--workers", "2",
             "--seed", "1", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
-    assert len(tasks) == 10
-    assert [t[2] for t in tasks] == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-    assert [t[3] for t in tasks[::2]] == [10.0, 15.0, 20.0, 25.0, 30.0]
+    assert len(tasks) == 2
+    assert all(t[2] == (10.0, 15.0, 20.0, 25.0, 30.0) and t[3] == trials for t in tasks)
     bounds = [(t[4], t[5]) for t in tasks]
-    assert bounds[0][0] == 0 and bounds[-1][1] == 5 * trials
+    assert bounds[0][0] == 0 and bounds[-1][1] == trials
     assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
-    assert all(t[2] * trials <= t[4] < t[5] <= (t[2] + 1) * trials for t in tasks)
+    assert all(0 <= t[4] < t[5] <= trials for t in tasks)
+    rows = (tmp_path / "simulate_pair_m2_sphere.csv").read_text().splitlines()[3:]
+    assert [int(row.split(",")[4]) for row in rows] == [trials] * 5
 
 
-def test_one_worker_makes_one_range_per_point(monkeypatch, tmp_path):
+def test_one_worker_makes_one_range_spanning_the_grid(monkeypatch, tmp_path):
     # the benchmark's shape: 10 repair trials at 5 SNR points, one worker
     tasks = capture_tasks(monkeypatch)
     argv = ["repair", "--trials", "10", "--snr-grid", "10:30:5", "--workers", "1",
             "--seed", "4", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
-    assert [t[1:] for t in tasks] == [
-        (4, i, db, 10 * i, 10 * i + 10) for i, db in enumerate((10.0, 15.0, 20.0, 25.0, 30.0))
-    ]
+    assert [t[1:] for t in tasks] == [(4, (10.0, 15.0, 20.0, 25.0, 30.0), 10, 0, 10)]
 
 
 #: each command's provenance keys besides "command": every option that shapes
@@ -443,6 +445,30 @@ def test_selftest_passes(tmp_path):
     assert "selftest outage: ok" in res.stdout
     assert "all 4,096 at m=4" in res.stdout
     assert "FAIL" not in res.stdout
+
+
+def test_selftest_storage_catches_a_wrong_layout_or_repair(monkeypatch):
+    assert cli._selftest_storage(cli.trial_rng(3))[0]
+    encode, repair = cli.mds_encode, cli.repair_node
+
+    def reversed_batch(file, cfg):
+        # a batch encoder that does not keep the interleaved layout
+        return encode(file[::-1] if len(file) > cfg.k * 3 else file, cfg)
+
+    monkeypatch.setattr(cli, "mds_encode", reversed_batch)
+    ok, detail = cli._selftest_storage(cli.trial_rng(3))
+    assert not ok and "interleaved" in detail
+    monkeypatch.setattr(cli, "mds_encode", encode)
+
+    def wrong_from_one_triple(lost, helpers, cfg):
+        out = repair(lost, helpers, cfg)
+        if lost == 5 and [h.node_id for h in helpers] == [1, 2, 4]:
+            return dataclasses.replace(out, fragment=bytes([out.fragment[0] ^ 1]) + out.fragment[1:])
+        return out
+
+    monkeypatch.setattr(cli, "repair_node", wrong_from_one_triple)
+    ok, detail = cli._selftest_storage(cli.trial_rng(3))
+    assert not ok and "node 5 from nodes [1, 2, 4]" in detail
 
 
 def test_selftest_lift_checks_m4(monkeypatch):

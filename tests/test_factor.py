@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import wstsim.protocol as protocol
-from wstsim.channel import SnrPoint, draw_cn, draw_session, transmit, trial_rng
+from wstsim.channel import SnrPoint, amplitudes, draw_cn, draw_session, transmit, trial_rng
 from wstsim.decoder import (
     DecodeProblem,
     brute_force_ml,
@@ -42,18 +42,19 @@ from test_decoder import per_matrix_factor, recursive_sphere_decode
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
 
 
-def old_system(received, per_user, basis, snr):
-    """One session's real system, built on its own."""
+def old_system(received, per_user, basis, amplitude):
+    """One session's real system, built on its own; amplitude is its
+    sqrt(snr_linear), a float."""
     eqc = build_equivalent_channel(per_user, basis)
     return realify(
-        math.sqrt(snr.snr_linear) * eqc,
+        amplitude * eqc,
         np.asarray(received, dtype=complex).reshape(-1, order="F"),
     )
 
 
-def old_decode_session(received, h, snr, m):
+def old_decode_session(received, h, amplitude, m):
     """The per-session decode: build, realify and 2-D QR, then the recursive search."""
-    mat, obs = old_system(received, h, dispersion_basis(m), snr)
+    mat, obs = old_system(received, h, dispersion_basis(m), amplitude)
     return recursive_sphere_decode(*per_matrix_factor(mat, obs), pam_levels(m))
 
 
@@ -65,16 +66,16 @@ def assert_same_decode(new, old):
 def record_sessions(monkeypatch):
     """Record every session the protocol transmits and every decode it runs.
 
-    The protocol transmits a stack of sessions at a time and decodes them in
-    the stack's order, so each session of a stacked call is recorded on its
-    own.
+    The protocol transmits a stack of sessions at a time, each scaled by
+    its own amplitude, and decodes them in the stack's order, so each
+    session of a stacked call is recorded on its own, with its amplitude.
     """
     sent, decoded = [], []
     transmit, decode_session = protocol.transmit, protocol.decode_session
 
     def recording_transmit(codeword, h, w, snr):
         received = transmit(codeword, h, w, snr)
-        sent.extend((received[n], h[n], snr) for n in range(len(received)))
+        sent.extend((received[n], h[n], float(snr[n])) for n in range(len(received)))
         return received
 
     def recording_decode(problem, mode="sphere"):
@@ -126,7 +127,7 @@ def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
         stack = factor_sessions(received, chans, snr, 4)
         assert len(stack) == size
         for f, y, h in zip(stack, received, chans):
-            mat, obs = old_system(y, h, basis, snr)
+            mat, obs = old_system(y, h, basis, math.sqrt(snr.snr_linear))
             assert np.array_equal(f.matrix, mat) and np.array_equal(f.observation, obs)
             r, z, offset = per_matrix_factor(mat, obs)
             assert np.array_equal(f.r, r) and np.array_equal(f.z, z) and f.offset == offset
@@ -136,11 +137,14 @@ def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("pair", 4), ("tdma", 4)])
 def test_repair_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     sent, decoded = record_sessions(monkeypatch)
-    for k in range(5):  # one range of 40 trials, decoded as one batch, per SNR
-        run_repair_trials(CFG, m, SnrPoint(10.0 + 5.0 * k), scheme, "sphere", 606, range(40 * k, 40 * k + 40))
+    for k in range(5):  # one range of 40 trials per SNR
+        snr = SnrPoint(10.0 + 5.0 * k)
+        start = len(sent)
+        run_repair_trials(CFG, m, snr, scheme, "sphere", 606, range(40 * k, 40 * k + 40))
+        assert {a for _, _, a in sent[start:]} == {math.sqrt(snr.snr_linear)}
     assert len(sent) == len(decoded) >= 200 * 6  # 6 sessions a trial at m = 4, 11 at m = 2
-    for (received, h, snr), new in zip(sent, decoded):
-        assert_same_decode(new, old_decode_session(received, h, snr, m))
+    for (received, h, amplitude), new in zip(sent, decoded):
+        assert_same_decode(new, old_decode_session(received, h, amplitude, m))
 
 
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
@@ -149,8 +153,37 @@ def test_session_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     for t in range(200):
         run_session_trials(m, SnrPoint(10.0 + 5.0 * (t % 5)), scheme, "sphere", 909, [t])
     assert len(sent) == len(decoded) == 200
-    for (received, h, snr), new in zip(sent, decoded):
-        assert_same_decode(new, old_decode_session(received, h, snr, m))
+    for t, ((received, h, amplitude), new) in enumerate(zip(sent, decoded)):
+        assert amplitude == math.sqrt(SnrPoint(10.0 + 5.0 * (t % 5)).snr_linear)
+        assert_same_decode(new, old_decode_session(received, h, amplitude, m))
+
+
+@pytest.mark.parametrize("k_act", [1, 2])
+def test_factor_sessions_at_per_session_snr_equals_each_alone_bitwise(k_act):
+    rng = trial_rng(78, k_act)
+    points = [SnrPoint(db) for db in (10.0, 30.0, 15.0, 10.0, 25.0, 20.0, -5.0, 60.0)]
+    chans = [draw_session(rng, 2, 1, k_act, 3)[0] for _ in points]
+    received = [draw_cn(rng, (2, 3)) for _ in points]
+    stack = factor_sessions(received, chans, amplitudes(points, len(points)), 4)
+    for f, y, h, snr in zip(stack, received, chans, points, strict=True):
+        (alone,) = factor_sessions([y], [h], snr, 4)
+        assert np.array_equal(f.matrix, alone.matrix) and np.array_equal(f.observation, alone.observation)
+        assert np.array_equal(f.r, alone.r) and np.array_equal(f.z, alone.z) and f.offset == alone.offset
+        assert f.result == alone.result
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+def test_mixed_snr_repair_batch_decodes_as_the_per_session_path(scheme, m, monkeypatch):
+    sent, decoded = record_sessions(monkeypatch)
+    points = [SnrPoint(10.0 + 5.0 * (t % 5)) for t in range(100)]
+    run_repair_trials(CFG, m, points, scheme, "sphere", 607, range(100))
+    per_trial = 12 if m == 2 else 10
+    assert len(sent) == len(decoded) == 100 * per_trial
+    # every session of a trial is sent at the trial's own amplitude
+    amplitude = {math.sqrt(p.snr_linear) for p in points}
+    assert {a for _, _, a in sent} == amplitude
+    for (received, h, a), new in zip(sent, decoded):
+        assert_same_decode(new, old_decode_session(received, h, a, m))
 
 
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
@@ -182,9 +215,13 @@ def test_decodes_do_not_depend_on_the_stack(scheme, m):
 
 def test_session_block_equals_trials_one_by_one():
     snr = SnrPoint(12.0)
-    _, counts = _session_range(((2, "pair", "sphere"), 31, 1, 12.0, 320, 440))
+    # offsets 20..139 of a 300-trial grid: indices 20..139 at 9 dB and
+    # 320..439 at 12 dB, run as one block of 240 mixed trials
+    counts = _session_range(((2, "pair", "sphere"), 31, (9.0, 12.0), 300, 20, 140))
     single = [run_session_trials(2, snr, "pair", "sphere", 31, [300 + t])[0] for t in range(20, 140)]
-    assert counts.tolist() == [120, sum(e for e, _ in single), sum(n for _, n in single)]
+    assert counts[1].tolist() == [120, sum(e for e, _ in single), sum(n for _, n in single)]
+    low = run_session_trials(2, SnrPoint(9.0), "pair", "sphere", 31, range(20, 140))
+    assert counts[0].tolist() == [120, sum(e for e, _ in low), sum(n for _, n in low)]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

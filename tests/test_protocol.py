@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,11 +14,10 @@ from wstsim.protocol import (
     plan_sessions,
     run_repair_trials,
     run_session_trials,
-    share_fragments,
 )
-from wstsim.storage import StorageConfig
+from wstsim.storage import StorageConfig, mds_encode, repair_node
 
-from conftest import decode_one
+from conftest import decode_one, share_fragments
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
 
@@ -268,18 +268,24 @@ def test_no_stack_exceeds_the_session_batch(monkeypatch):
         return factor_sessions(received, channels, snr, m)
 
     monkeypatch.setattr(protocol, "factor_sessions", recording)
-    assert protocol.SESSION_BATCH == 1024
+    assert protocol.SESSION_BATCH == 256
     cfg = StorageConfig(6, 3, d=5, fragment_bits=4096)
     # 342 blocks a share at m = 4: 1,710 singleton sessions a trial, each
     # trial a batch of its own and its stack split at the cap
     results = run_repair_trials(cfg, 4, SnrPoint(30.0), "tdma", "sphere", 3, range(2), noiseless=True)
     assert [r.sessions_total for r in results] == [1710] * 2
-    assert sizes == [1024, 686] * 2
+    assert sizes == ([256] * 6 + [174]) * 2
     sizes.clear()
     # 683 blocks at m = 2: 683 singleton and 1,366 pair sessions a trial
     results = run_repair_trials(cfg, 2, SnrPoint(30.0), "pair", "sphere", 3, range(2), noiseless=True)
     assert all(r.repaired_share_ok and not r.shares_failed for r in results)
-    assert sizes == [683, 1024, 342] * 2
+    assert sizes == ([256, 256, 171] + [256] * 5 + [86]) * 2
+    sizes.clear()
+    # 12 sessions a trial (4 singletons, 8 pairs) at 24-bit shares: batches
+    # of 21 trials, 252 sessions, then the last 8 trials
+    results = run_repair_trials(CFG, 2, SnrPoint(30.0), "pair", "sphere", 3, range(50), noiseless=True)
+    assert len(results) == 50
+    assert sizes == [84, 168, 84, 168, 32, 64]
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +297,11 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _send_one_by_one(sessions, m, snr, noiseless):
-    """Each session's own draw, codeword and transmit, in session order."""
+def _send_one_by_one(sessions, m, snrs, noiseless):
+    """Each session's own draw, codeword and transmit at its own SNR point,
+    in session order."""
     out = []
-    for fragments, rng in sessions:
+    for (fragments, rng), snr in zip(sessions, snrs, strict=True):
         points = [lift(f) for f in fragments]
         h, w = draw_session(rng, 2, 1, len(points), 3)
         if noiseless:
@@ -304,10 +311,9 @@ def _send_one_by_one(sessions, m, snr, noiseless):
     return out
 
 
-@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
-@pytest.mark.parametrize("noiseless", [False, True])
-def test_stacked_send_equals_the_per_session_loop(scheme, m, noiseless, monkeypatch):
-    snr = SnrPoint(14.0)
+def _check_stacked_send(scheme, m, noiseless, trial_snrs, monkeypatch):
+    """The stacked send of 30 batch-sent trials, trial t at trial_snrs[t],
+    against each session's own draw, codeword and transmit."""
     stacks = []
     stacked_transmit = protocol.transmit
 
@@ -317,12 +323,14 @@ def test_stacked_send_equals_the_per_session_loop(scheme, m, noiseless, monkeypa
         return received
 
     def batch():
-        return [s for t in range(30) for s in protocol._send_repair(CFG, m, scheme, 21, t)[1]]
+        return protocol._send_repairs(CFG, m, protocol.GROUP_SIZES[scheme], 21, range(30))[2]
 
     monkeypatch.setattr(protocol, "transmit", recording)
     stacked, single = batch(), batch()
-    protocol.run_sessions(stacked, m, snr, noiseless=noiseless)
-    looped = _send_one_by_one(single, m, snr, noiseless)
+    per_trial = len(single) // 30
+    snrs = [snr for snr in trial_snrs for _ in range(per_trial)]
+    protocol.run_sessions(stacked, m, snrs, noiseless=noiseless)
+    looped = _send_one_by_one(single, m, snrs, noiseless)
     # one stack per session size, singletons first, each in session order
     sizes = [len(fragments) for fragments, _ in single]
     order = [i for k in (1, 2) for i, size in enumerate(sizes) if size == k]
@@ -338,9 +346,149 @@ def test_stacked_send_equals_the_per_session_loop(scheme, m, noiseless, monkeypa
     assert len(after) == 30
 
 
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_stacked_send_equals_the_per_session_loop(scheme, m, noiseless, monkeypatch):
+    _check_stacked_send(scheme, m, noiseless, [SnrPoint(14.0)] * 30, monkeypatch)
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+def test_stacked_send_at_mixed_snr_equals_the_per_session_loop(scheme, m, monkeypatch):
+    trial_snrs = [SnrPoint(db) for db in (10.0, 15.0, 20.0, 25.0, 30.0, -7.5)] * 5
+    _check_stacked_send(scheme, m, False, trial_snrs, monkeypatch)
+
+
 def test_run_sessions_refuses_other_session_sizes():
     rng = trial_rng(3)
     frags = [Fragment(1, 2)] * 3
     with pytest.raises(ValueError):
         protocol.run_sessions([(frags, rng)], 2, SnrPoint(10.0))
     assert protocol.run_sessions([], 2, SnrPoint(10.0)) == []
+
+
+# ---------------------------------------------------------------------------
+# the batch stages of repair trials against one trial at a time
+# ---------------------------------------------------------------------------
+
+
+def old_repair_trial(cfg, m, snr, scheme, seed, t, noiseless=False, calls=None):
+    """One repair trial on its own: its own encode, its shares cut by
+    share_fragments, its own sessions, every share reassembled, and its own
+    repair_node call, whose (lost node, chosen helper ids) it appends to
+    calls when given."""
+    rng = trial_rng(seed, t)
+    contents = mds_encode(rng.bytes(cfg.k * cfg.fragment_bits // 8), cfg)
+    lost = int(rng.integers(cfg.n))
+    survivors = [i for i in range(cfg.n) if i != lost]
+    helpers = sorted(rng.choice(survivors, size=cfg.d, replace=False).tolist())
+    fragments = {h: share_fragments(contents[h].fragment, m) for h in helpers}
+    plan = plan_sessions(helpers, len(fragments[helpers[0]]), rng, protocol.GROUP_SIZES[scheme])
+    sessions = [([fragments[h][block] for h in group], rng) for group, block in plan]
+    outcomes = protocol.run_sessions(sessions, m, snr, "sphere", noiseless)
+    decoded = {h: [] for h in helpers}
+    for (group, _), (got, _, _) in zip(plan, outcomes):
+        for h, frag in zip(group, got):
+            decoded[h].append(frag)
+    usable = [
+        contents[h] for h in helpers
+        if join_fragments(decoded[h], len(contents[h].fragment)) == contents[h].fragment
+    ]
+    ok = len(usable) >= cfg.k and repair_node(lost, usable, cfg).fragment == contents[lost].fragment
+    if calls is not None and len(usable) >= cfg.k:
+        calls.append((lost, tuple(s.node_id for s in usable[: cfg.k])))
+    return RepairTrialResult(len(plan), sum(e for _, e, _ in outcomes), ok, len(helpers) - len(usable))
+
+
+@pytest.mark.parametrize("m", range(2, 17, 2))
+def test_stacked_cutter_equals_share_fragments(m):
+    rng = np.random.default_rng(m)
+    for n_bytes in (1, 2, 3, 7, 17, 64):
+        shares = np.frombuffer(rng.bytes(4 * 3 * n_bytes), dtype=np.uint8).reshape(4, 3, n_bytes).copy()
+        shares[0, 0] = 0xFF  # padding below all-ones bits must still be zeros
+        values = protocol._fragment_values(shares, m)
+        assert values.shape == (4, 3, -(-8 * n_bytes // (3 * m)))
+        for node, trial in itertools.product(range(4), range(3)):
+            expected = share_fragments(shares[node, trial].tobytes(), m)
+            assert [Fragment(v, m) for v in values[node, trial].tolist()] == expected
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("fragment_bits", [8, 16, 24, 4096])
+def test_batch_encode_equals_each_trials_own_encode(trials, k, fragment_bits):
+    cfg = StorageConfig(k + 3, k, d=k + 1, fragment_bits=fragment_bits)
+    shares, sent, _ = protocol._send_repairs(cfg, 2, 2, 44, range(100, 100 + trials))
+    assert shares.shape == (cfg.n, trials, fragment_bits // 8)
+    for t, (lost, helpers, _) in enumerate(sent):
+        rng = trial_rng(44, 100 + t)
+        own = mds_encode(rng.bytes(k * fragment_bits // 8), cfg)
+        assert [shares[i, t].tobytes() for i in range(cfg.n)] == [c.fragment for c in own]
+        assert lost == int(rng.integers(cfg.n)) and lost not in helpers and len(helpers) == cfg.d
+
+
+REPAIR_CONFIGS = [
+    CFG,
+    PADDED,
+    StorageConfig(9, 4, d=6, fragment_bits=24),  # d < n - 1: the helpers are a draw
+    StorageConfig(9, 4, d=6, fragment_bits=16),
+]
+
+
+@pytest.mark.parametrize("cfg", REPAIR_CONFIGS, ids=["6-3-5-24", "6-3-5-16", "9-4-6-24", "9-4-6-16"])
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+def test_batch_repair_equals_trials_one_at_a_time(cfg, scheme, m, monkeypatch):
+    # from 10 to 22 dB many trials lose shares, some too many to repair,
+    # so the trials split into many repair groups
+    calls = []
+    grouped = protocol.repair_node
+
+    def recording(lost, helpers, cfg):
+        out = grouped(lost, helpers, cfg)
+        calls.append((lost, helpers, out))
+        return out
+
+    monkeypatch.setattr(protocol, "repair_node", recording)
+    snrs = [SnrPoint(db) for db in (10.0, 14.0, 18.0, 22.0)] * 15
+    batch = run_repair_trials(cfg, m, snrs, scheme, "sphere", 77, range(60))
+    monkeypatch.setattr(protocol, "repair_node", grouped)
+    own_calls = []
+    assert batch == [old_repair_trial(cfg, m, snr, scheme, 77, t, calls=own_calls) for t, snr in enumerate(snrs)]
+    assert any(r.shares_failed and r.repaired_share_ok for r in batch)
+    assert any(not r.repaired_share_ok for r in batch)
+    assert len(calls) < sum(r.repaired_share_ok for r in batch)
+    # each grouped call's output is, trial by trial, repair_node on that
+    # trial's own shares, and its trials are those whose own call has the
+    # same lost node and chosen helpers
+    size = cfg.fragment_bits // 8
+    covered = []
+    for lost, helpers, out in calls:
+        assert len(helpers) == cfg.k and sorted(h.node_id for h in helpers) == [h.node_id for h in helpers]
+        count = len(out.fragment) // size
+        for t in range(count):
+            part = slice(t * size, (t + 1) * size)
+            own = [type(h)(h.node_id, h.fragment[part]) for h in helpers]
+            assert grouped(lost, own, cfg).fragment == out.fragment[part]
+        covered += [(lost, tuple(h.node_id for h in helpers))] * count
+    assert sorted(covered) == sorted(own_calls)
+    assert len(covered) == sum(r.repaired_share_ok for r in batch)
+
+
+@pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
+def test_a_mixed_snr_batch_equals_per_point_runs(scheme, m):
+    grid = [6.0, 10.0, 14.0, 18.0, 30.0]
+    db = [grid[(t * 7) % 5] for t in range(60)]
+    mixed = run_repair_trials(CFG, m, [SnrPoint(v) for v in db], scheme, "sphere", 19, range(60))
+    per_point = {
+        v: iter(run_repair_trials(CFG, m, SnrPoint(v), scheme, "sphere", 19, [t for t in range(60) if db[t] == v]))
+        for v in grid
+    }
+    assert mixed == [next(per_point[v]) for v in db]
+    assert any(r.sessions_errored for r in mixed)
+    sessions = run_session_trials(m, [SnrPoint(v) for v in db], scheme, "sphere", 19, range(60))
+    per_point = {
+        v: iter(run_session_trials(m, SnrPoint(v), scheme, "sphere", 19, [t for t in range(60) if db[t] == v]))
+        for v in grid
+    }
+    assert sessions == [next(per_point[v]) for v in db]
+    with pytest.raises(ValueError):
+        run_repair_trials(CFG, m, [SnrPoint(10.0)] * 3, scheme, "sphere", 19, range(4))

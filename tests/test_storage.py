@@ -291,3 +291,28 @@ def test_share_header_rejects_garbage():
         share_from_bytes(b"XX\x01\x06\x03\x00\x00\x00payload")
     with pytest.raises(ValueError):
         share_from_bytes(b"WS")
+
+
+# ---------------------------------------------------------------------------
+# interleaved files: the layout a batch of repair trials encodes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("fragment_bits", [8, 16, 24, 4096])
+def test_interleaved_files_encode_to_interleaved_shares(trials, k, fragment_bits):
+    # chunk j of the virtual file holds every file's chunk j in turn, so
+    # share i of it holds every file's own share i in turn
+    cfg = StorageConfig(k + 3, k)
+    size = fragment_bits // 8
+    rng = np.random.default_rng([trials, k, fragment_bits])
+    files = [rng.bytes(k * size) for _ in range(trials)]
+    virtual = b"".join(f[j * size : (j + 1) * size] for j in range(k) for f in files)
+    shares = mds_encode(virtual, cfg)
+    assert all(s.pad_len == 0 and len(s.fragment) == trials * size for s in shares)
+    for t, f in enumerate(files):
+        own = mds_encode(f, cfg)
+        for i in range(cfg.n):
+            assert shares[i].fragment[t * size : (t + 1) * size] == own[i].fragment
+            assert own[i].pad_len == 0
