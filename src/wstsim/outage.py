@@ -20,6 +20,15 @@ in ascending order, so the margins, and their rounding bound, do not depend
 on b.  Rows too close to the boundary to call under rounding go to the
 direct evaluator, so flags equal full_mac_outage_reference exactly.
 
+Each thread keeps one workspace of named float64 buffers, each grown to the
+largest size asked of it and reused across blocks and sweeps, so a sweep
+allocates no large array per block: _block_counts draws every block into
+its "draw" buffer, and the subset bound works in two slots, "A" and "B",
+of max(4K, K + C(K, 2)) N floats each for a block of N rows.  At K = 12 and
+16,384 rows (one full block) that is 9.75 MiB a slot, plus 6 MiB of draw
+buffer, about 25.5 MiB a thread.  The buffers are private to the module:
+the predicates return fresh arrays, never a view of them.
+
 The outage predicates are pure and vectorized: they accept one channel
 realization or any leading batch shape.  Sweeps draw channels in fixed-size
 blocks of 16384 trials, each block on its own Philox counter substream keyed
@@ -31,6 +40,7 @@ result.  All merged statistics derive from integer counts.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -52,6 +62,30 @@ SCHEMES = ("tdma", "pair", "full-mac")
 
 class InsufficientSamplesError(RuntimeError):
     """Too few SNR cells saw outage events to fit a diversity slope."""
+
+
+class _Workspace(threading.local):
+    """One thread's named float64 buffers, each grown to the largest size
+    asked of it and kept for the next request."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, size: int) -> np.ndarray:
+        """The first size entries of buffer name, as a 1-D view."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size)
+        return buf[:size]
+
+
+_workspace = _Workspace()
+
+
+def _slot(name: str, K: int, n: int) -> np.ndarray:
+    """Slot "A" or "B" of the subset bound for K users and n rows: room for
+    its largest role, four (K, n) planes or K + C(K, 2) rows of n."""
+    return _workspace.take(name, max(4 * K, K + K * (K - 1) // 2) * n)
 
 
 def _rate(gain: float, snr: SnrPoint, offset: float) -> float:
@@ -123,7 +157,8 @@ def full_mac_outage_reference(chan, snr: SnrPoint, K: int, r, offset: float):
             g11 = (np.abs(sub[..., 1, :]) ** 2).sum(axis=-1)
             g01 = (sub[..., 0, :] * sub[..., 1, :].conj()).sum(axis=-1)
             det = g00 * g11 - np.abs(g01) ** 2
-            cap = np.log2(1.0 + s * (g00 + g11) + (s * s) * det)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cap = np.log2(1.0 + s * (g00 + g11) + (s * s) * det)
             out |= cap < size * rate
     return out if out.ndim else bool(out)
 
@@ -139,19 +174,27 @@ def _user_terms(h: np.ndarray, s: float) -> np.ndarray:
     """(a, b, c, d) per user, shape (4, K, N), for h of shape (N, 2, K): s times
     |h0k|^2, |h1k|^2 and the real and imaginary parts of h0k conj(h1k).
 
-    Each term is written in place, so the only temporaries are the complex
-    cross product and its conjugated operand.
+    h is copied once, transposed, into workspace slot A as contiguous (K, N)
+    rows of the real and imaginary parts of h0 and h1, and each term is
+    computed from those rows in place.  The terms are a view of slot B,
+    valid until the next call that uses the workspace.
     """
-    h0, h1 = h[:, 0, :].T, h[:, 1, :].T
-    terms = np.empty((4,) + h0.shape)
+    n, _, K = h.shape
+    x = _slot("A", K, n)[: 4 * K * n].reshape(2, 2, K, n)
+    np.copyto(x[0], h.real.transpose(1, 2, 0))
+    np.copyto(x[1], h.imag.transpose(1, 2, 0))
+    (h0r, h1r), (h0i, h1i) = x
+    terms = _slot("B", K, n)[: 4 * K * n].reshape(4, K, n)
     a, b, c, d = terms
-    for out, x in ((a, h0), (b, h1)):
-        np.square(x.real, out=out)
-        out += np.square(x.imag, out=d)  # d is scratch until it is written below
-        out *= s
-    cross = h0 * h1.conj()
-    np.multiply(cross.real, s, out=c)
-    np.multiply(cross.imag, s, out=d)
+    np.multiply(h0r, h0r, out=a)
+    a += np.multiply(h0i, h0i, out=b)  # b is scratch until it is written below
+    np.multiply(h0r, h1r, out=c)
+    c += np.multiply(h0i, h1i, out=b)
+    np.multiply(h0i, h1r, out=d)
+    d -= np.multiply(h0r, h1i, out=h0r)  # the last read of h0r
+    np.multiply(h1r, h1r, out=b)
+    b += np.multiply(h1i, h1i, out=h1i)
+    terms *= s
     return terms
 
 
@@ -258,56 +301,71 @@ def _subset_bound_gaps(terms: np.ndarray, rate: float) -> tuple[np.ndarray, np.n
     g_j - 2^{j R}, shape (K, N) for j = 1..K, and the tolerance
     _MARGIN_TOL (1+A)(1+B), where A and B are the full-set sums of a and b.
 
+    The work is done in workspace slots A and B, and terms is used up: its c
+    and d are doubled in place, and slot B (where _user_terms leaves them)
+    is overwritten.  The gaps are a view of slot A, valid until the next
+    call that uses the workspace.  w and the p_kl are built as the rows of
+    one (K + C(K, 2), N) array in slot A, p_kl from c_k and d_k doubled as
+    the pass of k begins.  One transposing copy puts each row's w and p in
+    slot B as contiguous columns, which are sorted in place; a copy back
+    turns them into rows again, and the prefix sums are added row by row.
+
     Rounding bound, with u = 2^-53 and K <= 12: w_k is off by less than 5u w_k.
-    Each of a_k b_l and a_l b_k is off by less than 10u of itself, and
-    |c_k c_l| + |d_k d_l| <= sqrt(a_k b_k a_l b_l) <= (a_k b_l + a_l b_k) / 2,
-    so p_kl is off by less than 30u (a_k b_l + a_l b_k) and |p_kl| stays
-    below 2 (a_k b_l + a_l b_k).  Summed over all pairs these are at most
-    30u AB and 2AB.  The sorted prefix sums add at most 65u times the sum of
-    their terms' magnitudes (11u (A+B) for w, 130u AB for p), and adding 1
-    and subtracting 2^{j R} add 8u (1+A)(1+B).  The p of any size-j subset's
-    pairs sum to at least the C(j, 2) smallest, so for every such subset S,
-    det(S) - 2^{j R} is at least the computed gap less 200u (1+A)(1+B); for
-    the weakest user and the full set the two differ by less than that.  The
-    reference's log2 argument is off by less than (4|S| + 20) u (1+a)(1+b)
-    <= 68u (1+A)(1+B), and a gap can only be small when
-    2^{j R} <= 2 (1+A)(1+B), where the reference's log2 moves its threshold
-    by less than 2,840u (1+A)(1+B) (both as derived in _full_mac_margin).
-    The total stays below 3,110u (3.5e-13) of (1+A)(1+B), nearly three times
-    inside the tolerance.
+    Each of a_k b_l and a_l b_k is off by less than 10u of itself.  Doubling
+    is exact, so fl(2c_k c_l) = 2 fl(c_k c_l): each p_kl is the same double
+    as with the rounded products doubled.  As |c_k c_l| + |d_k d_l| <=
+    sqrt(a_k b_k a_l b_l) <= (a_k b_l + a_l b_k) / 2, p_kl is off by less
+    than 30u (a_k b_l + a_l b_k) and |p_kl| stays below 2 (a_k b_l + a_l b_k).
+    Summed over all pairs these are at most 30u AB and 2AB.  The sort only
+    moves values, and each prefix sum adds its sorted terms one at a time in
+    ascending order, so it is off by at most 65u times the sum of its terms'
+    magnitudes (11u (A+B) for w, 130u AB for p); adding 1 and subtracting
+    2^{j R} add 8u (1+A)(1+B).  The p of any size-j subset's pairs sum to at
+    least the C(j, 2) smallest, so for every such subset S, det(S) - 2^{j R}
+    is at least the computed gap less 200u (1+A)(1+B); for the weakest user
+    and the full set the two differ by less than that.  The reference's log2
+    argument is off by less than (4|S| + 20) u (1+a)(1+b) <= 68u (1+A)(1+B),
+    and a gap can only be small when 2^{j R} <= 2 (1+A)(1+B), where the
+    reference's log2 moves its threshold by less than 2,840u (1+A)(1+B)
+    (both as derived in _full_mac_margin).  The total stays below 3,110u
+    (3.5e-13) of (1+A)(1+B), nearly three times inside the tolerance.
     """
     a, b, c, d = terms  # each (K, N) and contiguous, so no ufunc buffers
     K, n = a.shape
+    rows = K + K * (K - 1) // 2
     tol = (1.0 + a.sum(axis=0)) * (1.0 + b.sum(axis=0))
     tol *= _MARGIN_TOL
-    w = np.add(a, b)
-    # p_kl for l > k in rows lo..hi of pairs, one k per pass
-    pairs = np.empty((K * (K - 1) // 2, n))
-    tmp = np.empty((K - 1, n))
+    stack = _slot("A", K, n)[: rows * n].reshape(rows, n)
+    w, pairs = stack[:K], stack[K:]
+    # p_kl for l > k in rows lo..hi of pairs, one k per pass; w's rows are
+    # scratch until w is written below
     lo = 0
     for k in range(K - 1):
         hi = lo + K - 1 - k
-        blk, t = pairs[lo:hi], tmp[: hi - lo]
+        blk, t = pairs[lo:hi], w[: hi - lo]
         np.multiply(a[k + 1 :], b[k], out=blk)
-        np.multiply(b[k + 1 :], a[k], out=t)
-        blk += t
+        blk += np.multiply(b[k + 1 :], a[k], out=t)
         for x in (c, d):
-            np.multiply(x[k + 1 :], x[k], out=t)
-            t *= 2.0
-            blk -= t
+            x[k] *= 2.0
+            blk -= np.multiply(x[k + 1 :], x[k], out=t)
         lo = hi
-    # sorted prefix sums, in place and one row per call (np.cumsum along
-    # axis 0 runs one strided column at a time)
+    np.add(a, b, out=w)
+    # each row's w and p as contiguous columns of slot B, sorted there (a
+    # sort along axis 0 of stack would walk strided columns), then back
+    cols = _slot("B", K, n)[: rows * n].reshape(n, rows).T
+    np.copyto(cols, stack)
+    cols[:K].sort(axis=0)
+    cols[K:].sort(axis=0)
+    np.copyto(stack, cols)
+    # prefix sums, in place and one row per call (np.cumsum along axis 0
+    # runs one strided column at a time)
     for x in (w, pairs):
-        x.sort(axis=0)
         for i in range(1, x.shape[0]):
             np.add(x[i - 1], x[i], out=x[i])
-    thresh = np.exp2(np.arange(1, K + 1) * rate)
-    for j in range(1, K + 1):
-        if j > 1:
-            w[j - 1] += pairs[j * (j - 1) // 2 - 1]
-        w[j - 1] += 1.0
-        w[j - 1] -= thresh[j - 1]
+    for j in range(2, K + 1):
+        w[j - 1] += pairs[j * (j - 1) // 2 - 1]
+    w += 1.0
+    w -= np.exp2(np.arange(1, K + 1) * rate)[:, None]
     return w, tol
 
 
@@ -450,8 +508,8 @@ class OutageEstimate:
 
 def _block_counts(task) -> list[int]:
     """Outage counts per SNR point over a list of (snr_idx, block_idx, size)
-    blocks.  Every block is drawn into one buffer, so a sweep allocates its
-    channel draws once rather than once per block."""
+    blocks.  Every block is drawn into the thread's workspace buffer "draw",
+    so sweeps in one process allocate their channel draws once."""
     spec, blocks = task
     # the predicate and the channel shape of one row; the predicates are
     # looked up per call, so a wrapper set on the module attribute is used
@@ -460,7 +518,7 @@ def _block_counts(task) -> list[int]:
         "pair": (outage_trial_pair, (2, 2)),
         "full-mac": (outage_trial_full_mac, (2, spec.K)),
     }[spec.scheme]
-    buf = np.empty(2 * math.prod(row_shape) * max(size for _, _, size in blocks))
+    buf = _workspace.take("draw", 2 * math.prod(row_shape) * max(size for _, _, size in blocks))
     counts = [0] * len(spec.snr_grid_db)
     for snr_idx, block_idx, size in blocks:
         chan = draw_cn(trial_rng(spec.seed, snr_idx, block_idx), (size, *row_shape), out=buf)

@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +121,25 @@ def test_outage_insufficient_statistics_exit_code(tmp_path):
     summary = json.loads((tmp_path / "outage_tdma_K2_summary.json").read_text())
     assert summary["slope"] is None
     assert "increase trials" in summary["slope_error"]
+
+
+def test_full_mac_extreme_snr_sweep_warns_at_no_worker_count(tmp_path):
+    # at +-1000 dB the reference evaluator's log2 argument cancels to <= 0 on
+    # some rows; that is no warning, so stderr does not depend on --workers
+    argv = ["outage", "--scheme", "full-mac", "--K", "4", "--snr-grid=-1000:1000:1000", "--r", "1/20",
+            "--offset", "1", "--trials", "20000", "--seed", "7"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--workers", "1", "--out-dir", str(tmp_path)]) == 4
+    errs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        out.mkdir()
+        res = run_cli(*argv, "--workers", workers, "--out-dir", str(out), cwd=tmp_path)
+        assert res.returncode == 4
+        errs.append(re.sub(r"\bin \d+(?:\.\d+)?s\b", "in <elapsed>s", res.stderr.replace(str(out), "<out>")))
+    assert "Warning" not in errs[0]
+    assert errs[0] == errs[1]
 
 
 def test_outage_config_file_with_flag_override(tmp_path):

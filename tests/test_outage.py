@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -307,6 +310,180 @@ def test_pair_dominant_constraint_is_single_user():
     chan = np.array([[1e-6, 1.0], [1e-6, 1.0]], dtype=complex)
     snr = SnrPoint(20.0)
     assert outage_trial_pair(chan, snr, 10, Fraction(1, 20), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# full-MAC workspace
+# ---------------------------------------------------------------------------
+
+
+def allocating_user_terms(h, s):
+    """The terms as _user_terms computed them in fresh arrays, kept as the
+    oracle of the workspace version."""
+    h0, h1 = h[:, 0, :].T, h[:, 1, :].T
+    terms = np.empty((4,) + h0.shape)
+    a, b, c, d = terms
+    for out, x in ((a, h0), (b, h1)):
+        np.square(x.real, out=out)
+        out += np.square(x.imag, out=d)  # d is scratch until it is written below
+        out *= s
+    cross = h0 * h1.conj()
+    np.multiply(cross.real, s, out=c)
+    np.multiply(cross.imag, s, out=d)
+    return terms
+
+
+def allocating_subset_bound_gaps(terms, rate):
+    """The gaps as _subset_bound_gaps computed them in fresh arrays: each
+    p_kl with its c and d products doubled after rounding, and a strided
+    sort along axis 0."""
+    a, b, c, d = terms
+    K, n = a.shape
+    tol = (1.0 + a.sum(axis=0)) * (1.0 + b.sum(axis=0))
+    tol *= outage._MARGIN_TOL
+    w = np.add(a, b)
+    pairs = np.empty((K * (K - 1) // 2, n))
+    tmp = np.empty((K - 1, n))
+    lo = 0
+    for k in range(K - 1):
+        hi = lo + K - 1 - k
+        blk, t = pairs[lo:hi], tmp[: hi - lo]
+        np.multiply(a[k + 1 :], b[k], out=blk)
+        np.multiply(b[k + 1 :], a[k], out=t)
+        blk += t
+        for x in (c, d):
+            np.multiply(x[k + 1 :], x[k], out=t)
+            t *= 2.0
+            blk -= t
+        lo = hi
+    for x in (w, pairs):
+        x.sort(axis=0)
+        for i in range(1, x.shape[0]):
+            np.add(x[i - 1], x[i], out=x[i])
+    thresh = np.exp2(np.arange(1, K + 1) * rate)
+    for j in range(1, K + 1):
+        if j > 1:
+            w[j - 1] += pairs[j * (j - 1) // 2 - 1]
+        w[j - 1] += 1.0
+        w[j - 1] -= thresh[j - 1]
+    return w, tol
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_subset_bound_gaps_equal_the_allocating_oracle(K):
+    # from the same terms the gaps are the oracle's bit for bit: each p_kl is
+    # the same double and the sort only moves values; the terms themselves
+    # may differ from the oracle's complex product in the last bits, which
+    # leaves each g_j (a rate of -inf zeroes every threshold) within the
+    # 200u (1+A)(1+B) of the rounding bound
+    u = 2.0**-53
+    for n in (1, 7, 512):
+        h = draw_cn(trial_rng(13, K, n), (n, 2, K))
+        h[: n // 4, :, -1] = h[: n // 4, :, 0]  # a repeated user
+        h[n // 4 : n // 2, :, 0] = 0.0  # a zero column
+        for db in (-10.0, 10.0, 30.0, 60.0):
+            s = SnrPoint(db).snr_linear
+            terms = allocating_user_terms(h, s)
+            A, B = terms[:2].sum(axis=1)
+            for r, offset in FULL_MAC_RATES:
+                rate = float(r) * math.log2(s) + offset
+                want, want_tol = allocating_subset_bound_gaps(terms.copy(), rate)
+                got, tol = outage._subset_bound_gaps(terms.copy(), rate)
+                assert got.shape == (K, n) and np.array_equal(tol, want_tol)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, db, r, offset)
+            want, _ = allocating_subset_bound_gaps(terms.copy(), -math.inf)
+            got, _ = outage._subset_bound_gaps(outage._user_terms(h, s), -math.inf)
+            assert (np.abs(got - want) <= 200 * u * (1 + A) * (1 + B)).all(), (n, db)
+
+
+WORKSPACE_SNR_DB = {1: 0.0, 2: 5.0, 3: 10.0, 10: 15.0, 12: 10.0}
+
+
+@lru_cache(maxsize=None)
+def workspace_base(K, form):
+    """2,048 draws for K users, complex or their real parts, with reference
+    flags at the K's SNR point, r = 1/20 and a 1-bit offset."""
+    h = draw_cn(trial_rng(14, K), (2048, 2, K))
+    if form == "real":
+        h = np.ascontiguousarray(h.real)
+    flags = full_mac_outage_reference(h, SnrPoint(WORKSPACE_SNR_DB[K]), K, Fraction(1, 20), 1.0)
+    return h, flags
+
+
+def workspace_case(K, n, form, rng):
+    """n rows picked from the K's base draws, as a contiguous complex, real
+    or non-contiguous complex array, and their reference flags."""
+    h, flags = workspace_base(K, "real" if form == "real" else "complex")
+    pick = rng.integers(0, len(h), n)
+    rows = h[pick]
+    if form == "strided":
+        # every value at a 32-byte stride: no float64 view of it exists
+        padded = np.zeros(rows.shape + (2,), dtype=complex)
+        padded[..., 0] = rows
+        rows = padded[..., 0]
+        assert not rows.flags.c_contiguous
+    return rows, flags[pick]
+
+
+def full_mac_flags(h, K):
+    return outage_trial_full_mac(h, SnrPoint(WORKSPACE_SNR_DB[K]), K, Fraction(1, 20), 1.0)
+
+
+def test_interleaved_workspace_calls_equal_reference_and_fresh_workspace(monkeypatch):
+    rng = np.random.default_rng(15)
+    cases = [(K, n, form) for K in WORKSPACE_SNR_DB for n in (1, 7, 512, 2048, 16384)
+             for form in ("complex", "real", "strided")]
+    # shuffled, so each size and K follows others that left the buffers
+    # larger, smaller or shaped for another K
+    for i in rng.permutation(len(cases)):
+        K, n, form = cases[i]
+        h, want = workspace_case(K, n, form, rng)
+        got = full_mac_flags(h, K)
+        with monkeypatch.context() as m:
+            m.setattr(outage, "_workspace", outage._Workspace())
+            fresh = full_mac_flags(h, K)
+        assert got.shape == (n,) and np.array_equal(got, want), (K, n, form)
+        assert np.array_equal(fresh, want), (K, n, form)
+
+
+def test_full_mac_result_is_not_a_workspace_view():
+    rng = np.random.default_rng(16)
+    first, _ = workspace_case(10, 2048, "complex", rng)
+    flags = full_mac_flags(first, 10)
+    kept = flags.copy()
+    buffers = outage._workspace.buffers
+    assert buffers and not any(np.shares_memory(flags, buf) for buf in buffers.values())
+    for K in (10, 12):
+        full_mac_flags(workspace_case(K, 2048, "complex", rng)[0], K)
+    assert np.array_equal(flags, kept)
+
+
+def test_concurrent_threads_get_reference_flags():
+    # more threads than cores, switching often: a workspace shared between
+    # them would mix one thread's block into another's
+    cases = [workspace_case(K, 2048, "complex", np.random.default_rng(17 + K)) + (K,) for K in (3, 10, 12)]
+    start = threading.Barrier(len(cases))
+    done, wrong = [], []
+
+    def run(h, want, K):
+        start.wait()
+        for _ in range(15):
+            if not np.array_equal(full_mac_flags(h, K), want):
+                wrong.append(K)
+        done.append(K)
+
+    threads = [threading.Thread(target=run, args=case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [3, 10, 12] and wrong == []
 
 
 # ---------------------------------------------------------------------------
