@@ -36,7 +36,7 @@ from . import __version__
 from .channel import SnrPoint, trial_rng
 from .dmt import DmtCurve, dmt_group, emit_fig1
 from .lift import Fragment, lift, random_fragment, unlift
-from .outage import InsufficientSamplesError, OutageSpec, run_outage_sweep
+from .outage import OutageSpec, run_outage_sweep
 from .parallel import map_tasks
 from .protocol import run_repair_trials, run_session_trials, run_sessions
 from .storage import StorageConfig, mds_encode, repair_node
@@ -631,9 +631,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"wstsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InsufficientSamplesError as exc:
-        print(f"wstsim: insufficient statistics: {exc}", file=sys.stderr)
-        return EXIT_STATS
     except OSError as exc:
         print(f"wstsim: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -160,9 +160,3 @@ def realify(H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     obs[..., 1::2] = vec.imag
     return out, obs
 
-
-def sphere_decodable(s: int, T: int, n_r: int, K: int) -> bool:
-    """True iff the session's linear system is square-or-tall: n_r*T >= K*s."""
-    if min(s, T, n_r, K) < 1:
-        raise ValueError("all parameters must be positive")
-    return n_r * T >= K * s

@@ -12,17 +12,16 @@ the 2^(3m)-point constellation.
 
 A Fragment holds its bits as one integer below 2^(3m), most significant bit
 first, so its (m/2)-bit Gray words are integer fields.  lift and unlift
-index per-axis tables by those fields; the string Gray coder
-(gray_encode/gray_decode) builds the tables and is the reference the tests
-check them against.
+index per-axis tables by those fields, built from integer Gray arithmetic
+(_gray_axis); no bit is ever held as a character.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 
-from .algebra import FieldElement, GaussianInt, embed
+from .algebra import FieldElement, embed
 
 
 _set = object.__setattr__
@@ -48,77 +47,22 @@ def pam_levels(m: int) -> tuple[int, ...]:
     return tuple(range(-(levels - 1), levels, 2))
 
 
-def _gray_rank(bits: str) -> int:
-    """Position of a reflected-Gray word in the Gray sequence."""
-    n = int(bits, 2)
-    mask = n >> 1
-    while mask:
-        n ^= mask
-        mask >>= 1
-    return n
-
-
-def _gray_word(rank: int, width: int) -> str:
-    return format(rank ^ (rank >> 1), f"0{width}b")
-
-
-def _check_bits(bits: str) -> None:
-    if not bits or set(bits) - {"0", "1"}:
-        raise ValueError(f"expected a nonempty string of 0/1, got {bits!r}")
-
-
-@dataclass(frozen=True)
-class QamSymbol:
-    """One Gray-labelled 2^m-QAM symbol; both coordinates odd and in range."""
-
-    value: GaussianInt
-    m: int
-
-    def __post_init__(self) -> None:
-        _check_m(self.m)
-        bound = (1 << (self.m // 2)) - 1
-        for c in (self.value.re, self.value.im):
-            if c % 2 == 0 or abs(c) > bound:
-                raise ValueError(
-                    f"{self.value!r} is not a {1 << self.m}-QAM symbol "
-                    f"(coordinates must be odd with magnitude <= {bound})"
-                )
-
-
-def gray_encode(bits: str) -> QamSymbol:
-    """Map an m-bit string to a QAM symbol (in-phase bits first)."""
-    _check_bits(bits)
-    m = len(bits)
-    _check_m(m)
-    half = m // 2
-    top = (1 << half) - 1
-    i_level = 2 * _gray_rank(bits[:half]) - top
-    q_level = 2 * _gray_rank(bits[half:]) - top
-    return QamSymbol(GaussianInt(i_level, q_level), m)
-
-
-def gray_decode(q: QamSymbol) -> str:
-    """Exact inverse of gray_encode."""
-    half = q.m // 2
-    top = (1 << half) - 1
-    return _gray_word((q.value.re + top) // 2, half) + _gray_word(
-        (q.value.im + top) // 2, half
-    )
-
-
 @lru_cache(maxsize=None, typed=True)
 def _gray_axis(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     """Per-axis Gray tables of 2^m-QAM: (m/2)-bit word -> PAM level, and back.
 
     The first is indexed by the word's integer value, the second maps a
-    level to that value.  Built once per m through gray_encode (a word
-    written on both axes is the symbol with that level on both), 2^(m/2)
-    entries each; lift and unlift index them, and must not write to them.
+    level to that value.  The r-th level from the bottom, 2r - (M - 1), is
+    labelled by the r-th reflected Gray word r ^ (r >> 1), so adjacent levels
+    differ in one bit.  Built once per m, 2^(m/2) entries each; lift and
+    unlift index them, and must not write to them.
     """
     _check_m(m)
-    half = m // 2
-    level = tuple(gray_encode(format(v, f"0{half}b") * 2).value.re for v in range(1 << half))
-    return level, {lv: v for v, lv in enumerate(level)}
+    top = (1 << (m // 2)) - 1
+    level = [0] * (top + 1)
+    for r in range(top + 1):
+        level[r ^ (r >> 1)] = 2 * r - top
+    return tuple(level), {lv: v for v, lv in enumerate(level)}
 
 
 class Fragment:
@@ -168,10 +112,6 @@ class LatticePoint:
 
     __setattr__ = _no_assign
     __delattr__ = _no_delete
-
-    @classmethod
-    def from_element(cls, element: FieldElement) -> LatticePoint:
-        return cls(element, (embed(element, 0), embed(element, 1), embed(element, 2)))
 
     @property
     def coordinates(self) -> tuple[int, ...]:

@@ -507,10 +507,13 @@ class OutageEstimate:
 
 
 def _block_counts(task) -> list[int]:
-    """Outage counts per SNR point over a list of (snr_idx, block_idx, size)
-    blocks.  Every block is drawn into the thread's workspace buffer "draw",
-    so sweeps in one process allocate their channel draws once."""
-    spec, blocks = task
+    """Outage counts per SNR point over the blocks of task (spec, i, n):
+    blocks i, i + n, i + 2n, ... of the sweep, where block j is block
+    j mod B of SNR point j // B, for B = ceil(trials / BLOCK_TRIALS) blocks
+    a point.  The blocks are generated, never listed, and each is drawn into
+    the thread's workspace buffer "draw", which grows to the largest block
+    drawn, so sweeps in one process allocate their channel draws once."""
+    spec, first, step = task
     # the predicate and the channel shape of one row; the predicates are
     # looked up per call, so a wrapper set on the module attribute is used
     predicate, row_shape = {
@@ -518,9 +521,12 @@ def _block_counts(task) -> list[int]:
         "pair": (outage_trial_pair, (2, 2)),
         "full-mac": (outage_trial_full_mac, (2, spec.K)),
     }[spec.scheme]
-    buf = _workspace.take("draw", 2 * math.prod(row_shape) * max(size for _, _, size in blocks))
+    per_point = -(-spec.trials // BLOCK_TRIALS)
     counts = [0] * len(spec.snr_grid_db)
-    for snr_idx, block_idx, size in blocks:
+    for j in range(first, len(counts) * per_point, step):
+        snr_idx, block_idx = divmod(j, per_point)
+        size = min(BLOCK_TRIALS, spec.trials - block_idx * BLOCK_TRIALS)
+        buf = _workspace.take("draw", 2 * math.prod(row_shape) * size)
         chan = draw_cn(trial_rng(spec.seed, snr_idx, block_idx), (size, *row_shape), out=buf)
         snr = SnrPoint(spec.snr_grid_db[snr_idx])
         counts[snr_idx] += int(predicate(chan, snr, spec.K, spec.r, spec.rate_offset_bits).sum())
@@ -530,19 +536,12 @@ def _block_counts(task) -> list[int]:
 def run_outage_sweep(spec: OutageSpec, workers: int = 1) -> OutageEstimate:
     """Run the sweep; counts are identical for any worker count.
 
-    The blocks are dealt round-robin into one task per worker.
+    The blocks are dealt round-robin into one task per worker; a task names
+    its first block and the stride, so its size does not grow with trials.
     """
-    blocks = []
-    for snr_idx in range(len(spec.snr_grid_db)):
-        remaining = spec.trials
-        block_idx = 0
-        while remaining > 0:
-            size = min(BLOCK_TRIALS, remaining)
-            blocks.append((snr_idx, block_idx, size))
-            remaining -= size
-            block_idx += 1
-    n_tasks = min(max(workers or 1, 1), len(blocks))
-    tasks = [(spec, blocks[i::n_tasks]) for i in range(n_tasks)]
+    n_blocks = len(spec.snr_grid_db) * -(-spec.trials // BLOCK_TRIALS)
+    n_tasks = min(max(workers or 1, 1), n_blocks)
+    tasks = [(spec, i, n_tasks) for i in range(n_tasks)]
     counts = [sum(c) for c in zip(*map_tasks(_block_counts, tasks, workers))]
     cells = []
     for snr_idx, db in enumerate(spec.snr_grid_db):

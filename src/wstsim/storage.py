@@ -29,17 +29,13 @@ file holds every file's own share i in turn, and repair_node on such
 shares repairs every file's share at once.  The repair pipeline encodes
 and repairs a batch of trials this way (protocol.py).
 
-Serialized share format (also in the README): an 8-byte header
-
-    magic "WS" (2) | version (1) | n (1) | k (1) | node_id (1) | pad_len (2, BE)
-
-followed by the raw share payload.  Corruption detection is out of scope: a
-tampered share decodes to a different file without any error being raised.
+Shares live only in memory: no command writes or reads a share file.
+Corruption detection is out of scope: a tampered share decodes to a
+different file without any error being raised.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,10 +43,6 @@ import numpy as np
 
 _GF_POLY = 0x11B
 _GF_GENERATOR = 0x03
-
-_SHARE_MAGIC = b"WS"
-_SHARE_VERSION = 1
-_SHARE_HEADER = struct.Struct(">2sBBBBH")
 
 
 def _build_tables() -> tuple[list[int], list[int]]:
@@ -229,26 +221,3 @@ def repair_node(lost: int, helpers: list[NodeContent], cfg: StorageConfig) -> No
     share = _apply_rows(_lagrange_rows(ids, (lost,)), _stack(chosen))
     return NodeContent(lost, share[0].tobytes(), 0)
 
-
-def share_to_bytes(share: NodeContent, cfg: StorageConfig) -> bytes:
-    """Serialize one share with the 8-byte header described above."""
-    if not 0 <= share.pad_len < cfg.k:
-        raise ValueError("pad_len must lie in [0, k)")
-    header = _SHARE_HEADER.pack(
-        _SHARE_MAGIC, _SHARE_VERSION, cfg.n, cfg.k, share.node_id, share.pad_len
-    )
-    return header + share.fragment
-
-
-def share_from_bytes(blob: bytes) -> tuple[NodeContent, int, int]:
-    """Parse a serialized share; returns (share, n, k)."""
-    if len(blob) < _SHARE_HEADER.size:
-        raise ValueError("share blob shorter than its header")
-    magic, version, n, k, node_id, pad_len = _SHARE_HEADER.unpack_from(blob)
-    if magic != _SHARE_MAGIC:
-        raise ValueError(f"bad share magic {magic!r}")
-    if version != _SHARE_VERSION:
-        raise ValueError(f"unsupported share version {version}")
-    if not (1 <= k <= n and node_id < n and pad_len < k):
-        raise ValueError("inconsistent share header fields")
-    return NodeContent(node_id, blob[_SHARE_HEADER.size :], pad_len), n, k

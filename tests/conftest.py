@@ -4,8 +4,9 @@ import os
 from pathlib import Path
 
 import wstsim
+from wstsim.algebra import FieldElement, embed
 from wstsim.decoder import decode_session, factor_sessions
-from wstsim.lift import Fragment
+from wstsim.lift import Fragment, LatticePoint
 
 
 def wstsim_env() -> dict:
@@ -21,6 +22,12 @@ def wstsim_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def lattice_point(element: FieldElement) -> LatticePoint:
+    """The lattice point of any field element: the element and its three
+    embeddings, as lift builds them for a constellation point."""
+    return LatticePoint(element, (embed(element, 0), embed(element, 1), embed(element, 2)))
 
 
 def decode_one(received, h, snr, m, mode="sphere"):

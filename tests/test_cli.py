@@ -6,12 +6,14 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import wstsim_env
 
 import wstsim.cli as cli
+import wstsim.outage as outage
 from wstsim.cli import MAX_FRAGMENT_BITS, MAX_GRID_POINTS, MAX_QAM_BITS, build_parser, main
 
 RUN = [sys.executable, "-m", "wstsim"]
@@ -398,6 +400,58 @@ def test_a_huge_trial_count_makes_one_range_per_worker(monkeypatch, tmp_path):
     assert all(0 <= t[4] < t[5] <= trials for t in tasks)
     rows = (tmp_path / "simulate_pair_m2_sphere.csv").read_text().splitlines()[3:]
     assert [int(row.split(",")[4]) for row in rows] == [trials] * 5
+
+
+def test_a_huge_outage_trial_count_makes_one_small_task_per_worker(monkeypatch, tmp_path):
+    # an outage task is (spec, i, n), blocks i, i + n, ... of the sweep.  On
+    # a small grid (3 blocks a point, the last of 3 trials) the tasks of any
+    # worker count draw every (point, block) once at its size and count what
+    # one task counts; at 10**12 trials and 4 points there are still 2 such
+    # tasks, only collected, not run
+    trials = 2 * outage.BLOCK_TRIALS + 3
+    spec = outage.OutageSpec("tdma", 2, Fraction(1, 2), 0.0, (0.0, 10.0), trials, 5)
+    alone = outage.run_outage_sweep(spec)
+    keys, sizes, tasks = [], [], []
+    real_rng, real_draw = outage.trial_rng, outage.draw_cn
+
+    def recording_rng(*key):
+        keys.append(key)
+        return real_rng(*key)
+
+    def recording_draw(rng, shape, out):
+        sizes.append(shape[0])
+        return real_draw(rng, shape, out=out)
+
+    def run_serially(worker, task_list, workers):
+        tasks.extend(task_list)
+        return [worker(t) for t in task_list]
+
+    monkeypatch.setattr(outage, "trial_rng", recording_rng)
+    monkeypatch.setattr(outage, "draw_cn", recording_draw)
+    monkeypatch.setattr(outage, "map_tasks", run_serially)
+    every_block = sorted(
+        ((5, p, b), size) for p in range(2) for b, size in enumerate((outage.BLOCK_TRIALS,) * 2 + (3,))
+    )
+    for workers in (1, 2, 4, 6, 9):
+        keys.clear(), sizes.clear(), tasks.clear()
+        assert outage.run_outage_sweep(spec, workers) == alone
+        n = min(workers, 6)
+        assert tasks == [(spec, i, n) for i in range(n)]
+        assert sorted(zip(keys, sizes)) == every_block
+
+    def collect(worker, task_list, workers):
+        tasks.extend(task_list)
+        return [[0] * 4 for _ in task_list]
+
+    tasks.clear()
+    monkeypatch.setattr(outage, "map_tasks", collect)
+    argv = ["outage", "--scheme", "tdma", "--K", "2", "--trials", str(10**12), "--snr-grid", "10:25:5",
+            "--workers", "2", "--seed", "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 4  # no outage counted, so no slope
+    assert [t[1:] for t in tasks] == [(0, 2), (1, 2)]
+    assert all(t[0].trials == 10**12 and t[0].snr_grid_db == (10.0, 15.0, 20.0, 25.0) for t in tasks)
+    rows = (tmp_path / "outage_tdma_K2.csv").read_text().splitlines()[3:]
+    assert [int(row.split(",")[5]) for row in rows] == [10**12] * 4
 
 
 def test_one_worker_makes_one_range_spanning_the_grid(monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import lattice_point
 from wstsim.algebra import ETA, FieldElement
 from wstsim.channel import draw_cn, trial_rng
 from wstsim.encoder import (
@@ -13,9 +14,8 @@ from wstsim.encoder import (
     dispersion_basis,
     normalizer,
     realify,
-    sphere_decodable,
 )
-from wstsim.lift import Fragment, LatticePoint, lift
+from wstsim.lift import Fragment, lift
 
 
 def all_points(m):
@@ -28,15 +28,15 @@ def all_points(m):
 
 
 def test_pair_codeword_of_ones():
-    p = LatticePoint.from_element(FieldElement(1, 0, 0))
+    p = lattice_point(FieldElement(1, 0, 0))
     X = build_pair_codeword(p, p, 2)
     assert X.shape == (2, 3)
     assert np.allclose(X / normalizer(2), np.ones((2, 3)))
 
 
 def test_pair_codeword_eta_row():
-    p = LatticePoint.from_element(ETA)
-    other = LatticePoint.from_element(FieldElement(1, 0, 0))
+    p = lattice_point(ETA)
+    other = lattice_point(FieldElement(1, 0, 0))
     X = build_pair_codeword(p, other, 2)
     assert np.allclose(
         X[0] / normalizer(2),
@@ -46,7 +46,7 @@ def test_pair_codeword_eta_row():
 
 
 def test_tdma_codeword_of_one():
-    p = LatticePoint.from_element(FieldElement(1, 0, 0))
+    p = lattice_point(FieldElement(1, 0, 0))
     X = build_tdma_codeword(p, 2)
     assert X.shape == (1, 3)
     assert np.allclose(X / normalizer(2), np.ones((1, 3)))
@@ -147,7 +147,7 @@ def test_pair_difference_rank_exhaustive_m2():
     diff_elements = list(seen.values())
     assert len(diff_elements) == 9**3 - 1
     rows = np.array(
-        [[complex(v) for v in LatticePoint.from_element(d).embedded_row] for d in diff_elements]
+        [[complex(v) for v in lattice_point(d).embedded_row] for d in diff_elements]
     )
     # single differing row: nonzero in every coordinate
     assert np.min(np.abs(rows)) > 1e-6
@@ -283,17 +283,3 @@ def test_realify_pair_scheme_dimensions():
     A, b = realify(eqc, draw_cn(rng, (6,)))
     assert A.shape == (12, 12)
     assert b.shape == (12,)
-
-
-# ---------------------------------------------------------------------------
-# decodability predicate
-# ---------------------------------------------------------------------------
-
-
-def test_sphere_decodable():
-    assert sphere_decodable(s=3, T=3, n_r=2, K=2)
-    assert not sphere_decodable(s=3, T=3, n_r=2, K=3)
-    assert sphere_decodable(s=1, T=1, n_r=1, K=1)
-    assert sphere_decodable(s=3, T=3, n_r=2, K=1)  # single-helper session
-    with pytest.raises(ValueError):
-        sphere_decodable(0, 3, 2, 2)

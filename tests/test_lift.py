@@ -1,23 +1,87 @@
 import copy
 import itertools
 import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from conftest import lattice_point
 from wstsim.algebra import FieldElement, GaussianInt
 from wstsim.encoder import average_row_energy
 from wstsim.lift import (
     Fragment,
     LatticePoint,
-    QamSymbol,
-    gray_decode,
-    gray_encode,
+    _check_m,
+    _gray_axis,
     lift,
     pam_levels,
     random_fragment,
     unlift,
 )
+
+
+# ---------------------------------------------------------------------------
+# the string Gray coder: the oracle for lift's integer tables
+# ---------------------------------------------------------------------------
+
+
+def _gray_rank(bits: str) -> int:
+    """Position of a reflected-Gray word in the Gray sequence."""
+    n = int(bits, 2)
+    mask = n >> 1
+    while mask:
+        n ^= mask
+        mask >>= 1
+    return n
+
+
+def _gray_word(rank: int, width: int) -> str:
+    return format(rank ^ (rank >> 1), f"0{width}b")
+
+
+def _check_bits(bits: str) -> None:
+    if not bits or set(bits) - {"0", "1"}:
+        raise ValueError(f"expected a nonempty string of 0/1, got {bits!r}")
+
+
+@dataclass(frozen=True)
+class QamSymbol:
+    """One Gray-labelled 2^m-QAM symbol; both coordinates odd and in range."""
+
+    value: GaussianInt
+    m: int
+
+    def __post_init__(self) -> None:
+        _check_m(self.m)
+        bound = (1 << (self.m // 2)) - 1
+        for c in (self.value.re, self.value.im):
+            if c % 2 == 0 or abs(c) > bound:
+                raise ValueError(
+                    f"{self.value!r} is not a {1 << self.m}-QAM symbol "
+                    f"(coordinates must be odd with magnitude <= {bound})"
+                )
+
+
+def gray_encode(bits: str) -> QamSymbol:
+    """Map an m-bit string to a QAM symbol (in-phase bits first)."""
+    _check_bits(bits)
+    m = len(bits)
+    _check_m(m)
+    half = m // 2
+    top = (1 << half) - 1
+    i_level = 2 * _gray_rank(bits[:half]) - top
+    q_level = 2 * _gray_rank(bits[half:]) - top
+    return QamSymbol(GaussianInt(i_level, q_level), m)
+
+
+def gray_decode(q: QamSymbol) -> str:
+    """Exact inverse of gray_encode."""
+    half = q.m // 2
+    top = (1 << half) - 1
+    return _gray_word((q.value.re + top) // 2, half) + _gray_word(
+        (q.value.im + top) // 2, half
+    )
 
 
 def all_bitstrings(width):
@@ -27,7 +91,7 @@ def all_bitstrings(width):
 def string_lift(bits: str, m: int) -> LatticePoint:
     """The lattice point of a 3m-bit string through the string Gray coder."""
     q = [gray_encode(bits[i * m : (i + 1) * m]).value for i in range(3)]
-    return LatticePoint.from_element(FieldElement(*q))
+    return lattice_point(FieldElement(*q))
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +143,27 @@ def test_gray_rejects_bad_input():
         QamSymbol(GaussianInt(2, 1), 2)  # even coordinate
     with pytest.raises(ValueError):
         QamSymbol(GaussianInt(3, 1), 2)  # out of range for 4-QAM
+
+
+EVEN_M = range(2, 17, 2)
+
+
+@pytest.mark.parametrize("m", EVEN_M)
+def test_integer_gray_tables_equal_the_string_coder(m):
+    # a word written on both axes is the symbol with that level on both
+    half = m // 2
+    oracle = tuple(gray_encode(format(v, f"0{half}b") * 2).value.re for v in range(1 << half))
+    level, word = _gray_axis(m)
+    assert level == oracle
+    assert word == {lv: v for v, lv in enumerate(oracle)}
+
+
+@pytest.mark.parametrize("m", EVEN_M)
+def test_integer_gray_table_adjacent_levels_differ_in_one_bit(m):
+    level, word = _gray_axis(m)
+    assert sorted(level) == list(pam_levels(m))
+    ladder = [word[lv] for lv in pam_levels(m)]
+    assert all((a ^ b).bit_count() == 1 for a, b in zip(ladder, ladder[1:]))
 
 
 def test_pam_levels():
@@ -184,7 +269,7 @@ def _float_bits(row):
 
 def test_lift_equals_the_object_path_bit_for_bit():
     # the table-indexed lift against GaussianInt -> FieldElement ->
-    # LatticePoint.from_element built through gray_encode: same element and
+    # lattice_point built through gray_encode: same element and
     # the same floats, signs of zero included
     rng = np.random.default_rng(20)
     for m in range(2, 17, 2):

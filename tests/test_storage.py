@@ -9,8 +9,6 @@ from wstsim.storage import (
     mds_encode,
     mds_reconstruct,
     repair_node,
-    share_from_bytes,
-    share_to_bytes,
 )
 from wstsim.storage import _EXP, _LOG, _mul_table
 
@@ -258,7 +256,7 @@ def test_repair_insufficient_helpers():
 
 
 # ---------------------------------------------------------------------------
-# config validation and share format
+# config validation
 # ---------------------------------------------------------------------------
 
 
@@ -273,24 +271,6 @@ def test_config_validation():
         StorageConfig(6, 3, d=6)  # d > n-1
     with pytest.raises(ValueError):
         StorageConfig(6, 3, fragment_bits=12)  # not a multiple of 8
-
-
-def test_share_header_roundtrip():
-    cfg = StorageConfig(6, 3)
-    shares = mds_encode(b"some file bytes!", cfg)
-    blob = share_to_bytes(shares[4], cfg)
-    assert len(blob) == 8 + len(shares[4].fragment)
-    assert blob[:2] == b"WS"
-    parsed, n, k = share_from_bytes(blob)
-    assert (n, k) == (6, 3)
-    assert parsed == shares[4]
-
-
-def test_share_header_rejects_garbage():
-    with pytest.raises(ValueError):
-        share_from_bytes(b"XX\x01\x06\x03\x00\x00\x00payload")
-    with pytest.raises(ValueError):
-        share_from_bytes(b"WS")
 
 
 # ---------------------------------------------------------------------------
