@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .channel import SnrPoint, trial_rng
 from .dmt import DmtCurve, dmt_group, emit_fig1
-from .lift import Fragment, lift, random_fragment, unlift
+from .lift import lift, random_fragment, unlift
 from .outage import OutageSpec, run_outage_sweep
 from .parallel import map_tasks
 from .protocol import run_repair_trials, run_session_trials, run_sessions
@@ -73,9 +73,6 @@ MAX_FRAGMENT_BITS = 65_536
 #: parsed options that do not change what a run computes, and argparse's
 #: handler entry; every other option goes into the provenance header
 RUNTIME_OPTIONS = ("out_dir", "workers", "config", "fn")
-
-#: --decoder value -> decoder mode of the protocol routines
-DECODER_MODES = {"sphere": "sphere", "ml": "oracle"}
 
 
 def _checked(convert, ok, expected: str):
@@ -356,7 +353,7 @@ def _repair_range(task):
 
 def cmd_simulate(args) -> int:
     start = time.perf_counter()
-    params = (args.m, args.scheme, DECODER_MODES[args.decoder])
+    params = (args.m, args.scheme, args.decoder)
     totals = _block_sweep(_session_range, params, args, 3)
     elapsed = time.perf_counter() - start
     rows = [
@@ -376,7 +373,7 @@ def cmd_simulate(args) -> int:
 def cmd_repair(args) -> int:
     cfg = StorageConfig(n=args.n, k=args.k, d=args.d, fragment_bits=args.fragment_bits)
     start = time.perf_counter()
-    params = (cfg, args.m, args.scheme, DECODER_MODES[args.decoder], args.noiseless)
+    params = (cfg, args.m, args.scheme, args.decoder, args.noiseless)
     totals = _block_sweep(_repair_range, params, args, 6)
     elapsed = time.perf_counter() - start
     rows = [
@@ -420,9 +417,8 @@ def _selftest_lift() -> tuple[bool, str]:
     for m in (2, 4):
         seen = set()
         for i in range(1 << (3 * m)):
-            frag = Fragment(i, m)
-            point = lift(frag)
-            if unlift(point.coordinates, m) != frag:
+            point = lift(i, m)
+            if unlift(point.coordinates, m) != i:
                 return False, f"round trip failed for {i:0{3 * m}b} at m={m}"
             seen.add(point.element)
         if len(seen) != 1 << (3 * m):
@@ -440,7 +436,7 @@ def _selftest_decoder(seed: int) -> tuple[bool, str]:
     checked = 0
     for db in (10.0, 25.0):
         sphere = run_sessions(sessions(), 2, SnrPoint(db), "sphere")
-        oracle = run_sessions(sessions(), 2, SnrPoint(db), "oracle")
+        oracle = run_sessions(sessions(), 2, SnrPoint(db), "ml")
         for (_, _, a), (_, _, b) in zip(sphere, oracle):
             if a.coordinates != b.coordinates:
                 return False, f"sphere decoder disagrees with the ML oracle at {db:g} dB"
@@ -562,7 +558,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("simulate", help="decoder-level session error sweep")
     p.add_argument("--scheme", choices=("pair", "tdma"), default="pair")
     p.add_argument("--m", type=_qam_bits, default=2, help="bits per QAM symbol (even)")
-    p.add_argument("--decoder", choices=tuple(DECODER_MODES), default="sphere")
+    p.add_argument("--decoder", choices=("sphere", "ml"), default="sphere")
     p.add_argument("--snr-grid", type=_parse_snr_grid, default="10:30:5")
     p.add_argument("--trials", type=_positive_int, default=1000)
     _add_common(p)
@@ -576,7 +572,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--fragment-bits", type=_fragment_bits, default=24)
     p.add_argument("--m", type=_qam_bits, default=2)
     p.add_argument("--scheme", choices=("pair", "tdma"), default="pair")
-    p.add_argument("--decoder", choices=tuple(DECODER_MODES), default="sphere")
+    p.add_argument("--decoder", choices=("sphere", "ml"), default="sphere")
     p.add_argument("--snr-grid", type=_parse_snr_grid, default="10:30:5")
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--noiseless", action="store_true", help="force W = 0")

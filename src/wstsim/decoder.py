@@ -459,11 +459,12 @@ def factor_sessions(received, channels, snr: SnrPoint | np.ndarray, m: int) -> l
 
 
 def decode_session(p: FactoredProblem, mode: str = "sphere") -> DecodeResult:
-    """ML-decode one factored session with the selected decoder (stage two).
+    """ML-decode one factored session (stage two): mode "sphere" runs
+    sphere_decode, mode "ml" the exhaustive brute_force_ml.
 
     The result's coordinates hold six PAM levels per active helper, in
     helper order: the real and imaginary parts of its three QAM symbols.
     """
-    if mode not in ("sphere", "oracle"):
-        raise ValueError(f"mode must be 'sphere' or 'oracle', got {mode!r}")
+    if mode not in ("sphere", "ml"):
+        raise ValueError(f"mode must be 'sphere' or 'ml', got {mode!r}")
     return sphere_decode(p) if mode == "sphere" else brute_force_ml(p)

@@ -10,29 +10,19 @@ transmitted row is the triple of real embeddings of x.  Every step is exact
 and invertible, so the composite map is a bijection between {0,1}^(3m) and
 the 2^(3m)-point constellation.
 
-A Fragment holds its bits as one integer below 2^(3m), most significant bit
-first, so its (m/2)-bit Gray words are integer fields.  lift and unlift
-index per-axis tables by those fields, built from integer Gray arithmetic
-(_gray_axis); no bit is ever held as a character.
+A fragment is the int its bits spell, most significant bit first, below
+2^(3m); m is not stored with it, every caller passes it.  Its (m/2)-bit
+Gray words are integer fields.  lift and unlift index per-axis tables by
+them, built from integer Gray arithmetic (_gray_axis); no bit is ever held
+as a character.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FieldElement, embed
-
-
-_set = object.__setattr__
-
-
-def _no_assign(self, name: str, value) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _no_delete(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _check_m(m: int) -> None:
@@ -65,94 +55,44 @@ def _gray_axis(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     return tuple(level), {lv: v for v, lv in enumerate(level)}
 
 
-class Fragment:
-    """An encoded-share chunk of exactly 3*m bits (one lattice point), held
-    as the integer they spell, most significant bit first.  Immutable;
-    equal fragments hash equal."""
-
-    __slots__ = ("value", "m")
-
-    def __init__(self, value: int, m: int) -> None:
-        if not (
-            isinstance(m, int) and m >= 2 and not m % 2
-            and isinstance(value, int) and 0 <= value < 1 << (3 * m)
-        ):
-            _check_m(m)  # raises first when m is the bad argument
-            raise ValueError(f"fragment must be an int of 3*m = {3 * m} bits, got {value!r}")
-        _set(self, "value", value)
-        _set(self, "m", m)
-
-    __setattr__ = _no_assign
-    __delattr__ = _no_delete
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.value == other.value and self.m == other.m
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.m))
-
-    def __repr__(self) -> str:
-        return f"Fragment(value={self.value!r}, m={self.m!r})"
-
-    def __reduce__(self):
-        return Fragment, (self.value, self.m)
-
-
+@dataclass(frozen=True)
 class LatticePoint:
     """A constellation point: field element plus its three embeddings.
-    Immutable; equal points hash equal."""
+    Immutable; equal points hash equal.  Not slots=True: on Python 3.11 a
+    frozen slots dataclass raises TypeError, not FrozenInstanceError, when
+    a name that is not a field is assigned."""
 
-    __slots__ = ("element", "embedded_row")
-
-    def __init__(self, element: FieldElement, embedded_row: tuple[complex, complex, complex]) -> None:
-        _set(self, "element", element)
-        _set(self, "embedded_row", embedded_row)
-
-    __setattr__ = _no_assign
-    __delattr__ = _no_delete
+    element: FieldElement
+    embedded_row: tuple[complex, complex, complex]
 
     @property
     def coordinates(self) -> tuple[int, ...]:
         """The six PAM levels that unlift reads: re and im of q1, q2, q3."""
         return self.element.ints
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.element == other.element and self.embedded_row == other.embedded_row
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.element, self.embedded_row))
+def lift(value: int, m: int) -> LatticePoint:
+    """Lift a 3m-bit fragment onto the lattice: (b1, b2, b3) -> q1 + q2*eta + q3*eta^2.
 
-    def __repr__(self) -> str:
-        return f"LatticePoint(element={self.element!r}, embedded_row={self.embedded_row!r})"
-
-    def __reduce__(self):
-        return LatticePoint, (self.element, self.embedded_row)
-
-
-def lift(frag: Fragment) -> LatticePoint:
-    """Lift a fragment onto the lattice: (b1, b2, b3) -> q1 + q2*eta + q3*eta^2.
-
-    The six (m/2)-bit Gray words of the fragment, most significant first,
-    are the in-phase and quadrature words of q1, q2 and q3.
+    The six (m/2)-bit Gray words of value, most significant first, are the
+    in-phase and quadrature words of q1, q2 and q3.  A value outside
+    0 .. 2^(3m) - 1 raises ValueError.
     """
-    m, v = frag.m, frag.value
+    level = _gray_axis(m)[0]
+    if not 0 <= value < 1 << 3 * m:
+        raise ValueError(f"a fragment is an int of 3*m = {3 * m} bits, got {value!r}")
     half = m // 2
     mask = (1 << half) - 1
-    level = _gray_axis(m)[0]
     x = FieldElement.from_ints(
-        level[v >> 5 * half & mask], level[v >> 4 * half & mask],
-        level[v >> 3 * half & mask], level[v >> m & mask],
-        level[v >> half & mask], level[v & mask],
+        level[value >> 5 * half & mask], level[value >> 4 * half & mask],
+        level[value >> 3 * half & mask], level[value >> m & mask],
+        level[value >> half & mask], level[value & mask],
     )
     return LatticePoint(x, (embed(x, 0), embed(x, 1), embed(x, 2)))
 
 
-def unlift(coordinates, m: int) -> Fragment:
-    """Exact inverse of lift for the 2^m-QAM constellation.
+def unlift(coordinates, m: int) -> int:
+    """Exact inverse of lift for the 2^m-QAM constellation: the fragment.
 
     coordinates are one point's six PAM levels (the real and imaginary parts
     of q1, q2, q3), as a decoder returns them for each helper.  A level
@@ -166,7 +106,7 @@ def unlift(coordinates, m: int) -> Fragment:
     c0, c1, c2, c3, c4, c5 = coordinates
     half = m // 2
     try:
-        value = (
+        return (
             word[c0] << 5 * half | word[c1] << 4 * half | word[c2] << 3 * half
             | word[c3] << m | word[c4] << half | word[c5]
         )
@@ -174,14 +114,13 @@ def unlift(coordinates, m: int) -> Fragment:
         raise ValueError(
             f"{tuple(coordinates)!r} has a level outside {1 << m}-QAM"
         ) from None
-    return Fragment(value, m)
 
 
-def random_fragment(rng, m: int) -> Fragment:
-    """Draw a uniformly random fragment from a numpy Generator (one 0/1
-    draw per bit, most significant first)."""
+def random_fragment(rng, m: int) -> int:
+    """Draw a uniformly random 3m-bit fragment from a numpy Generator (one
+    0/1 draw per bit, most significant first)."""
     _check_m(m)
     value = 0
     for b in rng.integers(0, 2, size=3 * m).tolist():
         value = (value << 1) | b
-    return Fragment(value, m)
+    return value

@@ -10,32 +10,32 @@ leftover singleton when the helper count is odd - and every helper is
 equally likely (probability 2/K) to occupy any given pair slot.  Pair
 sessions use the 2 x 3 codeword, singleton and TDMA sessions the 1 x 3
 one; the newcomer (which has receiver CSI) ML-decodes each session
-independently, unlifts the points, reassembles shares, and runs MDS repair
-on the shares whose data bits all decoded right (a wrong bit in the last
-block's zero padding does not spoil a share).
+independently, unlifts the points, and runs MDS repair on the shares whose
+data bits all decoded right (a wrong bit in the last block's zero padding
+does not spoil a share).
 
 A session travels as plain values: the fragments of its one or two active
-helpers and the numpy Generator its channel is drawn from.  run_sessions
-takes a batch of sessions (the plans of a batch of repair trials, or a
-block of storage-free session trials) with an SNR point per session, so a
-batch may mix the sessions of several points, and runs it in stages, each
-on stacks.  The draw comes first: each run of consecutive sessions that
-share a Generator (one repair trial's) gets its fading and noise from one
-draw_session call, in session order, so the RNG is consumed exactly as by
-one session after another.  Then, for each number of active helpers in
-turn, every helper's fragment is lifted, the sessions' codewords are built
-as one stack and sent through one stacked transmit, each session scaled by
-its own amplitude sqrt(snr), and their real systems are built and
-QR-factored as stacks of at most SESSION_BATCH systems
-(decoder.factor_sessions); each session then gets its own exact search
-(decoder.decode_session), taken in the stack's order.  Each helper's six
-decoded PAM coordinates are unlifted to a fragment, and a session errored
-when an unlifted fragment differs from the one sent; lift is a bijection,
-so that is the same decision as comparing the lattice points.  A stacked
-draw, product or factorization equals the per-session one bit for bit, and
-a per-session amplitude is the same multiply as a scalar one, so neither
-the stages nor how trials and SNR points are mixed in batches change a
-result.
+helpers, each the int below 2^(3m) its bits spell, and the numpy Generator
+its channel is drawn from.  run_sessions takes a batch of sessions (the
+plans of a batch of repair trials, or a block of storage-free session
+trials) with an SNR point per session, so a batch may mix the sessions of
+several points, and runs it in stages, each on stacks.  The draw comes
+first: each run of consecutive sessions that share a Generator (one repair
+trial's) gets its fading and noise from one draw_session call, in session
+order, so the RNG is consumed exactly as by one session after another.
+Then, for each number of active helpers in turn, every helper's fragment is
+lifted, the sessions' codewords are built as one stack and sent through one
+stacked transmit, each session scaled by its own amplitude sqrt(snr), and
+their real systems are built and QR-factored as stacks of at most
+SESSION_BATCH systems (decoder.factor_sessions); each session then gets its
+own exact search (decoder.decode_session), taken in the stack's order.  Each
+helper's six decoded PAM coordinates are unlifted to a fragment, and a
+session errored when an unlifted fragment differs from the one sent; lift is
+a bijection, so that is the same decision as comparing the lattice points.
+A stacked draw, product or factorization equals the per-session one bit for
+bit, and a per-session amplitude is the same multiply as a scalar one, so
+neither the stages nor how trials and SNR points are mixed in batches change
+a result.
 
 Repair trials run in batches of at most SESSION_BATCH sessions (a trial
 with more is a batch of its own), and the storage side runs once per batch:
@@ -51,11 +51,12 @@ with more is a batch of its own), and the storage side runs once per batch:
   bytes read as one big-endian bit string, zero-padded at the end to whole
   fragments;
 - repair: a trial repairs from the shares that came through right when
-  there are at least k of them.  Only the shares of helpers in an errored
-  session are reassembled from their decoded fragments (join_fragments)
-  and compared with the sent ones.  The trials that would hand repair_node
-  the same lost node and the same k chosen helpers share one repair_node
-  call, on their shares laid end to end.
+  there are at least k of them.  A share came through wrong when an errored
+  session decoded one of its fragments differently in a data bit.  Every
+  bit of a block is a data bit except the last block's low pad =
+  blocks*3m - 8*share_bytes bits, its zero padding.  The trials that would
+  hand repair_node the same lost node and the same k chosen helpers share
+  one repair_node call, on their shares laid end to end.
 
 Airtime accounting for TDMA comparisons: a pair session carries two helpers'
 blocks, so at equal bits per session and equal total airtime the TDMA
@@ -77,7 +78,7 @@ import numpy as np
 from .channel import SnrPoint, amplitudes, draw_session, transmit, trial_rng
 from .decoder import DecodeResult, decode_session, factor_sessions
 from .encoder import build_pair_codeword, build_tdma_codeword
-from .lift import Fragment, lift, random_fragment, unlift
+from .lift import lift, random_fragment, unlift
 from .storage import NodeContent, StorageConfig, mds_encode, repair_node
 
 #: session group size of each scheme
@@ -87,8 +88,8 @@ GROUP_SIZES = {"tdma": 1, "pair": 2}
 #: most sessions in a batch of repair trials, and the largest stack
 #: run_sessions factors at once.  A pair session's arrays take ~7 KB while
 #: its stack is factored, so a stack peaks near 2 MB; the batch's storage
-#: side adds its shares, their bits and fragment values, a few hundred
-#: bytes a trial at the default 24-bit shares.  A larger batch saves little
+#: side adds its shares, their bits and fragments, a few hundred bytes a
+#: trial at the default 24-bit shares.  A larger batch saves little
 #: per-stack time and raises the peak RSS of a run.
 SESSION_BATCH = 256
 
@@ -103,20 +104,6 @@ def _fragment_values(shares: np.ndarray, m: int) -> np.ndarray:
     pad = np.zeros((*bits.shape[:-1], blocks * step - bits.shape[-1]), dtype=np.uint8)
     words = np.concatenate([bits, pad], axis=-1).reshape(*bits.shape[:-1], blocks, step)
     return words @ (1 << np.arange(step - 1, -1, -1, dtype=np.int64))
-
-
-def join_fragments(fragments, n_bytes: int) -> bytes:
-    """The n_bytes share whose bytes, cut into 3m-bit fragments and
-    zero-padded at the end, are these fragments, whatever bits their
-    padding holds."""
-    value, width = 0, 0
-    for f in fragments:
-        value = (value << 3 * f.m) | f.value
-        width += 3 * f.m
-    pad = width - 8 * n_bytes
-    if not 0 <= pad < 3 * fragments[-1].m:
-        raise ValueError(f"{len(fragments)} fragments do not hold a {n_bytes}-byte share")
-    return (value >> pad).to_bytes(n_bytes, "big")
 
 
 def plan_sessions(helpers, blocks_per_helper: int, rng, g: int) -> list[tuple[tuple[int, ...], int]]:
@@ -155,12 +142,13 @@ def run_sessions(
     snr: SnrPoint | Sequence[SnrPoint],
     decoder_mode: str = "sphere",
     noiseless: bool = False,
-) -> list[tuple[list[Fragment], bool, DecodeResult]]:
+) -> list[tuple[list[int], bool, DecodeResult]]:
     """Transmit and decode a batch of sessions.
 
-    sessions is a sequence of (fragments, rng): the 3m-bit fragments of the
-    one or two active helpers, and the Generator that draws the session's
-    channel and noise (noiseless forces the noise to 0 after the draw).
+    sessions is a sequence of (fragments, rng): the 3m-bit fragments (ints)
+    of the one or two active helpers, and the Generator that draws the
+    session's channel and noise (noiseless forces the noise to 0 after the
+    draw).
     snr is one SnrPoint for every session, or a sequence of one per
     session.  Returns, per session, the decoded fragments, whether any of
     them differs from the one sent, and the decoder's result.
@@ -185,7 +173,7 @@ def run_sessions(
         idx = [i for i, size in enumerate(sizes) if size == k]
         if not idx:
             continue
-        points = [[lift(sessions[i][0][j]) for i in idx] for j in range(k)]
+        points = [[lift(sessions[i][0][j], m) for i in idx] for j in range(k)]
         h = fading[first_user[idx][:, None] + np.arange(k)]
         amp = scale[idx]
         received = transmit(build(*points, m), h, noise[idx], amp)
@@ -223,51 +211,46 @@ def _send_repairs(cfg: StorageConfig, m: int, g: int, seed: int, trials):
     contents = mds_encode(chunks.transpose(1, 0, 2).tobytes(), cfg)
     shares = np.frombuffer(b"".join(c.fragment for c in contents), dtype=np.uint8)
     shares = shares.reshape(cfg.n, len(files), share_bytes)
-    # one Fragment per distinct value, shared wherever the value recurs
-    values = _fragment_values(shares, m)
-    distinct, which = np.unique(values.ravel(), return_inverse=True)
-    pool = [Fragment(v, m) for v in distinct.tolist()]
-    which = which.reshape(values.shape).transpose(1, 0, 2).tolist()  # trial, node, block
+    values = _fragment_values(shares, m).transpose(1, 0, 2).tolist()  # trial, node, block
     sessions = []
-    for (_, helpers, plan), rng, trial_which in zip(sent, rngs, which):
-        fragments = {h: [pool[i] for i in trial_which[h]] for h in helpers}
+    for (_, _, plan), rng, fragments in zip(sent, rngs, values):
         sessions += [([fragments[h][block] for h in group], rng) for group, block in plan]
     return shares, sent, sessions
 
 
-def _finish_repairs(cfg: StorageConfig, shares: np.ndarray, sent, outcomes) -> list[RepairTrialResult]:
+def _finish_repairs(
+    cfg: StorageConfig, m: int, shares: np.ndarray, sent, sessions, outcomes
+) -> list[RepairTrialResult]:
     """Repair each trial of a batch from its shares that came through right.
 
-    A session that did not err decoded every fragment it carried right, so
-    only the shares of helpers in an errored session are reassembled (the
-    plan lists each helper's blocks in order) and compared with the sent
-    ones.  A trial with at least k right shares repairs from the k with
-    the smallest ids, as repair_node chooses them; trials with the same
-    lost node and chosen ids share one repair_node call.
+    A share came through wrong when an errored session decoded one of its
+    fragments differently in a data bit; the last block's pad low bits are
+    its zero padding and do not count.  A trial with at least k right
+    shares repairs from the k with the smallest ids, as repair_node chooses
+    them; trials with the same lost node and chosen ids share one
+    repair_node call.
     """
+    share_bits = 8 * shares.shape[2]
+    last = -(-share_bits // (3 * m)) - 1
+    pad = (last + 1) * 3 * m - share_bits
     counts, groups = [], {}
     start = 0
     for t, (lost, helpers, plan) in enumerate(sent):
-        trial = outcomes[start : start + len(plan)]
-        start += len(plan)
-        decoded: dict[int, list[Fragment]] = {}
+        stop = start + len(plan)
+        wrong = set()
         sessions_errored = 0
-        for (group, _), (_, errored, _) in zip(plan, trial):
+        for (group, block), (fragments, _), (got, errored, _) in zip(
+            plan, sessions[start:stop], outcomes[start:stop]
+        ):
             if errored:
                 sessions_errored += 1
-                decoded.update((h, []) for h in group)
-        if decoded:
-            for (group, _), (got, _, _) in zip(plan, trial):
-                for h, frag in zip(group, got):
-                    if h in decoded:
-                        decoded[h].append(frag)
-        usable = [
-            h for h in helpers
-            if h not in decoded or join_fragments(decoded[h], shares.shape[2]) == shares[h, t].tobytes()
-        ]
+                shift = pad if block == last else 0
+                wrong.update(h for h, a, b in zip(group, got, fragments) if (a ^ b) >> shift)
+        start = stop
+        usable = [h for h in helpers if h not in wrong]
         if len(usable) >= cfg.k:
             groups.setdefault((lost, *usable[: cfg.k]), []).append(t)
-        counts.append([len(plan), sessions_errored, False, len(helpers) - len(usable)])
+        counts.append([len(plan), sessions_errored, False, len(wrong)])
     for (lost, *chosen), trials in groups.items():
         helpers = [NodeContent(h, shares[h, trials].tobytes()) for h in chosen]
         repaired = np.frombuffer(repair_node(lost, helpers, cfg).fragment, dtype=np.uint8)
@@ -312,7 +295,7 @@ def run_repair_trials(
         shares, sent, sessions = _send_repairs(cfg, m, g, seed, trials[lo : lo + step])
         session_points = [p for p in points[lo : lo + step] for _ in range(per_trial)]
         outcomes = run_sessions(sessions, m, session_points, decoder_mode, noiseless)
-        results += _finish_repairs(cfg, shares, sent, outcomes)
+        results += _finish_repairs(cfg, m, shares, sent, sessions, outcomes)
     return results
 
 

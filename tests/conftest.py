@@ -6,7 +6,7 @@ from pathlib import Path
 import wstsim
 from wstsim.algebra import FieldElement, embed
 from wstsim.decoder import decode_session, factor_sessions
-from wstsim.lift import Fragment, LatticePoint
+from wstsim.lift import LatticePoint
 
 
 def wstsim_env() -> dict:
@@ -36,7 +36,7 @@ def decode_one(received, h, snr, m, mode="sphere"):
     return decode_session(problem, mode)
 
 
-def share_fragments(data: bytes, m: int) -> list[Fragment]:
+def share_fragments(data: bytes, m: int) -> list[int]:
     """Cut a share into 3m-bit fragments, zero-padding the last one: the
     share read as one big-endian integer, shifted left to whole fragments.
     The oracle for the protocol's stacked cutter."""
@@ -46,4 +46,17 @@ def share_fragments(data: bytes, m: int) -> list[Fragment]:
     count = -(-8 * len(data) // step)
     value = int.from_bytes(data, "big") << (count * step - 8 * len(data))
     mask = (1 << step) - 1
-    return [Fragment((value >> (step * i)) & mask, m) for i in range(count - 1, -1, -1)]
+    return [(value >> (step * i)) & mask for i in range(count - 1, -1, -1)]
+
+
+def join_fragments(fragments, m: int, n_bytes: int) -> bytes:
+    """The n_bytes share whose bytes, cut into 3m-bit fragments and
+    zero-padded at the end, are these fragments, whatever bits their
+    padding holds.  The oracle for the protocol's share check."""
+    value = 0
+    for f in fragments:
+        value = (value << 3 * m) | f
+    pad = 3 * m * len(fragments) - 8 * n_bytes
+    if not 0 <= pad < 3 * m:
+        raise ValueError(f"{len(fragments)} fragments do not hold a {n_bytes}-byte share")
+    return (value >> pad).to_bytes(n_bytes, "big")

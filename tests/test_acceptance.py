@@ -28,7 +28,7 @@ from wstsim.algebra import (
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
 from wstsim.dmt import DmtCurve, dmt_group
 from wstsim.encoder import build_pair_codeword
-from wstsim.lift import Fragment, lift, random_fragment, unlift
+from wstsim.lift import lift, random_fragment, unlift
 from wstsim.outage import OutageSpec, estimate_slope, run_outage_sweep, wilson_interval
 from wstsim.cli import _repair_range
 from wstsim.protocol import run_repair_trials
@@ -116,12 +116,12 @@ def test_ac3_decoder_exactness():
     mismatches = 0
     for t in range(1000):
         rng = trial_rng(MC_SEED, t)
-        p1, p2 = lift(random_fragment(rng, 2)), lift(random_fragment(rng, 2))
+        p1, p2 = lift(random_fragment(rng, 2), 2), lift(random_fragment(rng, 2), 2)
         codeword = build_pair_codeword(p1, p2, 2)
         h, w = draw_session(rng, 2, 1, 2, 3)
         received = transmit(codeword, h, w, snr)
         a = decode_one(received, h, snr, 2, mode="sphere")
-        b = decode_one(received, h, snr, 2, mode="oracle")
+        b = decode_one(received, h, snr, 2, mode="ml")
         same = a.coordinates == b.coordinates and abs(a.metric - b.metric) <= 1e-9
         mismatches += not same
     assert mismatches == 0
@@ -153,9 +153,8 @@ def test_ac5_lift_bijectivity():
     for m, total in ((2, 64), (4, 4096)):
         images = set()
         for v in range(1 << (3 * m)):
-            frag = Fragment(v, m)
-            point = lift(frag)
-            assert unlift(point.coordinates, m) == frag
+            point = lift(v, m)
+            assert unlift(point.coordinates, m) == v
             images.add(point.element.coefficients())
         assert len(images) == total
     elapsed = time.perf_counter() - start

@@ -5,7 +5,7 @@ import pytest
 
 from wstsim.channel import SnrPoint, amplitudes, draw_cn, draw_session, transmit, trial_rng
 from wstsim.encoder import build_pair_codeword, normalizer
-from wstsim.lift import Fragment, lift
+from wstsim.lift import lift
 
 
 def test_snr_point():
@@ -108,7 +108,7 @@ ZERO_NOISE = np.zeros((2, 3), dtype=complex)
 
 
 def _pair_codeword(v1, v2):
-    return build_pair_codeword(lift(Fragment(v1, 2)), lift(Fragment(v2, 2)), 2)
+    return build_pair_codeword(lift(v1, 2), lift(v2, 2), 2)
 
 
 def test_transmit_identity_channel_zero_noise():
@@ -153,7 +153,7 @@ def test_received_snr_calibration():
     # snr * n_t * K_active (here 2 * snr) to within Monte Carlo error
     rng = trial_rng(1234)
     trials = 10**5
-    rows = np.array([lift(Fragment(v, 2)).embedded_row for v in range(64)]) * normalizer(2)
+    rows = np.array([lift(v, 2).embedded_row for v in range(64)]) * normalizer(2)
     h = draw_cn(rng, (trials, 2, 2))  # receive antenna x user
     idx = rng.integers(0, 64, size=(trials, 2))
     x = rows[idx]  # (trials, user, T)

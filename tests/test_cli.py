@@ -552,7 +552,7 @@ def test_selftest_lift_checks_m4(monkeypatch):
 
     def broken(coordinates, m):
         frag = real(coordinates, m)
-        return cli.Fragment(frag.value ^ 1, m) if m == 4 and frag.value == 4000 else frag
+        return frag ^ 1 if m == 4 and frag == 4000 else frag
 
     monkeypatch.setattr(cli, "unlift", broken)
     ok, detail = cli._selftest_lift()

@@ -181,12 +181,12 @@ def test_sphere_equals_oracle_on_pair_sessions():
     snr = SnrPoint(10.0)
     for t in range(300):
         rng = trial_rng(2024, t)
-        p1, p2 = lift(random_fragment(rng, 2)), lift(random_fragment(rng, 2))
+        p1, p2 = lift(random_fragment(rng, 2), 2), lift(random_fragment(rng, 2), 2)
         X = build_pair_codeword(p1, p2, 2)
         h, w = draw_session(rng, 2, 1, 2, 3)
         Y = transmit(X, h, w, snr)
         a = decode_one(Y, h, snr, 2, mode="sphere")
-        b = decode_one(Y, h, snr, 2, mode="oracle")
+        b = decode_one(Y, h, snr, 2, mode="ml")
         assert a.coordinates == b.coordinates
         assert abs(a.metric - b.metric) < 1e-9
 
@@ -212,7 +212,7 @@ def test_sphere_equals_numpy_node_reference_on_sessions(m, scheme):
     for t in range(60):
         snr = SnrPoint((5.0, 15.0, 25.0)[t % 3])
         rng = trial_rng(4321, t)
-        points = [lift(random_fragment(rng, m)) for _ in range(k_act)]
+        points = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
         X = build_pair_codeword(*points, m) if k_act == 2 else build_tdma_codeword(*points, m)
         h, w = draw_session(rng, 2, 1, k_act, 3)
         Y = transmit(X, h, w, snr)
@@ -396,7 +396,7 @@ def test_zero_noise_roundtrip_sessions():
         scheme = "pair" if t % 2 == 0 else "tdma"
         k_act = 2 if scheme == "pair" else 1
         frags = [random_fragment(rng, 2) for _ in range(k_act)]
-        points = [lift(f) for f in frags]
+        points = [lift(f, 2) for f in frags]
         if k_act == 2:
             X = build_pair_codeword(points[0], points[1], 2)
         else:
@@ -426,7 +426,7 @@ def test_visited_nodes_shrink_with_snr():
 def test_session_error_rate_30db_oracle_regression():
     # frozen Monte Carlo baseline: zero session errors in 1e4 oracle trials
     # at 30 dB (rate << 1e-2); determinism makes the count reproducible
-    results = run_session_trials(2, SnrPoint(30.0), "pair", "oracle", 1234, range(10**4))
+    results = run_session_trials(2, SnrPoint(30.0), "pair", "ml", 1234, range(10**4))
     errors = sum(errored for errored, _ in results)
     assert errors == 0
     assert errors / 10**4 < 1e-2
@@ -527,7 +527,7 @@ def test_certified_session_results_equal_the_scalar_search(scheme, m):
         received, chans = [], []
         for t in range(count):
             rng = trial_rng(2121, t, int(db))
-            points = [lift(random_fragment(rng, m)) for _ in range(k_act)]
+            points = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
             h, w = draw_session(rng, 2, 1, k_act, 3)
             received.append(transmit(build(*points, m), h, w, snr))
             chans.append(h)

@@ -15,11 +15,11 @@ from wstsim.encoder import (
     normalizer,
     realify,
 )
-from wstsim.lift import Fragment, lift
+from wstsim.lift import lift
 
 
 def all_points(m):
-    return [lift(Fragment(v, m)) for v in range(1 << (3 * m))]
+    return [lift(v, m) for v in range(1 << (3 * m))]
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_tdma_codeword_of_one():
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_stacked_codewords_equal_per_session_bitwise(m):
     rng = np.random.default_rng(m)
-    first, second = ([lift(Fragment(int(v), m)) for v in rng.integers(0, 1 << (3 * m), 300)] for _ in range(2))
+    first, second = ([lift(int(v), m) for v in rng.integers(0, 1 << (3 * m), 300)] for _ in range(2))
     pairs = build_pair_codeword(first, second, m)
     singles = build_tdma_codeword(first, m)
     assert pairs.shape == (300, 2, 3) and singles.shape == (300, 1, 3)
@@ -106,7 +106,7 @@ def test_average_energy_is_unit_sampled_m6():
     from wstsim.lift import random_fragment
 
     rows = np.array(
-        [lift(random_fragment(rng, 6)).embedded_row for _ in range(20000)]
+        [lift(random_fragment(rng, 6), 6).embedded_row for _ in range(20000)]
     ) * normalizer(6)
     per_use = np.mean(np.sum(np.abs(rows) ** 2, axis=1)) / 3.0
     assert abs(per_use - 1.0) < 0.02

@@ -197,7 +197,7 @@ def test_decodes_do_not_depend_on_the_stack(scheme, m):
     received, chans = [], []
     for t in range(1024):
         rng = trial_rng(4242, t)
-        points = [lift(random_fragment(rng, m)) for _ in range(k_act)]
+        points = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
         h, w = draw_session(rng, 2, 1, k_act, 3)
         received.append(transmit(build(*points, m), h, w, snr))
         chans.append(h)

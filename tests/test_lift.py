@@ -1,7 +1,7 @@
 import copy
 import itertools
 import pickle
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from conftest import lattice_point
 from wstsim.algebra import FieldElement, GaussianInt
 from wstsim.encoder import average_row_energy
 from wstsim.lift import (
-    Fragment,
     LatticePoint,
     _check_m,
     _gray_axis,
@@ -179,14 +178,14 @@ def test_pam_levels():
 
 
 def test_lift_all_zero_fragment():
-    point = lift(Fragment(0, 2))
+    point = lift(0, 2)
     expected = GaussianInt(-1, -1)
     assert point.element.coefficients() == (expected, expected, expected)
     assert abs(point.embedded_row[0] - complex(-1, -1) * 3.801938) < 1e-5
 
 
 def test_lift_block_order_example():
-    point = lift(Fragment(0b110001, 2))
+    point = lift(0b110001, 2)
     assert point.element.coefficients() == (
         GaussianInt(1, 1),
         GaussianInt(-1, -1),
@@ -195,7 +194,7 @@ def test_lift_block_order_example():
 
 
 def test_lift_injective_m2():
-    images = {lift(Fragment(v, 2)).element.coefficients() for v in range(64)}
+    images = {lift(v, 2).element.coefficients() for v in range(64)}
     assert len(images) == 64
 
 
@@ -203,8 +202,8 @@ def test_lift_equals_gray_encode_composition():
     rng = np.random.default_rng(7)
     for m in (6, 8):
         for _ in range(500):
-            frag = random_fragment(rng, m)
-            assert lift(frag) == string_lift(format(frag.value, f"0{3 * m}b"), m)
+            v = random_fragment(rng, m)
+            assert lift(v, m) == string_lift(format(v, f"0{3 * m}b"), m)
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -212,38 +211,35 @@ def test_integer_fragments_match_the_string_gray_path(m):
     # every 3m-bit integer, MSB first, lifts to the point its bit string
     # gives through gray_encode, and unlift inverts it
     for v, bits in enumerate(all_bitstrings(3 * m)):
-        frag = Fragment(v, m)
-        point = lift(frag)
+        point = lift(v, m)
         assert point == string_lift(bits, m)
-        assert unlift(point.coordinates, m) == frag
+        assert unlift(point.coordinates, m) == v
     # random_fragment reads its 0/1 draws as the bits, most significant first
     for seed in range(50):
         draws = np.random.default_rng(seed).integers(0, 2, size=3 * m)
         old_bits = "".join("1" if b else "0" for b in draws)
-        assert random_fragment(np.random.default_rng(seed), m) == Fragment(int(old_bits, 2), m)
+        assert random_fragment(np.random.default_rng(seed), m) == int(old_bits, 2)
 
 
 def test_roundtrip_exhaustive_m2():
     for v in range(1 << 6):
-        frag = Fragment(v, 2)
-        assert unlift(lift(frag).coordinates, 2) == frag
+        assert unlift(lift(v, 2).coordinates, 2) == v
 
 
 def test_roundtrip_exhaustive_m4():
     for v in range(1 << 12):
-        frag = Fragment(v, 4)
-        assert unlift(lift(frag).coordinates, 4) == frag
+        assert unlift(lift(v, 4).coordinates, 4) == v
 
 
 def test_roundtrip_random_m6():
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        frag = random_fragment(rng, 6)
-        assert unlift(lift(frag).coordinates, 6) == frag
+        v = random_fragment(rng, 6)
+        assert unlift(lift(v, 6).coordinates, 6) == v
 
 
 def test_unlift_rejects_out_of_constellation():
-    coords = lift(Fragment(0, 4)).coordinates  # levels reach +-3
+    coords = lift(0, 4).coordinates  # levels reach +-3
     with pytest.raises(ValueError):
         unlift(coords, 2)
     with pytest.raises(ValueError):
@@ -253,14 +249,16 @@ def test_unlift_rejects_out_of_constellation():
 
 
 def test_fragment_validation():
-    with pytest.raises(ValueError):
-        Fragment(1 << 6, 2)  # more than 3m bits
-    with pytest.raises(ValueError):
-        Fragment(-1, 2)
-    with pytest.raises(ValueError):
-        Fragment("000000", 2)  # bits are an int, not a string
-    with pytest.raises(ValueError):
-        Fragment(0, 3)  # odd m
+    # lift takes exactly the ints 0 .. 2^(3m) - 1, at every even m
+    for m in range(2, 17, 2):
+        top = (1 << 3 * m) - 1
+        assert unlift(lift(top, m).coordinates, m) == top
+        for bad in (top + 1, 1 << 3 * m + 1, -1, -top):
+            with pytest.raises(ValueError, match=rf"fragment is an int of 3\*m = {3 * m} bits, got {bad}"):
+                lift(bad, m)
+    for m in (1, 3, 5, 0, -2):
+        with pytest.raises(ValueError, match=f"m must be an even integer >= 2, got {m}"):
+            lift(0, m)
 
 
 def _float_bits(row):
@@ -278,47 +276,35 @@ def test_lift_equals_the_object_path_bit_for_bit():
         else:
             values = [int(v) for v in rng.integers(0, 1 << (3 * m), size=2000)]
         for v in values:
-            point = lift(Fragment(v, m))
+            point = lift(v, m)
             oracle = string_lift(format(v, f"0{3 * m}b"), m)
             assert point.element == oracle.element
             assert _float_bits(point.embedded_row) == _float_bits(oracle.embedded_row)
+            assert unlift(point.coordinates, m) == v
 
 
-def test_fragment_and_lattice_point_are_immutable_values():
-    frag = Fragment(5, 2)
-    point = lift(frag)
-    for obj, name in ((frag, "value"), (frag, "m"), (point, "element"), (point, "embedded_row")):
+def test_lattice_point_is_an_immutable_value():
+    point = lift(5, 2)
+    for name in ("element", "embedded_row"):
         with pytest.raises(AttributeError):
-            setattr(obj, name, getattr(obj, name))
+            setattr(point, name, getattr(point, name))
         with pytest.raises(AttributeError):
-            delattr(obj, name)
-    with pytest.raises(AttributeError):
-        frag.bits = "000101"
-    assert (frag.value, frag.m) == (5, 2)
-    # the constructor's messages
-    with pytest.raises(ValueError, match=r"fragment must be an int of 3\*m = 6 bits, got 64"):
-        Fragment(64, 2)
-    with pytest.raises(ValueError, match="m must be an even integer >= 2, got 3"):
-        Fragment(0, 3)
-    # equal values are equal and hash equal, whatever object holds them
-    assert Fragment(5, 2) == frag and hash(Fragment(5, 2)) == hash(frag)
-    assert Fragment(5, 4) != frag and Fragment(6, 2) != frag
-    assert lift(Fragment(5, 2)) == point and hash(lift(Fragment(5, 2))) == hash(point)
-    assert lift(Fragment(6, 2)) != point
-    # a fragment is not a tuple, and not the point it lifts to
-    assert frag != (5, 2) and (5, 2) != frag
-    assert frag != point and point != frag
+            delattr(point, name)
+    with pytest.raises(FrozenInstanceError):  # a name that is not a field too
+        point.bits = "000101"
+    # equal points are equal and hash equal
+    assert lift(5, 2) == point and hash(lift(5, 2)) == hash(point)
+    assert lift(6, 2) != point
+    # a point is not the fragment it lifts, nor a tuple of its fields
+    assert 5 != point and point != 5
     assert point != (point.element, point.embedded_row)
-    assert len({frag, Fragment(5, 2), Fragment(5, 4)}) == 2
     # copies and pickles are equal values
-    for obj in (frag, point):
-        assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
-        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert copy.copy(point) == point and copy.deepcopy(point) == point
+    assert pickle.loads(pickle.dumps(point)) == point
 
 
 def test_value_object_reprs():
-    assert repr(Fragment(5, 2)) == "Fragment(value=5, m=2)"
-    assert repr(lift(Fragment(5, 2))) == (
+    assert repr(lift(5, 2)) == (
         "LatticePoint(element=FieldElement(c0=GaussianInt(re=-1, im=-1), "
         "c1=GaussianInt(re=-1, im=1), c2=GaussianInt(re=-1, im=1)), "
         "embedded_row=((-3.801937735804839+1.8019377358048387j), "
@@ -333,7 +319,7 @@ def test_value_object_reprs():
 
 def test_embedded_rows_differ_everywhere_m2():
     # nonzero differences have nonzero norm, so no embedding can vanish
-    rows = np.array([lift(Fragment(v, 2)).embedded_row for v in range(64)])
+    rows = np.array([lift(v, 2).embedded_row for v in range(64)])
     n = len(rows)
     for i in range(n - 1):
         diffs = rows[i + 1 :] - rows[i]
@@ -343,6 +329,6 @@ def test_embedded_rows_differ_everywhere_m2():
 def test_average_energy_matches_encoder_normalizer():
     # cross-module consistency: exhaustive mean energy at m=2 equals the
     # analytic value the encoder normalizes with
-    rows = np.array([lift(Fragment(v, 2)).embedded_row for v in range(64)])
+    rows = np.array([lift(v, 2).embedded_row for v in range(64)])
     measured = float(np.mean(np.sum(np.abs(rows) ** 2, axis=1))) / 3.0
     assert abs(measured - average_row_energy(2)) < 1e-9

@@ -6,18 +6,17 @@ import pytest
 
 from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
 from wstsim.encoder import build_pair_codeword, build_tdma_codeword, normalizer
-from wstsim.lift import Fragment, lift
+from wstsim.lift import lift
 import wstsim.protocol as protocol
 from wstsim.protocol import (
     RepairTrialResult,
-    join_fragments,
     plan_sessions,
     run_repair_trials,
     run_session_trials,
 )
 from wstsim.storage import StorageConfig, mds_encode, repair_node
 
-from conftest import decode_one, share_fragments
+from conftest import decode_one, join_fragments, share_fragments
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
 
@@ -36,20 +35,19 @@ def test_bit_roundtrip():
         for m in (2, 4, 6, 8):
             frags = share_fragments(data, m)
             assert len(frags) == -(-8 * n_bytes // (3 * m))
-            assert join_fragments(frags, n_bytes) == data
-    assert [f.value for f in share_fragments(b"\x80\x01", 4)] == [0b100000000000, 0b000100000000]
+            assert join_fragments(frags, m, n_bytes) == data
+    assert share_fragments(b"\x80\x01", 4) == [0b100000000000, 0b000100000000]
 
 
 def test_share_fragments_pads_last_block():
     frags = share_fragments(b"\xff\xff", 2)  # 16 bits -> 6+6+4, padded to 6
-    assert [f.value for f in frags] == [0b111111, 0b111111, 0b111100]
+    assert frags == [0b111111, 0b111111, 0b111100]
     frags = share_fragments(bytes(3), 2)  # 24 bits -> exactly 4 blocks
     assert len(frags) == 4
     # the padding bits are dropped on the way back, whatever they hold
-    last = Fragment(0b111111, 2)
-    assert join_fragments(share_fragments(b"\xff\xff", 2)[:2] + [last], 2) == b"\xff\xff"
+    assert join_fragments(share_fragments(b"\xff\xff", 2)[:2] + [0b111111], 2, 2) == b"\xff\xff"
     with pytest.raises(ValueError):
-        join_fragments(frags[:3], 3)  # too few fragments
+        join_fragments(frags[:3], 2, 3)  # too few fragments
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +185,19 @@ def test_pipeline_identity_exhaustive_m2_single_session():
     # unlift(decode(transmit(build(lift(.))))) is the identity on fragments
     # when the noise is forced to zero; exhaustive over one pair session
     snr = SnrPoint(14.0)
-    frag2 = Fragment(0b101101, 2)
-    point2 = lift(frag2)
+    frag2 = 0b101101
+    point2 = lift(frag2, 2)
     rng = trial_rng(55)
     from wstsim.encoder import build_pair_codeword
     from wstsim.lift import unlift
 
     for v in range(64):
-        frag1 = Fragment(v, 2)
-        point1 = lift(frag1)
+        point1 = lift(v, 2)
         codeword = build_pair_codeword(point1, point2, 2)
         h, _ = draw_session(rng, 2, 1, 2, 3)
         received = transmit(codeword, h, np.zeros((2, 3), dtype=complex), snr)
         dec = decode_one(received, h, snr, 2)
-        assert unlift(dec.coordinates[:6], 2) == frag1
+        assert unlift(dec.coordinates[:6], 2) == v
         assert unlift(dec.coordinates[6:], 2) == frag2
 
 
@@ -209,7 +206,7 @@ def test_tdma_session_matches_independent_mrc_oracle():
     # the 64-point constellation: an independent decoding route that must
     # agree with the equivalent-channel sphere decoder
     m = 2
-    points = [lift(Fragment(v, m)) for v in range(1 << (3 * m))]
+    points = [lift(v, m) for v in range(1 << (3 * m))]
     rows = np.array([p.embedded_row for p in points])
     alpha = normalizer(m)
     snr = SnrPoint(8.0)
@@ -217,7 +214,7 @@ def test_tdma_session_matches_independent_mrc_oracle():
         rng = trial_rng(31337, t)
         from wstsim.lift import random_fragment
 
-        sent = lift(random_fragment(rng, m))
+        sent = lift(random_fragment(rng, m), m)
         codeword = build_tdma_codeword(sent, m)
         h, w = draw_session(rng, 2, 1, 1, 3)
         received = transmit(codeword, h, w, snr)
@@ -232,7 +229,7 @@ def test_tdma_session_matches_independent_mrc_oracle():
 def test_session_trial_modes_agree_on_errors():
     snr = SnrPoint(9.0)
     sphere = run_session_trials(2, snr, "pair", "sphere", 71, range(60))
-    oracle = run_session_trials(2, snr, "pair", "oracle", 71, range(60))
+    oracle = run_session_trials(2, snr, "pair", "ml", 71, range(60))
     assert [e for e, _ in sphere] == [e for e, _ in oracle]
 
 
@@ -302,7 +299,7 @@ def _send_one_by_one(sessions, m, snrs, noiseless):
     in session order."""
     out = []
     for (fragments, rng), snr in zip(sessions, snrs, strict=True):
-        points = [lift(f) for f in fragments]
+        points = [lift(f, m) for f in fragments]
         h, w = draw_session(rng, 2, 1, len(points), 3)
         if noiseless:
             w = np.zeros_like(w)
@@ -360,7 +357,7 @@ def test_stacked_send_at_mixed_snr_equals_the_per_session_loop(scheme, m, monkey
 
 def test_run_sessions_refuses_other_session_sizes():
     rng = trial_rng(3)
-    frags = [Fragment(1, 2)] * 3
+    frags = [1] * 3
     with pytest.raises(ValueError):
         protocol.run_sessions([(frags, rng)], 2, SnrPoint(10.0))
     assert protocol.run_sessions([], 2, SnrPoint(10.0)) == []
@@ -391,7 +388,7 @@ def old_repair_trial(cfg, m, snr, scheme, seed, t, noiseless=False, calls=None):
             decoded[h].append(frag)
     usable = [
         contents[h] for h in helpers
-        if join_fragments(decoded[h], len(contents[h].fragment)) == contents[h].fragment
+        if join_fragments(decoded[h], m, len(contents[h].fragment)) == contents[h].fragment
     ]
     ok = len(usable) >= cfg.k and repair_node(lost, usable, cfg).fragment == contents[lost].fragment
     if calls is not None and len(usable) >= cfg.k:
@@ -409,7 +406,7 @@ def test_stacked_cutter_equals_share_fragments(m):
         assert values.shape == (4, 3, -(-8 * n_bytes // (3 * m)))
         for node, trial in itertools.product(range(4), range(3)):
             expected = share_fragments(shares[node, trial].tobytes(), m)
-            assert [Fragment(v, m) for v in values[node, trial].tolist()] == expected
+            assert values[node, trial].tolist() == expected
 
 
 @pytest.mark.parametrize("trials", [1, 7])
@@ -471,6 +468,39 @@ def test_batch_repair_equals_trials_one_at_a_time(cfg, scheme, m, monkeypatch):
         covered += [(lost, tuple(h.node_id for h in helpers))] * count
     assert sorted(covered) == sorted(own_calls)
     assert len(covered) == sum(r.repaired_share_ok for r in batch)
+
+
+def test_a_wrong_pad_bit_errs_the_session_but_not_the_share(monkeypatch):
+    # PADDED shares at m=2 are 3 blocks of 6 bits, the last block's low 2
+    # bits padding.  TDMA sessions each unlift one helper block, in plan
+    # order: call i unlifts block i // 5 of the (i % 5)-th helper.  Call 10
+    # flips the lowest bit of a last block, padding only; call 1 flips the
+    # lowest bit of a first block, a data bit.
+    real = protocol.unlift
+    calls = itertools.count()
+
+    def flipping(coordinates, m):
+        return real(coordinates, m) ^ (next(calls) in (1, 10))
+
+    chosen = []
+    real_repair = protocol.repair_node
+
+    def recording(lost, helpers, cfg):
+        chosen.append([h.node_id for h in helpers])
+        return real_repair(lost, helpers, cfg)
+
+    monkeypatch.setattr(protocol, "unlift", flipping)
+    monkeypatch.setattr(protocol, "repair_node", recording)
+    (result,) = run_repair_trials(PADDED, 2, SnrPoint(30.0), "tdma", "sphere", 8, [0], noiseless=True)
+    assert next(calls) == result.sessions_total == 15
+    assert result.sessions_errored == 2
+    assert result.shares_failed == 1
+    assert result.repaired_share_ok
+    # the repair leaves out exactly the helper whose data bit went wrong
+    _, helpers, _ = protocol._send_repairs(PADDED, 2, 1, 8, [0])[1][0]
+    assert chosen == [[h for h in helpers if h != helpers[1]][:3]]
+    calls = itertools.count()
+    assert result == old_repair_trial(PADDED, 2, SnrPoint(30.0), "tdma", 8, 0, noiseless=True)
 
 
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
