@@ -145,11 +145,6 @@ class FieldElement:
         return _element((r0, i0, r1, i1, r2, i2))
 
     @property
-    def ints(self) -> tuple[int, int, int, int, int, int]:
-        """The six coefficient ints, in the order from_ints takes them."""
-        return self._v
-
-    @property
     def c0(self) -> GaussianInt:
         return GaussianInt(self._v[0], self._v[1])
 
@@ -229,7 +224,6 @@ class FieldElement:
         return any(self._v)
 
 
-ZERO = FieldElement(0, 0, 0)
 ONE = FieldElement(1, 0, 0)
 ETA = FieldElement(0, 1, 0)
 

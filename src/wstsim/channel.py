@@ -14,13 +14,14 @@ index, grid index, ...) in the upper counter words, so distinct paths get
 non-overlapping streams and every draw is a pure function of
 (master_seed, path) no matter the execution order or worker count.
 
-Stacks: draw_session also draws a run of sessions that share one Generator
-(a repair trial's) with a single draw_cn call, and transmit takes a leading
-session axis, with one SNR for the stack or one per session.  Neither
-changes a sample or a product: the joint draw holds the per-session draws in
-turn, a stacked product is the per-session one repeated, and a per-session
-scale is the same IEEE multiply as a scalar one, so the stacked values equal
-the per-session ones bit for bit.
+Stacks: every stage takes a run of sessions.  draw_session draws the
+sessions that share one Generator (a repair trial's) with a single draw_cn
+call, and transmit takes a leading session axis with one amplitude
+sqrt(snr_linear) per session.  Neither changes a sample or a product: the
+joint draw holds the per-session draws in turn, a stacked product is the
+per-session one repeated, and each entry takes one multiply by its
+session's amplitude, so a stack of sessions equals each session sent as a
+stack of one, bit for bit.
 """
 
 from __future__ import annotations
@@ -77,48 +78,21 @@ class SnrPoint:
         return 10.0 ** (self.snr_db / 10.0)
 
 
-def amplitudes(snr: SnrPoint | Sequence[SnrPoint], count: int) -> np.ndarray:
-    """The amplitude sqrt(snr_linear) of each of count sessions, as a float
-    array: snr is one SnrPoint for all of them, or a sequence of one each."""
-    if isinstance(snr, SnrPoint):
-        return np.full(count, math.sqrt(snr.snr_linear))
-    points = list(snr)
-    if len(points) != count:
-        raise ValueError(f"{len(points)} SNR points for {count} sessions")
-    root = {db: math.sqrt(SnrPoint(db).snr_linear) for db in {p.snr_db for p in points}}
-    return np.array([root[p.snr_db] for p in points], dtype=float)
-
-
-def amplitude(snr: SnrPoint | np.ndarray) -> float | np.ndarray:
-    """The factor that scales a session's signal: sqrt(snr_linear) of an
-    SnrPoint, or per-session amplitudes (S,) reshaped to (S, 1, 1) to scale
-    a stack of S matrices."""
-    return math.sqrt(snr.snr_linear) if isinstance(snr, SnrPoint) else np.asarray(snr)[:, None, None]
-
-
 def draw_session(
-    rng: np.random.Generator, n_r: int, n_t: int, k_active: int | Sequence[int], T: int
+    rng: np.random.Generator, n_r: int, n_t: int, k_active: Sequence[int], T: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh fading and noise for one session (channel first, then noise).
+    """Fresh fading and noise for sessions drawn one after another from rng.
 
-    Returns the per-user fading matrices, shape (k_active, n_r, n_t), and
-    the additive noise, shape (n_r, T).  Both come from one draw: the first
-    k_active*n_r*n_t samples are the fading, the rest the noise.
-
-    k_active may also be a sequence of active counts: sessions drawn one
-    after another from rng, in order.  They then take one draw, which holds
-    the samples of the per-session draws in turn, and come back as stacks:
-    the fading of every user, session by session, shape
-    (sum(k_active), n_r, n_t), and the noise, shape (len(k_active), n_r, T).
+    k_active holds each session's number of active users, in order.  The
+    sessions take one draw, which holds the samples of each session in turn
+    (its channel first, then its noise: the first k*n_r*n_t samples are the
+    fading, the rest the noise), and come back as stacks: the fading of
+    every user, session by session, shape (sum(k_active), n_r, n_t), and
+    the noise, shape (len(k_active), n_r, T).
     """
-    single = isinstance(k_active, (int, np.integer))
-    counts = (k_active,) if single else tuple(k_active)
+    counts = tuple(k_active)
     if not counts or min(n_r, n_t, T, *counts) < 1:
         raise ValueError("all dimensions must be positive")
-    if single:
-        n_h = k_active * n_r * n_t
-        z = draw_cn(rng, (n_h + n_r * T,))
-        return z[:n_h].reshape(k_active, n_r, n_t), z[n_h:].reshape(n_r, T)
     fading, noise = _draw_layout(n_r * n_t, n_r * T, counts)
     z = draw_cn(rng, (fading.size + noise.size,))
     return z[fading].reshape(-1, n_r, n_t), z[noise].reshape(-1, n_r, T)
@@ -137,17 +111,16 @@ def _draw_layout(per_user: int, per_noise: int, counts: tuple[int, ...]) -> tupl
     return fading, noise.reshape(-1)
 
 
-def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint | np.ndarray) -> np.ndarray:
-    """Received matrix Y = sqrt(snr) * sum_k H_k X_k + W, shape (n_r, T).
+def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, amp) -> np.ndarray:
+    """Received matrices Y = amp * sum_k H_k X_k + W, shape (S, n_r, T).
 
-    X stacks the active helpers' transmit rows, shape (k_active*n_t, T); h
-    holds their fading matrices (k_active, n_r, n_t) and w the noise (n_r, T).
-    All three may carry a leading session axis, (S, ...), and Y then does
-    too: a stacked product runs, session by session, the matrix product of
-    a lone session, so each received matrix equals its own call's bit for
-    bit.  snr is an SnrPoint, or for a stack each session's amplitude
-    sqrt(snr_linear) as an (S,) array (see amplitudes); either way every
-    entry takes the one multiply by its session's amplitude.
+    X stacks each session's transmit rows, shape (S, k_active*n_t, T); h
+    holds the sessions' fading matrices (S, k_active, n_r, n_t), w their
+    noise (S, n_r, T) and amp, shape (S,), each session's amplitude
+    sqrt(snr_linear).  The stacked product runs, session by session, the
+    matrix product of a stack of one, and every entry takes the one
+    multiply by its session's amplitude, so each received matrix equals its
+    own call's bit for bit.
     """
     k, n_r, n_t = h.shape[-3:]
     if X.shape[-2] != k * n_t:
@@ -157,4 +130,4 @@ def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, snr: SnrPoint | np.nda
     if w.shape[-2:] != (n_r, X.shape[-1]):
         raise ValueError(f"noise shape {w.shape[-2:]} != ({n_r}, {X.shape[-1]})")
     h_all = np.swapaxes(h, -3, -2).reshape(*h.shape[:-3], n_r, k * n_t)
-    return amplitude(snr) * (h_all @ X) + w
+    return np.asarray(amp)[:, None, None] * (h_all @ X) + w

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .channel import SnrPoint, trial_rng
 from .dmt import DmtCurve, dmt_group, emit_fig1
-from .lift import lift, random_fragment, unlift
+from .lift import levels, lift, random_fragment, unlift
 from .outage import OutageSpec, run_outage_sweep
 from .parallel import map_tasks
 from .protocol import run_repair_trials, run_session_trials, run_sessions
@@ -309,10 +309,11 @@ def _block_sweep(worker, params, args, width: int) -> list[list[int]]:
 
 def _grid_blocks(grid, trials: int, start: int, stop: int):
     """The trials [start, stop) of every point of grid, point by point, in
-    blocks of at most BLOCK_TRIALS, each generated as it is taken: the
-    block's point indices, SnrPoints and trial indices, three tuples."""
-    points = [SnrPoint(db) for db in grid]
-    cells = ((i, p, i * trials + t) for i, p in enumerate(points) for t in range(start, stop))
+    blocks of at most BLOCK_TRIALS, each generated as it is taken: three
+    tuples, each trial's point index, amplitude sqrt(snr_linear) and trial
+    index."""
+    amps = [math.sqrt(SnrPoint(db).snr_linear) for db in grid]
+    cells = ((i, a, i * trials + t) for i, a in enumerate(amps) for t in range(start, stop))
     while block := list(itertools.islice(cells, BLOCK_TRIALS)):
         yield zip(*block)
 
@@ -322,8 +323,8 @@ def _session_range(task):
     as counts per point."""
     (m, scheme, decoder_mode), seed, grid, trials, start, stop = task
     counts = [[0, 0, 0] for _ in grid]  # trials, errors, visited nodes
-    for rows, points, indices in _grid_blocks(grid, trials, start, stop):
-        results = run_session_trials(m, points, scheme, decoder_mode, seed, indices)
+    for rows, amps, indices in _grid_blocks(grid, trials, start, stop):
+        results = run_session_trials(m, amps, scheme, decoder_mode, seed, indices)
         for i, (errored, visited) in zip(rows, results):
             row = counts[i]
             row[0] += 1
@@ -338,8 +339,8 @@ def _repair_range(task):
     (cfg, m, scheme, decoder_mode, noiseless), seed, grid, trials, start, stop = task
     # sessions, errored, shares, failed, repairs, repair_fail
     counts = [[0] * 6 for _ in grid]
-    for rows, points, indices in _grid_blocks(grid, trials, start, stop):
-        results = run_repair_trials(cfg, m, points, scheme, decoder_mode, seed, indices, noiseless)
+    for rows, amps, indices in _grid_blocks(grid, trials, start, stop):
+        results = run_repair_trials(cfg, m, amps, scheme, decoder_mode, seed, indices, noiseless)
         for i, res in zip(rows, results):
             row = counts[i]
             row[0] += res.sessions_total
@@ -415,13 +416,10 @@ def _selftest_algebra(rng) -> tuple[bool, str]:
 def _selftest_lift() -> tuple[bool, str]:
     # m=2 and m=4 are the constellations of the benchmark's pair and TDMA runs
     for m in (2, 4):
-        seen = set()
         for i in range(1 << (3 * m)):
-            point = lift(i, m)
-            if unlift(point.coordinates, m) != i:
+            if unlift(levels(i, m), m) != i:
                 return False, f"round trip failed for {i:0{3 * m}b} at m={m}"
-            seen.add(point.element)
-        if len(seen) != 1 << (3 * m):
+        if len({lift(i, m) for i in range(1 << (3 * m))}) != 1 << (3 * m):
             return False, f"lift is not injective at m={m}"
     return True, "lift bijective on all 64 fragments at m=2 and all 4,096 at m=4"
 
@@ -435,8 +433,9 @@ def _selftest_decoder(seed: int) -> tuple[bool, str]:
 
     checked = 0
     for db in (10.0, 25.0):
-        sphere = run_sessions(sessions(), 2, SnrPoint(db), "sphere")
-        oracle = run_sessions(sessions(), 2, SnrPoint(db), "ml")
+        amp = np.full(50, math.sqrt(SnrPoint(db).snr_linear))
+        sphere = run_sessions(sessions(), 2, amp, "sphere")
+        oracle = run_sessions(sessions(), 2, amp, "ml")
         for (_, _, a), (_, _, b) in zip(sphere, oracle):
             if a.coordinates != b.coordinates:
                 return False, f"sphere decoder disagrees with the ML oracle at {db:g} dB"

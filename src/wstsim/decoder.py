@@ -88,7 +88,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import SnrPoint, amplitude
 from .encoder import build_equivalent_channel, dispersion_basis, realify
 from .lift import pam_levels
 
@@ -440,21 +439,21 @@ def brute_force_ml(p: DecodeProblem | FactoredProblem) -> DecodeResult:
     return DecodeResult(best_coords, best_metric, total)
 
 
-def factor_sessions(received, channels, snr: SnrPoint | np.ndarray, m: int) -> list[FactoredProblem]:
+def factor_sessions(received, channels, amp, m: int) -> list[FactoredProblem]:
     """The factored real systems of sessions with the same number of active
     helpers on the 2^m-QAM constellation (stage one).
 
-    received holds each session's n_r x T received matrix and channels its
-    per-user fading (k_active, n_r, 1).  snr is an SnrPoint for every
-    session, or each session's amplitude sqrt(snr_linear) as an array
-    (channel.amplitudes), as transmit takes it.  The equivalent channels
-    (absorbing the transmit scale) and their real expansions are built for
-    the whole stack at once, then validated and QR-factored as one stack.
+    received holds each session's n_r x T received matrix, channels its
+    per-user fading (k_active, n_r, 1) and amp its amplitude
+    sqrt(snr_linear), an (S,) array, as transmit takes them.  The
+    equivalent channels (absorbing the transmit scale) and their real
+    expansions are built for the whole stack at once, then validated and
+    QR-factored as one stack.
     """
     eqc = build_equivalent_channel(channels, dispersion_basis(m))
     y = np.asarray(received, dtype=complex)
     # each session's samples stacked column-major, as in vec(Y)
-    mat, obs = realify(amplitude(snr) * eqc, y.transpose(0, 2, 1))
+    mat, obs = realify(np.asarray(amp)[:, None, None] * eqc, y.transpose(0, 2, 1))
     return factor(DecodeProblem(mat, obs, pam_levels(m)))
 
 

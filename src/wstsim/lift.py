@@ -10,16 +10,18 @@ transmitted row is the triple of real embeddings of x.  Every step is exact
 and invertible, so the composite map is a bijection between {0,1}^(3m) and
 the 2^(3m)-point constellation.
 
+levels gives a fragment's six PAM levels (re and im of q1, q2, q3) and lift
+the row it sends; unlift maps six levels, as the decoder returns them, back.
+
 A fragment is the int its bits spell, most significant bit first, below
 2^(3m); m is not stored with it, every caller passes it.  Its (m/2)-bit
-Gray words are integer fields.  lift and unlift index per-axis tables by
+Gray words are integer fields.  levels and unlift index per-axis tables by
 them, built from integer Gray arithmetic (_gray_axis); no bit is ever held
 as a character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import FieldElement, embed
@@ -31,10 +33,10 @@ def _check_m(m: int) -> None:
 
 
 def pam_levels(m: int) -> tuple[int, ...]:
-    """Odd per-axis amplitudes of square 2^m-QAM: -(M-1), ..., M-1."""
+    """Odd per-axis levels of square 2^m-QAM: -(M-1), ..., M-1."""
     _check_m(m)
-    levels = 1 << (m // 2)
-    return tuple(range(-(levels - 1), levels, 2))
+    order = 1 << (m // 2)
+    return tuple(range(-(order - 1), order, 2))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -55,44 +57,34 @@ def _gray_axis(m: int) -> tuple[tuple[int, ...], dict[int, int]]:
     return tuple(level), {lv: v for v, lv in enumerate(level)}
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """A constellation point: field element plus its three embeddings.
-    Immutable; equal points hash equal.  Not slots=True: on Python 3.11 a
-    frozen slots dataclass raises TypeError, not FrozenInstanceError, when
-    a name that is not a field is assigned."""
-
-    element: FieldElement
-    embedded_row: tuple[complex, complex, complex]
-
-    @property
-    def coordinates(self) -> tuple[int, ...]:
-        """The six PAM levels that unlift reads: re and im of q1, q2, q3."""
-        return self.element.ints
-
-
-def lift(value: int, m: int) -> LatticePoint:
-    """Lift a 3m-bit fragment onto the lattice: (b1, b2, b3) -> q1 + q2*eta + q3*eta^2.
+def levels(value: int, m: int) -> tuple[int, int, int, int, int, int]:
+    """The six PAM levels of a 3m-bit fragment: re and im of q1, q2, q3.
 
     The six (m/2)-bit Gray words of value, most significant first, are the
     in-phase and quadrature words of q1, q2 and q3.  A value outside
-    0 .. 2^(3m) - 1 raises ValueError.
+    0 .. 2^(3m) - 1 raises ValueError.  unlift is the inverse.
     """
     level = _gray_axis(m)[0]
     if not 0 <= value < 1 << 3 * m:
         raise ValueError(f"a fragment is an int of 3*m = {3 * m} bits, got {value!r}")
     half = m // 2
     mask = (1 << half) - 1
-    x = FieldElement.from_ints(
+    return (
         level[value >> 5 * half & mask], level[value >> 4 * half & mask],
         level[value >> 3 * half & mask], level[value >> m & mask],
         level[value >> half & mask], level[value & mask],
     )
-    return LatticePoint(x, (embed(x, 0), embed(x, 1), embed(x, 2)))
+
+
+def lift(value: int, m: int) -> tuple[complex, complex, complex]:
+    """The row a 3m-bit fragment sends: the three embeddings of its lattice
+    point x = q1 + q2*eta + q3*eta^2, the QAM symbols q from levels."""
+    x = FieldElement.from_ints(*levels(value, m))
+    return embed(x, 0), embed(x, 1), embed(x, 2)
 
 
 def unlift(coordinates, m: int) -> int:
-    """Exact inverse of lift for the 2^m-QAM constellation: the fragment.
+    """Exact inverse of levels for the 2^m-QAM constellation: the fragment.
 
     coordinates are one point's six PAM levels (the real and imaginary parts
     of q1, q2, q3), as a decoder returns them for each helper.  A level

@@ -18,22 +18,23 @@ A session travels as plain values: the fragments of its one or two active
 helpers, each the int below 2^(3m) its bits spell, and the numpy Generator
 its channel is drawn from.  run_sessions takes a batch of sessions (the
 plans of a batch of repair trials, or a block of storage-free session
-trials) with an SNR point per session, so a batch may mix the sessions of
-several points, and runs it in stages, each on stacks.  The draw comes
-first: each run of consecutive sessions that share a Generator (one repair
-trial's) gets its fading and noise from one draw_session call, in session
-order, so the RNG is consumed exactly as by one session after another.
-Then, for each number of active helpers in turn, every helper's fragment is
-lifted, the sessions' codewords are built as one stack and sent through one
-stacked transmit, each session scaled by its own amplitude sqrt(snr), and
-their real systems are built and QR-factored as stacks of at most
-SESSION_BATCH systems (decoder.factor_sessions); each session then gets its
-own exact search (decoder.decode_session), taken in the stack's order.  Each
-helper's six decoded PAM coordinates are unlifted to a fragment, and a
-session errored when an unlifted fragment differs from the one sent; lift is
-a bijection, so that is the same decision as comparing the lattice points.
+trials) with an amplitude sqrt(snr_linear) per session, so a batch may mix
+the sessions of several SNR points, and runs it in stages, each on stacks.
+The draw comes first: each run of consecutive sessions that share a
+Generator (one repair trial's) gets its fading and noise from one
+draw_session call, in session order, so the RNG is consumed exactly as by
+one session after another.  Then, for each number of active helpers in
+turn, every helper's fragment is lifted to the row it sends, the sessions'
+codewords are built as one stack and sent through one stacked transmit,
+each session scaled by its own amplitude, and their real systems are built
+and QR-factored as stacks of at most SESSION_BATCH systems
+(decoder.factor_sessions); each session then gets its own exact search
+(decoder.decode_session), taken in the stack's order.  Each helper's six
+decoded PAM coordinates are unlifted to a fragment, and a session errored
+when an unlifted fragment differs from the one sent; lift is a bijection,
+so that is the same decision as comparing the lattice points.
 A stacked draw, product or factorization equals the per-session one bit for
-bit, and a per-session amplitude is the same multiply as a scalar one, so
+bit, and each entry takes one multiply by its own session's amplitude, so
 neither the stages nor how trials and SNR points are mixed in batches change
 a result.
 
@@ -68,14 +69,13 @@ K*r/2); callers pick the TDMA m accordingly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
 
-from .channel import SnrPoint, amplitudes, draw_session, transmit, trial_rng
+from .channel import draw_session, transmit, trial_rng
 from .decoder import DecodeResult, decode_session, factor_sessions
 from .encoder import build_pair_codeword, build_tdma_codeword
 from .lift import lift, random_fragment, unlift
@@ -139,7 +139,7 @@ class RepairTrialResult:
 def run_sessions(
     sessions,
     m: int,
-    snr: SnrPoint | Sequence[SnrPoint],
+    amp,
     decoder_mode: str = "sphere",
     noiseless: bool = False,
 ) -> list[tuple[list[int], bool, DecodeResult]]:
@@ -149,16 +149,18 @@ def run_sessions(
     of the one or two active helpers, and the Generator that draws the
     session's channel and noise (noiseless forces the noise to 0 after the
     draw).
-    snr is one SnrPoint for every session, or a sequence of one per
-    session.  Returns, per session, the decoded fragments, whether any of
-    them differs from the one sent, and the decoder's result.
+    amp holds each session's amplitude sqrt(snr_linear), shape (S,).
+    Returns, per session, the decoded fragments, whether any of them
+    differs from the one sent, and the decoder's result.
     """
+    scale = np.asarray(amp, dtype=float)
+    if scale.shape != (len(sessions),):
+        raise ValueError(f"amp of shape {scale.shape} for {len(sessions)} sessions")
     if not sessions:
         return []
     sizes = [len(fragments) for fragments, _ in sessions]
     if not set(sizes) <= {1, 2}:
         raise ValueError("a session has one or two active helpers")
-    scale = amplitudes(snr, len(sessions))
     fading, noise = [], []
     for rng, run in groupby(sessions, key=itemgetter(1)):  # a Generator equals only itself
         h, w = draw_session(rng, 2, 1, [len(fragments) for fragments, _ in run], 3)
@@ -173,13 +175,13 @@ def run_sessions(
         idx = [i for i, size in enumerate(sizes) if size == k]
         if not idx:
             continue
-        points = [[lift(sessions[i][0][j], m) for i in idx] for j in range(k)]
+        rows = [[lift(sessions[i][0][j], m) for i in idx] for j in range(k)]
         h = fading[first_user[idx][:, None] + np.arange(k)]
-        amp = scale[idx]
-        received = transmit(build(*points, m), h, noise[idx], amp)
+        amp_k = scale[idx]
+        received = transmit(build(*rows, m), h, noise[idx], amp_k)
         for lo in range(0, len(idx), SESSION_BATCH):
             part = slice(lo, lo + SESSION_BATCH)
-            for i, problem in zip(idx[part], factor_sessions(received[part], h[part], amp[part], m)):
+            for i, problem in zip(idx[part], factor_sessions(received[part], h[part], amp_k[part], m)):
                 res = decode_session(problem, decoder_mode)
                 c = res.coordinates
                 got = [unlift(c, m)] if k == 1 else [unlift(c[:6], m), unlift(c[6:], m)]
@@ -263,7 +265,7 @@ def _finish_repairs(
 def run_repair_trials(
     cfg: StorageConfig,
     m: int,
-    snr: SnrPoint | Sequence[SnrPoint],
+    amp,
     scheme: str,
     decoder_mode: str,
     seed: int,
@@ -272,8 +274,9 @@ def run_repair_trials(
 ) -> list[RepairTrialResult]:
     """Full repairs (encode, erase, transmit, repair), one per trial index.
 
-    snr is one SnrPoint for every trial, or a sequence of one per trial.
-    The helpers' blocks travel in sessions of the scheme's group size.
+    amp holds each trial's amplitude sqrt(snr_linear), one per trial
+    index.  The helpers' blocks travel in sessions of the scheme's group
+    size, each at its trial's amplitude.
     Each trial's shares, plan and sessions are drawn from its own
     substream; the trials run in batches of at most SESSION_BATCH sessions
     (module docstring), and the results equal those of the trials run one
@@ -284,24 +287,23 @@ def run_repair_trials(
     if cfg.d is None or cfg.fragment_bits is None:
         raise ValueError("repair trials need StorageConfig.d and fragment_bits")
     trials = list(trial_indices)
-    points = [snr] * len(trials) if isinstance(snr, SnrPoint) else list(snr)
-    if len(points) != len(trials):
-        raise ValueError(f"{len(points)} SNR points for {len(trials)} trials")
+    amp = np.asarray(amp, dtype=float)
+    if amp.shape != (len(trials),):
+        raise ValueError(f"amp of shape {amp.shape} for {len(trials)} trials")
     g = GROUP_SIZES[scheme]
     per_trial = -(-cfg.fragment_bits // (3 * m)) * -(-cfg.d // g)
     step = max(1, SESSION_BATCH // per_trial)
     results: list[RepairTrialResult] = []
     for lo in range(0, len(trials), step):
         shares, sent, sessions = _send_repairs(cfg, m, g, seed, trials[lo : lo + step])
-        session_points = [p for p in points[lo : lo + step] for _ in range(per_trial)]
-        outcomes = run_sessions(sessions, m, session_points, decoder_mode, noiseless)
+        outcomes = run_sessions(sessions, m, amp[lo : lo + step].repeat(per_trial), decoder_mode, noiseless)
         results += _finish_repairs(cfg, m, shares, sent, sessions, outcomes)
     return results
 
 
 def run_session_trials(
     m: int,
-    snr: SnrPoint | Sequence[SnrPoint],
+    amp,
     scheme: str,
     decoder_mode: str,
     seed: int,
@@ -310,9 +312,9 @@ def run_session_trials(
     """Storage-free session trials, each one session with fresh random
     fragments, decoded as one batch.
 
-    snr is one SnrPoint for every trial, or a sequence of one per trial.
-    Returns (any fragment decoded wrong, visited enumeration nodes) per
-    trial; the error counts never depend on the decoder mode, both are
+    amp holds each trial's amplitude sqrt(snr_linear), one per trial
+    index.  Returns (any fragment decoded wrong, visited enumeration nodes)
+    per trial; the error counts never depend on the decoder mode, both are
     exact ML.  Each trial draws from its own substream, so the batch
     consumes the RNG exactly as the trials one by one.
     """
@@ -322,4 +324,4 @@ def run_session_trials(
     for t in trial_indices:
         rng = trial_rng(seed, t)
         batch.append(([random_fragment(rng, m) for _ in range(GROUP_SIZES[scheme])], rng))
-    return [(errored, res.visited_nodes) for _, errored, res in run_sessions(batch, m, snr, decoder_mode)]
+    return [(errored, res.visited_nodes) for _, errored, res in run_sessions(batch, m, amp, decoder_mode)]

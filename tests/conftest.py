@@ -1,12 +1,16 @@
 """Shared test helpers."""
 
+import math
 import os
 from pathlib import Path
 
+import numpy as np
+
 import wstsim
 from wstsim.algebra import FieldElement, embed
+from wstsim.channel import SnrPoint, transmit
 from wstsim.decoder import decode_session, factor_sessions
-from wstsim.lift import LatticePoint
+from wstsim.encoder import build_pair_codeword, build_tdma_codeword
 
 
 def wstsim_env() -> dict:
@@ -24,15 +28,33 @@ def wstsim_env() -> dict:
     return env
 
 
-def lattice_point(element: FieldElement) -> LatticePoint:
-    """The lattice point of any field element: the element and its three
-    embeddings, as lift builds them for a constellation point."""
-    return LatticePoint(element, (embed(element, 0), embed(element, 1), embed(element, 2)))
+def embedded_row(element: FieldElement) -> tuple[complex, complex, complex]:
+    """The row any field element sends: its three embeddings, as lift builds
+    them for a constellation point."""
+    return embed(element, 0), embed(element, 1), embed(element, 2)
 
 
-def decode_one(received, h, snr, m, mode="sphere"):
-    """Decode one received session through both stages, as a stack of one."""
-    (problem,) = factor_sessions([received], [h], snr, m)
+def amp_of(snr_db: float) -> float:
+    """The amplitude sqrt(snr_linear) that scales a session sent at snr_db."""
+    return math.sqrt(SnrPoint(snr_db).snr_linear)
+
+
+def codeword_one(rows, m):
+    """One session's codeword from its one or two helpers' rows, built as a
+    stack of one."""
+    build = build_pair_codeword if len(rows) == 2 else build_tdma_codeword
+    return build(*([row] for row in rows), m)[0]
+
+
+def transmit_one(X, h, w, amp):
+    """One session's received matrix, sent as a stack of one at amplitude amp."""
+    return transmit(X[None], h[None], w[None], np.array([amp]))[0]
+
+
+def decode_one(received, h, amp, m, mode="sphere"):
+    """Decode one received session at amplitude amp through both stages, as
+    a stack of one."""
+    (problem,) = factor_sessions([received], [h], np.array([amp]), m)
     return decode_session(problem, mode)
 
 

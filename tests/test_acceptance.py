@@ -25,16 +25,15 @@ from wstsim.algebra import (
     min_poly_value,
     trace_norm,
 )
-from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
+from wstsim.channel import draw_session, trial_rng
 from wstsim.dmt import DmtCurve, dmt_group
-from wstsim.encoder import build_pair_codeword
-from wstsim.lift import lift, random_fragment, unlift
+from wstsim.lift import levels, lift, random_fragment, unlift
 from wstsim.outage import OutageSpec, estimate_slope, run_outage_sweep, wilson_interval
 from wstsim.cli import _repair_range
 from wstsim.protocol import run_repair_trials
 from wstsim.storage import StorageConfig, mds_encode, mds_reconstruct, repair_node
 
-from conftest import decode_one, wstsim_env
+from conftest import amp_of, codeword_one, decode_one, transmit_one, wstsim_env
 
 F = Fraction
 MC_SEED = 42
@@ -112,16 +111,16 @@ def test_ac2_algebra_suite():
 
 def test_ac3_decoder_exactness():
     start = time.perf_counter()
-    snr = SnrPoint(10.0)
+    amp = amp_of(10.0)
     mismatches = 0
     for t in range(1000):
         rng = trial_rng(MC_SEED, t)
         p1, p2 = lift(random_fragment(rng, 2), 2), lift(random_fragment(rng, 2), 2)
-        codeword = build_pair_codeword(p1, p2, 2)
-        h, w = draw_session(rng, 2, 1, 2, 3)
-        received = transmit(codeword, h, w, snr)
-        a = decode_one(received, h, snr, 2, mode="sphere")
-        b = decode_one(received, h, snr, 2, mode="ml")
+        codeword = codeword_one([p1, p2], 2)
+        h, w = draw_session(rng, 2, 1, [2], 3)
+        received = transmit_one(codeword, h, w[0], amp)
+        a = decode_one(received, h, amp, 2, mode="sphere")
+        b = decode_one(received, h, amp, 2, mode="ml")
         same = a.coordinates == b.coordinates and abs(a.metric - b.metric) <= 1e-9
         mismatches += not same
     assert mismatches == 0
@@ -153,9 +152,8 @@ def test_ac5_lift_bijectivity():
     for m, total in ((2, 64), (4, 4096)):
         images = set()
         for v in range(1 << (3 * m)):
-            point = lift(v, m)
-            assert unlift(point.coordinates, m) == v
-            images.add(point.element.coefficients())
+            assert unlift(levels(v, m), m) == v
+            images.add(lift(v, m))
         assert len(images) == total
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -187,7 +185,8 @@ def test_ac6_end_to_end_repair():
         separated = hi_cell["wilson"][0] > lo_cell["wilson"][1]
         assert not (increased and separated), (lo_cell, hi_cell)
     # forced noiseless channel: no failures of any kind
-    for res in run_repair_trials(cfg, 2, SnrPoint(20.0), "pair", "sphere", MC_SEED, range(50), noiseless=True):
+    amps = np.full(50, amp_of(20.0))
+    for res in run_repair_trials(cfg, 2, amps, "pair", "sphere", MC_SEED, range(50), noiseless=True):
         assert res.repaired_share_ok and res.shares_failed == 0 and res.sessions_errored == 0
     # session-error slope between 20 and 30 dB against the analytic d1(0) = 2
     # (empty cells are excluded by the estimator's stated rule)

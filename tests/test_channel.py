@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wstsim.channel import SnrPoint, amplitudes, draw_cn, draw_session, transmit, trial_rng
+from conftest import amp_of, transmit_one
+from wstsim.channel import SnrPoint, draw_cn, draw_session, transmit, trial_rng
 from wstsim.encoder import build_pair_codeword, normalizer
 from wstsim.lift import lift
 
@@ -44,8 +45,8 @@ def test_trial_rng_validation():
 
 def test_draw_session_deterministic_across_replays():
     for trial in (0, 17):
-        h1, w1 = draw_session(trial_rng(999, trial), 2, 1, 2, 3)
-        h2, w2 = draw_session(trial_rng(999, trial), 2, 1, 2, 3)
+        h1, w1 = draw_session(trial_rng(999, trial), 2, 1, [2], 3)
+        h2, w2 = draw_session(trial_rng(999, trial), 2, 1, [2], 3)
         assert np.array_equal(h1, h2)
         assert np.array_equal(w1, w2)
 
@@ -75,9 +76,9 @@ def test_draw_cn_into_buffer_equals_fresh_draw():
 def test_draw_session_draws_channel_then_noise():
     for k in (1, 2):
         rng, ref = trial_rng(77, k), trial_rng(77, k)
-        h, w = draw_session(rng, 2, 1, k, 3)
+        h, w = draw_session(rng, 2, 1, [k], 3)
         assert np.array_equal(h, draw_cn(ref, (k, 2, 1)))
-        assert np.array_equal(w, draw_cn(ref, (2, 3)))
+        assert np.array_equal(w, draw_cn(ref, (1, 2, 3)))
         assert rng.standard_normal() == ref.standard_normal()
 
 
@@ -108,14 +109,14 @@ ZERO_NOISE = np.zeros((2, 3), dtype=complex)
 
 
 def _pair_codeword(v1, v2):
-    return build_pair_codeword(lift(v1, 2), lift(v2, 2), 2)
+    return build_pair_codeword([lift(v1, 2)], [lift(v2, 2)], 2)[0]
 
 
 def test_transmit_identity_channel_zero_noise():
     X = _pair_codeword(0b010011, 0b111000)
     h = np.array([[[1.0], [0.0]], [[0.0], [1.0]]], dtype=complex)
     snr = SnrPoint(20.0)
-    Y = transmit(X, h, ZERO_NOISE, snr)
+    Y = transmit_one(X, h, ZERO_NOISE, amp_of(20.0))
     assert np.allclose(Y, np.sqrt(snr.snr_linear) * X)
 
 
@@ -123,19 +124,19 @@ def test_transmit_zero_codeword_returns_noise():
     X = _pair_codeword(0, 0)
     zero = np.zeros((2, 2, 1), dtype=complex)
     noise = np.arange(6, dtype=complex).reshape(2, 3)
-    Y = transmit(X, zero, noise, SnrPoint(10.0))
+    Y = transmit_one(X, zero, noise, amp_of(10.0))
     assert np.array_equal(Y, noise)
 
 
 def test_transmit_superposition():
     rng = trial_rng(77)
-    h, _ = draw_session(rng, 2, 1, 2, 3)
-    snr = SnrPoint(13.0)
+    h, _ = draw_session(rng, 2, 1, [2], 3)
+    amp = amp_of(13.0)
     X1 = _pair_codeword(0b010011, 0b111000)
     X2 = _pair_codeword(0b001100, 0b100101)
-    y1 = transmit(X1, h, ZERO_NOISE, snr)
-    y2 = transmit(X2, h, ZERO_NOISE, snr)
-    y12 = transmit(X1 + X2, h, ZERO_NOISE, snr)
+    y1 = transmit_one(X1, h, ZERO_NOISE, amp)
+    y2 = transmit_one(X2, h, ZERO_NOISE, amp)
+    y12 = transmit_one(X1 + X2, h, ZERO_NOISE, amp)
     assert np.allclose(y12, y1 + y2, atol=1e-12)
 
 
@@ -143,9 +144,9 @@ def test_transmit_shape_mismatch():
     X = _pair_codeword(0b010011, 0b111000)
     h = np.zeros((1, 2, 1), dtype=complex)
     with pytest.raises(ValueError):
-        transmit(X, h, ZERO_NOISE, SnrPoint(0.0))
+        transmit_one(X, h, ZERO_NOISE, 1.0)
     with pytest.raises(ValueError):
-        transmit(X, np.zeros((2, 2, 1), dtype=complex), np.zeros((2, 2)), SnrPoint(0.0))
+        transmit_one(X, np.zeros((2, 2, 1), dtype=complex), np.zeros((2, 2)), 1.0)
 
 
 def test_received_snr_calibration():
@@ -153,7 +154,7 @@ def test_received_snr_calibration():
     # snr * n_t * K_active (here 2 * snr) to within Monte Carlo error
     rng = trial_rng(1234)
     trials = 10**5
-    rows = np.array([lift(v, 2).embedded_row for v in range(64)]) * normalizer(2)
+    rows = np.array([lift(v, 2) for v in range(64)]) * normalizer(2)
     h = draw_cn(rng, (trials, 2, 2))  # receive antenna x user
     idx = rng.integers(0, 64, size=(trials, 2))
     x = rows[idx]  # (trials, user, T)
@@ -179,10 +180,10 @@ def test_draw_session_sequence_equals_the_draws_in_turn(n_r, n_t, T):
     for counts in ([2], [1], [2, 2, 1] * 4, [1] * 10, [1, 3, 2]):
         rng, ref = trial_rng(55, len(counts)), trial_rng(55, len(counts))
         h, w = draw_session(rng, n_r, n_t, counts, T)
-        singles = [draw_session(ref, n_r, n_t, k, T) for k in counts]
+        singles = [draw_session(ref, n_r, n_t, [k], T) for k in counts]
         assert h.shape == (sum(counts), n_r, n_t) and w.shape == (len(counts), n_r, T)
         assert np.array_equal(_bits(h), _bits(np.concatenate([hk for hk, _ in singles])))
-        assert np.array_equal(_bits(w), _bits(np.stack([wk for _, wk in singles])))
+        assert np.array_equal(_bits(w), _bits(np.concatenate([wk for _, wk in singles])))
         assert rng.standard_normal() == ref.standard_normal()  # the Generators agree after
 
 
@@ -192,6 +193,15 @@ def test_draw_session_sequence_validation():
             draw_session(trial_rng(1), 2, 1, counts, 3)
     with pytest.raises(ValueError):
         draw_session(trial_rng(1), 0, 1, [1, 2], 3)
+    with pytest.raises(TypeError):  # one count is a sequence of one
+        draw_session(trial_rng(1), 2, 1, 2, 3)
+
+
+def _lone_product(X, h, w, amp):
+    """One session's received matrix as a 2-D product scaled by a Python
+    float: the oracle for every session of a stack."""
+    k, n_r, n_t = h.shape
+    return amp * (np.swapaxes(h, 0, 1).reshape(n_r, k * n_t) @ X) + w
 
 
 @pytest.mark.parametrize("k,n_t", [(1, 1), (2, 1), (2, 2)])
@@ -202,40 +212,34 @@ def test_stacked_transmit_equals_per_session_bitwise(k, n_t):
     h = draw_cn(rng, (S, k, 2, n_t))
     w = draw_cn(rng, (S, 2, 3))
     w[::3] = 0.0  # zero noise, where a product's sign of zero would show
-    snr = SnrPoint(11.0)
-    Y = transmit(X, h, w, snr)
+    amp = amp_of(11.0)
+    Y = transmit(X, h, w, np.full(S, amp))
     assert Y.shape == (S, 2, 3)
     for n in range(S):
-        assert np.array_equal(_bits(Y[n]), _bits(transmit(X[n], h[n], w[n], snr)))
+        assert np.array_equal(_bits(Y[n]), _bits(transmit_one(X[n], h[n], w[n], amp)))
+        assert np.array_equal(_bits(Y[n]), _bits(_lone_product(X[n], h[n], w[n], amp)))
     with pytest.raises(ValueError):
-        transmit(X, h[:, :1] if k == 2 else np.concatenate([h, h], axis=1), w, snr)
+        transmit(X, h[:, :1] if k == 2 else np.concatenate([h, h], axis=1), w, np.full(S, amp))
     with pytest.raises(ValueError):
-        transmit(X, h, w[..., :2], snr)
+        transmit(X, h, w[..., :2], np.full(S, amp))
 
 
 @pytest.mark.parametrize("k,n_t", [(1, 1), (2, 1), (2, 2)])
 def test_stacked_transmit_at_per_session_snr_equals_per_session_bitwise(k, n_t):
     # each session scaled by its own amplitude: the received matrix of its
-    # own call at its own SnrPoint, bit for bit
+    # own call at its own amplitude, bit for bit
     rng = trial_rng(607, k, n_t)
     S = 400
     X = draw_cn(rng, (S, k * n_t, 3))
     h = draw_cn(rng, (S, k, 2, n_t))
     w = draw_cn(rng, (S, 2, 3))
     w[::3] = 0.0
-    points = [SnrPoint(db) for db in rng.choice([-20.0, 0.0, 10.0, 12.5, 25.0, 30.0, 80.0], size=S)]
-    Y = transmit(X, h, w, amplitudes(points, S))
+    amps = [amp_of(db) for db in rng.choice([-20.0, 0.0, 10.0, 12.5, 25.0, 30.0, 80.0], size=S)]
+    Y = transmit(X, h, w, np.array(amps))
     assert Y.shape == (S, 2, 3)
-    for n, snr in enumerate(points):
-        assert np.array_equal(_bits(Y[n]), _bits(transmit(X[n], h[n], w[n], snr)))
-    # one SnrPoint for the stack is the same as its amplitude for every session
-    assert np.array_equal(_bits(transmit(X, h, w, points[0])), _bits(transmit(X, h, w, amplitudes(points[0], S))))
-
-
-def test_amplitudes_of_one_point_or_one_per_session():
-    points = [SnrPoint(10.0), SnrPoint(-3.5), SnrPoint(10.0)]
-    assert amplitudes(points, 3).tolist() == [math.sqrt(p.snr_linear) for p in points]
-    assert amplitudes(SnrPoint(7.0), 4).tolist() == [math.sqrt(SnrPoint(7.0).snr_linear)] * 4
-    assert amplitudes([], 0).shape == (0,)
-    with pytest.raises(ValueError):
-        amplitudes(points, 2)
+    for n, amp in enumerate(amps):
+        assert np.array_equal(_bits(Y[n]), _bits(transmit_one(X[n], h[n], w[n], amp)))
+        assert np.array_equal(_bits(Y[n]), _bits(_lone_product(X[n], h[n], w[n], amp)))
+    # one amplitude for every session is the same multiply as a Python float
+    h_all = np.swapaxes(h, 1, 2).reshape(S, 2, k * n_t)
+    assert np.array_equal(_bits(transmit(X, h, w, np.full(S, amps[0]))), _bits(amps[0] * (h_all @ X) + w))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
+from wstsim.channel import draw_session, trial_rng
 from wstsim.decoder import (
     DecodeProblem,
     DecodeResult,
@@ -15,17 +15,11 @@ from wstsim.decoder import (
     factor_sessions,
     sphere_decode,
 )
-from wstsim.encoder import (
-    build_equivalent_channel,
-    build_pair_codeword,
-    build_tdma_codeword,
-    dispersion_basis,
-    realify,
-)
-from wstsim.lift import lift, pam_levels, random_fragment
+from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
+from wstsim.lift import levels as fragment_levels, lift, pam_levels, random_fragment
 from wstsim.protocol import run_session_trials
 
-from conftest import decode_one
+from conftest import amp_of, codeword_one, decode_one, transmit_one
 
 
 def random_problem(rng, rows=8, cols=6, levels=(-1, 1), noise=0.0):
@@ -178,15 +172,15 @@ def test_sphere_equals_oracle_on_noisy_problems():
 
 
 def test_sphere_equals_oracle_on_pair_sessions():
-    snr = SnrPoint(10.0)
+    amp = amp_of(10.0)
     for t in range(300):
         rng = trial_rng(2024, t)
         p1, p2 = lift(random_fragment(rng, 2), 2), lift(random_fragment(rng, 2), 2)
-        X = build_pair_codeword(p1, p2, 2)
-        h, w = draw_session(rng, 2, 1, 2, 3)
-        Y = transmit(X, h, w, snr)
-        a = decode_one(Y, h, snr, 2, mode="sphere")
-        b = decode_one(Y, h, snr, 2, mode="ml")
+        X = codeword_one([p1, p2], 2)
+        h, w = draw_session(rng, 2, 1, [2], 3)
+        Y = transmit_one(X, h, w[0], amp)
+        a = decode_one(Y, h, amp, 2, mode="sphere")
+        b = decode_one(Y, h, amp, 2, mode="ml")
         assert a.coordinates == b.coordinates
         assert abs(a.metric - b.metric) < 1e-9
 
@@ -210,14 +204,13 @@ def test_sphere_equals_numpy_node_reference_on_sessions(m, scheme):
     k_act = 2 if scheme == "pair" else 1
     basis = dispersion_basis(m)
     for t in range(60):
-        snr = SnrPoint((5.0, 15.0, 25.0)[t % 3])
+        amp = amp_of((5.0, 15.0, 25.0)[t % 3])
         rng = trial_rng(4321, t)
-        points = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
-        X = build_pair_codeword(*points, m) if k_act == 2 else build_tdma_codeword(*points, m)
-        h, w = draw_session(rng, 2, 1, k_act, 3)
-        Y = transmit(X, h, w, snr)
+        rows = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
+        h, w = draw_session(rng, 2, 1, [k_act], 3)
+        Y = transmit_one(codeword_one(rows, m), h, w[0], amp)
         eqc = build_equivalent_channel(h, basis)
-        mat, obs = realify(math.sqrt(snr.snr_linear) * eqc, Y.reshape(-1, order="F"))
+        mat, obs = realify(amp * eqc, Y.reshape(-1, order="F"))
         assert_matches_reference(DecodeProblem(mat, obs, pam_levels(m)))
 
 
@@ -390,35 +383,31 @@ def test_metric_includes_out_of_span_residual():
 
 
 def test_zero_noise_roundtrip_sessions():
-    snr = SnrPoint(12.0)
+    amp = amp_of(12.0)
     for t in range(1000):
         rng = trial_rng(5150, t)
         scheme = "pair" if t % 2 == 0 else "tdma"
         k_act = 2 if scheme == "pair" else 1
         frags = [random_fragment(rng, 2) for _ in range(k_act)]
-        points = [lift(f, 2) for f in frags]
-        if k_act == 2:
-            X = build_pair_codeword(points[0], points[1], 2)
-        else:
-            X = build_tdma_codeword(points[0], 2)
-        h, _ = draw_session(rng, 2, 1, k_act, 3)
-        Y = transmit(X, h, np.zeros((2, 3), dtype=complex), snr)
-        dec = decode_one(Y, h, snr, 2)
-        assert dec.coordinates == tuple(c for p in points for c in p.coordinates)
+        X = codeword_one([lift(f, 2) for f in frags], 2)
+        h, _ = draw_session(rng, 2, 1, [k_act], 3)
+        Y = transmit_one(X, h, np.zeros((2, 3), dtype=complex), amp)
+        dec = decode_one(Y, h, amp, 2)
+        assert dec.coordinates == tuple(c for f in frags for c in fragment_levels(f, 2))
         assert dec.metric < 1e-12
 
 
 def test_decode_session_mode_validation():
     rng = trial_rng(1)
-    h, _ = draw_session(rng, 2, 1, 1, 3)
+    h, _ = draw_session(rng, 2, 1, [1], 3)
     with pytest.raises(ValueError):
-        decode_session(factor_sessions([np.zeros((2, 3))], [h], SnrPoint(0.0), 2)[0], "zf")
+        decode_session(factor_sessions([np.zeros((2, 3))], [h], np.array([1.0]), 2)[0], "zf")
 
 
 def test_visited_nodes_shrink_with_snr():
     means = []
     for db in (5.0, 15.0, 25.0):
-        results = run_session_trials(2, SnrPoint(db), "pair", "sphere", 77, range(1000))
+        results = run_session_trials(2, np.full(1000, amp_of(db)), "pair", "sphere", 77, range(1000))
         means.append(sum(visited for _, visited in results) / 1000)
     assert means[0] > means[1] > means[2]
 
@@ -426,7 +415,7 @@ def test_visited_nodes_shrink_with_snr():
 def test_session_error_rate_30db_oracle_regression():
     # frozen Monte Carlo baseline: zero session errors in 1e4 oracle trials
     # at 30 dB (rate << 1e-2); determinism makes the count reproducible
-    results = run_session_trials(2, SnrPoint(30.0), "pair", "ml", 1234, range(10**4))
+    results = run_session_trials(2, np.full(10**4, amp_of(30.0)), "pair", "ml", 1234, range(10**4))
     errors = sum(errored for errored, _ in results)
     assert errors == 0
     assert errors / 10**4 < 1e-2
@@ -519,19 +508,18 @@ def test_rank_deficient_systems_are_left_to_the_scalar_search(m):
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4), ("pair", 4), ("tdma", 6)])
 def test_certified_session_results_equal_the_scalar_search(scheme, m):
     k_act = 2 if scheme == "pair" else 1
-    build = build_pair_codeword if k_act == 2 else build_tdma_codeword
     count = 40 if (scheme, m) == ("pair", 4) else 150
     certified = 0
     for db in (10.0, 20.0, 30.0, 60.0):
-        snr = SnrPoint(db)
+        amp = amp_of(db)
         received, chans = [], []
         for t in range(count):
             rng = trial_rng(2121, t, int(db))
-            points = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
-            h, w = draw_session(rng, 2, 1, k_act, 3)
-            received.append(transmit(build(*points, m), h, w, snr))
+            rows = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
+            h, w = draw_session(rng, 2, 1, [k_act], 3)
+            received.append(transmit_one(codeword_one(rows, m), h, w[0], amp))
             chans.append(h)
-        for rec in factor_sessions(received, chans, snr, m):
+        for rec in factor_sessions(received, chans, np.full(count, amp), m):
             if rec.result is not None:
                 certified += 1
                 scalar = scalar_search(rec)

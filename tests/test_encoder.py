@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import lattice_point
+from conftest import embedded_row
 from wstsim.algebra import ETA, FieldElement
 from wstsim.channel import draw_cn, trial_rng
 from wstsim.encoder import (
@@ -15,10 +15,15 @@ from wstsim.encoder import (
     normalizer,
     realify,
 )
-from wstsim.lift import lift
+from wstsim.lift import levels, lift
 
 
-def all_points(m):
+def all_elements(m):
+    """Every constellation point's field element, in fragment order."""
+    return [FieldElement.from_ints(*levels(v, m)) for v in range(1 << (3 * m))]
+
+
+def all_rows(m):
     return [lift(v, m) for v in range(1 << (3 * m))]
 
 
@@ -28,28 +33,32 @@ def all_points(m):
 
 
 def test_pair_codeword_of_ones():
-    p = lattice_point(FieldElement(1, 0, 0))
-    X = build_pair_codeword(p, p, 2)
-    assert X.shape == (2, 3)
-    assert np.allclose(X / normalizer(2), np.ones((2, 3)))
+    p = embedded_row(FieldElement(1, 0, 0))
+    X = build_pair_codeword([p], [p], 2)
+    assert X.shape == (1, 2, 3)
+    assert np.allclose(X / normalizer(2), np.ones((1, 2, 3)))
 
 
 def test_pair_codeword_eta_row():
-    p = lattice_point(ETA)
-    other = lattice_point(FieldElement(1, 0, 0))
-    X = build_pair_codeword(p, other, 2)
+    p = embedded_row(ETA)
+    other = embedded_row(FieldElement(1, 0, 0))
+    X = build_pair_codeword([p], [other], 2)
     assert np.allclose(
-        X[0] / normalizer(2),
+        X[0, 0] / normalizer(2),
         [1.246980, -0.445042, -1.801938],
         atol=1e-6,
     )
 
 
 def test_tdma_codeword_of_one():
-    p = lattice_point(FieldElement(1, 0, 0))
-    X = build_tdma_codeword(p, 2)
-    assert X.shape == (1, 3)
-    assert np.allclose(X / normalizer(2), np.ones((1, 3)))
+    p = embedded_row(FieldElement(1, 0, 0))
+    X = build_tdma_codeword([p], 2)
+    assert X.shape == (1, 1, 3)
+    assert np.allclose(X / normalizer(2), np.ones((1, 1, 3)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -61,29 +70,32 @@ def test_stacked_codewords_equal_per_session_bitwise(m):
     assert pairs.shape == (300, 2, 3) and singles.shape == (300, 1, 3)
     assert pairs.flags.c_contiguous and singles.flags.c_contiguous
     for n, (p1, p2) in enumerate(zip(first, second)):
-        assert np.array_equal(pairs[n].view(np.uint64), build_pair_codeword(p1, p2, m).view(np.uint64))
-        assert np.array_equal(singles[n].view(np.uint64), build_tdma_codeword(p1, m).view(np.uint64))
+        # each session of the stack is its own stack of one and the rows
+        # times alpha, bit for bit
+        assert np.array_equal(_bits(pairs[n]), _bits(build_pair_codeword([p1], [p2], m)[0]))
+        assert np.array_equal(_bits(singles[n]), _bits(build_tdma_codeword([p1], m)[0]))
+        assert np.array_equal(_bits(pairs[n]), _bits(normalizer(m) * np.array([p1, p2])))
+        assert np.array_equal(_bits(singles[n]), _bits(normalizer(m) * np.array([p1])))
 
 
 def test_dispersion_sum_reproduces_codeword_exhaustive_m2():
     basis = dispersion_basis(2)
-    points = all_points(2)
-    for p1 in points:
-        for p2 in points[::7]:  # all p1 against a stride of p2: 64 x 10 pairs
-            direct = build_pair_codeword(p1, p2, 2)
+    elements, rows = all_elements(2), all_rows(2)
+    for v1 in range(64):
+        for v2 in range(0, 64, 7):  # all v1 against a stride of v2: 64 x 10 pairs
+            direct = build_pair_codeword([rows[v1]], [rows[v2]], 2)[0]
             assembled = np.zeros((2, 3), dtype=complex)
-            for k, point in enumerate((p1, p2)):
-                for l, coeff in enumerate(point.element.coefficients()):
+            for k, v in enumerate((v1, v2)):
+                for l, coeff in enumerate(elements[v].coefficients()):
                     assembled[k] += complex(coeff) * basis[l]
             assert np.max(np.abs(assembled - direct)) < 1e-12
 
 
 def test_dispersion_sum_reproduces_codeword_all_pairs_m2():
     basis = dispersion_basis(2)
-    points = all_points(2)
-    rows = np.array([p.embedded_row for p in points]) * normalizer(2)
+    rows = np.array(all_rows(2)) * normalizer(2)
     coeffs = np.array(
-        [[complex(c) for c in p.element.coefficients()] for p in points]
+        [[complex(c) for c in x.coefficients()] for x in all_elements(2)]
     )
     assembled = coeffs @ basis
     assert np.max(np.abs(assembled - rows)) < 1e-12
@@ -96,7 +108,7 @@ def test_dispersion_sum_reproduces_codeword_all_pairs_m2():
 
 def test_average_energy_is_unit_exhaustive():
     for m in (2, 4):
-        rows = np.array([p.embedded_row for p in all_points(m)]) * normalizer(m)
+        rows = np.array(all_rows(m)) * normalizer(m)
         per_use = np.mean(np.sum(np.abs(rows) ** 2, axis=1)) / 3.0
         assert abs(per_use - 1.0) < 1e-9
 
@@ -106,7 +118,7 @@ def test_average_energy_is_unit_sampled_m6():
     from wstsim.lift import random_fragment
 
     rows = np.array(
-        [lift(random_fragment(rng, 6), 6).embedded_row for _ in range(20000)]
+        [lift(random_fragment(rng, 6), 6) for _ in range(20000)]
     ) * normalizer(6)
     per_use = np.mean(np.sum(np.abs(rows) ** 2, axis=1)) / 3.0
     assert abs(per_use - 1.0) < 0.02
@@ -136,8 +148,7 @@ def test_pair_difference_rank_exhaustive_m2():
     """
     from wstsim.algebra import apply_tau
 
-    points = all_points(2)
-    elements = [p.element for p in points]
+    elements = all_elements(2)
     seen = {}
     for a in elements:
         for b in elements:
@@ -147,7 +158,7 @@ def test_pair_difference_rank_exhaustive_m2():
     diff_elements = list(seen.values())
     assert len(diff_elements) == 9**3 - 1
     rows = np.array(
-        [[complex(v) for v in lattice_point(d).embedded_row] for d in diff_elements]
+        [[complex(v) for v in embedded_row(d)] for d in diff_elements]
     )
     # single differing row: nonzero in every coordinate
     assert np.min(np.abs(rows)) > 1e-6

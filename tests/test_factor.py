@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import wstsim.protocol as protocol
-from wstsim.channel import SnrPoint, amplitudes, draw_cn, draw_session, transmit, trial_rng
+from wstsim.channel import draw_cn, draw_session, trial_rng
 from wstsim.decoder import (
     DecodeProblem,
     brute_force_ml,
@@ -25,18 +25,13 @@ from wstsim.decoder import (
     factor_sessions,
     sphere_decode,
 )
-from wstsim.encoder import (
-    build_equivalent_channel,
-    build_pair_codeword,
-    build_tdma_codeword,
-    dispersion_basis,
-    realify,
-)
+from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
 from wstsim.cli import _session_range
 from wstsim.lift import lift, pam_levels, random_fragment
 from wstsim.protocol import GROUP_SIZES, run_repair_trials, run_session_trials
 from wstsim.storage import StorageConfig
 
+from conftest import amp_of, codeword_one, transmit_one
 from test_decoder import per_matrix_factor, recursive_sphere_decode
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
@@ -73,9 +68,9 @@ def record_sessions(monkeypatch):
     sent, decoded = [], []
     transmit, decode_session = protocol.transmit, protocol.decode_session
 
-    def recording_transmit(codeword, h, w, snr):
-        received = transmit(codeword, h, w, snr)
-        sent.extend((received[n], h[n], float(snr[n])) for n in range(len(received)))
+    def recording_transmit(codeword, h, w, amp):
+        received = transmit(codeword, h, w, amp)
+        sent.extend((received[n], h[n], float(amp[n])) for n in range(len(received)))
         return received
 
     def recording_decode(problem, mode="sphere"):
@@ -121,13 +116,13 @@ def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
     rng = trial_rng(77, k_act)
     basis = dispersion_basis(4)
     for size in (1, 4, 9):
-        snr = SnrPoint(17.0)
-        chans = [draw_session(rng, 2, 1, k_act, 3)[0] for _ in range(size)]
+        amp = amp_of(17.0)
+        chans = [draw_session(rng, 2, 1, [k_act], 3)[0] for _ in range(size)]
         received = [draw_cn(rng, (2, 3)) for _ in range(size)]
-        stack = factor_sessions(received, chans, snr, 4)
+        stack = factor_sessions(received, chans, np.full(size, amp), 4)
         assert len(stack) == size
         for f, y, h in zip(stack, received, chans):
-            mat, obs = old_system(y, h, basis, math.sqrt(snr.snr_linear))
+            mat, obs = old_system(y, h, basis, amp)
             assert np.array_equal(f.matrix, mat) and np.array_equal(f.observation, obs)
             r, z, offset = per_matrix_factor(mat, obs)
             assert np.array_equal(f.r, r) and np.array_equal(f.z, z) and f.offset == offset
@@ -138,10 +133,10 @@ def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
 def test_repair_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     sent, decoded = record_sessions(monkeypatch)
     for k in range(5):  # one range of 40 trials per SNR
-        snr = SnrPoint(10.0 + 5.0 * k)
+        amp = amp_of(10.0 + 5.0 * k)
         start = len(sent)
-        run_repair_trials(CFG, m, snr, scheme, "sphere", 606, range(40 * k, 40 * k + 40))
-        assert {a for _, _, a in sent[start:]} == {math.sqrt(snr.snr_linear)}
+        run_repair_trials(CFG, m, np.full(40, amp), scheme, "sphere", 606, range(40 * k, 40 * k + 40))
+        assert {a for _, _, a in sent[start:]} == {amp}
     assert len(sent) == len(decoded) >= 200 * 6  # 6 sessions a trial at m = 4, 11 at m = 2
     for (received, h, amplitude), new in zip(sent, decoded):
         assert_same_decode(new, old_decode_session(received, h, amplitude, m))
@@ -151,22 +146,24 @@ def test_repair_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
 def test_session_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
     sent, decoded = record_sessions(monkeypatch)
     for t in range(200):
-        run_session_trials(m, SnrPoint(10.0 + 5.0 * (t % 5)), scheme, "sphere", 909, [t])
+        run_session_trials(m, np.array([amp_of(10.0 + 5.0 * (t % 5))]), scheme, "sphere", 909, [t])
     assert len(sent) == len(decoded) == 200
     for t, ((received, h, amplitude), new) in enumerate(zip(sent, decoded)):
-        assert amplitude == math.sqrt(SnrPoint(10.0 + 5.0 * (t % 5)).snr_linear)
+        assert amplitude == amp_of(10.0 + 5.0 * (t % 5))
         assert_same_decode(new, old_decode_session(received, h, amplitude, m))
 
 
 @pytest.mark.parametrize("k_act", [1, 2])
 def test_factor_sessions_at_per_session_snr_equals_each_alone_bitwise(k_act):
     rng = trial_rng(78, k_act)
-    points = [SnrPoint(db) for db in (10.0, 30.0, 15.0, 10.0, 25.0, 20.0, -5.0, 60.0)]
-    chans = [draw_session(rng, 2, 1, k_act, 3)[0] for _ in points]
-    received = [draw_cn(rng, (2, 3)) for _ in points]
-    stack = factor_sessions(received, chans, amplitudes(points, len(points)), 4)
-    for f, y, h, snr in zip(stack, received, chans, points, strict=True):
-        (alone,) = factor_sessions([y], [h], snr, 4)
+    amps = [amp_of(db) for db in (10.0, 30.0, 15.0, 10.0, 25.0, 20.0, -5.0, 60.0)]
+    chans = [draw_session(rng, 2, 1, [k_act], 3)[0] for _ in amps]
+    received = [draw_cn(rng, (2, 3)) for _ in amps]
+    stack = factor_sessions(received, chans, np.array(amps), 4)
+    for f, y, h, amp in zip(stack, received, chans, amps, strict=True):
+        (alone,) = factor_sessions([y], [h], np.array([amp]), 4)
+        mat, obs = old_system(y, h, dispersion_basis(4), amp)
+        assert np.array_equal(f.matrix, mat) and np.array_equal(f.observation, obs)
         assert np.array_equal(f.matrix, alone.matrix) and np.array_equal(f.observation, alone.observation)
         assert np.array_equal(f.r, alone.r) and np.array_equal(f.z, alone.z) and f.offset == alone.offset
         assert f.result == alone.result
@@ -175,13 +172,12 @@ def test_factor_sessions_at_per_session_snr_equals_each_alone_bitwise(k_act):
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
 def test_mixed_snr_repair_batch_decodes_as_the_per_session_path(scheme, m, monkeypatch):
     sent, decoded = record_sessions(monkeypatch)
-    points = [SnrPoint(10.0 + 5.0 * (t % 5)) for t in range(100)]
-    run_repair_trials(CFG, m, points, scheme, "sphere", 607, range(100))
+    amps = np.array([amp_of(10.0 + 5.0 * (t % 5)) for t in range(100)])
+    run_repair_trials(CFG, m, amps, scheme, "sphere", 607, range(100))
     per_trial = 12 if m == 2 else 10
     assert len(sent) == len(decoded) == 100 * per_trial
     # every session of a trial is sent at the trial's own amplitude
-    amplitude = {math.sqrt(p.snr_linear) for p in points}
-    assert {a for _, _, a in sent} == amplitude
+    assert {a for _, _, a in sent} == set(amps.tolist())
     for (received, h, a), new in zip(sent, decoded):
         assert_same_decode(new, old_decode_session(received, h, a, m))
 
@@ -192,21 +188,22 @@ def test_decodes_do_not_depend_on_the_stack(scheme, m):
     # sessions factored alone and in stacks of 2, 110 and 1,024 must decode
     # to identical DecodeResults
     k_act = GROUP_SIZES[scheme]
-    build = build_pair_codeword if k_act == 2 else build_tdma_codeword
-    snr = SnrPoint(12.0)
+    amp = amp_of(12.0)
     received, chans = [], []
     for t in range(1024):
         rng = trial_rng(4242, t)
-        points = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
-        h, w = draw_session(rng, 2, 1, k_act, 3)
-        received.append(transmit(build(*points, m), h, w, snr))
+        rows = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
+        h, w = draw_session(rng, 2, 1, [k_act], 3)
+        received.append(transmit_one(codeword_one(rows, m), h, w[0], amp))
         chans.append(h)
     decodes = {}
     for size in (1, 2, 110, 1024):
         decodes[size] = [
             sphere_decode(problem)
             for lo in range(0, 1024, size)
-            for problem in factor_sessions(received[lo : lo + size], chans[lo : lo + size], snr, m)
+            for problem in factor_sessions(
+                received[lo : lo + size], chans[lo : lo + size], np.full(len(chans[lo : lo + size]), amp), m
+            )
         ]
     for size in (2, 110, 1024):
         assert decodes[size] == decodes[1]
@@ -214,13 +211,13 @@ def test_decodes_do_not_depend_on_the_stack(scheme, m):
 
 
 def test_session_block_equals_trials_one_by_one():
-    snr = SnrPoint(12.0)
+    amp = np.array([amp_of(12.0)])
     # offsets 20..139 of a 300-trial grid: indices 20..139 at 9 dB and
     # 320..439 at 12 dB, run as one block of 240 mixed trials
     counts = _session_range(((2, "pair", "sphere"), 31, (9.0, 12.0), 300, 20, 140))
-    single = [run_session_trials(2, snr, "pair", "sphere", 31, [300 + t])[0] for t in range(20, 140)]
+    single = [run_session_trials(2, amp, "pair", "sphere", 31, [300 + t])[0] for t in range(20, 140)]
     assert counts[1].tolist() == [120, sum(e for e, _ in single), sum(n for _, n in single)]
-    low = run_session_trials(2, SnrPoint(9.0), "pair", "sphere", 31, range(20, 140))
+    low = run_session_trials(2, np.full(120, amp_of(9.0)), "pair", "sphere", 31, range(20, 140))
     assert counts[0].tolist() == [120, sum(e for e, _ in low), sum(n for _, n in low)]
 
 
@@ -234,11 +231,11 @@ def test_non_finite_entry_in_a_stack_raises(bad):
     with pytest.raises(ValueError):
         DecodeProblem(np.stack([np.eye(3)] * 4), obs, (-1, 1))
     rng = trial_rng(8)
-    chans = [draw_session(rng, 2, 1, 1, 3)[0] for _ in range(3)]
+    chans = [draw_session(rng, 2, 1, [1], 3)[0] for _ in range(3)]
     received = [draw_cn(rng, (2, 3)) for _ in range(3)]
     received[1][0, 2] = bad
     with pytest.raises(ValueError):
-        factor_sessions(received, chans, SnrPoint(10.0), 2)
+        factor_sessions(received, chans, np.full(3, amp_of(10.0)), 2)
 
 
 def test_a_metric_that_can_overflow_is_refused():

@@ -57,34 +57,45 @@ def test_the_check_sees_relative_and_absolute_imports(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names one module-level statement binds: a `def`'s or a
+    `class`'s name, or every name an assignment stores."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return []
+
+
 def unreferenced_public_names(defining: list[Path], referring: list[Path]) -> list[str]:
-    """Public module-level `def`s and `class`es of the defining files that no
-    referring file names, other than by defining them: as a name, an
-    attribute, an imported name or a whole string constant (the benchmark
-    names the functions it wraps as strings)."""
+    """Public module-level `def`s, `class`es and assigned names of the
+    defining files that no referring file reads: as a name or an attribute
+    in Load context, an imported name or a whole string constant (the
+    benchmark names the functions it wraps as strings).  Defining or
+    assigning a name is not a use."""
     used = set()
     for path in referring:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.rsplit(".", 1)[-1])
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used.add(node.value)
     return [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{node.lineno} {name}"
         for path in defining
         for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        for name in defined_names(node)
+        if not name.startswith("_") and name not in used
     ]
 
 
 def test_every_public_name_has_a_use_outside_the_tests():
-    # a public def or class that only tests call is code no command needs
+    # a public def, class or constant that only tests use is code no command needs
     defining = sorted((ROOT / "src" / "wstsim").glob("*.py"))
     referring = defining + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
     assert len(defining) > 10 and len(referring) > len(defining)
@@ -104,6 +115,13 @@ def test_the_name_check_sees_every_kind_of_reference(tmp_path):
         "def orphan(): ...\n"
         "def _private(): ...\n"
         "_alias = called\n"
+        "LIMIT = 3\n"
+        "UNREAD: int = 4\n"
+        "LOW, HIGH = 0, LIMIT\n"
+        "REBOUND = 5\n"
+        "REBOUND = 6\n"
+        "SCALE = 2.0\n"
+        "_HIDDEN = 7\n"
     )
     user = tmp_path / "user.py"
     user.write_text(
@@ -112,6 +130,12 @@ def test_the_name_check_sees_every_kind_of_reference(tmp_path):
         "WRAPPED = ('lib', 'wrapped')\n"
         "lib.as_attribute()\n"
         "p: 'Point' = None\n"
+        "print(lib.HIGH * lib.SCALE)\n"
     )
-    assert unreferenced_public_names([lib], [lib, user]) == ["lib.py:8 orphan"]
-    assert unreferenced_public_names([lib], [user]) == ["lib.py:3 called", "lib.py:7 recursive", "lib.py:8 orphan"]
+    assert unreferenced_public_names([lib], [lib, user]) == [
+        "lib.py:8 orphan", "lib.py:12 UNREAD", "lib.py:13 LOW", "lib.py:14 REBOUND", "lib.py:15 REBOUND",
+    ]
+    assert unreferenced_public_names([lib], [user]) == [
+        "lib.py:3 called", "lib.py:7 recursive", "lib.py:8 orphan", "lib.py:11 LIMIT", "lib.py:12 UNREAD",
+        "lib.py:13 LOW", "lib.py:14 REBOUND", "lib.py:15 REBOUND",
+    ]

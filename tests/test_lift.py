@@ -1,18 +1,16 @@
-import copy
 import itertools
-import pickle
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import lattice_point
+from conftest import embedded_row
 from wstsim.algebra import FieldElement, GaussianInt
 from wstsim.encoder import average_row_energy
 from wstsim.lift import (
-    LatticePoint,
     _check_m,
     _gray_axis,
+    levels,
     lift,
     pam_levels,
     random_fragment,
@@ -87,10 +85,16 @@ def all_bitstrings(width):
     return ("".join(b) for b in itertools.product("01", repeat=width))
 
 
-def string_lift(bits: str, m: int) -> LatticePoint:
-    """The lattice point of a 3m-bit string through the string Gray coder."""
+def string_element(bits: str, m: int) -> FieldElement:
+    """The lattice point's field element of a 3m-bit string through the
+    string Gray coder."""
     q = [gray_encode(bits[i * m : (i + 1) * m]).value for i in range(3)]
-    return lattice_point(FieldElement(*q))
+    return FieldElement(*q)
+
+
+def element(value: int, m: int) -> FieldElement:
+    """The field element of a fragment's lattice point, from its levels."""
+    return FieldElement.from_ints(*levels(value, m))
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +177,20 @@ def test_pam_levels():
 
 
 # ---------------------------------------------------------------------------
-# lift / unlift
+# levels / lift / unlift
 # ---------------------------------------------------------------------------
 
 
 def test_lift_all_zero_fragment():
-    point = lift(0, 2)
     expected = GaussianInt(-1, -1)
-    assert point.element.coefficients() == (expected, expected, expected)
-    assert abs(point.embedded_row[0] - complex(-1, -1) * 3.801938) < 1e-5
+    assert levels(0, 2) == (-1,) * 6
+    assert element(0, 2).coefficients() == (expected, expected, expected)
+    assert abs(lift(0, 2)[0] - complex(-1, -1) * 3.801938) < 1e-5
 
 
 def test_lift_block_order_example():
-    point = lift(0b110001, 2)
-    assert point.element.coefficients() == (
+    assert levels(0b110001, 2) == (1, 1, -1, -1, -1, 1)
+    assert element(0b110001, 2).coefficients() == (
         GaussianInt(1, 1),
         GaussianInt(-1, -1),
         GaussianInt(-1, 1),
@@ -194,8 +198,8 @@ def test_lift_block_order_example():
 
 
 def test_lift_injective_m2():
-    images = {lift(v, 2).element.coefficients() for v in range(64)}
-    assert len(images) == 64
+    assert len({levels(v, 2) for v in range(64)}) == 64
+    assert len({lift(v, 2) for v in range(64)}) == 64
 
 
 def test_lift_equals_gray_encode_composition():
@@ -203,7 +207,9 @@ def test_lift_equals_gray_encode_composition():
     for m in (6, 8):
         for _ in range(500):
             v = random_fragment(rng, m)
-            assert lift(v, m) == string_lift(format(v, f"0{3 * m}b"), m)
+            x = string_element(format(v, f"0{3 * m}b"), m)
+            assert element(v, m) == x
+            assert lift(v, m) == embedded_row(x)
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -211,9 +217,10 @@ def test_integer_fragments_match_the_string_gray_path(m):
     # every 3m-bit integer, MSB first, lifts to the point its bit string
     # gives through gray_encode, and unlift inverts it
     for v, bits in enumerate(all_bitstrings(3 * m)):
-        point = lift(v, m)
-        assert point == string_lift(bits, m)
-        assert unlift(point.coordinates, m) == v
+        x = string_element(bits, m)
+        assert element(v, m) == x
+        assert lift(v, m) == embedded_row(x)
+        assert unlift(levels(v, m), m) == v
     # random_fragment reads its 0/1 draws as the bits, most significant first
     for seed in range(50):
         draws = np.random.default_rng(seed).integers(0, 2, size=3 * m)
@@ -223,23 +230,23 @@ def test_integer_fragments_match_the_string_gray_path(m):
 
 def test_roundtrip_exhaustive_m2():
     for v in range(1 << 6):
-        assert unlift(lift(v, 2).coordinates, 2) == v
+        assert unlift(levels(v, 2), 2) == v
 
 
 def test_roundtrip_exhaustive_m4():
     for v in range(1 << 12):
-        assert unlift(lift(v, 4).coordinates, 4) == v
+        assert unlift(levels(v, 4), 4) == v
 
 
 def test_roundtrip_random_m6():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         v = random_fragment(rng, 6)
-        assert unlift(lift(v, 6).coordinates, 6) == v
+        assert unlift(levels(v, 6), 6) == v
 
 
 def test_unlift_rejects_out_of_constellation():
-    coords = lift(0, 4).coordinates  # levels reach +-3
+    coords = levels(0, 4)  # levels reach +-3
     with pytest.raises(ValueError):
         unlift(coords, 2)
     with pytest.raises(ValueError):
@@ -249,16 +256,18 @@ def test_unlift_rejects_out_of_constellation():
 
 
 def test_fragment_validation():
-    # lift takes exactly the ints 0 .. 2^(3m) - 1, at every even m
+    # levels and lift take exactly the ints 0 .. 2^(3m) - 1, at every even m
     for m in range(2, 17, 2):
         top = (1 << 3 * m) - 1
-        assert unlift(lift(top, m).coordinates, m) == top
+        assert unlift(levels(top, m), m) == top
         for bad in (top + 1, 1 << 3 * m + 1, -1, -top):
-            with pytest.raises(ValueError, match=rf"fragment is an int of 3\*m = {3 * m} bits, got {bad}"):
-                lift(bad, m)
+            for f in (levels, lift):
+                with pytest.raises(ValueError, match=rf"fragment is an int of 3\*m = {3 * m} bits, got {bad}"):
+                    f(bad, m)
     for m in (1, 3, 5, 0, -2):
-        with pytest.raises(ValueError, match=f"m must be an even integer >= 2, got {m}"):
-            lift(0, m)
+        for f in (levels, lift):
+            with pytest.raises(ValueError, match=f"m must be an even integer >= 2, got {m}"):
+                f(0, m)
 
 
 def _float_bits(row):
@@ -266,9 +275,10 @@ def _float_bits(row):
 
 
 def test_lift_equals_the_object_path_bit_for_bit():
-    # the table-indexed lift against GaussianInt -> FieldElement ->
-    # lattice_point built through gray_encode: same element and
-    # the same floats, signs of zero included
+    # the table-indexed levels and lift against GaussianInt ->
+    # FieldElement -> embeddings built through gray_encode: same element
+    # and the same floats, signs of zero included; lift's row is the
+    # embeddings of the element levels gives, and unlift inverts levels
     rng = np.random.default_rng(20)
     for m in range(2, 17, 2):
         if m <= 4:
@@ -276,39 +286,21 @@ def test_lift_equals_the_object_path_bit_for_bit():
         else:
             values = [int(v) for v in rng.integers(0, 1 << (3 * m), size=2000)]
         for v in values:
-            point = lift(v, m)
-            oracle = string_lift(format(v, f"0{3 * m}b"), m)
-            assert point.element == oracle.element
-            assert _float_bits(point.embedded_row) == _float_bits(oracle.embedded_row)
-            assert unlift(point.coordinates, m) == v
-
-
-def test_lattice_point_is_an_immutable_value():
-    point = lift(5, 2)
-    for name in ("element", "embedded_row"):
-        with pytest.raises(AttributeError):
-            setattr(point, name, getattr(point, name))
-        with pytest.raises(AttributeError):
-            delattr(point, name)
-    with pytest.raises(FrozenInstanceError):  # a name that is not a field too
-        point.bits = "000101"
-    # equal points are equal and hash equal
-    assert lift(5, 2) == point and hash(lift(5, 2)) == hash(point)
-    assert lift(6, 2) != point
-    # a point is not the fragment it lifts, nor a tuple of its fields
-    assert 5 != point and point != 5
-    assert point != (point.element, point.embedded_row)
-    # copies and pickles are equal values
-    assert copy.copy(point) == point and copy.deepcopy(point) == point
-    assert pickle.loads(pickle.dumps(point)) == point
+            oracle = string_element(format(v, f"0{3 * m}b"), m)
+            x = FieldElement.from_ints(*levels(v, m))
+            assert x == oracle
+            assert _float_bits(lift(v, m)) == _float_bits(embedded_row(oracle)) == _float_bits(embedded_row(x))
+            assert unlift(levels(v, m), m) == v
 
 
 def test_value_object_reprs():
+    assert repr(element(5, 2)) == (
+        "FieldElement(c0=GaussianInt(re=-1, im=-1), "
+        "c1=GaussianInt(re=-1, im=1), c2=GaussianInt(re=-1, im=1))"
+    )
     assert repr(lift(5, 2)) == (
-        "LatticePoint(element=FieldElement(c0=GaussianInt(re=-1, im=-1), "
-        "c1=GaussianInt(re=-1, im=1), c2=GaussianInt(re=-1, im=1)), "
-        "embedded_row=((-3.801937735804839+1.8019377358048387j), "
-        "(-0.7530203962825329-1.246979603717467j), (-2.4450418679126282+0.44504186791262823j)))"
+        "((-3.801937735804839+1.8019377358048387j), "
+        "(-0.7530203962825329-1.246979603717467j), (-2.4450418679126282+0.44504186791262823j))"
     )
 
 
@@ -319,7 +311,7 @@ def test_value_object_reprs():
 
 def test_embedded_rows_differ_everywhere_m2():
     # nonzero differences have nonzero norm, so no embedding can vanish
-    rows = np.array([lift(v, 2).embedded_row for v in range(64)])
+    rows = np.array([lift(v, 2) for v in range(64)])
     n = len(rows)
     for i in range(n - 1):
         diffs = rows[i + 1 :] - rows[i]
@@ -329,6 +321,6 @@ def test_embedded_rows_differ_everywhere_m2():
 def test_average_energy_matches_encoder_normalizer():
     # cross-module consistency: exhaustive mean energy at m=2 equals the
     # analytic value the encoder normalizes with
-    rows = np.array([lift(v, 2).embedded_row for v in range(64)])
+    rows = np.array([lift(v, 2) for v in range(64)])
     measured = float(np.mean(np.sum(np.abs(rows) ** 2, axis=1))) / 3.0
     assert abs(measured - average_row_energy(2)) < 1e-9

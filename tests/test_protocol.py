@@ -1,12 +1,11 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from wstsim.channel import SnrPoint, draw_session, transmit, trial_rng
-from wstsim.encoder import build_pair_codeword, build_tdma_codeword, normalizer
-from wstsim.lift import lift
+from wstsim.channel import draw_session, trial_rng
+from wstsim.encoder import normalizer
+from wstsim.lift import levels, lift
 import wstsim.protocol as protocol
 from wstsim.protocol import (
     RepairTrialResult,
@@ -16,7 +15,7 @@ from wstsim.protocol import (
 )
 from wstsim.storage import StorageConfig, mds_encode, repair_node
 
-from conftest import decode_one, join_fragments, share_fragments
+from conftest import amp_of, codeword_one, decode_one, join_fragments, share_fragments, transmit_one
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
 
@@ -145,27 +144,32 @@ def test_group_size_two_draws_one_permutation_per_round():
 # ---------------------------------------------------------------------------
 
 
+def amps(snr_db, count):
+    """The amplitude of snr_db for each of count trials or sessions."""
+    return np.full(count, amp_of(snr_db))
+
+
 def test_noiseless_repair_always_succeeds():
-    for res in run_repair_trials(CFG, 2, SnrPoint(0.0), "pair", "sphere", 2, range(25), noiseless=True):
+    for res in run_repair_trials(CFG, 2, amps(0.0, 25), "pair", "sphere", 2, range(25), noiseless=True):
         assert res.repaired_share_ok
         assert res.shares_failed == 0
         assert res.sessions_errored == 0
 
 
 def test_noiseless_tdma_repair_always_succeeds():
-    for res in run_repair_trials(CFG, 4, SnrPoint(0.0), "tdma", "sphere", 2, range(10), noiseless=True):
+    for res in run_repair_trials(CFG, 4, amps(0.0, 10), "tdma", "sphere", 2, range(10), noiseless=True):
         assert res.repaired_share_ok
         assert res.sessions_total == 2 * 5  # 24 bits -> two 12-bit blocks per helper
 
 
 def test_trial_determinism():
-    a = run_repair_trials(CFG, 2, SnrPoint(12.0), "pair", "sphere", 9, [4])
-    b = run_repair_trials(CFG, 2, SnrPoint(12.0), "pair", "sphere", 9, [4])
+    a = run_repair_trials(CFG, 2, amps(12.0, 1), "pair", "sphere", 9, [4])
+    b = run_repair_trials(CFG, 2, amps(12.0, 1), "pair", "sphere", 9, [4])
     assert a == b
 
 
 def test_trial_counts_are_consistent():
-    (res,) = run_repair_trials(CFG, 2, SnrPoint(6.0), "pair", "sphere", 31, [1])
+    (res,) = run_repair_trials(CFG, 2, amps(6.0, 1), "pair", "sphere", 31, [1])
     assert isinstance(res, RepairTrialResult)
     assert res.sessions_total == 12  # 4 blocks x (2 pairs + 1 singleton)
     assert 0 <= res.sessions_errored <= res.sessions_total
@@ -176,27 +180,25 @@ def test_trial_counts_are_consistent():
 
 def test_trial_requires_protocol_fields():
     with pytest.raises(ValueError):
-        run_repair_trials(StorageConfig(6, 3), 2, SnrPoint(10.0), "pair", "sphere", 0, [0])
+        run_repair_trials(StorageConfig(6, 3), 2, amps(10.0, 1), "pair", "sphere", 0, [0])
     with pytest.raises(ValueError):
-        run_repair_trials(CFG, 2, SnrPoint(10.0), "fdma", "sphere", 0, [0])
+        run_repair_trials(CFG, 2, amps(10.0, 1), "fdma", "sphere", 0, [0])
 
 
 def test_pipeline_identity_exhaustive_m2_single_session():
     # unlift(decode(transmit(build(lift(.))))) is the identity on fragments
     # when the noise is forced to zero; exhaustive over one pair session
-    snr = SnrPoint(14.0)
+    amp = amp_of(14.0)
     frag2 = 0b101101
-    point2 = lift(frag2, 2)
+    row2 = lift(frag2, 2)
     rng = trial_rng(55)
-    from wstsim.encoder import build_pair_codeword
     from wstsim.lift import unlift
 
     for v in range(64):
-        point1 = lift(v, 2)
-        codeword = build_pair_codeword(point1, point2, 2)
-        h, _ = draw_session(rng, 2, 1, 2, 3)
-        received = transmit(codeword, h, np.zeros((2, 3), dtype=complex), snr)
-        dec = decode_one(received, h, snr, 2)
+        codeword = codeword_one([lift(v, 2), row2], 2)
+        h, _ = draw_session(rng, 2, 1, [2], 3)
+        received = transmit_one(codeword, h, np.zeros((2, 3), dtype=complex), amp)
+        dec = decode_one(received, h, amp, 2)
         assert unlift(dec.coordinates[:6], 2) == v
         assert unlift(dec.coordinates[6:], 2) == frag2
 
@@ -206,30 +208,27 @@ def test_tdma_session_matches_independent_mrc_oracle():
     # the 64-point constellation: an independent decoding route that must
     # agree with the equivalent-channel sphere decoder
     m = 2
-    points = [lift(v, m) for v in range(1 << (3 * m))]
-    rows = np.array([p.embedded_row for p in points])
+    rows = np.array([lift(v, m) for v in range(1 << (3 * m))])
     alpha = normalizer(m)
-    snr = SnrPoint(8.0)
+    amp = amp_of(8.0)
     for t in range(200):
         rng = trial_rng(31337, t)
         from wstsim.lift import random_fragment
 
-        sent = lift(random_fragment(rng, m), m)
-        codeword = build_tdma_codeword(sent, m)
-        h, w = draw_session(rng, 2, 1, 1, 3)
-        received = transmit(codeword, h, w, snr)
-        dec = decode_one(received, h, snr, m)
+        codeword = codeword_one([lift(random_fragment(rng, m), m)], m)
+        h, w = draw_session(rng, 2, 1, [1], 3)
+        received = transmit_one(codeword, h, w[0], amp)
+        dec = decode_one(received, h, amp, m)
         h0 = h[0][:, 0]
         z = h0.conj() @ received
-        gain = math.sqrt(snr.snr_linear) * alpha * float(np.vdot(h0, h0).real)
+        gain = amp * alpha * float(np.vdot(h0, h0).real)
         best = int(np.argmin((np.abs(z[None, :] - gain * rows) ** 2).sum(axis=1)))
-        assert points[best].coordinates == dec.coordinates
+        assert levels(best, m) == dec.coordinates
 
 
 def test_session_trial_modes_agree_on_errors():
-    snr = SnrPoint(9.0)
-    sphere = run_session_trials(2, snr, "pair", "sphere", 71, range(60))
-    oracle = run_session_trials(2, snr, "pair", "ml", 71, range(60))
+    sphere = run_session_trials(2, amps(9.0, 60), "pair", "sphere", 71, range(60))
+    oracle = run_session_trials(2, amps(9.0, 60), "pair", "ml", 71, range(60))
     assert [e for e, _ in sphere] == [e for e, _ in oracle]
 
 
@@ -245,13 +244,12 @@ PADDED = StorageConfig(6, 3, d=5, fragment_bits=16)  # 16-bit shares end in a pa
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("pair", 4), ("tdma", 4)])
 @pytest.mark.parametrize("noiseless", [False, True])
 def test_trial_range_equals_trials_one_by_one(cfg, scheme, m, noiseless, monkeypatch):
-    snr = SnrPoint(9.0)
-    single = [run_repair_trials(cfg, m, snr, scheme, "sphere", 13, [t], noiseless)[0] for t in range(40, 60)]
-    batch = run_repair_trials(cfg, m, snr, scheme, "sphere", 13, range(40, 60), noiseless)
+    single = [run_repair_trials(cfg, m, amps(9.0, 1), scheme, "sphere", 13, [t], noiseless)[0] for t in range(40, 60)]
+    batch = run_repair_trials(cfg, m, amps(9.0, 20), scheme, "sphere", 13, range(40, 60), noiseless)
     assert batch == single
     # a cap of 25 sessions flushes the batch every few trials and splits stacks
     monkeypatch.setattr(protocol, "SESSION_BATCH", 25)
-    assert run_repair_trials(cfg, m, snr, scheme, "sphere", 13, range(40, 60), noiseless) == single
+    assert run_repair_trials(cfg, m, amps(9.0, 20), scheme, "sphere", 13, range(40, 60), noiseless) == single
     if not noiseless:
         assert any(r.sessions_errored for r in batch)  # the comparison saw errors
 
@@ -260,27 +258,27 @@ def test_no_stack_exceeds_the_session_batch(monkeypatch):
     sizes = []
     factor_sessions = protocol.factor_sessions
 
-    def recording(received, channels, snr, m):
+    def recording(received, channels, amp, m):
         sizes.append(len(received))
-        return factor_sessions(received, channels, snr, m)
+        return factor_sessions(received, channels, amp, m)
 
     monkeypatch.setattr(protocol, "factor_sessions", recording)
     assert protocol.SESSION_BATCH == 256
     cfg = StorageConfig(6, 3, d=5, fragment_bits=4096)
     # 342 blocks a share at m = 4: 1,710 singleton sessions a trial, each
     # trial a batch of its own and its stack split at the cap
-    results = run_repair_trials(cfg, 4, SnrPoint(30.0), "tdma", "sphere", 3, range(2), noiseless=True)
+    results = run_repair_trials(cfg, 4, amps(30.0, 2), "tdma", "sphere", 3, range(2), noiseless=True)
     assert [r.sessions_total for r in results] == [1710] * 2
     assert sizes == ([256] * 6 + [174]) * 2
     sizes.clear()
     # 683 blocks at m = 2: 683 singleton and 1,366 pair sessions a trial
-    results = run_repair_trials(cfg, 2, SnrPoint(30.0), "pair", "sphere", 3, range(2), noiseless=True)
+    results = run_repair_trials(cfg, 2, amps(30.0, 2), "pair", "sphere", 3, range(2), noiseless=True)
     assert all(r.repaired_share_ok and not r.shares_failed for r in results)
     assert sizes == ([256, 256, 171] + [256] * 5 + [86]) * 2
     sizes.clear()
     # 12 sessions a trial (4 singletons, 8 pairs) at 24-bit shares: batches
     # of 21 trials, 252 sessions, then the last 8 trials
-    results = run_repair_trials(CFG, 2, SnrPoint(30.0), "pair", "sphere", 3, range(50), noiseless=True)
+    results = run_repair_trials(CFG, 2, amps(30.0, 50), "pair", "sphere", 3, range(50), noiseless=True)
     assert len(results) == 50
     assert sizes == [84, 168, 84, 168, 32, 64]
 
@@ -294,28 +292,27 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _send_one_by_one(sessions, m, snrs, noiseless):
-    """Each session's own draw, codeword and transmit at its own SNR point,
-    in session order."""
+def _send_one_by_one(sessions, m, session_amps, noiseless):
+    """Each session's own draw, codeword and transmit at its own amplitude,
+    in session order, each sent as a stack of one."""
     out = []
-    for (fragments, rng), snr in zip(sessions, snrs, strict=True):
-        points = [lift(f, m) for f in fragments]
-        h, w = draw_session(rng, 2, 1, len(points), 3)
+    for (fragments, rng), amp in zip(sessions, session_amps, strict=True):
+        h, w = draw_session(rng, 2, 1, [len(fragments)], 3)
         if noiseless:
             w = np.zeros_like(w)
-        codeword = build_pair_codeword(*points, m) if len(points) == 2 else build_tdma_codeword(*points, m)
-        out.append((transmit(codeword, h, w, snr), h))
+        codeword = codeword_one([lift(f, m) for f in fragments], m)
+        out.append((transmit_one(codeword, h, w[0], amp), h))
     return out
 
 
-def _check_stacked_send(scheme, m, noiseless, trial_snrs, monkeypatch):
-    """The stacked send of 30 batch-sent trials, trial t at trial_snrs[t],
-    against each session's own draw, codeword and transmit."""
+def _check_stacked_send(scheme, m, noiseless, trial_amps, monkeypatch):
+    """The stacked send of 30 batch-sent trials, trial t at amplitude
+    trial_amps[t], against each session's own draw, codeword and transmit."""
     stacks = []
     stacked_transmit = protocol.transmit
 
-    def recording(codeword, h, w, snr):
-        received = stacked_transmit(codeword, h, w, snr)
+    def recording(codeword, h, w, amp):
+        received = stacked_transmit(codeword, h, w, amp)
         stacks.append((received, h))
         return received
 
@@ -325,9 +322,9 @@ def _check_stacked_send(scheme, m, noiseless, trial_snrs, monkeypatch):
     monkeypatch.setattr(protocol, "transmit", recording)
     stacked, single = batch(), batch()
     per_trial = len(single) // 30
-    snrs = [snr for snr in trial_snrs for _ in range(per_trial)]
-    protocol.run_sessions(stacked, m, snrs, noiseless=noiseless)
-    looped = _send_one_by_one(single, m, snrs, noiseless)
+    session_amps = np.repeat(trial_amps, per_trial)
+    protocol.run_sessions(stacked, m, session_amps, noiseless=noiseless)
+    looped = _send_one_by_one(single, m, session_amps.tolist(), noiseless)
     # one stack per session size, singletons first, each in session order
     sizes = [len(fragments) for fragments, _ in single]
     order = [i for k in (1, 2) for i, size in enumerate(sizes) if size == k]
@@ -346,21 +343,31 @@ def _check_stacked_send(scheme, m, noiseless, trial_snrs, monkeypatch):
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
 @pytest.mark.parametrize("noiseless", [False, True])
 def test_stacked_send_equals_the_per_session_loop(scheme, m, noiseless, monkeypatch):
-    _check_stacked_send(scheme, m, noiseless, [SnrPoint(14.0)] * 30, monkeypatch)
+    _check_stacked_send(scheme, m, noiseless, amps(14.0, 30), monkeypatch)
 
 
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
 def test_stacked_send_at_mixed_snr_equals_the_per_session_loop(scheme, m, monkeypatch):
-    trial_snrs = [SnrPoint(db) for db in (10.0, 15.0, 20.0, 25.0, 30.0, -7.5)] * 5
-    _check_stacked_send(scheme, m, False, trial_snrs, monkeypatch)
+    trial_amps = [amp_of(db) for db in (10.0, 15.0, 20.0, 25.0, 30.0, -7.5)] * 5
+    _check_stacked_send(scheme, m, False, trial_amps, monkeypatch)
 
 
 def test_run_sessions_refuses_other_session_sizes():
     rng = trial_rng(3)
     frags = [1] * 3
     with pytest.raises(ValueError):
-        protocol.run_sessions([(frags, rng)], 2, SnrPoint(10.0))
-    assert protocol.run_sessions([], 2, SnrPoint(10.0)) == []
+        protocol.run_sessions([(frags, rng)], 2, amps(10.0, 1))
+    assert protocol.run_sessions([], 2, amps(10.0, 0)) == []
+
+
+def test_run_sessions_takes_one_amplitude_per_session():
+    rng = trial_rng(3)
+    sessions = [([1, 2], rng), ([3], rng)]
+    for bad in (amp_of(10.0), amps(10.0, 1), amps(10.0, 3), np.full((2, 1), amp_of(10.0))):
+        with pytest.raises(ValueError):
+            protocol.run_sessions(sessions, 2, bad)
+    with pytest.raises(ValueError):
+        protocol.run_sessions([], 2, amps(10.0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +375,7 @@ def test_run_sessions_refuses_other_session_sizes():
 # ---------------------------------------------------------------------------
 
 
-def old_repair_trial(cfg, m, snr, scheme, seed, t, noiseless=False, calls=None):
+def old_repair_trial(cfg, m, amp, scheme, seed, t, noiseless=False, calls=None):
     """One repair trial on its own: its own encode, its shares cut by
     share_fragments, its own sessions, every share reassembled, and its own
     repair_node call, whose (lost node, chosen helper ids) it appends to
@@ -381,7 +388,7 @@ def old_repair_trial(cfg, m, snr, scheme, seed, t, noiseless=False, calls=None):
     fragments = {h: share_fragments(contents[h].fragment, m) for h in helpers}
     plan = plan_sessions(helpers, len(fragments[helpers[0]]), rng, protocol.GROUP_SIZES[scheme])
     sessions = [([fragments[h][block] for h in group], rng) for group, block in plan]
-    outcomes = protocol.run_sessions(sessions, m, snr, "sphere", noiseless)
+    outcomes = protocol.run_sessions(sessions, m, np.full(len(sessions), amp), "sphere", noiseless)
     decoded = {h: [] for h in helpers}
     for (group, _), (got, _, _) in zip(plan, outcomes):
         for h, frag in zip(group, got):
@@ -445,11 +452,11 @@ def test_batch_repair_equals_trials_one_at_a_time(cfg, scheme, m, monkeypatch):
         return out
 
     monkeypatch.setattr(protocol, "repair_node", recording)
-    snrs = [SnrPoint(db) for db in (10.0, 14.0, 18.0, 22.0)] * 15
-    batch = run_repair_trials(cfg, m, snrs, scheme, "sphere", 77, range(60))
+    trial_amps = [amp_of(db) for db in (10.0, 14.0, 18.0, 22.0)] * 15
+    batch = run_repair_trials(cfg, m, trial_amps, scheme, "sphere", 77, range(60))
     monkeypatch.setattr(protocol, "repair_node", grouped)
     own_calls = []
-    assert batch == [old_repair_trial(cfg, m, snr, scheme, 77, t, calls=own_calls) for t, snr in enumerate(snrs)]
+    assert batch == [old_repair_trial(cfg, m, a, scheme, 77, t, calls=own_calls) for t, a in enumerate(trial_amps)]
     assert any(r.shares_failed and r.repaired_share_ok for r in batch)
     assert any(not r.repaired_share_ok for r in batch)
     assert len(calls) < sum(r.repaired_share_ok for r in batch)
@@ -491,7 +498,7 @@ def test_a_wrong_pad_bit_errs_the_session_but_not_the_share(monkeypatch):
 
     monkeypatch.setattr(protocol, "unlift", flipping)
     monkeypatch.setattr(protocol, "repair_node", recording)
-    (result,) = run_repair_trials(PADDED, 2, SnrPoint(30.0), "tdma", "sphere", 8, [0], noiseless=True)
+    (result,) = run_repair_trials(PADDED, 2, amps(30.0, 1), "tdma", "sphere", 8, [0], noiseless=True)
     assert next(calls) == result.sessions_total == 15
     assert result.sessions_errored == 2
     assert result.shares_failed == 1
@@ -500,25 +507,26 @@ def test_a_wrong_pad_bit_errs_the_session_but_not_the_share(monkeypatch):
     _, helpers, _ = protocol._send_repairs(PADDED, 2, 1, 8, [0])[1][0]
     assert chosen == [[h for h in helpers if h != helpers[1]][:3]]
     calls = itertools.count()
-    assert result == old_repair_trial(PADDED, 2, SnrPoint(30.0), "tdma", 8, 0, noiseless=True)
+    assert result == old_repair_trial(PADDED, 2, amp_of(30.0), "tdma", 8, 0, noiseless=True)
 
 
 @pytest.mark.parametrize("scheme,m", [("pair", 2), ("tdma", 4)])
 def test_a_mixed_snr_batch_equals_per_point_runs(scheme, m):
     grid = [6.0, 10.0, 14.0, 18.0, 30.0]
     db = [grid[(t * 7) % 5] for t in range(60)]
-    mixed = run_repair_trials(CFG, m, [SnrPoint(v) for v in db], scheme, "sphere", 19, range(60))
+    trials = {v: [t for t in range(60) if db[t] == v] for v in grid}
+    mixed = run_repair_trials(CFG, m, [amp_of(v) for v in db], scheme, "sphere", 19, range(60))
     per_point = {
-        v: iter(run_repair_trials(CFG, m, SnrPoint(v), scheme, "sphere", 19, [t for t in range(60) if db[t] == v]))
+        v: iter(run_repair_trials(CFG, m, amps(v, len(trials[v])), scheme, "sphere", 19, trials[v]))
         for v in grid
     }
     assert mixed == [next(per_point[v]) for v in db]
     assert any(r.sessions_errored for r in mixed)
-    sessions = run_session_trials(m, [SnrPoint(v) for v in db], scheme, "sphere", 19, range(60))
+    sessions = run_session_trials(m, [amp_of(v) for v in db], scheme, "sphere", 19, range(60))
     per_point = {
-        v: iter(run_session_trials(m, SnrPoint(v), scheme, "sphere", 19, [t for t in range(60) if db[t] == v]))
+        v: iter(run_session_trials(m, amps(v, len(trials[v])), scheme, "sphere", 19, trials[v]))
         for v in grid
     }
     assert sessions == [next(per_point[v]) for v in db]
     with pytest.raises(ValueError):
-        run_repair_trials(CFG, m, [SnrPoint(10.0)] * 3, scheme, "sphere", 19, range(4))
+        run_repair_trials(CFG, m, amps(10.0, 3), scheme, "sphere", 19, range(4))
