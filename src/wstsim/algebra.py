@@ -8,9 +8,10 @@ polynomial over the rationals is the monic cubic
 The cubic is a derived constant rather than a quoted one: the test suite
 checks |p(2*cos(2*pi*k/7))| < 1e-12 for k = 1, 2, 3 and cross-checks every
 reduction identity against floating-point arithmetic on the embeddings.
-Elements are stored on the basis {1, eta, eta^2} with Gaussian-integer
-coefficients (the representation is canonical, so equality is
-coefficient-wise), and products reduce through
+An element c0 + c1*eta + c2*eta^2 on the basis {1, eta, eta^2} has
+Gaussian-integer coefficients and is stored as six Python ints, the real and
+imaginary parts of c0, c1 and c2 (the representation is canonical, so
+equality is int-wise), and products reduce through
 
     eta^3 = 1 + 2*eta - eta^2,        eta^4 = -1 - eta + 3*eta^2.
 
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 # Minimal polynomial of eta, descending coefficients: x^3 + x^2 - 2x - 1.
 MIN_POLY = (1, 1, -2, -1)
@@ -55,142 +55,40 @@ def min_poly_value(t: float) -> float:
     return ((a3 * t + a2) * t + a1) * t + a0
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """Exact complex integer re + im*i."""
-
-    re: int = 0
-    im: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.re, int) or not isinstance(self.im, int):
-            raise TypeError("GaussianInt components must be Python ints")
-
-    def __add__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> GaussianInt:
-        return GaussianInt(-self.re, -self.im)
-
-    def __mul__(self, other: GaussianInt | int) -> GaussianInt:
-        if isinstance(other, GaussianInt):
-            return GaussianInt(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
-        return NotImplemented
-
-    def __rmul__(self, other: int) -> GaussianInt:
-        if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
-        return NotImplemented
-
-    def conj(self) -> GaussianInt:
-        return GaussianInt(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-
-def _as_gaussian(v: GaussianInt | int) -> GaussianInt:
-    if isinstance(v, GaussianInt):
-        return v
-    if isinstance(v, int):
-        return GaussianInt(v, 0)
-    raise TypeError(f"cannot coerce {type(v).__name__} to GaussianInt")
-
-
-def _element(v: tuple[int, int, int, int, int, int]) -> FieldElement:
-    """Wrap already-exact coefficients without re-validating them."""
-    x = object.__new__(FieldElement)
-    x._v = v
-    return x
-
-
 class FieldElement:
     """c0 + c1*eta + c2*eta^2 with Gaussian-integer coefficients.
 
-    The coefficients are held as one tuple of six Python ints
-    (re c0, im c0, re c1, im c1, re c2, im c2).  The public constructor
-    validates its arguments; arithmetic builds results straight from the int
-    tuple, since sums and products of ints need no check.  c0, c1 and c2 are
-    read-only.
+    An element is six Python ints, the real and imaginary parts of c0, c1
+    and c2: FieldElement(r0, i0, r1, i1, r2, i2) is (r0 + i0*i) +
+    (r1 + i1*i)*eta + (r2 + i2*i)*eta^2, and any argument that is not an int
+    raises TypeError.
     """
 
     __slots__ = ("_v",)
 
-    def __init__(
-        self, c0: GaussianInt | int = 0, c1: GaussianInt | int = 0, c2: GaussianInt | int = 0
-    ) -> None:
-        g0, g1, g2 = _as_gaussian(c0), _as_gaussian(c1), _as_gaussian(c2)
-        self._v = (g0.re, g0.im, g1.re, g1.im, g2.re, g2.im)
-
-    @classmethod
-    def from_ints(cls, r0: int, i0: int, r1: int, i1: int, r2: int, i2: int) -> FieldElement:
-        """The element with coefficients r0 + i0*i, r1 + i1*i and r2 + i2*i,
-        from six Python ints and without a GaussianInt per coefficient."""
+    def __init__(self, r0: int, i0: int, r1: int, i1: int, r2: int, i2: int) -> None:
         if not (
             isinstance(r0, int) and isinstance(i0, int) and isinstance(r1, int)
             and isinstance(i1, int) and isinstance(r2, int) and isinstance(i2, int)
         ):
             raise TypeError("FieldElement coefficients must be Python ints")
-        return _element((r0, i0, r1, i1, r2, i2))
-
-    @property
-    def c0(self) -> GaussianInt:
-        return GaussianInt(self._v[0], self._v[1])
-
-    @property
-    def c1(self) -> GaussianInt:
-        return GaussianInt(self._v[2], self._v[3])
-
-    @property
-    def c2(self) -> GaussianInt:
-        return GaussianInt(self._v[4], self._v[5])
-
-    def coefficients(self) -> tuple[GaussianInt, GaussianInt, GaussianInt]:
-        return (self.c0, self.c1, self.c2)
+        self._v = (r0, i0, r1, i1, r2, i2)
 
     def __repr__(self) -> str:
-        return f"FieldElement(c0={self.c0!r}, c1={self.c1!r}, c2={self.c2!r})"
+        return f"FieldElement{self._v!r}"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FieldElement):
             return self._v == other._v
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._v)
-
     def __add__(self, other: FieldElement) -> FieldElement:
-        return _element(tuple(map(operator.add, self._v, other._v)))
+        return FieldElement(*map(operator.add, self._v, other._v))
 
     def __sub__(self, other: FieldElement) -> FieldElement:
-        return _element(tuple(map(operator.sub, self._v, other._v)))
+        return FieldElement(*map(operator.sub, self._v, other._v))
 
-    def __neg__(self) -> FieldElement:
-        return _element(tuple(map(operator.neg, self._v)))
-
-    def __mul__(self, other: FieldElement | GaussianInt | int) -> FieldElement:
-        if isinstance(other, (GaussianInt, int)):
-            g = _as_gaussian(other)
-            gr, gi = g.re, g.im
-            v = self._v
-            return _element(
-                (
-                    v[0] * gr - v[1] * gi, v[0] * gi + v[1] * gr,
-                    v[2] * gr - v[3] * gi, v[2] * gi + v[3] * gr,
-                    v[4] * gr - v[5] * gi, v[4] * gi + v[5] * gr,
-                )
-            )
+    def __mul__(self, other: FieldElement) -> FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         ar0, ai0, ar1, ai1, ar2, ai2 = self._v
@@ -207,30 +105,20 @@ class FieldElement:
         t4r = ar2 * br2 - ai2 * bi2
         t4i = ar2 * bi2 + ai2 * br2
         # reduce eta^3 and eta^4 through the minimal polynomial
-        return _element(
-            (
-                t0r + t3r - t4r, t0i + t3i - t4i,
-                t1r + 2 * t3r - t4r, t1i + 2 * t3i - t4i,
-                t2r - t3r + 3 * t4r, t2i - t3i + 3 * t4i,
-            )
+        return FieldElement(
+            t0r + t3r - t4r, t0i + t3i - t4i,
+            t1r + 2 * t3r - t4r, t1i + 2 * t3i - t4i,
+            t2r - t3r + 3 * t4r, t2i - t3i + 3 * t4i,
         )
 
-    def __rmul__(self, other: GaussianInt | int) -> FieldElement:
-        if isinstance(other, (GaussianInt, int)):
-            return self * other
-        return NotImplemented
 
-    def __bool__(self) -> bool:
-        return any(self._v)
-
-
-ONE = FieldElement(1, 0, 0)
-ETA = FieldElement(0, 1, 0)
+ONE = FieldElement(1, 0, 0, 0, 0, 0)
+ETA = FieldElement(0, 0, 1, 0, 0, 0)
 
 # tau(eta) = eta^2 - 2; tau^2(eta) follows by applying tau again, i.e.
 # tau(eta)^2 - 2.
-_TAU_ETA = FieldElement(-2, 0, 1)
-_TAU2_ETA = _TAU_ETA * _TAU_ETA - FieldElement(2)
+_TAU_ETA = FieldElement(-2, 0, 0, 0, 1, 0)
+_TAU2_ETA = _TAU_ETA * _TAU_ETA - FieldElement(2, 0, 0, 0, 0, 0)
 
 
 def _tau_matrix(img: FieldElement) -> tuple[tuple[int, ...], ...]:
@@ -259,12 +147,10 @@ def apply_tau(x: FieldElement, power: int) -> FieldElement:
         return x
     (a0, a1, a2), (b0, b1, b2), (d0, d1, d2) = _TAU_MATRIX[power]
     r0, i0, r1, i1, r2, i2 = x._v
-    return _element(
-        (
-            a0 * r0 + a1 * r1 + a2 * r2, a0 * i0 + a1 * i1 + a2 * i2,
-            b0 * r0 + b1 * r1 + b2 * r2, b0 * i0 + b1 * i1 + b2 * i2,
-            d0 * r0 + d1 * r1 + d2 * r2, d0 * i0 + d1 * i1 + d2 * i2,
-        )
+    return FieldElement(
+        a0 * r0 + a1 * r1 + a2 * r2, a0 * i0 + a1 * i1 + a2 * i2,
+        b0 * r0 + b1 * r1 + b2 * r2, b0 * i0 + b1 * i1 + b2 * i2,
+        d0 * r0 + d1 * r1 + d2 * r2, d0 * i0 + d1 * i1 + d2 * i2,
     )
 
 
@@ -283,11 +169,12 @@ def embed(x: FieldElement, j: int) -> complex:
     return complex(r0 + r1 * rho + r2 * rho2, i0 + i1 * rho + i2 * rho2)
 
 
-def trace_norm(x: FieldElement) -> tuple[GaussianInt, GaussianInt]:
+def trace_norm(x: FieldElement) -> tuple[tuple[int, int], tuple[int, int]]:
     """Relative trace and norm: (x + tau(x) + tau^2(x), x * tau(x) * tau^2(x)).
 
-    Both are Gaussian integers; a nonzero eta or eta^2 coefficient in either
-    reduced value means tau or the reduction is broken, so it raises.
+    Both are Gaussian integers, returned as (re, im) pairs of ints; a nonzero
+    eta or eta^2 coefficient in either reduced value means tau or the
+    reduction is broken, so it raises.
     """
     t1 = apply_tau(x, 1)
     t2 = apply_tau(x, 2)
@@ -299,4 +186,4 @@ def trace_norm(x: FieldElement) -> tuple[GaussianInt, GaussianInt]:
                 f"{name} of {x!r} has non-constant coefficients; "
                 "Galois action or reduction is inconsistent"
             )
-    return tr.c0, nm.c0
+    return tr._v[:2], nm._v[:2]

@@ -79,7 +79,7 @@ def levels(value: int, m: int) -> tuple[int, int, int, int, int, int]:
 def lift(value: int, m: int) -> tuple[complex, complex, complex]:
     """The row a 3m-bit fragment sends: the three embeddings of its lattice
     point x = q1 + q2*eta + q3*eta^2, the QAM symbols q from levels."""
-    x = FieldElement.from_ints(*levels(value, m))
+    x = FieldElement(*levels(value, m))
     return embed(x, 0), embed(x, 1), embed(x, 2)
 
 

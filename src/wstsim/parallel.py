@@ -17,7 +17,6 @@ which is how `python -m wstsim` runs.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 
 #: thread-count variables of the BLAS builds numpy may link against
@@ -28,11 +27,12 @@ def map_tasks(fn, tasks, workers: int = 1) -> list:
     tasks = list(tasks)
     if workers is None or workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    import multiprocessing  # only a pool needs it, so startup does not pay for it
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         processes = min(workers, len(tasks), os.cpu_count() or 1)
-        pool = mp.get_context("spawn").Pool(processes=processes)
+        pool = multiprocessing.get_context("spawn").Pool(processes=processes)
     finally:
         for name, value in saved.items():
             if value is None:

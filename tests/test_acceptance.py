@@ -19,7 +19,6 @@ from wstsim.algebra import (
     ETA,
     ROOTS,
     FieldElement,
-    GaussianInt,
     apply_tau,
     embed,
     min_poly_value,
@@ -79,17 +78,9 @@ def test_ac2_algebra_suite():
     rng = np.random.default_rng(MC_SEED)
     failures = 0
     for _ in range(10**4):
-        c = rng.integers(-100, 101, size=12)
-        a = FieldElement(
-            GaussianInt(int(c[0]), int(c[1])),
-            GaussianInt(int(c[2]), int(c[3])),
-            GaussianInt(int(c[4]), int(c[5])),
-        )
-        b = FieldElement(
-            GaussianInt(int(c[6]), int(c[7])),
-            GaussianInt(int(c[8]), int(c[9])),
-            GaussianInt(int(c[10]), int(c[11])),
-        )
+        c = rng.integers(-100, 101, size=12).tolist()
+        a = FieldElement(*c[:6])
+        b = FieldElement(*c[6:])
         ta = apply_tau(a, 1)
         ok = (
             apply_tau(a + b, 1) == ta + apply_tau(b, 1)

@@ -8,7 +8,6 @@ from wstsim.algebra import (
     ONE,
     ROOTS,
     FieldElement,
-    GaussianInt,
     apply_tau,
     embed,
     min_poly_value,
@@ -16,13 +15,18 @@ from wstsim.algebra import (
 )
 
 
+def random_ints(rng, bound=1000):
+    """Six uniform ints in [-bound, bound]: re and im of c0, c1, c2."""
+    return [int(v) for v in rng.integers(-bound, bound + 1, size=6)]
+
+
 def random_element(rng, bound=1000):
-    c = rng.integers(-bound, bound + 1, size=6)
-    return FieldElement(
-        GaussianInt(int(c[0]), int(c[1])),
-        GaussianInt(int(c[2]), int(c[3])),
-        GaussianInt(int(c[4]), int(c[5])),
-    )
+    return FieldElement(*random_ints(rng, bound))
+
+
+def constant(re, im):
+    """The Gaussian integer re + im*i as a field element."""
+    return FieldElement(re, im, 0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -47,27 +51,27 @@ def test_roots_are_distinct_and_ordered():
 
 
 def test_addition_examples():
-    assert FieldElement(1, 0, 0) + FieldElement(0, 1, 0) == FieldElement(1, 1, 0)
-    a = FieldElement(GaussianInt(1, 1), 2, 0)
-    b = FieldElement(GaussianInt(-1, -1), -2, 0)
-    assert a + b == FieldElement(0, 0, 0)
+    assert ONE + ETA == FieldElement(1, 0, 1, 0, 0, 0)
+    a = FieldElement(1, 1, 2, 0, 0, 0)
+    b = FieldElement(-1, -1, -2, 0, 0, 0)
+    assert a + b == FieldElement(0, 0, 0, 0, 0, 0)
 
 
 def test_addition_identity_random():
     rng = np.random.default_rng(1)
-    zero = FieldElement(0, 0, 0)
+    zero = FieldElement(0, 0, 0, 0, 0, 0)
     for _ in range(100):
         x = random_element(rng)
         assert x + zero == x
 
 
 def test_eta_squared_no_reduction():
-    assert ETA * ETA == FieldElement(0, 0, 1)
+    assert ETA * ETA == FieldElement(0, 0, 0, 0, 1, 0)
 
 
 def test_eta_cubed_reduces():
     # eta^3 = 1 + 2*eta - eta^2 via the derived cubic
-    assert (ETA * ETA) * ETA == FieldElement(1, 2, -1)
+    assert (ETA * ETA) * ETA == FieldElement(1, 0, 2, 0, -1, 0)
 
 
 def test_multiplicative_identity_random():
@@ -91,21 +95,28 @@ def test_multiplication_matches_embeddings():
 
 
 def test_multiplication_matches_gaussian_reference():
-    # exact oracle: schoolbook product on GaussianInt coefficients, reduced
-    # through eta^3 = 1 + 2*eta - eta^2 and eta^4 = -1 - eta + 3*eta^2
+    # exact oracle: schoolbook product on (re, im) Gaussian-integer
+    # coefficients, reduced through eta^3 = 1 + 2*eta - eta^2 and
+    # eta^4 = -1 - eta + 3*eta^2
     rng = np.random.default_rng(9)
     for bound in (10, 10**9):
         for _ in range(300):
-            a = random_element(rng, bound=bound)
-            b = random_element(rng, bound=bound)
-            t = [GaussianInt(0, 0)] * 5
-            for i, ai in enumerate(a.coefficients()):
-                for j, bj in enumerate(b.coefficients()):
-                    t[i + j] = t[i + j] + ai * bj
+            ca = random_ints(rng, bound=bound)
+            cb = random_ints(rng, bound=bound)
+            t = [(0, 0)] * 5
+            for i in range(3):
+                ar, ai = ca[2 * i], ca[2 * i + 1]
+                for j in range(3):
+                    br, bi = cb[2 * j], cb[2 * j + 1]
+                    tr, ti = t[i + j]
+                    t[i + j] = (tr + ar * br - ai * bi, ti + ar * bi + ai * br)
+            (t0r, t0i), (t1r, t1i), (t2r, t2i), (t3r, t3i), (t4r, t4i) = t
             expected = FieldElement(
-                t[0] + t[3] - t[4], t[1] + 2 * t[3] - t[4], t[2] - t[3] + 3 * t[4]
+                t0r + t3r - t4r, t0i + t3i - t4i,
+                t1r + 2 * t3r - t4r, t1i + 2 * t3i - t4i,
+                t2r - t3r + 3 * t4r, t2i - t3i + 3 * t4i,
             )
-            assert a * b == expected
+            assert FieldElement(*ca) * FieldElement(*cb) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +125,11 @@ def test_multiplication_matches_gaussian_reference():
 
 
 def test_tau_of_eta():
-    assert apply_tau(ETA, 1) == FieldElement(-2, 0, 1)
+    assert apply_tau(ETA, 1) == FieldElement(-2, 0, 0, 0, 1, 0)
 
 
 def test_tau_squared_of_eta():
-    assert apply_tau(ETA, 2) == FieldElement(1, -1, -1)
+    assert apply_tau(ETA, 2) == FieldElement(1, 0, -1, 0, -1, 0)
     # numeric cross-check: sigma_0(tau^2(eta)) = 2cos(8pi/7)
     assert abs(embed(apply_tau(ETA, 2), 0) - 2.0 * math.cos(8.0 * math.pi / 7.0)) < 1e-12
 
@@ -137,10 +148,12 @@ def test_tau_matches_substitution():
     for power in (1, 2):
         img = ETA
         for _ in range(power):
-            img = img * img - FieldElement(2)
+            img = img * img - constant(2, 0)
         for _ in range(300):
-            x = random_element(rng, bound=10**9)
-            assert apply_tau(x, power) == FieldElement(x.c0) + img * x.c1 + img * img * x.c2
+            c = random_ints(rng, bound=10**9)
+            assert apply_tau(FieldElement(*c), power) == (
+                constant(c[0], c[1]) + img * constant(c[2], c[3]) + img * img * constant(c[4], c[5])
+            )
 
 
 def test_tau_power_validation():
@@ -172,7 +185,7 @@ def test_tau_shifts_embeddings_cyclically():
 
 
 def test_embed_example_value():
-    assert abs(embed(FieldElement(1, 1, 1), 0) - 3.801938) < 1e-6
+    assert abs(embed(FieldElement(1, 0, 1, 0, 1, 0), 0) - 3.801938) < 1e-6
 
 
 def test_embed_trace_of_eta():
@@ -183,7 +196,7 @@ def test_embed_trace_of_eta():
 def test_embed_fixes_constants():
     for c in (-7, 0, 3):
         for j in range(3):
-            assert embed(FieldElement(c, 0, 0), j) == complex(c)
+            assert embed(constant(c, 0), j) == complex(c)
 
 
 def test_embed_index_validation():
@@ -198,14 +211,14 @@ def test_embed_index_validation():
 
 def test_trace_norm_of_eta():
     tr, nm = trace_norm(ETA)
-    assert tr == GaussianInt(-1, 0)
-    assert nm == GaussianInt(1, 0)
+    assert tr == (-1, 0)
+    assert nm == (1, 0)
 
 
 def test_trace_norm_of_one():
     tr, nm = trace_norm(ONE)
-    assert tr == GaussianInt(3, 0)
-    assert nm == GaussianInt(1, 0)
+    assert tr == (3, 0)
+    assert nm == (1, 0)
 
 
 def test_trace_norm_integrality_random():
@@ -219,69 +232,45 @@ def test_norm_nonzero_for_nonzero_random():
     rng = np.random.default_rng(8)
     seen = 0
     while seen < 1000:
-        x = random_element(rng, bound=10)
-        if not x:
+        c = random_ints(rng, bound=10)
+        if not any(c):
             continue
         seen += 1
-        _, nm = trace_norm(x)
-        assert nm != GaussianInt(0, 0)
+        _, nm = trace_norm(FieldElement(*c))
+        assert nm != (0, 0)
 
 
 def test_norm_nonzero_exhaustive_small_range():
     # every element with coefficients in {-1, 0, 1} + {-1, 0, 1}i
     vals = [-1, 0, 1]
     for c in np.stack(np.meshgrid(*[vals] * 6), axis=-1).reshape(-1, 6):
-        x = FieldElement(
-            GaussianInt(int(c[0]), int(c[1])),
-            GaussianInt(int(c[2]), int(c[3])),
-            GaussianInt(int(c[4]), int(c[5])),
-        )
-        if not x:
+        if not c.any():
             continue
-        _, nm = trace_norm(x)
-        assert nm != GaussianInt(0, 0)
+        _, nm = trace_norm(FieldElement(*c.tolist()))
+        assert nm != (0, 0)
 
 
 # ---------------------------------------------------------------------------
-# Gaussian integers
+# the six-int constructor
 # ---------------------------------------------------------------------------
 
 
-def test_gaussian_int_arithmetic():
-    a = GaussianInt(2, 3)
-    b = GaussianInt(-1, 4)
-    assert a + b == GaussianInt(1, 7)
-    assert a - b == GaussianInt(3, -1)
-    assert a * b == GaussianInt(-14, 5)
-    assert a.conj() == GaussianInt(2, -3)
-    assert complex(a) == 2 + 3j
-    assert 2 * a == GaussianInt(4, 6)
-
-
-def test_gaussian_int_rejects_non_ints():
-    with pytest.raises(TypeError):
-        GaussianInt(1.5, 0)
-
-
-def test_from_ints_equals_the_gaussian_constructor():
+def test_the_six_ints_are_re_and_im_of_c0_c1_c2():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        c = [int(v) for v in rng.integers(-1000, 1001, size=6)]
-        x = FieldElement.from_ints(*c)
-        assert x == FieldElement(GaussianInt(c[0], c[1]), GaussianInt(c[2], c[3]), GaussianInt(c[4], c[5]))
-        assert hash(x) == hash(FieldElement(GaussianInt(c[0], c[1]), GaussianInt(c[2], c[3]), GaussianInt(c[4], c[5])))
-        assert tuple(v for q in x.coefficients() for v in (q.re, q.im)) == tuple(c)
+        c = random_ints(rng)
+        x = FieldElement(*c)
+        assert x == constant(c[0], c[1]) + ETA * constant(c[2], c[3]) + ETA * ETA * constant(c[4], c[5])
+        assert repr(x) == f"FieldElement({c[0]}, {c[1]}, {c[2]}, {c[3]}, {c[4]}, {c[5]})"
 
 
 @pytest.mark.parametrize("bad", [1.0, "1", None])
-def test_from_ints_rejects_non_ints_like_the_constructor(bad):
+def test_constructor_rejects_non_ints(bad):
     for pos in range(6):
         coeffs = [1, -1, 3, 1, -3, 1]
         coeffs[pos] = bad
         with pytest.raises(TypeError):
-            FieldElement.from_ints(*coeffs)
-    with pytest.raises(TypeError):
-        FieldElement(GaussianInt(1, 1), bad, 0)
+            FieldElement(*coeffs)
 
 
 def test_embed_equals_the_complex_sum_bit_for_bit():
@@ -291,7 +280,7 @@ def test_embed_equals_the_complex_sum_bit_for_bit():
     for bound in (1, 3, 255, 10**6, 2**62):
         for _ in range(3000):
             c = [int(v) for v in rng.integers(-bound, bound, size=6, endpoint=True)]
-            x = FieldElement.from_ints(*c)
+            x = FieldElement(*c)
             for j, rho in enumerate(ROOTS):
                 want = complex(c[0], c[1]) + complex(c[2], c[3]) * rho + complex(c[4], c[5]) * (rho * rho)
                 got = embed(x, j)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import embedded_row
-from wstsim.algebra import ETA, FieldElement
+from wstsim.algebra import ETA, ONE, FieldElement
 from wstsim.channel import draw_cn, trial_rng
 from wstsim.encoder import (
     average_row_energy,
@@ -18,9 +18,10 @@ from wstsim.encoder import (
 from wstsim.lift import levels, lift
 
 
-def all_elements(m):
-    """Every constellation point's field element, in fragment order."""
-    return [FieldElement.from_ints(*levels(v, m)) for v in range(1 << (3 * m))]
+def all_levels(m):
+    """Every constellation point's six PAM levels (re and im of its three
+    Gaussian-integer coefficients), in fragment order."""
+    return [levels(v, m) for v in range(1 << (3 * m))]
 
 
 def all_rows(m):
@@ -33,7 +34,7 @@ def all_rows(m):
 
 
 def test_pair_codeword_of_ones():
-    p = embedded_row(FieldElement(1, 0, 0))
+    p = embedded_row(ONE)
     X = build_pair_codeword([p], [p], 2)
     assert X.shape == (1, 2, 3)
     assert np.allclose(X / normalizer(2), np.ones((1, 2, 3)))
@@ -41,7 +42,7 @@ def test_pair_codeword_of_ones():
 
 def test_pair_codeword_eta_row():
     p = embedded_row(ETA)
-    other = embedded_row(FieldElement(1, 0, 0))
+    other = embedded_row(ONE)
     X = build_pair_codeword([p], [other], 2)
     assert np.allclose(
         X[0, 0] / normalizer(2),
@@ -51,7 +52,7 @@ def test_pair_codeword_eta_row():
 
 
 def test_tdma_codeword_of_one():
-    p = embedded_row(FieldElement(1, 0, 0))
+    p = embedded_row(ONE)
     X = build_tdma_codeword([p], 2)
     assert X.shape == (1, 1, 3)
     assert np.allclose(X / normalizer(2), np.ones((1, 1, 3)))
@@ -80,14 +81,14 @@ def test_stacked_codewords_equal_per_session_bitwise(m):
 
 def test_dispersion_sum_reproduces_codeword_exhaustive_m2():
     basis = dispersion_basis(2)
-    elements, rows = all_elements(2), all_rows(2)
+    point_levels, rows = all_levels(2), all_rows(2)
     for v1 in range(64):
         for v2 in range(0, 64, 7):  # all v1 against a stride of v2: 64 x 10 pairs
             direct = build_pair_codeword([rows[v1]], [rows[v2]], 2)[0]
             assembled = np.zeros((2, 3), dtype=complex)
             for k, v in enumerate((v1, v2)):
-                for l, coeff in enumerate(elements[v].coefficients()):
-                    assembled[k] += complex(coeff) * basis[l]
+                for l in range(3):
+                    assembled[k] += complex(*point_levels[v][2 * l : 2 * l + 2]) * basis[l]
             assert np.max(np.abs(assembled - direct)) < 1e-12
 
 
@@ -95,7 +96,7 @@ def test_dispersion_sum_reproduces_codeword_all_pairs_m2():
     basis = dispersion_basis(2)
     rows = np.array(all_rows(2)) * normalizer(2)
     coeffs = np.array(
-        [[complex(c) for c in x.coefficients()] for x in all_elements(2)]
+        [[complex(*lv[2 * l : 2 * l + 2]) for l in range(3)] for lv in all_levels(2)]
     )
     assembled = coeffs @ basis
     assert np.max(np.abs(assembled - rows)) < 1e-12
@@ -148,13 +149,13 @@ def test_pair_difference_rank_exhaustive_m2():
     """
     from wstsim.algebra import apply_tau
 
-    elements = all_elements(2)
+    point_levels = all_levels(2)
     seen = {}
-    for a in elements:
-        for b in elements:
-            d = a - b
-            if d:
-                seen[d.coefficients()] = d
+    for a in point_levels:
+        for b in point_levels:
+            d = tuple(x - y for x, y in zip(a, b))
+            if any(d):
+                seen[d] = FieldElement(*d)
     diff_elements = list(seen.values())
     assert len(diff_elements) == 9**3 - 1
     rows = np.array(

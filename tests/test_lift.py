@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import embedded_row
-from wstsim.algebra import FieldElement, GaussianInt
+from wstsim.algebra import FieldElement
 from wstsim.encoder import average_row_energy
 from wstsim.lift import (
     _check_m,
@@ -44,15 +44,16 @@ def _check_bits(bits: str) -> None:
 
 @dataclass(frozen=True)
 class QamSymbol:
-    """One Gray-labelled 2^m-QAM symbol; both coordinates odd and in range."""
+    """One Gray-labelled 2^m-QAM symbol, value = (re, im); both coordinates
+    odd and in range."""
 
-    value: GaussianInt
+    value: tuple[int, int]
     m: int
 
     def __post_init__(self) -> None:
         _check_m(self.m)
         bound = (1 << (self.m // 2)) - 1
-        for c in (self.value.re, self.value.im):
+        for c in self.value:
             if c % 2 == 0 or abs(c) > bound:
                 raise ValueError(
                     f"{self.value!r} is not a {1 << self.m}-QAM symbol "
@@ -69,16 +70,15 @@ def gray_encode(bits: str) -> QamSymbol:
     top = (1 << half) - 1
     i_level = 2 * _gray_rank(bits[:half]) - top
     q_level = 2 * _gray_rank(bits[half:]) - top
-    return QamSymbol(GaussianInt(i_level, q_level), m)
+    return QamSymbol((i_level, q_level), m)
 
 
 def gray_decode(q: QamSymbol) -> str:
     """Exact inverse of gray_encode."""
     half = q.m // 2
     top = (1 << half) - 1
-    return _gray_word((q.value.re + top) // 2, half) + _gray_word(
-        (q.value.im + top) // 2, half
-    )
+    re, im = q.value
+    return _gray_word((re + top) // 2, half) + _gray_word((im + top) // 2, half)
 
 
 def all_bitstrings(width):
@@ -89,12 +89,12 @@ def string_element(bits: str, m: int) -> FieldElement:
     """The lattice point's field element of a 3m-bit string through the
     string Gray coder."""
     q = [gray_encode(bits[i * m : (i + 1) * m]).value for i in range(3)]
-    return FieldElement(*q)
+    return FieldElement(*(c for re_im in q for c in re_im))
 
 
 def element(value: int, m: int) -> FieldElement:
     """The field element of a fragment's lattice point, from its levels."""
-    return FieldElement.from_ints(*levels(value, m))
+    return FieldElement(*levels(value, m))
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +103,18 @@ def element(value: int, m: int) -> FieldElement:
 
 
 def test_gray_m2_corners():
-    assert gray_encode("00").value == GaussianInt(-1, -1)
-    assert gray_encode("11").value == GaussianInt(1, 1)
+    assert gray_encode("00").value == (-1, -1)
+    assert gray_encode("11").value == (1, 1)
 
 
 def test_gray_m4_example():
     # per-axis Gray order 00 -> -3, 01 -> -1, 11 -> +1, 10 -> +3
-    assert gray_encode("1000").value == GaussianInt(3, -3)
+    assert gray_encode("1000").value == (3, -3)
 
 
 def test_gray_decode_examples():
-    assert gray_decode(QamSymbol(GaussianInt(1, -1), 2)) == "10"
-    assert gray_decode(QamSymbol(GaussianInt(-1, 3), 4)) == "0110"
+    assert gray_decode(QamSymbol((1, -1), 2)) == "10"
+    assert gray_decode(QamSymbol((-1, 3), 4)) == "0110"
 
 
 def test_gray_roundtrip_exhaustive():
@@ -129,7 +129,7 @@ def test_gray_adjacent_levels_differ_in_one_bit():
         half = m // 2
         by_level = {}
         for bits in all_bitstrings(half):
-            by_level[gray_encode(bits + "0" * half).value.re] = bits
+            by_level[gray_encode(bits + "0" * half).value[0]] = bits
         levels = sorted(by_level)
         assert levels == list(pam_levels(m))
         for a, b in zip(levels, levels[1:]):
@@ -143,9 +143,9 @@ def test_gray_rejects_bad_input():
     with pytest.raises(ValueError):
         gray_encode("01a1")
     with pytest.raises(ValueError):
-        QamSymbol(GaussianInt(2, 1), 2)  # even coordinate
+        QamSymbol((2, 1), 2)  # even coordinate
     with pytest.raises(ValueError):
-        QamSymbol(GaussianInt(3, 1), 2)  # out of range for 4-QAM
+        QamSymbol((3, 1), 2)  # out of range for 4-QAM
 
 
 EVEN_M = range(2, 17, 2)
@@ -155,7 +155,7 @@ EVEN_M = range(2, 17, 2)
 def test_integer_gray_tables_equal_the_string_coder(m):
     # a word written on both axes is the symbol with that level on both
     half = m // 2
-    oracle = tuple(gray_encode(format(v, f"0{half}b") * 2).value.re for v in range(1 << half))
+    oracle = tuple(gray_encode(format(v, f"0{half}b") * 2).value[0] for v in range(1 << half))
     level, word = _gray_axis(m)
     assert level == oracle
     assert word == {lv: v for v, lv in enumerate(oracle)}
@@ -182,19 +182,14 @@ def test_pam_levels():
 
 
 def test_lift_all_zero_fragment():
-    expected = GaussianInt(-1, -1)
     assert levels(0, 2) == (-1,) * 6
-    assert element(0, 2).coefficients() == (expected, expected, expected)
+    assert element(0, 2) == FieldElement(-1, -1, -1, -1, -1, -1)
     assert abs(lift(0, 2)[0] - complex(-1, -1) * 3.801938) < 1e-5
 
 
 def test_lift_block_order_example():
     assert levels(0b110001, 2) == (1, 1, -1, -1, -1, 1)
-    assert element(0b110001, 2).coefficients() == (
-        GaussianInt(1, 1),
-        GaussianInt(-1, -1),
-        GaussianInt(-1, 1),
-    )
+    assert element(0b110001, 2) == FieldElement(1, 1, -1, -1, -1, 1)
 
 
 def test_lift_injective_m2():
@@ -275,10 +270,10 @@ def _float_bits(row):
 
 
 def test_lift_equals_the_object_path_bit_for_bit():
-    # the table-indexed levels and lift against GaussianInt ->
-    # FieldElement -> embeddings built through gray_encode: same element
-    # and the same floats, signs of zero included; lift's row is the
-    # embeddings of the element levels gives, and unlift inverts levels
+    # the table-indexed levels and lift against the (re, im) symbols of
+    # gray_encode -> FieldElement -> embeddings: same element and the same
+    # floats, signs of zero included; lift's row is the embeddings of the
+    # element levels gives, and unlift inverts levels
     rng = np.random.default_rng(20)
     for m in range(2, 17, 2):
         if m <= 4:
@@ -287,17 +282,14 @@ def test_lift_equals_the_object_path_bit_for_bit():
             values = [int(v) for v in rng.integers(0, 1 << (3 * m), size=2000)]
         for v in values:
             oracle = string_element(format(v, f"0{3 * m}b"), m)
-            x = FieldElement.from_ints(*levels(v, m))
+            x = FieldElement(*levels(v, m))
             assert x == oracle
             assert _float_bits(lift(v, m)) == _float_bits(embedded_row(oracle)) == _float_bits(embedded_row(x))
             assert unlift(levels(v, m), m) == v
 
 
 def test_value_object_reprs():
-    assert repr(element(5, 2)) == (
-        "FieldElement(c0=GaussianInt(re=-1, im=-1), "
-        "c1=GaussianInt(re=-1, im=1), c2=GaussianInt(re=-1, im=1))"
-    )
+    assert repr(element(5, 2)) == "FieldElement(-1, -1, -1, 1, -1, 1)"
     assert repr(lift(5, 2)) == (
         "((-3.801937735804839+1.8019377358048387j), "
         "(-0.7530203962825329-1.246979603717467j), (-2.4450418679126282+0.44504186791262823j))"
