@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,13 +68,9 @@ def draw_cn(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> n
     return buf.view(complex).reshape(shape)
 
 
-@dataclass(frozen=True)
-class SnrPoint:
-    snr_db: float
-
-    @property
-    def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
+def snr_linear(db: float) -> float:
+    """The linear SNR of a value in dB."""
+    return 10.0 ** (db / 10.0)
 
 
 def draw_session(

@@ -7,11 +7,12 @@ checks).  Every option is checked where argparse parses it, so a bad value
 exits 2 before any work starts.  Every output file embeds a provenance
 header: the version and every parsed option except the run-time ones
 (--out-dir, --workers, --config), the master seed included, which is enough
-to re-run it bit-identically.  simulate and repair run their trials through
-one block-sweep driver: it cuts the trial offsets into one range per worker,
-each range spanning the whole SNR grid, so a worker's batches mix the
-points' trials.  Every trial keeps its own index and substream, and all
-merged statistics are integer counts, so results depend neither on the
+to re-run it bit-identically.  outage, simulate and repair run through
+parallel.sweep and get back integer counts per SNR point, from which this
+module builds every rate, interval and slope it writes.  A simulate or
+repair cell is one trial, whose trial index is its cell index, so trial t
+of point i has index i * trials + t and its own substream; a worker runs its
+trials in batches that may mix the points.  Results depend neither on the
 worker count nor on the batching.  Exit codes: 0 success, 2 configuration
 error, 3 runtime error, 4 statistical insufficiency.
 """
@@ -33,11 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import SnrPoint, trial_rng
+from .channel import snr_linear, trial_rng
 from .dmt import DmtCurve, dmt_group, emit_fig1
 from .lift import levels, lift, random_fragment, unlift
-from .outage import OutageSpec, run_outage_sweep
-from .parallel import map_tasks
+from .outage import InsufficientSamplesError, OutageSpec, estimate_slope, run_outage_sweep, wilson_interval
+from .parallel import sweep
 from .protocol import run_repair_trials, run_session_trials, run_sessions
 from .storage import StorageConfig, mds_encode, repair_node
 from . import algebra
@@ -65,7 +66,7 @@ MAX_GRID_POINTS = 10_000
 MAX_QAM_BITS = 16
 
 #: most trials a worker runs as one batch
-BLOCK_TRIALS = 250
+BATCH_TRIALS = 250
 
 #: most bits a repair share may hold: 8 KiB
 MAX_FRAGMENT_BITS = 65_536
@@ -263,15 +264,21 @@ def cmd_outage(args) -> int:
         seed=args.seed,
     )
     start = time.perf_counter()
-    est = run_outage_sweep(spec, workers=args.workers)
+    counts = run_outage_sweep(spec, workers=args.workers)
     elapsed = time.perf_counter() - start
+    n = spec.trials
+    p_hat = [c / n for c in counts]
     fixed = (spec.scheme, spec.K, spec.r, spec.rate_offset_bits)
-    rows = (fixed + (c.snr_db, c.trials, c.outages, c.p_hat, c.ci_lo, c.ci_hi) for c in est.cells)
+    rows = (fixed + (db, n, c, p, *wilson_interval(c, n)) for db, c, p in zip(spec.snr_grid_db, counts, p_hat))
     csv_path = _write_csv(args, f"outage_{spec.scheme}_K{spec.K}.csv", OUTAGE_HEADER, rows)
+    try:
+        slope, slope_error = estimate_slope(spec.snr_grid_db, p_hat), None
+    except InsufficientSamplesError as exc:
+        slope, slope_error = None, str(exc)
     summary = {
         "provenance": {"version": __version__, **_config(args)},
-        "slope": None if est.slope is None else dataclasses.asdict(est.slope),
-        "slope_error": est.slope_error,
+        "slope": None if slope is None else dataclasses.asdict(slope),
+        "slope_error": slope_error,
     }
     json_path = csv_path.with_name(f"{csv_path.stem}_summary.json")
     json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -279,51 +286,30 @@ def cmd_outage(args) -> int:
         f"outage: {spec.trials} trials x {len(spec.snr_grid_db)} SNR points "
         f"in {elapsed:.1f}s -> {csv_path}"
     )
-    if est.slope is None:
-        print(f"outage: slope fit unavailable: {est.slope_error}", file=sys.stderr)
+    if slope is None:
+        print(f"outage: slope fit unavailable: {slope_error}", file=sys.stderr)
         return EXIT_STATS
-    print(f"outage: d_hat = {est.slope.d_hat:.3f} (stderr {est.slope.stderr:.3f})")
+    print(f"outage: d_hat = {slope.d_hat:.3f} (stderr {slope.stderr:.3f})")
     return EXIT_OK
 
 
-def _block_sweep(worker, params, args, width: int) -> list[list[int]]:
-    """Run args.trials trials at each point of args.snr_grid and return the
-    width integer counts summed per point.
-
-    Trial t of point i has trial index i * args.trials + t.  The trial
-    offsets [0, args.trials) are cut into at most as many contiguous ranges
-    as there are workers, CPUs and trials, and each range spans the whole
-    grid, one task each: (params, seed, grid, trials, start, stop) runs
-    trials [start, stop) of every point.  worker(task) returns the task's
-    counts, one row per point.
-    """
-    n = args.trials
-    parts = max(1, min(args.workers, os.cpu_count() or 1, n))
-    grid = tuple(args.snr_grid)
-    tasks = [(params, args.seed, grid, n, j * n // parts, (j + 1) * n // parts) for j in range(parts)]
-    totals = np.zeros((len(grid), width), dtype=np.int64)
-    for counts in map_tasks(worker, tasks, args.workers):
-        totals += counts
-    return totals.tolist()
-
-
-def _grid_blocks(grid, trials: int, start: int, stop: int):
-    """The trials [start, stop) of every point of grid, point by point, in
-    blocks of at most BLOCK_TRIALS, each generated as it is taken: three
-    tuples, each trial's point index, amplitude sqrt(snr_linear) and trial
-    index."""
-    amps = [math.sqrt(SnrPoint(db).snr_linear) for db in grid]
-    cells = ((i, a, i * trials + t) for i, a in enumerate(amps) for t in range(start, stop))
-    while block := list(itertools.islice(cells, BLOCK_TRIALS)):
-        yield zip(*block)
+def _batches(grid, trials: int, first: int, step: int):
+    """The trials of cells first, first + step, ... of a sweep of trials
+    trials a point over grid, in batches of at most BATCH_TRIALS, each
+    generated as it is taken: three tuples, each trial's point index,
+    amplitude sqrt(snr_linear) and trial index (its cell index)."""
+    amps = [math.sqrt(snr_linear(db)) for db in grid]
+    cells = ((j // trials, amps[j // trials], j) for j in range(first, len(grid) * trials, step))
+    while batch := list(itertools.islice(cells, BATCH_TRIALS)):
+        yield zip(*batch)
 
 
 def _session_range(task):
-    """Worker: storage-free session trials [start, stop) of every SNR point,
-    as counts per point."""
-    (m, scheme, decoder_mode), seed, grid, trials, start, stop = task
+    """Worker: the storage-free session trials of a parallel.sweep task, as
+    counts per point."""
+    (m, scheme, decoder_mode), seed, grid, trials, first, step = task
     counts = [[0, 0, 0] for _ in grid]  # trials, errors, visited nodes
-    for rows, amps, indices in _grid_blocks(grid, trials, start, stop):
+    for rows, amps, indices in _batches(grid, trials, first, step):
         results = run_session_trials(m, amps, scheme, decoder_mode, seed, indices)
         for i, (errored, visited) in zip(rows, results):
             row = counts[i]
@@ -334,12 +320,12 @@ def _session_range(task):
 
 
 def _repair_range(task):
-    """Worker: repair trials [start, stop) of every SNR point, as counts per
+    """Worker: the repair trials of a parallel.sweep task, as counts per
     point."""
-    (cfg, m, scheme, decoder_mode, noiseless), seed, grid, trials, start, stop = task
+    (cfg, m, scheme, decoder_mode, noiseless), seed, grid, trials, first, step = task
     # sessions, errored, shares, failed, repairs, repair_fail
     counts = [[0] * 6 for _ in grid]
-    for rows, amps, indices in _grid_blocks(grid, trials, start, stop):
+    for rows, amps, indices in _batches(grid, trials, first, step):
         results = run_repair_trials(cfg, m, amps, scheme, decoder_mode, seed, indices, noiseless)
         for i, res in zip(rows, results):
             row = counts[i]
@@ -355,7 +341,7 @@ def _repair_range(task):
 def cmd_simulate(args) -> int:
     start = time.perf_counter()
     params = (args.m, args.scheme, args.decoder)
-    totals = _block_sweep(_session_range, params, args, 3)
+    totals = sweep(_session_range, params, args.seed, args.snr_grid, args.trials, args.workers).tolist()
     elapsed = time.perf_counter() - start
     rows = [
         (args.scheme, args.m, args.decoder, db, n, errors, errors / n, visited / n)
@@ -375,7 +361,7 @@ def cmd_repair(args) -> int:
     cfg = StorageConfig(n=args.n, k=args.k, d=args.d, fragment_bits=args.fragment_bits)
     start = time.perf_counter()
     params = (cfg, args.m, args.scheme, args.decoder, args.noiseless)
-    totals = _block_sweep(_repair_range, params, args, 6)
+    totals = sweep(_repair_range, params, args.seed, args.snr_grid, args.trials, args.workers).tolist()
     elapsed = time.perf_counter() - start
     rows = [
         (db, repairs, errored / sessions, failed / shares, unrepaired / repairs, args.scheme)
@@ -430,7 +416,7 @@ def _selftest_decoder(seed: int) -> tuple[bool, str]:
 
     checked = 0
     for db in (10.0, 25.0):
-        amp = np.full(50, math.sqrt(SnrPoint(db).snr_linear))
+        amp = np.full(50, math.sqrt(snr_linear(db)))
         sphere = run_sessions(sessions(), 2, amp, "sphere")
         oracle = run_sessions(sessions(), 2, amp, "ml")
         for (_, _, a), (_, _, b) in zip(sphere, oracle):
@@ -463,7 +449,7 @@ def _selftest_outage(rng) -> tuple[bool, str]:
     # paths: cleared by the bound, in outage by an exact check, and walked
     chans = draw_cn(rng, (300, 2, 4))
     for db in (0.0, 10.0):
-        args = (SnrPoint(db), 4, Fraction(1, 4), 1.0)
+        args = (snr_linear(db), 4, Fraction(1, 4), 1.0)
         if not np.array_equal(outage_trial_full_mac(chans, *args), full_mac_outage_reference(chans, *args)):
             return False, f"full-MAC outage disagrees with the direct evaluator at {db:g} dB"
     return True, "full-MAC outage == direct evaluator on 300 K=4 draws at 0 and 10 dB"
@@ -599,7 +585,7 @@ def main(argv=None) -> int:
             print(f"wstsim: config {config_path} must hold a JSON object", file=sys.stderr)
             return EXIT_CONFIG
         defaults = vars(subparsers[args.command].parse_args([]))
-        unknown = set(data) - set(defaults) - {"fn"}
+        unknown = set(data) - (set(defaults) - {"fn"})
         if unknown:
             print(f"wstsim: unknown config keys {sorted(unknown)}", file=sys.stderr)
             return EXIT_CONFIG

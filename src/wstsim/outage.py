@@ -1,7 +1,7 @@
 """Monte Carlo outage-probability estimation and diversity-slope regression.
 
-Rates follow the finite-SNR convention R = gain * log2(snr_linear) + offset
-bits per channel use.  Each scheme sends the K users in groups of g (TDMA
+Rates follow the finite-SNR convention R = gain * log2(snr) + offset bits
+per channel use, with snr the linear SNR the predicates take.  Each scheme sends the K users in groups of g (TDMA
 g = 1, the pair scheme g = 2, the full MAC g = K), so an active user's gain
 is K*r/g: K*r for TDMA, K*r/2 for a pair member and r for a full-MAC user.
 The offset keeps r = 0 measurable (zero rate has no outage event), so sweeps
@@ -32,9 +32,9 @@ the predicates return fresh arrays, never a view of them.
 The outage predicates are pure and vectorized: they accept one channel
 realization or any leading batch shape.  Sweeps draw channels in fixed-size
 blocks of 16384 trials, each block on its own Philox counter substream keyed
-by (snr index, block index), so counts are a pure function of the spec and
-its seed, and worker partitions (which are block-aligned) cannot change the
-result.  All merged statistics derive from integer counts.
+by (snr index, block index).  A block is one cell of parallel.sweep, so the
+outage count of each point is a pure function of the spec and its seed,
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import SnrPoint, draw_cn, trial_rng
-from .parallel import map_tasks
+from .channel import draw_cn, snr_linear, trial_rng
+from .parallel import sweep
 
-#: trials per RNG block; worker partitions are aligned to this
+#: trials per RNG block, the unit of an outage sweep's cells
 BLOCK_TRIALS = 16384
 
 #: the all-subsets constraint check grows as 2^K
@@ -88,8 +88,8 @@ def _slot(name: str, K: int, n: int) -> np.ndarray:
     return _workspace.take(name, max(4 * K, K + K * (K - 1) // 2) * n)
 
 
-def _rate(gain: float, snr: SnrPoint, offset: float) -> float:
-    return gain * math.log2(snr.snr_linear) + offset
+def _rate(gain: float, snr: float, offset: float) -> float:
+    return gain * math.log2(snr) + offset
 
 
 def _check_users(K: int) -> None:
@@ -97,8 +97,8 @@ def _check_users(K: int) -> None:
         raise ValueError(f"K (the number of helpers) must be at least 1, got {K!r}")
 
 
-def outage_trial_tdma(chan, snr: SnrPoint, K: int, r, offset: float):
-    """Outage iff log2(1 + snr*||h||^2) < K*r*log2(snr) + offset.
+def outage_trial_tdma(chan, snr: float, K: int, r, offset: float):
+    """Outage iff log2(1 + snr*||h||^2) < K*r*log2(snr) + offset, snr linear.
 
     chan holds the helper's receive vector(s), shape (..., 2) or (..., 2, 1).
     """
@@ -106,14 +106,13 @@ def outage_trial_tdma(chan, snr: SnrPoint, K: int, r, offset: float):
     h = np.asarray(chan)
     if h.ndim >= 2 and h.shape[-1] == 1:
         h = h[..., 0]
-    s = snr.snr_linear
     rate = _rate(K * float(r), snr, offset)
-    cap = np.log2(1.0 + s * (np.abs(h) ** 2).sum(axis=-1))
+    cap = np.log2(1.0 + snr * (np.abs(h) ** 2).sum(axis=-1))
     out = cap < rate
     return out if out.ndim else bool(out)
 
 
-def outage_trial_pair(chan, snr: SnrPoint, K: int, r, offset: float):
+def outage_trial_pair(chan, snr: float, K: int, r, offset: float):
     """Outage of one active pair against the three 2-user MAC constraints.
 
     chan has shape (..., 2, 2); column u is user u's receive vector.  Each
@@ -123,17 +122,16 @@ def outage_trial_pair(chan, snr: SnrPoint, K: int, r, offset: float):
     """
     _check_users(K)
     h = np.asarray(chan)
-    s = snr.snr_linear
     r_user = _rate(K * float(r) / 2.0, snr, offset)
     h_sq = np.abs(h) ** 2
-    per_user = np.log2(1.0 + s * h_sq.sum(axis=-2))
+    per_user = np.log2(1.0 + snr * h_sq.sum(axis=-2))
     det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
-    joint = np.log2(1.0 + s * h_sq.sum(axis=(-2, -1)) + (s * s) * np.abs(det) ** 2)
+    joint = np.log2(1.0 + snr * h_sq.sum(axis=(-2, -1)) + (snr * snr) * np.abs(det) ** 2)
     out = (per_user[..., 0] < r_user) | (per_user[..., 1] < r_user) | (joint < 2.0 * r_user)
     return out if out.ndim else bool(out)
 
 
-def full_mac_outage_reference(chan, snr: SnrPoint, K: int, r, offset: float):
+def full_mac_outage_reference(chan, snr: float, K: int, r, offset: float):
     """Outage of the full K-user MAC: any of the 2^K - 1 subset constraints
     |S| * R > log2 det(I + snr * H_S H_S^H) fails, R = r*log2(snr) + offset.
 
@@ -147,7 +145,6 @@ def full_mac_outage_reference(chan, snr: SnrPoint, K: int, r, offset: float):
     h = np.asarray(chan)
     if h.shape[-1] != K:
         raise ValueError(f"expected {K} user columns, got {h.shape[-1]}")
-    s = snr.snr_linear
     rate = _rate(float(r), snr, offset)
     out = np.zeros(h.shape[:-2], dtype=bool)
     for size in range(1, K + 1):
@@ -158,7 +155,7 @@ def full_mac_outage_reference(chan, snr: SnrPoint, K: int, r, offset: float):
             g01 = (sub[..., 0, :] * sub[..., 1, :].conj()).sum(axis=-1)
             det = g00 * g11 - np.abs(g01) ** 2
             with np.errstate(invalid="ignore", divide="ignore"):
-                cap = np.log2(1.0 + s * (g00 + g11) + (s * s) * det)
+                cap = np.log2(1.0 + snr * (g00 + g11) + (snr * snr) * det)
             out |= cap < size * rate
     return out if out.ndim else bool(out)
 
@@ -369,7 +366,7 @@ def _subset_bound_gaps(terms: np.ndarray, rate: float) -> tuple[np.ndarray, np.n
     return w, tol
 
 
-def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
+def outage_trial_full_mac(chan, snr: float, K: int, r, offset: float):
     """Outage of the full K-user MAC, flag for flag equal to
     full_mac_outage_reference.
 
@@ -393,13 +390,13 @@ def outage_trial_full_mac(chan, snr: SnrPoint, K: int, r, offset: float):
     if h.shape[-1] != K:
         raise ValueError(f"expected {K} user columns, got {h.shape[-1]}")
     rows = h.reshape(-1, 2, K)
-    s, rate = snr.snr_linear, _rate(float(r), snr, offset)
-    gaps, tol = _subset_bound_gaps(_user_terms(rows, s), rate)
+    rate = _rate(float(r), snr, offset)
+    gaps, tol = _subset_bound_gaps(_user_terms(rows, snr), rate)
     out = (gaps[0] < -tol) | (gaps[-1] < -tol)
     walk = ~out & ~(gaps > tol).all(axis=0)
     if walk.any():
         sub = rows[walk]
-        margin = _full_mac_margin(sub, s, K, rate)
+        margin = _full_mac_margin(sub, snr, K, rate)
         flags = margin < 0.0
         unsure = ~(np.abs(margin) > _MARGIN_TOL)
         if unsure.any():
@@ -489,67 +486,34 @@ class OutageSpec:
         object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
 
 
-@dataclass(frozen=True)
-class OutageCell:
-    snr_db: float
-    trials: int
-    outages: int
-    p_hat: float
-    ci_lo: float
-    ci_hi: float
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    cells: tuple[OutageCell, ...]
-    slope: SlopeFit | None
-    slope_error: str | None = None
-
-
-def _block_counts(task) -> list[int]:
-    """Outage counts per SNR point over the blocks of task (spec, i, n):
-    blocks i, i + n, i + 2n, ... of the sweep, where block j is block
-    j mod B of SNR point j // B, for B = ceil(trials / BLOCK_TRIALS) blocks
-    a point.  The blocks are generated, never listed, and each is drawn into
-    the thread's workspace buffer "draw", which grows to the largest block
-    drawn, so sweeps in one process allocate their channel draws once."""
-    spec, first, step = task
+def _block_counts(task) -> np.ndarray:
+    """Worker: the outage counts per SNR point of the blocks of task, cells
+    first, first + step, ... of the sweep, where cell j is block j % B of
+    point j // B, for B = ceil(trials / BLOCK_TRIALS) blocks a point.  Each
+    block is drawn into the thread's workspace buffer "draw", which grows to
+    the largest block drawn, so sweeps in one process allocate their channel
+    draws once."""
+    (scheme, K, r, offset, trials), seed, grid, per_point, first, step = task
     # the predicate and the channel shape of one row; the predicates are
     # looked up per call, so a wrapper set on the module attribute is used
     predicate, row_shape = {
         "tdma": (outage_trial_tdma, (2,)),
         "pair": (outage_trial_pair, (2, 2)),
-        "full-mac": (outage_trial_full_mac, (2, spec.K)),
-    }[spec.scheme]
-    per_point = -(-spec.trials // BLOCK_TRIALS)
-    counts = [0] * len(spec.snr_grid_db)
-    for j in range(first, len(counts) * per_point, step):
+        "full-mac": (outage_trial_full_mac, (2, K)),
+    }[scheme]
+    counts = [0] * len(grid)
+    for j in range(first, len(grid) * per_point, step):
         snr_idx, block_idx = divmod(j, per_point)
-        size = min(BLOCK_TRIALS, spec.trials - block_idx * BLOCK_TRIALS)
+        size = min(BLOCK_TRIALS, trials - block_idx * BLOCK_TRIALS)
         buf = _workspace.take("draw", 2 * math.prod(row_shape) * size)
-        chan = draw_cn(trial_rng(spec.seed, snr_idx, block_idx), (size, *row_shape), out=buf)
-        snr = SnrPoint(spec.snr_grid_db[snr_idx])
-        counts[snr_idx] += int(predicate(chan, snr, spec.K, spec.r, spec.rate_offset_bits).sum())
-    return counts
+        chan = draw_cn(trial_rng(seed, snr_idx, block_idx), (size, *row_shape), out=buf)
+        counts[snr_idx] += int(predicate(chan, snr_linear(grid[snr_idx]), K, r, offset).sum())
+    return np.array(counts, dtype=np.int64)
 
 
-def run_outage_sweep(spec: OutageSpec, workers: int = 1) -> OutageEstimate:
-    """Run the sweep; counts are identical for any worker count.
-
-    The blocks are dealt round-robin into one task per worker; a task names
-    its first block and the stride, so its size does not grow with trials.
-    """
-    n_blocks = len(spec.snr_grid_db) * -(-spec.trials // BLOCK_TRIALS)
-    n_tasks = min(max(workers or 1, 1), n_blocks)
-    tasks = [(spec, i, n_tasks) for i in range(n_tasks)]
-    counts = [sum(c) for c in zip(*map_tasks(_block_counts, tasks, workers))]
-    cells = []
-    for snr_idx, db in enumerate(spec.snr_grid_db):
-        c = counts[snr_idx]
-        lo, hi = wilson_interval(c, spec.trials)
-        cells.append(OutageCell(db, spec.trials, c, c / spec.trials, lo, hi))
-    try:
-        slope = estimate_slope([c.snr_db for c in cells], [c.p_hat for c in cells])
-        return OutageEstimate(tuple(cells), slope)
-    except InsufficientSamplesError as exc:
-        return OutageEstimate(tuple(cells), None, slope_error=str(exc))
+def run_outage_sweep(spec: OutageSpec, workers: int = 1) -> list[int]:
+    """The outage count of each SNR point of the sweep, out of spec.trials;
+    the counts are identical for any worker count."""
+    params = (spec.scheme, spec.K, spec.r, spec.rate_offset_bits, spec.trials)
+    blocks = -(-spec.trials // BLOCK_TRIALS)
+    return sweep(_block_counts, params, spec.seed, spec.snr_grid_db, blocks, workers).tolist()

@@ -8,7 +8,7 @@ import numpy as np
 
 import wstsim
 from wstsim.algebra import FieldElement, embed
-from wstsim.channel import SnrPoint, transmit
+from wstsim.channel import snr_linear, transmit
 from wstsim.decoder import decode_session, factor_sessions
 from wstsim.encoder import build_pair_codeword, build_tdma_codeword
 
@@ -36,7 +36,7 @@ def embedded_row(element: FieldElement) -> tuple[complex, complex, complex]:
 
 def amp_of(snr_db: float) -> float:
     """The amplitude sqrt(snr_linear) that scales a session sent at snr_db."""
-    return math.sqrt(SnrPoint(snr_db).snr_linear)
+    return math.sqrt(snr_linear(snr_db))
 
 
 def codeword_one(rows, m):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import amp_of, transmit_one
-from wstsim.channel import SnrPoint, draw_cn, draw_session, transmit, trial_rng
+from wstsim.channel import draw_cn, draw_session, snr_linear, transmit, trial_rng
 from wstsim.encoder import build_pair_codeword, normalizer
 from wstsim.lift import lift
 
 
 def test_snr_point():
-    assert SnrPoint(0.0).snr_linear == 1.0
-    assert abs(SnrPoint(10.0).snr_linear - 10.0) < 1e-12
-    assert abs(SnrPoint(-3.0).snr_linear - 10 ** (-0.3)) < 1e-12
+    assert snr_linear(0.0) == 1.0
+    assert abs(snr_linear(10.0) - 10.0) < 1e-12
+    assert abs(snr_linear(-3.0) - 10 ** (-0.3)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,9 @@ def _pair_codeword(v1, v2):
 def test_transmit_identity_channel_zero_noise():
     X = _pair_codeword(0b010011, 0b111000)
     h = np.array([[[1.0], [0.0]], [[0.0], [1.0]]], dtype=complex)
-    snr = SnrPoint(20.0)
+    snr = snr_linear(20.0)
     Y = transmit_one(X, h, ZERO_NOISE, amp_of(20.0))
-    assert np.allclose(Y, np.sqrt(snr.snr_linear) * X)
+    assert np.allclose(Y, np.sqrt(snr) * X)
 
 
 def test_transmit_zero_codeword_returns_noise():
@@ -158,11 +158,11 @@ def test_received_snr_calibration():
     h = draw_cn(rng, (trials, 2, 2))  # receive antenna x user
     idx = rng.integers(0, 64, size=(trials, 2))
     x = rows[idx]  # (trials, user, T)
-    snr = SnrPoint(7.0)
-    signal = np.sqrt(snr.snr_linear) * np.einsum("tru,tuc->trc", h, x)
+    snr = snr_linear(7.0)
+    signal = np.sqrt(snr) * np.einsum("tru,tuc->trc", h, x)
     w = draw_cn(rng, (trials, 2, 3))
     ratio = float(np.mean(np.abs(signal) ** 2).sum() / np.mean(np.abs(w) ** 2).sum())
-    expected = snr.snr_linear * 1 * 2
+    expected = snr * 1 * 2
     assert abs(ratio - expected) / expected < 0.03
 
 

@@ -6,14 +6,11 @@ import re
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 
-import numpy as np
 import pytest
 from conftest import wstsim_env
 
 import wstsim.cli as cli
-import wstsim.outage as outage
 from wstsim.cli import MAX_FRAGMENT_BITS, MAX_GRID_POINTS, MAX_QAM_BITS, build_parser, main
 
 RUN = [sys.executable, "-m", "wstsim"]
@@ -162,6 +159,14 @@ def test_outage_config_rejects_unknown_keys(tmp_path):
     res = run_cli("outage", "--config", str(cfg), "--seed", "1", cwd=tmp_path)
     assert res.returncode == 2
     assert "bogus_key" in res.stderr
+
+
+def test_config_rejects_the_handler_key(tmp_path, capsys):
+    # "fn" is argparse's entry for the command's handler, not an option
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"fn": 1}))
+    assert main(["outage", "--config", str(cfg), "--seed", "1", "--out-dir", str(tmp_path)]) == 2
+    assert "unknown config keys ['fn']" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -365,102 +370,6 @@ def test_one_parser_serves_many_runs_without_carrying_state(tmp_path):
     assert main(good + ["--out-dir", str(tmp_path / "after")]) == 0
     assert build_parser() is parser
     assert [(tmp_path / "after" / name).read_bytes() for name in names] == alone
-
-
-def capture_tasks(monkeypatch):
-    """Make the sweep driver hand its tasks to a list instead of running
-    them; each task reports its trial count for every count of every point."""
-    tasks = []
-
-    def fake_map_tasks(worker, task_list, workers):
-        tasks.extend(task_list)
-        width = 3 if worker is cli._session_range else 6
-        return [np.full((len(t[2]), width), t[5] - t[4]) for t in tasks]
-
-    monkeypatch.setattr(cli, "map_tasks", fake_map_tasks)
-    return tasks
-
-
-def test_a_huge_trial_count_makes_one_range_per_worker(monkeypatch, tmp_path):
-    # 10**12 trials at 5 SNR points: 2 tasks, each spanning the grid, whose
-    # offsets tile [0, 10**12) once, so trial t of point i (index
-    # i * 10**12 + t) falls in exactly one; the tasks are only collected,
-    # not run
-    tasks = capture_tasks(monkeypatch)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    trials = 10**12
-    argv = ["simulate", "--trials", str(trials), "--snr-grid", "10:30:5", "--workers", "2",
-            "--seed", "1", "--out-dir", str(tmp_path)]
-    assert main(argv) == 0
-    assert len(tasks) == 2
-    assert all(t[2] == (10.0, 15.0, 20.0, 25.0, 30.0) and t[3] == trials for t in tasks)
-    bounds = [(t[4], t[5]) for t in tasks]
-    assert bounds[0][0] == 0 and bounds[-1][1] == trials
-    assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
-    assert all(0 <= t[4] < t[5] <= trials for t in tasks)
-    rows = (tmp_path / "simulate_pair_m2_sphere.csv").read_text().splitlines()[3:]
-    assert [int(row.split(",")[4]) for row in rows] == [trials] * 5
-
-
-def test_a_huge_outage_trial_count_makes_one_small_task_per_worker(monkeypatch, tmp_path):
-    # an outage task is (spec, i, n), blocks i, i + n, ... of the sweep.  On
-    # a small grid (3 blocks a point, the last of 3 trials) the tasks of any
-    # worker count draw every (point, block) once at its size and count what
-    # one task counts; at 10**12 trials and 4 points there are still 2 such
-    # tasks, only collected, not run
-    trials = 2 * outage.BLOCK_TRIALS + 3
-    spec = outage.OutageSpec("tdma", 2, Fraction(1, 2), 0.0, (0.0, 10.0), trials, 5)
-    alone = outage.run_outage_sweep(spec)
-    keys, sizes, tasks = [], [], []
-    real_rng, real_draw = outage.trial_rng, outage.draw_cn
-
-    def recording_rng(*key):
-        keys.append(key)
-        return real_rng(*key)
-
-    def recording_draw(rng, shape, out):
-        sizes.append(shape[0])
-        return real_draw(rng, shape, out=out)
-
-    def run_serially(worker, task_list, workers):
-        tasks.extend(task_list)
-        return [worker(t) for t in task_list]
-
-    monkeypatch.setattr(outage, "trial_rng", recording_rng)
-    monkeypatch.setattr(outage, "draw_cn", recording_draw)
-    monkeypatch.setattr(outage, "map_tasks", run_serially)
-    every_block = sorted(
-        ((5, p, b), size) for p in range(2) for b, size in enumerate((outage.BLOCK_TRIALS,) * 2 + (3,))
-    )
-    for workers in (1, 2, 4, 6, 9):
-        keys.clear(), sizes.clear(), tasks.clear()
-        assert outage.run_outage_sweep(spec, workers) == alone
-        n = min(workers, 6)
-        assert tasks == [(spec, i, n) for i in range(n)]
-        assert sorted(zip(keys, sizes)) == every_block
-
-    def collect(worker, task_list, workers):
-        tasks.extend(task_list)
-        return [[0] * 4 for _ in task_list]
-
-    tasks.clear()
-    monkeypatch.setattr(outage, "map_tasks", collect)
-    argv = ["outage", "--scheme", "tdma", "--K", "2", "--trials", str(10**12), "--snr-grid", "10:25:5",
-            "--workers", "2", "--seed", "1", "--out-dir", str(tmp_path)]
-    assert main(argv) == 4  # no outage counted, so no slope
-    assert [t[1:] for t in tasks] == [(0, 2), (1, 2)]
-    assert all(t[0].trials == 10**12 and t[0].snr_grid_db == (10.0, 15.0, 20.0, 25.0) for t in tasks)
-    rows = (tmp_path / "outage_tdma_K2.csv").read_text().splitlines()[3:]
-    assert [int(row.split(",")[5]) for row in rows] == [10**12] * 4
-
-
-def test_one_worker_makes_one_range_spanning_the_grid(monkeypatch, tmp_path):
-    # the benchmark's shape: 10 repair trials at 5 SNR points, one worker
-    tasks = capture_tasks(monkeypatch)
-    argv = ["repair", "--trials", "10", "--snr-grid", "10:30:5", "--workers", "1",
-            "--seed", "4", "--out-dir", str(tmp_path)]
-    assert main(argv) == 0
-    assert [t[1:] for t in tasks] == [(4, (10.0, 15.0, 20.0, 25.0, 30.0), 10, 0, 10)]
 
 
 #: each command's provenance keys besides "command": every option that shapes

@@ -212,12 +212,12 @@ def test_decodes_do_not_depend_on_the_stack(scheme, m):
 
 def test_session_block_equals_trials_one_by_one():
     amp = np.array([amp_of(12.0)])
-    # offsets 20..139 of a 300-trial grid: indices 20..139 at 9 dB and
-    # 320..439 at 12 dB, run as one block of 240 mixed trials
-    counts = _session_range(((2, "pair", "sphere"), 31, (9.0, 12.0), 300, 20, 140))
-    single = [run_session_trials(2, amp, "pair", "sphere", 31, [300 + t])[0] for t in range(20, 140)]
+    # task 0 of 2 over a 240-trial grid: the even indices 0..238 at 9 dB and
+    # 240..478 at 12 dB, run as one batch of 240 mixed trials
+    counts = _session_range(((2, "pair", "sphere"), 31, (9.0, 12.0), 240, 0, 2))
+    single = [run_session_trials(2, amp, "pair", "sphere", 31, [t])[0] for t in range(240, 480, 2)]
     assert counts[1].tolist() == [120, sum(e for e, _ in single), sum(n for _, n in single)]
-    low = run_session_trials(2, np.full(120, amp_of(9.0)), "pair", "sphere", 31, range(20, 140))
+    low = run_session_trials(2, np.full(120, amp_of(9.0)), "pair", "sphere", 31, range(0, 240, 2))
     assert counts[0].tolist() == [120, sum(e for e, _ in low), sum(n for _, n in low)]
 
 

@@ -139,3 +139,40 @@ def test_the_name_check_sees_every_kind_of_reference(tmp_path):
         "lib.py:3 called", "lib.py:7 recursive", "lib.py:8 orphan", "lib.py:11 LIMIT", "lib.py:12 UNREAD",
         "lib.py:13 LOW", "lib.py:14 REBOUND", "lib.py:15 REBOUND",
     ]
+
+
+def mentions(path: Path, name: str) -> list[str]:
+    """Where one source file names `name`: as a name, an attribute, an
+    imported name or a definition."""
+    lines = {
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if name in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            node.name if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)) else None,
+        )
+    }
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_only_the_sweep_driver_maps_tasks():
+    # parallel.sweep is the one place a sweep is cut into tasks; a module that
+    # mapped tasks itself would bring back a second partition policy
+    others = [path for path in sorted(SRC.glob("*.py")) if path.name != "parallel.py"]
+    assert len(others) > 10
+    assert [hit for path in others for hit in mentions(path, "map_tasks")] == []
+    assert mentions(SRC / "parallel.py", "map_tasks")
+
+
+def test_the_mention_check_sees_every_kind_of_name(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .parallel import map_tasks\n"
+        "from . import parallel\n"
+        "parallel.map_tasks(abs, [])\n"
+        "run = map_tasks\n"
+        "def map_tasks(): ...\n"
+        "sweep = parallel.sweep\n"
+        "text = 'map_tasks'\n"
+    )
+    assert mentions(sample, "map_tasks") == ["sample.py:1", "sample.py:3", "sample.py:4", "sample.py:5"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wstsim import outage
-from wstsim.channel import SnrPoint, draw_cn, trial_rng
+from wstsim.channel import draw_cn, snr_linear, trial_rng
 from wstsim.outage import (
     InsufficientSamplesError,
     OutageSpec,
@@ -30,14 +30,14 @@ from wstsim.outage import (
 
 def test_huge_snr_never_in_outage():
     rng = trial_rng(1)
-    snr = SnrPoint(120.0)  # snr_linear = 1e12
+    snr = snr_linear(120.0)  # snr_linear = 1e12
     chans = draw_cn(rng, (1000, 2, 2))
     assert not outage_trial_pair(chans, snr, 10, Fraction(1, 100), 0.0).any()
     assert not outage_trial_tdma(chans[:, :, 0], snr, 10, Fraction(1, 100), 0.0).any()
 
 
 def test_zero_channel_always_in_outage():
-    snr = SnrPoint(20.0)
+    snr = snr_linear(20.0)
     assert outage_trial_pair(np.zeros((2, 2)), snr, 10, Fraction(0), 1.0)
     assert outage_trial_tdma(np.zeros(2), snr, 10, Fraction(0), 1.0)
     assert outage_trial_full_mac(np.zeros((2, 3)), snr, 3, Fraction(0), 1.0)
@@ -47,7 +47,7 @@ def test_tdma_accepts_column_vector_shape():
     rng = trial_rng(2)
     flat = draw_cn(rng, (100, 2))
     col = flat[..., None]
-    snr = SnrPoint(5.0)
+    snr = snr_linear(5.0)
     a = outage_trial_tdma(flat, snr, 4, Fraction(1, 10), 0.0)
     b = outage_trial_tdma(col, snr, 4, Fraction(1, 10), 0.0)
     assert np.array_equal(a, b)
@@ -59,7 +59,7 @@ def test_tdma_zero_db_closed_form():
     expected = 1.0 - math.exp(-1.0) * 2.0
     rng = trial_rng(3)
     chans = draw_cn(rng, (200000, 2))
-    flags = outage_trial_tdma(chans, SnrPoint(0.0), 5, Fraction(0), 1.0)
+    flags = outage_trial_tdma(chans, snr_linear(0.0), 5, Fraction(0), 1.0)
     p_hat = float(flags.mean())
     assert 0.0 < p_hat < 1.0
     assert abs(p_hat - expected) < 4 * math.sqrt(expected * (1 - expected) / 200000)
@@ -68,7 +68,7 @@ def test_tdma_zero_db_closed_form():
 def test_full_mac_k1_reduces_to_tdma_at_gain_r():
     rng = trial_rng(4)
     chans = draw_cn(rng, (5000, 2, 1))
-    snr = SnrPoint(8.0)
+    snr = snr_linear(8.0)
     mac = outage_trial_full_mac(chans, snr, 1, Fraction(1, 4), 0.5)
     # K=1 leaves a single subset constraint at rate r (not K*r)
     tdma = outage_trial_tdma(chans[..., 0], snr, 1, Fraction(1, 4), 0.5)
@@ -81,7 +81,7 @@ def test_outage_monotone_in_snr_fixed_channel():
     rng = trial_rng(5)
     chan = draw_cn(rng, (500, 2, 2))
     flags = [
-        outage_trial_full_mac(chan, SnrPoint(db), 2, Fraction(0), 1.0)
+        outage_trial_full_mac(chan, snr_linear(db), 2, Fraction(0), 1.0)
         for db in (0.0, 5.0, 10.0, 15.0, 20.0)
     ]
     assert flags[0].any()  # some channels start in outage
@@ -91,7 +91,7 @@ def test_outage_monotone_in_snr_fixed_channel():
 
 def test_full_mac_guard():
     with pytest.raises(ValueError):
-        outage_trial_full_mac(np.zeros((2, 13)), SnrPoint(10.0), 13, Fraction(0), 1.0)
+        outage_trial_full_mac(np.zeros((2, 13)), snr_linear(10.0), 13, Fraction(0), 1.0)
 
 
 FULL_MAC_KS = [1, 2, 3, 4, 7, 10, 12]
@@ -104,7 +104,7 @@ def full_mac_grid(K):
     # the reference costs ~4,000 Python-level subset passes per call at K = 12
     for db in (10.0, 60.0) if K == 12 else (-10.0, 10.0, 30.0, 60.0):
         for r, offset in FULL_MAC_RATES:
-            yield chans, SnrPoint(db), r, offset
+            yield chans, snr_linear(db), r, offset
 
 
 @pytest.mark.parametrize("K", FULL_MAC_KS)
@@ -113,7 +113,7 @@ def test_full_mac_fast_path_equals_reference(K):
         fast = outage_trial_full_mac(chans, snr, K, r, offset)
         ref = full_mac_outage_reference(chans, snr, K, r, offset)
         assert fast.dtype == bool and fast.shape == (512,)
-        assert np.array_equal(fast, ref), (snr.snr_db, r, offset)
+        assert np.array_equal(fast, ref), (snr, r, offset)
 
 
 @pytest.mark.parametrize("K", FULL_MAC_KS)
@@ -121,11 +121,11 @@ def test_full_mac_walk_sign_equals_reference(K):
     # most rows are settled before the walk, so test the walk on every row
     decided = rows = 0
     for chans, snr, r, offset in full_mac_grid(K):
-        rate = float(r) * math.log2(snr.snr_linear) + offset
-        margin = outage._full_mac_margin(chans, snr.snr_linear, K, rate)
+        rate = float(r) * math.log2(snr) + offset
+        margin = outage._full_mac_margin(chans, snr, K, rate)
         ref = full_mac_outage_reference(chans, snr, K, r, offset)
         sure = np.abs(margin) > outage._MARGIN_TOL
-        assert np.array_equal((margin < 0.0)[sure], ref[sure]), (snr.snr_db, r, offset)
+        assert np.array_equal((margin < 0.0)[sure], ref[sure]), (snr, r, offset)
         decided += int(sure.sum())
         rows += len(chans)
     assert decided > 0.99 * rows
@@ -179,7 +179,7 @@ def test_full_mac_margin_bitwise_equals_prefix_tree_walk(K):
         h[: n // 4, :, -1] = h[: n // 4, :, 0]  # a repeated user
         h[n // 4 : n // 2, :, 0] = 0.0  # a zero column
         for db in (10.0, 60.0) if K >= 10 else (-10.0, 10.0, 30.0, 60.0):
-            s = SnrPoint(db).snr_linear
+            s = snr_linear(db)
             for r, offset in FULL_MAC_RATES:
                 rate = float(r) * math.log2(s) + offset
                 got = outage._full_mac_margin(h, s, K, rate)
@@ -205,7 +205,7 @@ def test_full_mac_prepass_bound_below_every_subset(K):
     h[:50, :, -1] = h[:50, :, 0]  # a repeated user: p_kl cancels to ~0
     h[50:100, :, 0] = 0.0
     for db in (-10.0, 10.0, 30.0):
-        s = SnrPoint(db).snr_linear
+        s = snr_linear(db)
         # a rate of -inf makes every threshold 2^{j R} zero, so the gaps are g_j
         bound, tol = outage._subset_bound_gaps(outage._user_terms(h, s), -math.inf)
         exact = _brute_force_min_dets(h, s, K)
@@ -250,7 +250,7 @@ def test_full_mac_adversarial_rows_equal_reference():
     h[300:400, :, 3] = 0.0  # a zero column: g_1 = 1 exactly
     rates = FULL_MAC_RATES + ((Fraction(0), 0.0), (Fraction(1, 10), -1.0))
     for db in (-10.0, 0.0, 10.0, 20.0, 40.0):
-        snr = SnrPoint(db)
+        snr = snr_linear(db)
         for r, offset in rates:
             fast = outage_trial_full_mac(h, snr, K, r, offset)
             ref = full_mac_outage_reference(h, snr, K, r, offset)
@@ -259,7 +259,7 @@ def test_full_mac_adversarial_rows_equal_reference():
 
 def test_full_mac_scalar_input_returns_bool():
     chans = draw_cn(trial_rng(9), (20, 2, 3))
-    snr = SnrPoint(5.0)
+    snr = snr_linear(5.0)
     for h in chans:
         flag = outage_trial_full_mac(h, snr, 3, Fraction(1, 4), 0.5)
         assert isinstance(flag, bool)
@@ -277,7 +277,7 @@ def test_full_mac_exact_boundary_goes_to_reference(monkeypatch):
 
     monkeypatch.setattr(outage, "full_mac_outage_reference", counting_reference)
     chan = np.array([[1.0 + 0j], [0.0]])
-    assert outage_trial_full_mac(chan, SnrPoint(0.0), 1, Fraction(0), 1.0) is False
+    assert outage_trial_full_mac(chan, snr_linear(0.0), 1, Fraction(0), 1.0) is False
     assert calls == [(1, 2, 1)]
 
 
@@ -287,28 +287,26 @@ def test_full_mac_sweep_counts_match_reference_and_workers(monkeypatch):
     two = run_outage_sweep(spec, workers=2)
     monkeypatch.setattr(outage, "outage_trial_full_mac", full_mac_outage_reference)
     ref = run_outage_sweep(spec, workers=1)
-    counts = [c.outages for c in one.cells]
-    assert counts == [c.outages for c in two.cells]
-    assert counts == [c.outages for c in ref.cells]
-    assert all(c > 0 for c in counts)
+    assert one == two == ref
+    assert all(c > 0 for c in one)
 
 
 @pytest.mark.parametrize("predicate", [outage_trial_tdma, outage_trial_pair, outage_trial_full_mac])
 @pytest.mark.parametrize("K", [0, -1])
 def test_predicates_reject_fewer_than_one_user(predicate, K):
     with pytest.raises(ValueError, match="K"):
-        predicate(np.ones((4, 2, 1), dtype=complex), SnrPoint(10.0), K, Fraction(1, 4), 1.0)
+        predicate(np.ones((4, 2, 1), dtype=complex), snr_linear(10.0), K, Fraction(1, 4), 1.0)
 
 
 def test_full_mac_reference_guard():
     with pytest.raises(ValueError):
-        full_mac_outage_reference(np.zeros((2, 13)), SnrPoint(10.0), 13, Fraction(0), 1.0)
+        full_mac_outage_reference(np.zeros((2, 13)), snr_linear(10.0), 13, Fraction(0), 1.0)
 
 
 def test_pair_dominant_constraint_is_single_user():
     # hand-built channel: user 1 deeply faded, user 2 strong, joint fine
     chan = np.array([[1e-6, 1.0], [1e-6, 1.0]], dtype=complex)
-    snr = SnrPoint(20.0)
+    snr = snr_linear(20.0)
     assert outage_trial_pair(chan, snr, 10, Fraction(1, 20), 0.0)
 
 
@@ -382,7 +380,7 @@ def test_subset_bound_gaps_equal_the_allocating_oracle(K):
         h[: n // 4, :, -1] = h[: n // 4, :, 0]  # a repeated user
         h[n // 4 : n // 2, :, 0] = 0.0  # a zero column
         for db in (-10.0, 10.0, 30.0, 60.0):
-            s = SnrPoint(db).snr_linear
+            s = snr_linear(db)
             terms = allocating_user_terms(h, s)
             A, B = terms[:2].sum(axis=1)
             for r, offset in FULL_MAC_RATES:
@@ -406,7 +404,7 @@ def workspace_base(K, form):
     h = draw_cn(trial_rng(14, K), (2048, 2, K))
     if form == "real":
         h = np.ascontiguousarray(h.real)
-    flags = full_mac_outage_reference(h, SnrPoint(WORKSPACE_SNR_DB[K]), K, Fraction(1, 20), 1.0)
+    flags = full_mac_outage_reference(h, snr_linear(WORKSPACE_SNR_DB[K]), K, Fraction(1, 20), 1.0)
     return h, flags
 
 
@@ -426,7 +424,7 @@ def workspace_case(K, n, form, rng):
 
 
 def full_mac_flags(h, K):
-    return outage_trial_full_mac(h, SnrPoint(WORKSPACE_SNR_DB[K]), K, Fraction(1, 20), 1.0)
+    return outage_trial_full_mac(h, snr_linear(WORKSPACE_SNR_DB[K]), K, Fraction(1, 20), 1.0)
 
 
 def test_interleaved_workspace_calls_equal_reference_and_fresh_workspace(monkeypatch):
@@ -543,8 +541,8 @@ def test_sweep_determinism_and_worker_independence():
     a = run_outage_sweep(spec, workers=1)
     b = run_outage_sweep(spec, workers=1)
     c = run_outage_sweep(spec, workers=2)
-    assert [x.outages for x in a.cells] == [x.outages for x in b.cells]
-    assert [x.outages for x in a.cells] == [x.outages for x in c.cells]
+    assert a == b == c
+    assert len(a) == 2 and all(type(x) is int for x in a)
 
 
 @pytest.mark.parametrize("scheme,K", [("tdma", 10), ("pair", 10), ("full-mac", 3)])
@@ -561,17 +559,17 @@ def test_sweep_buffer_reuse_equals_fresh_block_draws(scheme, K):
         for block_idx, size in enumerate((outage.BLOCK_TRIALS, 300)):
             shape = {"tdma": (size, 2), "pair": (size, 2, 2)}.get(scheme, (size, 2, K))
             chan = draw_cn(trial_rng(3, snr_idx, block_idx), shape)
-            count += int(predicate(chan, SnrPoint(db), K, spec.r, 1.0).sum())
+            count += int(predicate(chan, snr_linear(db), K, spec.r, 1.0).sum())
         expected.append(count)
     for workers in (1, 2):
-        assert [c.outages for c in run_outage_sweep(spec, workers).cells] == expected
+        assert run_outage_sweep(spec, workers) == expected
 
 
 def test_sweep_reports_insufficient_statistics():
     spec = OutageSpec("tdma", 2, Fraction(0), 1.0, (60.0, 70.0), 100, 7)
-    est = run_outage_sweep(spec)
-    assert est.slope is None
-    assert "increase trials" in est.slope_error
+    counts = run_outage_sweep(spec)
+    with pytest.raises(InsufficientSamplesError, match="increase trials"):
+        estimate_slope(spec.snr_grid_db, [c / spec.trials for c in counts])
 
 
 def test_doubling_trials_stays_inside_wilson_interval_mostly():
@@ -583,9 +581,10 @@ def test_doubling_trials_stays_inside_wilson_interval_mostly():
     for seed in range(experiments):
         half = OutageSpec("tdma", 5, Fraction(0), 1.0, (10.0,), 20000, seed)
         full = OutageSpec("tdma", 5, Fraction(0), 1.0, (10.0,), 40000, seed)
-        a = run_outage_sweep(half).cells[0]
-        b = run_outage_sweep(full).cells[0]
-        if not a.ci_lo <= b.p_hat <= a.ci_hi:
+        (a,) = run_outage_sweep(half)
+        (b,) = run_outage_sweep(full)
+        ci_lo, ci_hi = wilson_interval(a, half.trials)
+        if not ci_lo <= b / full.trials <= ci_hi:
             violations += 1
     assert violations <= 5  # ~5 percent nominal, deterministic given seeds
 
@@ -597,9 +596,10 @@ def test_scheme_ordering_tdma_worse_than_pair():
     trials = 10**6
     tdma = run_outage_sweep(OutageSpec("tdma", 10, Fraction(1, 20), 0.0, grid, trials, 17))
     pair = run_outage_sweep(OutageSpec("pair", 10, Fraction(1, 20), 0.0, grid, trials, 17))
-    for t_cell, p_cell in zip(tdma.cells, pair.cells):
-        assert t_cell.p_hat >= p_cell.p_hat
-        assert t_cell.ci_lo > p_cell.ci_hi  # separated, not just ordered
+    for t_count, p_count in zip(tdma, pair, strict=True):
+        assert t_count >= p_count
+        # separated, not just ordered
+        assert wilson_interval(t_count, trials)[0] > wilson_interval(p_count, trials)[1]
 
 
 def test_spec_validation():
