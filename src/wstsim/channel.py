@@ -1,12 +1,13 @@
 """Block-Rayleigh multiple-access channel with reproducible substreams.
 
-Model: Y = sqrt(snr_linear) * sum_k H_k X_k + W, with H_k an n_r x n_t
-matrix of i.i.d. unit-variance circularly-symmetric complex Gaussians held
-constant over the T channel uses of one session (independent across
-sessions), and W unit-variance complex Gaussian noise.  Codebooks are
-normalized to unit average energy per transmit antenna per channel use, so
-the received signal-to-noise ratio per receive antenna per channel use is
-snr_linear * n_t * K_active.
+Model: Y = sqrt(snr_linear) * sum_k h_k x_k + W.  Every helper has one
+transmit antenna: h_k is its length-n_r receive vector of i.i.d.
+unit-variance circularly-symmetric complex Gaussians held constant over the
+T channel uses of one session (independent across sessions), x_k its 1 x T
+codeword row, and W unit-variance complex Gaussian noise.  Codebooks are
+normalized to unit average energy per channel use, so the received
+signal-to-noise ratio per receive antenna per channel use is
+snr_linear * K_active.
 
 Randomness: Philox counter substreams.  trial_rng(master_seed, *path) keys
 the generator with the 64-bit master seed and places the path words (trial
@@ -74,23 +75,23 @@ def snr_linear(db: float) -> float:
 
 
 def draw_session(
-    rng: np.random.Generator, n_r: int, n_t: int, k_active: Sequence[int], T: int
+    rng: np.random.Generator, n_r: int, k_active: Sequence[int], T: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fresh fading and noise for sessions drawn one after another from rng.
 
     k_active holds each session's number of active users, in order.  The
     sessions take one draw, which holds the samples of each session in turn
-    (its channel first, then its noise: the first k*n_r*n_t samples are the
-    fading, the rest the noise), and come back as stacks: the fading of
-    every user, session by session, shape (sum(k_active), n_r, n_t), and
-    the noise, shape (len(k_active), n_r, T).
+    (its channel first, then its noise: the first k*n_r samples are the
+    fading, the rest the noise), and come back as stacks: the receive
+    vector of every user, session by session, shape (sum(k_active), n_r),
+    and the noise, shape (len(k_active), n_r, T).
     """
     counts = tuple(k_active)
-    if not counts or min(n_r, n_t, T, *counts) < 1:
+    if not counts or min(n_r, T, *counts) < 1:
         raise ValueError("all dimensions must be positive")
-    fading, noise = _draw_layout(n_r * n_t, n_r * T, counts)
+    fading, noise = _draw_layout(n_r, n_r * T, counts)
     z = draw_cn(rng, (fading.size + noise.size,))
-    return z[fading].reshape(-1, n_r, n_t), z[noise].reshape(-1, n_r, T)
+    return z[fading].reshape(-1, n_r), z[noise].reshape(-1, n_r, T)
 
 
 @lru_cache(maxsize=256)
@@ -107,22 +108,20 @@ def _draw_layout(per_user: int, per_noise: int, counts: tuple[int, ...]) -> tupl
 
 
 def transmit(X: np.ndarray, h: np.ndarray, w: np.ndarray, amp) -> np.ndarray:
-    """Received matrices Y = amp * sum_k H_k X_k + W, shape (S, n_r, T).
+    """Received matrices Y = amp * sum_k h_k x_k + W, shape (S, n_r, T).
 
-    X stacks each session's transmit rows, shape (S, k_active*n_t, T); h
-    holds the sessions' fading matrices (S, k_active, n_r, n_t), w their
-    noise (S, n_r, T) and amp, shape (S,), each session's amplitude
+    X stacks each session's transmit rows, shape (S, k_active, T); h holds
+    the sessions' receive vectors (S, k_active, n_r), w their noise
+    (S, n_r, T) and amp, shape (S,), each session's amplitude
     sqrt(snr_linear).  The stacked product runs, session by session, the
     matrix product of a stack of one, and every entry takes the one
     multiply by its session's amplitude, so each received matrix equals its
     own call's bit for bit.
     """
-    k, n_r, n_t = h.shape[-3:]
-    if X.shape[-2] != k * n_t:
-        raise ValueError(
-            f"codeword rows {X.shape[-2]} do not match {k} users x {n_t} antennas"
-        )
+    k, n_r = h.shape[-2:]
+    if X.shape[-2] != k:
+        raise ValueError(f"codeword rows {X.shape[-2]} do not match {k} users")
     if w.shape[-2:] != (n_r, X.shape[-1]):
         raise ValueError(f"noise shape {w.shape[-2:]} != ({n_r}, {X.shape[-1]})")
-    h_all = np.swapaxes(h, -3, -2).reshape(*h.shape[:-3], n_r, k * n_t)
+    h_all = np.ascontiguousarray(np.swapaxes(h, -2, -1))  # (S, n_r, k), each laid out as a lone matrix
     return np.asarray(amp)[:, None, None] * (h_all @ X) + w

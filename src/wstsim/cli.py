@@ -118,7 +118,9 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
 
     Every value must be finite, the end points must lie inside SNR_DB_RANGE,
     and the grid may hold at most MAX_GRID_POINTS points; otherwise an
-    argparse.ArgumentTypeError says which rule failed.
+    argparse.ArgumentTypeError says which rule failed.  Points are rounded
+    to 9 decimals, so the step must be at least 1e-9 dB; the points are
+    counted before the grid is built, and every one lies in [lo, hi].
     """
     parts = str(text).split(":")
     if len(parts) not in (1, 3):
@@ -134,15 +136,17 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     lo, hi, step = values
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad SNR grid {text!r}")
-    if (hi - lo) / step >= MAX_GRID_POINTS:
+    if step < 1e-9:
+        raise argparse.ArgumentTypeError(f"SNR grid {text!r} steps below its 1e-9 dB resolution")
+    # the last point is the one at most 1e-9 steps past hi
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    if count > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(
             f"SNR grid {text!r} has more than {MAX_GRID_POINTS} points"
         )
-    grid = []
-    v = lo
-    while v <= hi + 1e-9:
-        grid.append(round(v, 9))
-        v += step
+    grid = [min(max(round(v, 9), lo), hi) for v in itertools.accumulate([lo] + [step] * (count - 1))]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(f"SNR grid {text!r} repeats a point at 9 decimals")
     return tuple(grid)
 
 

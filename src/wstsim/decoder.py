@@ -1,7 +1,7 @@
 """Exact maximum-likelihood decoding of the per-session linear systems.
 
 Decoding runs in two stages.  The first is stacked: factor_sessions takes
-the received matrices and per-user channel arrays of every session of a
+the received matrices and the users' receive vectors of every session of a
 batch that shares a shape, builds their equivalent channels and real
 expansions with one call each, validates the stack once (DecodeProblem:
 shapes, alphabet, and a bound that keeps every residual metric a finite
@@ -28,9 +28,10 @@ level's second candidate already lies outside the radius that leaf sets,
 the search visits exactly those 2n nodes and returns the leaf, which at
 moderate and high SNR is most sessions.  factor runs that descent as one
 numpy pass over the stack with the scalar search's float operations in its
-order (elementwise adds and products, which numpy neither fuses nor
-reorders), so the leaf, its metric and each second candidate's partial
-metric are the doubles the scalar search computes.  When every such
+order (elementwise products, which numpy never fuses, and interference sums
+that np.add.accumulate adds one column at a time in ascending order), so
+the leaf, its metric and each second candidate's partial metric are the
+doubles the scalar search computes.  When every such
 partial metric exceeds the leaf metric strictly, the record carries the
 finished DecodeResult (the leaf's levels, its metric plus the offset,
 n * min(2, |alphabet|) visited nodes, the rank flag) and sphere_decode
@@ -102,12 +103,12 @@ _ORACLE_CHUNK = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class DecodeProblem:
-    """Real integer least-squares instances over one finite PAM alphabet.
+    """A stack of real integer least-squares instances over one PAM alphabet.
 
-    matrix is one rows x cols system, with observation of length rows, or a
-    stack (S, rows, cols) of systems with observations (S, rows).  Shape and
-    alphabet are checked once for the whole stack, and each system must be
-    finite with a residual metric that cannot overflow.
+    matrix is a stack (S, rows, cols) of systems and observation their
+    observations (S, rows).  Shape and alphabet are checked once for the
+    whole stack, and each system must be finite with a residual metric that
+    cannot overflow.
     """
 
     matrix: np.ndarray
@@ -117,12 +118,10 @@ class DecodeProblem:
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=float)
         obs = np.asarray(self.observation, dtype=float)
-        if mat.ndim not in (2, 3):
-            raise ValueError("matrix must be one system or a stack of systems")
+        if mat.ndim != 3:
+            raise ValueError(f"matrix must be a stack (S, rows, cols) of systems, got shape {mat.shape}")
         if mat.shape[-2] < mat.shape[-1]:
             raise ValueError("matrix must be square or tall (n_r*T >= K*s)")
-        if mat.ndim == 2:
-            obs = obs.reshape(-1)
         if obs.shape != mat.shape[:-1]:
             raise ValueError("observation length must match the row count")
         if not self.levels:
@@ -169,7 +168,7 @@ class DecodeResult:
 class FactoredProblem:
     """One system of a factored stack, as its searches read it.
 
-    matrix, observation and levels are the system itself (as in
+    matrix, observation and levels are the system itself (one system of the
     DecodeProblem; the brute-force oracle reads them).  The exact search
     reads the rest, built by factor for the whole stack: r, the R factor,
     and z = Q^T y, offset (the squared norm of the component of y outside
@@ -206,15 +205,14 @@ def factor(p: DecodeProblem) -> list[FactoredProblem]:
     first leaf of every search at once, and build the tables the scalar
     search reads for the systems the certificate leaves to it.
 
-    A single system is factored as a stack of one.  z and the residual come
-    from stacked matmuls, which numpy evaluates system by system with the
-    same BLAS products as a lone 2-D factorization (bit-identical, checked
-    against per-system products in the tests); the certificate and the
-    tables are elementwise numpy operations and tolist calls, so no
-    system's result depends on the stack it was factored in.
+    z and the residual come from stacked matmuls, which numpy evaluates
+    system by system with the same BLAS products as a lone 2-D
+    factorization (bit-identical, checked against per-system products in
+    the tests); the certificate and the tables are elementwise numpy
+    operations and tolist calls, so no system's result depends on the stack
+    it was factored in.
     """
-    mats = p.matrix if p.matrix.ndim == 3 else p.matrix[None]
-    obs = p.observation.reshape(mats.shape[:-1])
+    mats, obs = p.matrix, p.observation
     q, r = np.linalg.qr(mats)
     z = (q.transpose(0, 2, 1) @ obs[..., None])[..., 0]
     resid = obs - (q @ z[..., None])[..., 0]
@@ -245,9 +243,11 @@ def _first_leaf(r, z, scaled, levels):
 
     One Babai descent over the stack in the scalar search's float
     operations and order: the interference term summed over ascending
-    columns from 0.0, increments (rhs - R[l][l] a)^2, the smallest taken
-    with ties toward the smaller level (argmin's first minimum), partial
-    metrics summed from the top.  A system is certified when every level's
+    columns (one product and one np.add.accumulate per level, which differs
+    from a sum begun at 0.0 at most in the sign of a zero, and no squared
+    increment keeps that sign), increments (rhs - R[l][l] a)^2, the smallest
+    taken with ties toward the smaller level (argmin's first minimum),
+    partial metrics summed from the top.  A system is certified when every level's
     second candidate (its parent's partial metric plus the second-smallest
     increment; none for a one-level alphabet) exceeds the leaf metric
     strictly.  Returns, for every system, whether it is certified (S,), its
@@ -265,8 +265,8 @@ def _first_leaf(r, z, scaled, levels):
     seconds = []
     for level in range(n - 1, -1, -1):
         acc = 0.0
-        for j in range(level + 1, n):
-            acc = acc + rt[level, j] * x[j]
+        if level + 1 < n:
+            acc = np.add.accumulate(rt[level, level + 1 :] * x[level + 1 :], axis=0)[-1]
         e = (zt[level] - acc) - st[level]
         inc = e * e
         picks[level] = k = inc.argmin(axis=0)
@@ -282,9 +282,9 @@ def _first_leaf(r, z, scaled, levels):
     return certified, np.asarray(levels)[picks.T], dist
 
 
-def _check_one_system(p) -> None:
-    if p.matrix.ndim != 2:
-        raise ValueError("a decoder takes one system; factor a stack and decode each")
+def _check_factored(p) -> None:
+    if not isinstance(p, FactoredProblem):
+        raise TypeError(f"a decoder takes one FactoredProblem from factor, got {type(p).__name__}")
 
 
 @lru_cache(maxsize=64)
@@ -293,18 +293,16 @@ def _level_values(levels: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(float(a) for a in levels)
 
 
-def sphere_decode(p: DecodeProblem | FactoredProblem) -> DecodeResult:
+def sphere_decode(p: FactoredProblem) -> DecodeResult:
     """Exact ML search by depth-first enumeration with a shrinking radius.
 
-    p is one factored system, or a single DecodeProblem, which is factored
-    first.  A system whose first leaf factor certified returns its stored
-    result, the one this search would find.  A rank-deficient R (diagonal
-    below 1e-10) is enumerated with those diagonal entries set to exactly 0,
-    and the event is flagged in the result's fallback field.
+    p is one factored system.  A system whose first leaf factor certified
+    returns its stored result, the one this search would find.  A
+    rank-deficient R (diagonal below 1e-10) is enumerated with those
+    diagonal entries set to exactly 0, and the event is flagged in the
+    result's fallback field.
     """
-    _check_one_system(p)
-    if not isinstance(p, FactoredProblem):
-        (p,) = factor(p)
+    _check_factored(p)
     if p.result is not None:
         return p.result
     rows, zl, scaled = p.r, p.z, p.scaled
@@ -409,14 +407,15 @@ def _candidate_table(levels: tuple[int, ...], n: int) -> np.ndarray:
     return table
 
 
-def brute_force_ml(p: DecodeProblem | FactoredProblem) -> DecodeResult:
+def brute_force_ml(p: FactoredProblem) -> DecodeResult:
     """Exhaustive argmin of ||y - A x||^2 over the alphabet (the ML oracle).
 
-    p is one system.  Candidates are enumerated in lexicographic order and
+    p is one factored system; the oracle reads its matrix and observation
+    only.  Candidates are enumerated in lexicographic order and
     compared strictly, which realizes the lexicographic tie rule.  Search
     spaces larger than 2^24 leaves are refused.
     """
-    _check_one_system(p)
+    _check_factored(p)
     n = p.matrix.shape[1]
     base = len(p.levels)
     total = base**n
@@ -444,7 +443,7 @@ def factor_sessions(received, channels, amp, m: int) -> list[FactoredProblem]:
     helpers on the 2^m-QAM constellation (stage one).
 
     received holds each session's n_r x T received matrix, channels its
-    per-user fading (k_active, n_r, 1) and amp its amplitude
+    users' receive vectors (k_active, n_r) and amp its amplitude
     sqrt(snr_linear), an (S,) array, as transmit takes them.  The
     equivalent channels (absorbing the transmit scale) and their real
     expansions are built for the whole stack at once, then validated and

@@ -22,8 +22,8 @@ user-major, then basis index, matching x = [x_{1,1} .. x_{1,s} .. x_{K,s}].
 
 Codewords, bases and systems are plain complex numpy arrays.  The codeword
 builders stack sessions from each helper's rows (lift's output), and
-build_equivalent_channel takes one session or a stack; a stacked entry is
-the same single product as a lone one, bit for bit.
+build_equivalent_channel takes a stack of sessions' receive vectors; a
+stacked entry is the same single product as a session's own, bit for bit.
 """
 
 from __future__ import annotations
@@ -97,28 +97,23 @@ def _codewords(m: int, *helpers) -> np.ndarray:
 
 
 def build_equivalent_channel(channels, basis: np.ndarray) -> np.ndarray:
-    """The system matrix H with y = H x, shape (n_r*T, k_active*s).
+    """The system matrices H with y = H x of a stack of sessions, shape
+    (S, n_r*T, k_active*s).
 
-    Column (k, l) is the column-major vectorization of H_k C_l, with C_l the
-    basis row l.  With one transmit antenna, H_k C_l is the outer product of
-    h_k and C_l, so entry (t*n_r + i, k*s + l) is C[l, t] * h_k[i]: the whole
-    matrix is one broadcast product.  channels is one session's per-user
-    channels (k_active, n_r, 1) or a stack (S, k_active, n_r, 1) of
-    sessions, which gives a leading session axis; every entry is the same
-    single product either way, so a stacked matrix equals the per-session
-    ones bit for bit.
+    channels holds each session's receive vectors, one per active user,
+    shape (S, k_active, n_r).  Column (k, l) is the column-major
+    vectorization of h_k C_l, the outer product of user k's receive vector
+    and the basis row l, so entry (t*n_r + i, k*s + l) is C[l, t] * h_k[i]:
+    the whole stack is one broadcast product, and each entry the same single
+    product as in a session's own matrix, bit for bit.
     """
     h = np.asarray(channels, dtype=complex)
-    if h.ndim not in (3, 4):
-        raise ValueError(f"expected per-user channels (k_active, n_r, 1), got shape {h.shape}")
-    if h.shape[-1] != 1:
-        raise ValueError(f"per-user channels must be n_r x 1, got shape {h.shape[-2:]}")
+    if h.ndim != 3:
+        raise ValueError(f"expected a stack of receive vectors (S, k_active, n_r), got shape {h.shape}")
     s, T = basis.shape
-    k, n_r = h.shape[-3:-1]
-    hs = np.swapaxes(h[..., 0], -1, -2)  # (..., n_r, k)
-    return (basis.T[:, None, None, :] * hs[..., None, :, :, None]).reshape(
-        *h.shape[:-3], T * n_r, k * s
-    )
+    S, k, n_r = h.shape
+    hs = np.swapaxes(h, -1, -2)  # (S, n_r, k)
+    return (basis.T[:, None, None, :] * hs[:, None, :, :, None]).reshape(S, T * n_r, k * s)
 
 
 def realify(H: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

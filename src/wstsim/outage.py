@@ -29,8 +29,9 @@ of max(4K, K + C(K, 2)) N floats each for a block of N rows.  At K = 12 and
 buffer, about 25.5 MiB a thread.  The buffers are private to the module:
 the predicates return fresh arrays, never a view of them.
 
-The outage predicates are pure and vectorized: they accept one channel
-realization or any leading batch shape.  Sweeps draw channels in fixed-size
+The outage predicates are pure and vectorized: each takes a batch of N
+channel realizations, (N, 2) for TDMA and (N, 2, g) otherwise, and returns
+N outage flags as a bool array.  Sweeps draw channels in fixed-size
 blocks of 16384 trials, each block on its own Philox counter substream keyed
 by (snr index, block index).  A block is one cell of parallel.sweep, so the
 outage count of each point is a pure function of the spec and its seed,
@@ -97,56 +98,58 @@ def _check_users(K: int) -> None:
         raise ValueError(f"K (the number of helpers) must be at least 1, got {K!r}")
 
 
-def outage_trial_tdma(chan, snr: float, K: int, r, offset: float):
+def _batch(chan, shape: tuple[int, ...]) -> np.ndarray:
+    """chan as an array, checked to be a batch (N, *shape) of channels."""
+    h = np.asarray(chan)
+    if h.shape[1:] != shape:  # a lone channel's shape lacks the batch axis
+        raise ValueError(f"expected a batch of channels, shape (N,) + {shape}, got {h.shape}")
+    return h
+
+
+def outage_trial_tdma(chan, snr: float, K: int, r, offset: float) -> np.ndarray:
     """Outage iff log2(1 + snr*||h||^2) < K*r*log2(snr) + offset, snr linear.
 
-    chan holds the helper's receive vector(s), shape (..., 2) or (..., 2, 1).
+    chan holds the helpers' receive vectors, shape (N, 2).
     """
     _check_users(K)
-    h = np.asarray(chan)
-    if h.ndim >= 2 and h.shape[-1] == 1:
-        h = h[..., 0]
+    h = _batch(chan, (2,))
     rate = _rate(K * float(r), snr, offset)
     cap = np.log2(1.0 + snr * (np.abs(h) ** 2).sum(axis=-1))
-    out = cap < rate
-    return out if out.ndim else bool(out)
+    return cap < rate
 
 
-def outage_trial_pair(chan, snr: float, K: int, r, offset: float):
+def outage_trial_pair(chan, snr: float, K: int, r, offset: float) -> np.ndarray:
     """Outage of one active pair against the three 2-user MAC constraints.
 
-    chan has shape (..., 2, 2); column u is user u's receive vector.  Each
+    chan has shape (N, 2, 2); column u is user u's receive vector.  Each
     active user carries rate R_u = (K*r/2)*log2(snr) + offset, the joint
     constraint carries 2*R_u, and the event is the union of
     single-user 1x2 failures and the joint 2x2 failure.
     """
     _check_users(K)
-    h = np.asarray(chan)
+    h = _batch(chan, (2, 2))
     r_user = _rate(K * float(r) / 2.0, snr, offset)
     h_sq = np.abs(h) ** 2
     per_user = np.log2(1.0 + snr * h_sq.sum(axis=-2))
     det = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
     joint = np.log2(1.0 + snr * h_sq.sum(axis=(-2, -1)) + (snr * snr) * np.abs(det) ** 2)
-    out = (per_user[..., 0] < r_user) | (per_user[..., 1] < r_user) | (joint < 2.0 * r_user)
-    return out if out.ndim else bool(out)
+    return (per_user[..., 0] < r_user) | (per_user[..., 1] < r_user) | (joint < 2.0 * r_user)
 
 
-def full_mac_outage_reference(chan, snr: float, K: int, r, offset: float):
+def full_mac_outage_reference(chan, snr: float, K: int, r, offset: float) -> np.ndarray:
     """Outage of the full K-user MAC: any of the 2^K - 1 subset constraints
     |S| * R > log2 det(I + snr * H_S H_S^H) fails, R = r*log2(snr) + offset.
 
-    chan has shape (..., 2, K).  Guarded to K <= 12.  This is the direct
+    chan has shape (N, 2, K).  Guarded to K <= 12.  This is the direct
     evaluator (every subset Gram matrix built from scratch, one log2 each):
     the definitional oracle of outage_trial_full_mac and its fallback for
     rows too close to the boundary to decide by the fast walk.
     """
     if K > MAX_FULL_MAC_USERS:
         raise ValueError(f"subset enumeration is limited to K <= {MAX_FULL_MAC_USERS}")
-    h = np.asarray(chan)
-    if h.shape[-1] != K:
-        raise ValueError(f"expected {K} user columns, got {h.shape[-1]}")
+    h = _batch(chan, (2, K))
     rate = _rate(float(r), snr, offset)
-    out = np.zeros(h.shape[:-2], dtype=bool)
+    out = np.zeros(len(h), dtype=bool)
     for size in range(1, K + 1):
         for subset in combinations(range(K), size):
             sub = h[..., subset]
@@ -157,7 +160,7 @@ def full_mac_outage_reference(chan, snr: float, K: int, r, offset: float):
             with np.errstate(invalid="ignore", divide="ignore"):
                 cap = np.log2(1.0 + snr * (g00 + g11) + (snr * snr) * det)
             out |= cap < size * rate
-    return out if out.ndim else bool(out)
+    return out
 
 
 #: rows whose minimum relative margin is at most this are re-decided by
@@ -366,11 +369,11 @@ def _subset_bound_gaps(terms: np.ndarray, rate: float) -> tuple[np.ndarray, np.n
     return w, tol
 
 
-def outage_trial_full_mac(chan, snr: float, K: int, r, offset: float):
+def outage_trial_full_mac(chan, snr: float, K: int, r, offset: float) -> np.ndarray:
     """Outage of the full K-user MAC, flag for flag equal to
     full_mac_outage_reference.
 
-    chan has shape (..., 2, K).  Guarded to K <= 12.  Each row is decided in
+    chan has shape (N, 2, K).  Guarded to K <= 12.  Each row is decided in
     one of three ways, with no log2:
 
     - the Cauchy-Binet bound of _subset_bound_gaps beats 2^{j R} at every
@@ -386,10 +389,7 @@ def outage_trial_full_mac(chan, snr: float, K: int, r, offset: float):
     _check_users(K)
     if K > MAX_FULL_MAC_USERS:
         raise ValueError(f"subset enumeration is limited to K <= {MAX_FULL_MAC_USERS}")
-    h = np.asarray(chan)
-    if h.shape[-1] != K:
-        raise ValueError(f"expected {K} user columns, got {h.shape[-1]}")
-    rows = h.reshape(-1, 2, K)
+    rows = _batch(chan, (2, K))
     rate = _rate(float(r), snr, offset)
     gaps, tol = _subset_bound_gaps(_user_terms(rows, snr), rate)
     out = (gaps[0] < -tol) | (gaps[-1] < -tol)
@@ -402,8 +402,7 @@ def outage_trial_full_mac(chan, snr: float, K: int, r, offset: float):
         if unsure.any():
             flags[unsure] = full_mac_outage_reference(sub[unsure], snr, K, r, offset)
         out[walk] = flags
-    out = out.reshape(h.shape[:-2])
-    return out if out.ndim else bool(out)
+    return out
 
 
 def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple[float, float]:

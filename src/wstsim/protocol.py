@@ -163,7 +163,7 @@ def run_sessions(
         raise ValueError("a session has one or two active helpers")
     fading, noise = [], []
     for rng, run in groupby(sessions, key=itemgetter(1)):  # a Generator equals only itself
-        h, w = draw_session(rng, 2, 1, [len(fragments) for fragments, _ in run], 3)
+        h, w = draw_session(rng, 2, [len(fragments) for fragments, _ in run], 3)
         fading.append(h)
         noise.append(w)
     fading, noise = np.concatenate(fading), np.concatenate(noise)

@@ -9,8 +9,8 @@ import numpy as np
 import wstsim
 from wstsim.algebra import FieldElement, embed
 from wstsim.channel import snr_linear, transmit
-from wstsim.decoder import decode_session, factor_sessions
-from wstsim.encoder import build_pair_codeword, build_tdma_codeword
+from wstsim.decoder import DecodeProblem, decode_session, factor, factor_sessions
+from wstsim.encoder import build_equivalent_channel, build_pair_codeword, build_tdma_codeword
 
 
 def wstsim_env() -> dict:
@@ -49,6 +49,19 @@ def codeword_one(rows, m):
 def transmit_one(X, h, w, amp):
     """One session's received matrix, sent as a stack of one at amplitude amp."""
     return transmit(X[None], h[None], w[None], np.array([amp]))[0]
+
+
+def equivalent_channel_one(h, basis):
+    """One session's system matrix from its users' receive vectors
+    (k_active, n_r), built as a stack of one."""
+    return build_equivalent_channel(np.asarray(h)[None], basis)[0]
+
+
+def factor_one(matrix, observation, levels):
+    """One real system, factored as a stack of one."""
+    mat, obs = np.asarray(matrix, dtype=float), np.asarray(observation, dtype=float)
+    (problem,) = factor(DecodeProblem(mat[None], obs[None], levels))
+    return problem
 
 
 def decode_one(received, h, amp, m, mode="sphere"):

@@ -108,7 +108,7 @@ def test_ac3_decoder_exactness():
         rng = trial_rng(MC_SEED, t)
         p1, p2 = lift(random_fragment(rng, 2), 2), lift(random_fragment(rng, 2), 2)
         codeword = codeword_one([p1, p2], 2)
-        h, w = draw_session(rng, 2, 1, [2], 3)
+        h, w = draw_session(rng, 2, [2], 3)
         received = transmit_one(codeword, h, w[0], amp)
         a = decode_one(received, h, amp, 2, mode="sphere")
         b = decode_one(received, h, amp, 2, mode="ml")

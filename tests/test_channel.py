@@ -45,8 +45,8 @@ def test_trial_rng_validation():
 
 def test_draw_session_deterministic_across_replays():
     for trial in (0, 17):
-        h1, w1 = draw_session(trial_rng(999, trial), 2, 1, [2], 3)
-        h2, w2 = draw_session(trial_rng(999, trial), 2, 1, [2], 3)
+        h1, w1 = draw_session(trial_rng(999, trial), 2, [2], 3)
+        h2, w2 = draw_session(trial_rng(999, trial), 2, [2], 3)
         assert np.array_equal(h1, h2)
         assert np.array_equal(w1, w2)
 
@@ -76,8 +76,8 @@ def test_draw_cn_into_buffer_equals_fresh_draw():
 def test_draw_session_draws_channel_then_noise():
     for k in (1, 2):
         rng, ref = trial_rng(77, k), trial_rng(77, k)
-        h, w = draw_session(rng, 2, 1, [k], 3)
-        assert np.array_equal(h, draw_cn(ref, (k, 2, 1)))
+        h, w = draw_session(rng, 2, [k], 3)
+        assert np.array_equal(h, draw_cn(ref, (k, 2)))
         assert np.array_equal(w, draw_cn(ref, (1, 2, 3)))
         assert rng.standard_normal() == ref.standard_normal()
 
@@ -114,7 +114,7 @@ def _pair_codeword(v1, v2):
 
 def test_transmit_identity_channel_zero_noise():
     X = _pair_codeword(0b010011, 0b111000)
-    h = np.array([[[1.0], [0.0]], [[0.0], [1.0]]], dtype=complex)
+    h = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     snr = snr_linear(20.0)
     Y = transmit_one(X, h, ZERO_NOISE, amp_of(20.0))
     assert np.allclose(Y, np.sqrt(snr) * X)
@@ -122,7 +122,7 @@ def test_transmit_identity_channel_zero_noise():
 
 def test_transmit_zero_codeword_returns_noise():
     X = _pair_codeword(0, 0)
-    zero = np.zeros((2, 2, 1), dtype=complex)
+    zero = np.zeros((2, 2), dtype=complex)
     noise = np.arange(6, dtype=complex).reshape(2, 3)
     Y = transmit_one(X, zero, noise, amp_of(10.0))
     assert np.array_equal(Y, noise)
@@ -130,7 +130,7 @@ def test_transmit_zero_codeword_returns_noise():
 
 def test_transmit_superposition():
     rng = trial_rng(77)
-    h, _ = draw_session(rng, 2, 1, [2], 3)
+    h, _ = draw_session(rng, 2, [2], 3)
     amp = amp_of(13.0)
     X1 = _pair_codeword(0b010011, 0b111000)
     X2 = _pair_codeword(0b001100, 0b100101)
@@ -142,16 +142,16 @@ def test_transmit_superposition():
 
 def test_transmit_shape_mismatch():
     X = _pair_codeword(0b010011, 0b111000)
-    h = np.zeros((1, 2, 1), dtype=complex)
+    h = np.zeros((1, 2), dtype=complex)
     with pytest.raises(ValueError):
         transmit_one(X, h, ZERO_NOISE, 1.0)
     with pytest.raises(ValueError):
-        transmit_one(X, np.zeros((2, 2, 1), dtype=complex), np.zeros((2, 2)), 1.0)
+        transmit_one(X, np.zeros((2, 2), dtype=complex), np.zeros((2, 2)), 1.0)
 
 
 def test_received_snr_calibration():
     # with the unit-energy normalizer, E||sqrt(snr) H X||^2 / E||W||^2 is
-    # snr * n_t * K_active (here 2 * snr) to within Monte Carlo error
+    # snr * K_active (here 2 * snr) to within Monte Carlo error
     rng = trial_rng(1234)
     trials = 10**5
     rows = np.array([lift(v, 2) for v in range(64)]) * normalizer(2)
@@ -162,7 +162,7 @@ def test_received_snr_calibration():
     signal = np.sqrt(snr) * np.einsum("tru,tuc->trc", h, x)
     w = draw_cn(rng, (trials, 2, 3))
     ratio = float(np.mean(np.abs(signal) ** 2).sum() / np.mean(np.abs(w) ** 2).sum())
-    expected = snr * 1 * 2
+    expected = snr * 2
     assert abs(ratio - expected) / expected < 0.03
 
 
@@ -175,13 +175,13 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("n_r,n_t,T", [(2, 1, 3), (3, 2, 4)])
-def test_draw_session_sequence_equals_the_draws_in_turn(n_r, n_t, T):
+@pytest.mark.parametrize("n_r,T", [(2, 3), (3, 4)])
+def test_draw_session_sequence_equals_the_draws_in_turn(n_r, T):
     for counts in ([2], [1], [2, 2, 1] * 4, [1] * 10, [1, 3, 2]):
         rng, ref = trial_rng(55, len(counts)), trial_rng(55, len(counts))
-        h, w = draw_session(rng, n_r, n_t, counts, T)
-        singles = [draw_session(ref, n_r, n_t, [k], T) for k in counts]
-        assert h.shape == (sum(counts), n_r, n_t) and w.shape == (len(counts), n_r, T)
+        h, w = draw_session(rng, n_r, counts, T)
+        singles = [draw_session(ref, n_r, [k], T) for k in counts]
+        assert h.shape == (sum(counts), n_r) and w.shape == (len(counts), n_r, T)
         assert np.array_equal(_bits(h), _bits(np.concatenate([hk for hk, _ in singles])))
         assert np.array_equal(_bits(w), _bits(np.concatenate([wk for _, wk in singles])))
         assert rng.standard_normal() == ref.standard_normal()  # the Generators agree after
@@ -190,31 +190,30 @@ def test_draw_session_sequence_equals_the_draws_in_turn(n_r, n_t, T):
 def test_draw_session_sequence_validation():
     for counts in ([], [2, 0, 1], [-1]):
         with pytest.raises(ValueError):
-            draw_session(trial_rng(1), 2, 1, counts, 3)
+            draw_session(trial_rng(1), 2, counts, 3)
     with pytest.raises(ValueError):
-        draw_session(trial_rng(1), 0, 1, [1, 2], 3)
+        draw_session(trial_rng(1), 0, [1, 2], 3)
     with pytest.raises(TypeError):  # one count is a sequence of one
-        draw_session(trial_rng(1), 2, 1, 2, 3)
+        draw_session(trial_rng(1), 2, 2, 3)
 
 
 def _lone_product(X, h, w, amp):
     """One session's received matrix as a 2-D product scaled by a Python
     float: the oracle for every session of a stack."""
-    k, n_r, n_t = h.shape
-    return amp * (np.swapaxes(h, 0, 1).reshape(n_r, k * n_t) @ X) + w
+    return amp * (np.ascontiguousarray(h.T) @ X) + w
 
 
-@pytest.mark.parametrize("k,n_t", [(1, 1), (2, 1), (2, 2)])
-def test_stacked_transmit_equals_per_session_bitwise(k, n_t):
-    rng = trial_rng(606, k, n_t)
+@pytest.mark.parametrize("k,n_r", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_stacked_transmit_equals_per_session_bitwise(k, n_r):
+    rng = trial_rng(606, k, n_r)
     S = 400
-    X = draw_cn(rng, (S, k * n_t, 3))
-    h = draw_cn(rng, (S, k, 2, n_t))
-    w = draw_cn(rng, (S, 2, 3))
+    X = draw_cn(rng, (S, k, 3))
+    h = draw_cn(rng, (S, k, n_r))
+    w = draw_cn(rng, (S, n_r, 3))
     w[::3] = 0.0  # zero noise, where a product's sign of zero would show
     amp = amp_of(11.0)
     Y = transmit(X, h, w, np.full(S, amp))
-    assert Y.shape == (S, 2, 3)
+    assert Y.shape == (S, n_r, 3)
     for n in range(S):
         assert np.array_equal(_bits(Y[n]), _bits(transmit_one(X[n], h[n], w[n], amp)))
         assert np.array_equal(_bits(Y[n]), _bits(_lone_product(X[n], h[n], w[n], amp)))
@@ -224,22 +223,22 @@ def test_stacked_transmit_equals_per_session_bitwise(k, n_t):
         transmit(X, h, w[..., :2], np.full(S, amp))
 
 
-@pytest.mark.parametrize("k,n_t", [(1, 1), (2, 1), (2, 2)])
-def test_stacked_transmit_at_per_session_snr_equals_per_session_bitwise(k, n_t):
+@pytest.mark.parametrize("k,n_r", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_stacked_transmit_at_per_session_snr_equals_per_session_bitwise(k, n_r):
     # each session scaled by its own amplitude: the received matrix of its
     # own call at its own amplitude, bit for bit
-    rng = trial_rng(607, k, n_t)
+    rng = trial_rng(607, k, n_r)
     S = 400
-    X = draw_cn(rng, (S, k * n_t, 3))
-    h = draw_cn(rng, (S, k, 2, n_t))
-    w = draw_cn(rng, (S, 2, 3))
+    X = draw_cn(rng, (S, k, 3))
+    h = draw_cn(rng, (S, k, n_r))
+    w = draw_cn(rng, (S, n_r, 3))
     w[::3] = 0.0
     amps = [amp_of(db) for db in rng.choice([-20.0, 0.0, 10.0, 12.5, 25.0, 30.0, 80.0], size=S)]
     Y = transmit(X, h, w, np.array(amps))
-    assert Y.shape == (S, 2, 3)
+    assert Y.shape == (S, n_r, 3)
     for n, amp in enumerate(amps):
         assert np.array_equal(_bits(Y[n]), _bits(transmit_one(X[n], h[n], w[n], amp)))
         assert np.array_equal(_bits(Y[n]), _bits(_lone_product(X[n], h[n], w[n], amp)))
     # one amplitude for every session is the same multiply as a Python float
-    h_all = np.swapaxes(h, 1, 2).reshape(S, 2, k * n_t)
+    h_all = np.ascontiguousarray(np.swapaxes(h, 1, 2))
     assert np.array_equal(_bits(transmit(X, h, w, np.full(S, amps[0]))), _bits(amps[0] * (h_all @ X) + w))

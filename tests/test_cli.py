@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -246,6 +247,7 @@ def test_repair_golden_header(tmp_path):
         (("outage", "--r", "1e400", "--offset", "1", "--trials", "64", "--snr-grid", "10"), 2),
         (("outage", "--offset", "nan", "--trials", "64", "--snr-grid", "10"), 2),
         (("outage", "--offset", "inf", "--trials", "64", "--snr-grid", "10"), 2),
+        (("outage", "--snr-grid", "0:4e-10:1e-10", "--trials", "64"), 2),
     ],
 )
 def test_edge_inputs_exit_cleanly(tmp_path, args, code):
@@ -335,6 +337,23 @@ def test_parser_bounds_exit_2(args, capsys):
         parser.parse_args(args)
     assert exc.value.code == 2
     assert "expected" in capsys.readouterr().err
+
+
+def test_snr_grids_keep_their_points_inside_lo_hi():
+    assert cli._parse_snr_grid("10:30:5") == (10.0, 15.0, 20.0, 25.0, 30.0)
+    assert cli._parse_snr_grid("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
+    assert cli._parse_snr_grid("0:1e-9:1e-9") == (0.0, 1e-9)
+    assert cli._parse_snr_grid("0:0:5") == (0.0,)
+    assert cli._parse_snr_grid("1e-10:1:0.5") == (1e-10, 0.5, 1.0)
+
+
+def test_degenerate_snr_grids_are_refused_before_they_are_built():
+    # all but the third step below the grid's 1e-9 dB resolution, and the
+    # third rounds two points to one value at 9 decimals.  The last comes
+    # last: a parser that took the others could loop about 1e11 times on it
+    for text in ("0:4e-10:1e-10", "0:0:1e-13", "5e-10:3.6e-9:1e-9", "0:0:1e-20"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_snr_grid(text)
 
 
 @pytest.mark.parametrize("command", ["outage", "simulate", "repair"])

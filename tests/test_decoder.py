@@ -15,21 +15,21 @@ from wstsim.decoder import (
     factor_sessions,
     sphere_decode,
 )
-from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
+from wstsim.encoder import dispersion_basis, realify
 from wstsim.lift import levels as fragment_levels, lift, pam_levels, random_fragment
 from wstsim.protocol import run_session_trials
 
-from conftest import amp_of, codeword_one, decode_one, transmit_one
+from conftest import amp_of, codeword_one, decode_one, equivalent_channel_one, factor_one, transmit_one
 
 
 def random_problem(rng, rows=8, cols=6, levels=(-1, 1), noise=0.0):
     a = rng.standard_normal((rows, cols))
     x = np.array([levels[i] for i in rng.integers(0, len(levels), size=cols)])
     y = a @ x + noise * rng.standard_normal(rows)
-    return DecodeProblem(a, y, levels), x
+    return factor_one(a, y, levels), x
 
 
-def reference_sphere_decode(p: DecodeProblem) -> DecodeResult:
+def reference_sphere_decode(p: FactoredProblem) -> DecodeResult:
     """The same depth-first search with numpy nodes: a numpy dot for each
     node's interference term and numpy scalars throughout.  sphere_decode
     must match it in coordinates, visited nodes and the rank flag."""
@@ -127,7 +127,7 @@ def per_matrix_factor(a, y):
     return r, z, float(resid @ resid)
 
 
-def assert_equals_oracle(p: DecodeProblem) -> DecodeResult:
+def assert_equals_oracle(p: FactoredProblem) -> DecodeResult:
     """sphere_decode against the recursive oracle on the system factored on
     its own: the whole DecodeResult, metric compared with ==."""
     new = sphere_decode(p)
@@ -137,7 +137,7 @@ def assert_equals_oracle(p: DecodeProblem) -> DecodeResult:
     return new
 
 
-def assert_matches_reference(p: DecodeProblem) -> DecodeResult:
+def assert_matches_reference(p: FactoredProblem) -> DecodeResult:
     res = sphere_decode(p)
     ref = reference_sphere_decode(p)
     assert res.coordinates == ref.coordinates
@@ -177,7 +177,7 @@ def test_sphere_equals_oracle_on_pair_sessions():
         rng = trial_rng(2024, t)
         p1, p2 = lift(random_fragment(rng, 2), 2), lift(random_fragment(rng, 2), 2)
         X = codeword_one([p1, p2], 2)
-        h, w = draw_session(rng, 2, 1, [2], 3)
+        h, w = draw_session(rng, 2, [2], 3)
         Y = transmit_one(X, h, w[0], amp)
         a = decode_one(Y, h, amp, 2, mode="sphere")
         b = decode_one(Y, h, amp, 2, mode="ml")
@@ -207,11 +207,11 @@ def test_sphere_equals_numpy_node_reference_on_sessions(m, scheme):
         amp = amp_of((5.0, 15.0, 25.0)[t % 3])
         rng = trial_rng(4321, t)
         rows = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
-        h, w = draw_session(rng, 2, 1, [k_act], 3)
+        h, w = draw_session(rng, 2, [k_act], 3)
         Y = transmit_one(codeword_one(rows, m), h, w[0], amp)
-        eqc = build_equivalent_channel(h, basis)
+        eqc = equivalent_channel_one(h, basis)
         mat, obs = realify(amp * eqc, Y.reshape(-1, order="F"))
-        assert_matches_reference(DecodeProblem(mat, obs, pam_levels(m)))
+        assert_matches_reference(factor_one(mat, obs, pam_levels(m)))
 
 
 ALPHABETS = {1: (5,), 2: pam_levels(2), 4: pam_levels(4), 8: pam_levels(6)}
@@ -239,13 +239,13 @@ def test_state_machine_equals_recursive_oracle_on_exact_ties(size, tall):
     rng = np.random.default_rng([size, tall, 7])
     n = 6 if size < 8 else 4
     eye = np.vstack([np.eye(n), np.zeros((tall, n))])
-    assert_equals_oracle(DecodeProblem(eye, np.zeros(n + tall), levels))
+    assert_equals_oracle(factor_one(eye, np.zeros(n + tall), levels))
     for _ in range(150):
         a = np.triu(rng.integers(-2, 3, (n, n))).astype(float)
         a[np.diag_indices(n)] = rng.choice([-2.0, -1.0, 1.0, 2.0], n)
         a = np.vstack([a, np.zeros((tall, n))])
         y = 0.5 * rng.integers(-4 * max(levels), 4 * max(levels) + 1, n + tall)
-        assert_equals_oracle(DecodeProblem(a, y, levels))
+        assert_equals_oracle(factor_one(a, y, levels))
 
 
 @pytest.mark.parametrize("m", [2, 6])
@@ -259,7 +259,7 @@ def test_state_machine_equals_recursive_oracle_when_rank_deficient(m):
             p, _ = random_problem(rng, cols + tall, cols, levels, noise=0.5)
             a = p.matrix.copy()
             a[:, list(dead)] = 0.0
-            res = assert_equals_oracle(DecodeProblem(a, p.observation, levels))
+            res = assert_equals_oracle(factor_one(a, p.observation, levels))
             assert res.fallback
 
 
@@ -270,18 +270,18 @@ def test_state_machine_equals_recursive_oracle_beyond_oracle_guard():
         p, _ = random_problem(rng, rows=12, cols=12, levels=levels, noise=0.5)
         a = p.matrix.copy()
         a[:, col] = 0.0
-        assert assert_equals_oracle(DecodeProblem(a, p.observation, levels)).fallback
+        assert assert_equals_oracle(factor_one(a, p.observation, levels)).fallback
 
 
 def test_scalar_problem_quantizes_to_closest_level():
-    p = DecodeProblem(np.array([[2.0]]), np.array([4.3]), (-3, -1, 1, 3))
+    p = factor_one(np.array([[2.0]]), np.array([4.3]), (-3, -1, 1, 3))
     for decode in (sphere_decode, brute_force_ml):
         res = decode(p)
         assert res.coordinates == (3,)  # 4.3 / 2 = 2.15 -> closest odd level 3
 
 
 def test_single_candidate_alphabet():
-    p = DecodeProblem(np.eye(3), np.array([9.0, -9.0, 0.0]), (5,))
+    p = factor_one(np.eye(3), np.array([9.0, -9.0, 0.0]), (5,))
     res = brute_force_ml(p)
     assert res.coordinates == (5, 5, 5)
 
@@ -289,7 +289,7 @@ def test_single_candidate_alphabet():
 def test_tie_breaking_is_lexicographic():
     # both +-1 give the same metric in each coordinate; the lexicographically
     # smallest full vector must win in both decoders
-    p = DecodeProblem(np.eye(2), np.zeros(2), (-1, 1))
+    p = factor_one(np.eye(2), np.zeros(2), (-1, 1))
     a = assert_matches_reference(p)
     b = brute_force_ml(p)
     assert a.coordinates == b.coordinates == (-1, -1)
@@ -298,14 +298,14 @@ def test_tie_breaking_is_lexicographic():
 
 def test_oracle_guard():
     with pytest.raises(ValueError):
-        brute_force_ml(DecodeProblem(np.eye(30), np.zeros(30), (-1, 1)))
+        brute_force_ml(factor_one(np.eye(30), np.zeros(30), (-1, 1)))
 
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        DecodeProblem(np.zeros((3, 4)), np.zeros(3), (-1, 1))  # wide matrix
+        DecodeProblem(np.zeros((1, 3, 4)), np.zeros((1, 3)), (-1, 1))  # wide matrix
     with pytest.raises(ValueError):
-        DecodeProblem(np.eye(3), np.zeros(2), (-1, 1))  # length mismatch
+        DecodeProblem(np.eye(3)[None], np.zeros((1, 2)), (-1, 1))  # length mismatch
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -313,15 +313,15 @@ def test_problem_rejects_non_finite_inputs(bad):
     mat = np.eye(3)
     mat[1, 2] = bad
     with pytest.raises(ValueError):
-        DecodeProblem(mat, np.zeros(3), (-1, 1))
+        DecodeProblem(mat[None], np.zeros((1, 3)), (-1, 1))
     with pytest.raises(ValueError):
-        DecodeProblem(np.eye(3), np.array([0.0, bad, 0.0]), (-1, 1))
+        DecodeProblem(np.eye(3)[None], np.array([[0.0, bad, 0.0]]), (-1, 1))
 
 
 def test_rank_deficient_falls_back_to_oracle():
     a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # second column zero
     y = np.array([0.9, 0.0, 0.0])
-    p = DecodeProblem(a, y, (-1, 1))
+    p = factor_one(a, y, (-1, 1))
     res = assert_matches_reference(p)
     assert res.fallback
     oracle = brute_force_ml(p)
@@ -338,7 +338,7 @@ def test_rank_deficient_m6_matches_oracle():
         p, _ = random_problem(rng, rows=6, cols=6, levels=levels, noise=0.5)
         a = p.matrix.copy()
         a[:, col] = 0.0
-        p = DecodeProblem(a, p.observation, levels)
+        p = factor_one(a, p.observation, levels)
         res = assert_matches_reference(p)
         oracle = brute_force_ml(p)
         assert res.fallback
@@ -357,8 +357,8 @@ def test_rank_deficient_beyond_oracle_guard():
     col = 3
     a = p.matrix.copy()
     a[:, col] = 0.0
-    res = sphere_decode(DecodeProblem(a, p.observation, levels))
-    reduced = sphere_decode(DecodeProblem(np.delete(a, col, axis=1), p.observation, levels))
+    res = sphere_decode(factor_one(a, p.observation, levels))
+    reduced = sphere_decode(factor_one(np.delete(a, col, axis=1), p.observation, levels))
     assert res.fallback
     assert not reduced.fallback
     assert abs(res.metric - reduced.metric) < 1e-9
@@ -390,7 +390,7 @@ def test_zero_noise_roundtrip_sessions():
         k_act = 2 if scheme == "pair" else 1
         frags = [random_fragment(rng, 2) for _ in range(k_act)]
         X = codeword_one([lift(f, 2) for f in frags], 2)
-        h, _ = draw_session(rng, 2, 1, [k_act], 3)
+        h, _ = draw_session(rng, 2, [k_act], 3)
         Y = transmit_one(X, h, np.zeros((2, 3), dtype=complex), amp)
         dec = decode_one(Y, h, amp, 2)
         assert dec.coordinates == tuple(c for f in frags for c in fragment_levels(f, 2))
@@ -399,7 +399,7 @@ def test_zero_noise_roundtrip_sessions():
 
 def test_decode_session_mode_validation():
     rng = trial_rng(1)
-    h, _ = draw_session(rng, 2, 1, [1], 3)
+    h, _ = draw_session(rng, 2, [1], 3)
     with pytest.raises(ValueError):
         decode_session(factor_sessions([np.zeros((2, 3))], [h], np.array([1.0]), 2)[0], "zf")
 
@@ -516,7 +516,7 @@ def test_certified_session_results_equal_the_scalar_search(scheme, m):
         for t in range(count):
             rng = trial_rng(2121, t, int(db))
             rows = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
-            h, w = draw_session(rng, 2, 1, [k_act], 3)
+            h, w = draw_session(rng, 2, [k_act], 3)
             received.append(transmit_one(codeword_one(rows, m), h, w[0], amp))
             chans.append(h)
         for rec in factor_sessions(received, chans, np.full(count, amp), m):
@@ -533,7 +533,7 @@ def test_certificate_does_not_depend_on_the_stack():
     a = rng.standard_normal((64, 9, 6))
     y = np.einsum("sij,sj->si", a, np.asarray(levels)[rng.integers(0, 4, (64, 6))])
     y += 0.7 * rng.standard_normal((64, 9))
-    alone = [factor(DecodeProblem(ai, yi, levels))[0].result for ai, yi in zip(a, y)]
+    alone = [factor_one(ai, yi, levels).result for ai, yi in zip(a, y)]
     for size in (2, 7, 64):
         stacked = [
             rec.result
@@ -551,14 +551,14 @@ def test_second_candidate_tying_the_leaf_is_not_certified():
     # metric 1.5625 equals the top level's second partial metric exactly.
     # The scalar search must descend under that candidate as well (5 nodes,
     # not 2n = 4); a certificate with >= in place of > would store 4.
-    (rec,) = factor(DecodeProblem(np.eye(2), np.array([2.0, 0.25]), (-1, 1)))
+    rec = factor_one(np.eye(2), np.array([2.0, 0.25]), (-1, 1))
     assert np.array_equal(rec.r, np.eye(2))
     assert rec.result is None
     res = sphere_decode(rec)
     assert res == DecodeResult((1, 1), 1.5625, 5, False)
     assert res == recursive_sphere_decode(*per_matrix_factor(np.eye(2), np.array([2.0, 0.25])), (-1, 1))
     # the same tie at the leaf level: both candidates of level 0 at increment 1
-    (rec,) = factor(DecodeProblem(np.eye(2), np.array([0.0, 2.0]), (-1, 1)))
+    rec = factor_one(np.eye(2), np.array([0.0, 2.0]), (-1, 1))
     assert rec.result is None
     assert sphere_decode(rec) == DecodeResult((-1, 1), 2.0, 4, False)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import embedded_row
+from conftest import embedded_row, equivalent_channel_one
 from wstsim.algebra import ETA, ONE, FieldElement
 from wstsim.channel import draw_cn, trial_rng
 from wstsim.encoder import (
@@ -193,19 +193,19 @@ def test_pair_difference_rank_exhaustive_m2():
 
 def test_equivalent_channel_single_user_shape_and_identity():
     basis = dispersion_basis(2)
-    h = np.array([[1.0], [0.0]], dtype=complex)
-    eqc = build_equivalent_channel([h], basis)
+    h = np.array([1.0, 0.0], dtype=complex)
+    eqc = equivalent_channel_one([h], basis)
     assert eqc.shape == (6, 3)
     x = np.array([1 + 1j, -1 + 1j, 1 - 1j])
-    X = np.zeros((1, 3), dtype=complex)
+    X = np.zeros(3, dtype=complex)
     for l in range(3):
-        X += x[l] * basis[l : l + 1]
-    direct = (h @ X).reshape(-1, order="F")
+        X += x[l] * basis[l]
+    direct = np.outer(h, X).reshape(-1, order="F")
     assert np.max(np.abs(eqc @ x - direct)) < 1e-12
 
 
 def test_equivalent_channel_zero_channels():
-    eqc = build_equivalent_channel([np.zeros((2, 1))] * 2, dispersion_basis(2))
+    eqc = equivalent_channel_one(np.zeros((2, 2)), dispersion_basis(2))
     assert eqc.shape == (6, 6)
     assert not eqc.any()
 
@@ -215,15 +215,15 @@ def test_equivalent_channel_identity_random_two_user():
     rng = trial_rng(11)
     worst = 0.0
     for _ in range(1000):
-        hs = [draw_cn(rng, (2, 1)) for _ in range(2)]
+        hs = draw_cn(rng, (2, 2))  # user x receive antenna
         xs = draw_cn(rng, (2, 3)) * 3
-        eqc = build_equivalent_channel(hs, basis)
+        eqc = equivalent_channel_one(hs, basis)
         direct = np.zeros((2, 3), dtype=complex)
         for k in range(2):
-            Xk = np.zeros((1, 3), dtype=complex)
+            Xk = np.zeros(3, dtype=complex)
             for l in range(3):
-                Xk += xs[k, l] * basis[l : l + 1]
-            direct += hs[k] @ Xk
+                Xk += xs[k, l] * basis[l]
+            direct += np.outer(hs[k], Xk)
         delta = eqc @ xs.reshape(-1) - direct.reshape(-1, order="F")
         worst = max(worst, float(np.max(np.abs(delta))))
     assert worst < 1e-12
@@ -232,10 +232,10 @@ def test_equivalent_channel_identity_random_two_user():
 def test_equivalent_channel_linear_in_each_user():
     basis = dispersion_basis(2)
     rng = trial_rng(12)
-    h1, h2, g1 = (draw_cn(rng, (2, 1)) for _ in range(3))
-    a = build_equivalent_channel([h1, h2], basis)
-    b = build_equivalent_channel([g1, h2], basis)
-    c = build_equivalent_channel([h1 + g1, h2], basis)
+    h1, h2, g1 = draw_cn(rng, (3, 2))
+    a = equivalent_channel_one([h1, h2], basis)
+    b = equivalent_channel_one([g1, h2], basis)
+    c = equivalent_channel_one([h1 + g1, h2], basis)
     assert np.max(np.abs(a[:, :3] + b[:, :3] - c[:, :3])) < 1e-12
     assert np.max(np.abs(c[:, 3:] - a[:, 3:])) < 1e-12
 
@@ -244,14 +244,16 @@ def test_equivalent_channel_equals_per_column_products_exactly():
     rng = trial_rng(15)
     basis = dispersion_basis(4)
     for k in (1, 2):
-        for _ in range(200):
-            hs = draw_cn(rng, (k, 2, 1))
+        hs = draw_cn(rng, (200, k, 2))
+        stack = build_equivalent_channel(hs, basis)
+        assert stack.shape == (200, 6, 3 * k)
+        for h, eqc in zip(hs, stack):
             cols = [
-                (hs[u] @ basis[l : l + 1]).reshape(-1, order="F")
+                (h[u][:, None] @ basis[l : l + 1]).reshape(-1, order="F")
                 for u in range(k)
                 for l in range(3)
             ]
-            assert np.array_equal(build_equivalent_channel(hs, basis), np.column_stack(cols))
+            assert np.array_equal(eqc, np.column_stack(cols))
 
 
 def test_dispersion_basis_rejects_multi_antenna_rows():
@@ -260,9 +262,17 @@ def test_dispersion_basis_rejects_multi_antenna_rows():
     basis = dispersion_basis(2)
     assert basis.shape == (3, 3) and not basis.flags.writeable
     with pytest.raises(ValueError):
-        build_equivalent_channel(np.zeros((2, 2, 2), dtype=complex), basis)
+        build_equivalent_channel(np.zeros((1, 2, 2, 2), dtype=complex), basis)
     with pytest.raises(ValueError):
-        build_equivalent_channel(np.zeros((2, 1), dtype=complex), basis)  # no user axis
+        build_equivalent_channel(np.zeros((2, 2), dtype=complex), basis)  # no stack axis
+
+
+def test_equivalent_channel_refuses_a_unit_antenna_axis():
+    # a stack of receive vectors is (S, k_active, n_r); the (S, k_active,
+    # n_r, 1) form with a transmit-antenna axis of one is refused
+    h = draw_cn(trial_rng(16), (4, 2, 2))
+    with pytest.raises(ValueError):
+        build_equivalent_channel(h[..., None], dispersion_basis(2))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +301,7 @@ def test_realify_solution_matches_complex_solve():
 def test_realify_pair_scheme_dimensions():
     basis = dispersion_basis(2)
     rng = trial_rng(14)
-    eqc = build_equivalent_channel([draw_cn(rng, (2, 1)) for _ in range(2)], basis)
+    eqc = equivalent_channel_one(draw_cn(rng, (2, 2)), basis)
     A, b = realify(eqc, draw_cn(rng, (6,)))
     assert A.shape == (12, 12)
     assert b.shape == (12,)

@@ -25,13 +25,13 @@ from wstsim.decoder import (
     factor_sessions,
     sphere_decode,
 )
-from wstsim.encoder import build_equivalent_channel, dispersion_basis, realify
+from wstsim.encoder import dispersion_basis, realify
 from wstsim.cli import _session_range
 from wstsim.lift import lift, pam_levels, random_fragment
 from wstsim.protocol import GROUP_SIZES, run_repair_trials, run_session_trials
 from wstsim.storage import StorageConfig
 
-from conftest import amp_of, codeword_one, transmit_one
+from conftest import amp_of, codeword_one, equivalent_channel_one, factor_one, transmit_one
 from test_decoder import per_matrix_factor, recursive_sphere_decode
 
 CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
@@ -40,7 +40,7 @@ CFG = StorageConfig(6, 3, d=5, fragment_bits=24)
 def old_system(received, per_user, basis, amplitude):
     """One session's real system, built on its own; amplitude is its
     sqrt(snr_linear), a float."""
-    eqc = build_equivalent_channel(per_user, basis)
+    eqc = equivalent_channel_one(per_user, basis)
     return realify(
         amplitude * eqc,
         np.asarray(received, dtype=complex).reshape(-1, order="F"),
@@ -103,21 +103,13 @@ def test_stacked_factor_equals_per_matrix_qr_bitwise():
     assert checked == 12 * 44 * 3
 
 
-def test_single_system_is_a_stack_of_one():
-    rng = np.random.default_rng(3)
-    a, y = rng.standard_normal((9, 6)), rng.standard_normal(9)
-    (f,) = factor(DecodeProblem(a, y, (-1, 1)))
-    r, z, offset = per_matrix_factor(a, y)
-    assert np.array_equal(f.r, r) and np.array_equal(f.z, z) and f.offset == offset
-
-
 @pytest.mark.parametrize("k_act", [1, 2])
 def test_factor_sessions_equals_per_session_systems_bitwise(k_act):
     rng = trial_rng(77, k_act)
     basis = dispersion_basis(4)
     for size in (1, 4, 9):
         amp = amp_of(17.0)
-        chans = [draw_session(rng, 2, 1, [k_act], 3)[0] for _ in range(size)]
+        chans = [draw_session(rng, 2, [k_act], 3)[0] for _ in range(size)]
         received = [draw_cn(rng, (2, 3)) for _ in range(size)]
         stack = factor_sessions(received, chans, np.full(size, amp), 4)
         assert len(stack) == size
@@ -157,7 +149,7 @@ def test_session_trials_decode_as_the_per_session_path(scheme, m, monkeypatch):
 def test_factor_sessions_at_per_session_snr_equals_each_alone_bitwise(k_act):
     rng = trial_rng(78, k_act)
     amps = [amp_of(db) for db in (10.0, 30.0, 15.0, 10.0, 25.0, 20.0, -5.0, 60.0)]
-    chans = [draw_session(rng, 2, 1, [k_act], 3)[0] for _ in amps]
+    chans = [draw_session(rng, 2, [k_act], 3)[0] for _ in amps]
     received = [draw_cn(rng, (2, 3)) for _ in amps]
     stack = factor_sessions(received, chans, np.array(amps), 4)
     for f, y, h, amp in zip(stack, received, chans, amps, strict=True):
@@ -193,7 +185,7 @@ def test_decodes_do_not_depend_on_the_stack(scheme, m):
     for t in range(1024):
         rng = trial_rng(4242, t)
         rows = [lift(random_fragment(rng, m), m) for _ in range(k_act)]
-        h, w = draw_session(rng, 2, 1, [k_act], 3)
+        h, w = draw_session(rng, 2, [k_act], 3)
         received.append(transmit_one(codeword_one(rows, m), h, w[0], amp))
         chans.append(h)
     decodes = {}
@@ -231,7 +223,7 @@ def test_non_finite_entry_in_a_stack_raises(bad):
     with pytest.raises(ValueError):
         DecodeProblem(np.stack([np.eye(3)] * 4), obs, (-1, 1))
     rng = trial_rng(8)
-    chans = [draw_session(rng, 2, 1, [1], 3)[0] for _ in range(3)]
+    chans = [draw_session(rng, 2, [1], 3)[0] for _ in range(3)]
     received = [draw_cn(rng, (2, 3)) for _ in range(3)]
     received[1][0, 2] = bad
     with pytest.raises(ValueError):
@@ -242,13 +234,13 @@ def test_a_metric_that_can_overflow_is_refused():
     # finite entries whose residual metric overflows a double: sphere_decode
     # raised TypeError on this system and brute_force_ml returned coordinates None
     with pytest.raises(ValueError):
-        DecodeProblem(np.array([[1e308]]), np.array([3e307]), (-3, -1, 1, 3))
+        DecodeProblem(np.array([[[1e308]]]), np.array([[3e307]]), (-3, -1, 1, 3))
     mats, obs = np.stack([np.eye(2)] * 3), np.zeros((3, 2))
     mats[1, 0, 0] = 1e200  # one system of the stack: (2e200)^2 overflows
     with pytest.raises(ValueError):
         DecodeProblem(mats, obs, (-1, 1))
     # a large system inside the bound decodes, and both decoders agree
-    p = DecodeProblem(np.array([[1e150, 0.0], [2e149, 5e149]]), np.array([3e149, -4e149]), (-3, -1, 1, 3))
+    p = factor_one(np.array([[1e150, 0.0], [2e149, 5e149]]), np.array([3e149, -4e149]), (-3, -1, 1, 3))
     sphere, oracle = sphere_decode(p), brute_force_ml(p)
     assert sphere.coordinates == oracle.coordinates == (1, -1)
     assert math.isfinite(sphere.metric) and math.isclose(sphere.metric, oracle.metric, rel_tol=1e-12)
@@ -263,7 +255,20 @@ def test_stack_validation():
         DecodeProblem(np.zeros((2, 3, 3)), np.zeros((2, 3)), ())  # empty alphabet
     with pytest.raises(ValueError):
         DecodeProblem(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 3)), (-1, 1))
+
+
+def test_a_lone_system_is_refused():
+    # a DecodeProblem is a stack; one system is a stack of one
+    with pytest.raises(ValueError):
+        DecodeProblem(np.eye(3), np.zeros(3), (-1, 1))
+    (f,) = factor(DecodeProblem(np.eye(3)[None], np.zeros((1, 3)), (-1, 1)))
+    assert f.matrix.shape == (3, 3) and f.observation.shape == (3,)
+
+
+@pytest.mark.parametrize("decode", [sphere_decode, brute_force_ml])
+def test_decoders_take_a_factored_system_only(decode):
     stack = DecodeProblem(np.stack([np.eye(2)] * 3), np.zeros((3, 2)), (-1, 1))
-    for decode in (sphere_decode, brute_force_ml):
-        with pytest.raises(ValueError):
-            decode(stack)  # a decoder takes one system
+    for p in (stack, DecodeProblem(np.eye(2)[None], np.zeros((1, 2)), (-1, 1))):
+        with pytest.raises(TypeError):
+            decode(p)
+    assert decode(factor(stack)[1]).coordinates == (-1, -1)

@@ -38,19 +38,30 @@ def test_huge_snr_never_in_outage():
 
 def test_zero_channel_always_in_outage():
     snr = snr_linear(20.0)
-    assert outage_trial_pair(np.zeros((2, 2)), snr, 10, Fraction(0), 1.0)
-    assert outage_trial_tdma(np.zeros(2), snr, 10, Fraction(0), 1.0)
-    assert outage_trial_full_mac(np.zeros((2, 3)), snr, 3, Fraction(0), 1.0)
+    assert outage_trial_pair(np.zeros((1, 2, 2)), snr, 10, Fraction(0), 1.0).tolist() == [True]
+    assert outage_trial_tdma(np.zeros((1, 2)), snr, 10, Fraction(0), 1.0).tolist() == [True]
+    assert outage_trial_full_mac(np.zeros((1, 2, 3)), snr, 3, Fraction(0), 1.0).tolist() == [True]
 
 
-def test_tdma_accepts_column_vector_shape():
-    rng = trial_rng(2)
-    flat = draw_cn(rng, (100, 2))
-    col = flat[..., None]
+@pytest.mark.parametrize(
+    "predicate,lone,unit_axis",
+    [
+        (outage_trial_tdma, (2,), (4, 2, 1)),
+        (outage_trial_pair, (2, 2), (4, 2, 2, 1)),
+        (outage_trial_full_mac, (2, 3), (4, 2, 3, 1)),
+        (full_mac_outage_reference, (2, 3), (4, 2, 3, 1)),
+    ],
+    ids=["tdma", "pair", "full-mac", "reference"],
+)
+def test_predicates_take_a_batch_only(predicate, lone, unit_axis):
+    # a lone channel, a scalar and a trailing unit axis are refused: each
+    # predicate takes N channels, (N, 2) for TDMA and (N, 2, g) otherwise
     snr = snr_linear(5.0)
-    a = outage_trial_tdma(flat, snr, 4, Fraction(1, 10), 0.0)
-    b = outage_trial_tdma(col, snr, 4, Fraction(1, 10), 0.0)
-    assert np.array_equal(a, b)
+    for shape in (lone, (), unit_axis):
+        with pytest.raises(ValueError, match="batch"):
+            predicate(np.ones(shape, dtype=complex), snr, 3, Fraction(1, 10), 0.0)
+    flags = predicate(np.ones((4, *lone), dtype=complex), snr, 3, Fraction(1, 10), 0.0)
+    assert flags.dtype == bool and flags.shape == (4,)
 
 
 def test_tdma_zero_db_closed_form():
@@ -91,7 +102,7 @@ def test_outage_monotone_in_snr_fixed_channel():
 
 def test_full_mac_guard():
     with pytest.raises(ValueError):
-        outage_trial_full_mac(np.zeros((2, 13)), snr_linear(10.0), 13, Fraction(0), 1.0)
+        outage_trial_full_mac(np.zeros((1, 2, 13)), snr_linear(10.0), 13, Fraction(0), 1.0)
 
 
 FULL_MAC_KS = [1, 2, 3, 4, 7, 10, 12]
@@ -257,15 +268,6 @@ def test_full_mac_adversarial_rows_equal_reference():
             assert np.array_equal(fast, ref), (db, r, offset)
 
 
-def test_full_mac_scalar_input_returns_bool():
-    chans = draw_cn(trial_rng(9), (20, 2, 3))
-    snr = snr_linear(5.0)
-    for h in chans:
-        flag = outage_trial_full_mac(h, snr, 3, Fraction(1, 4), 0.5)
-        assert isinstance(flag, bool)
-        assert flag == full_mac_outage_reference(h, snr, 3, Fraction(1, 4), 0.5)
-
-
 def test_full_mac_exact_boundary_goes_to_reference(monkeypatch):
     # 0 dB, r = 0, 1-bit offset, one user with h = (1, 0): 1 + s|h|^2 = 2 = 2^R
     # exactly, so the margin is 0 and the row must be decided by the reference
@@ -276,8 +278,8 @@ def test_full_mac_exact_boundary_goes_to_reference(monkeypatch):
         return full_mac_outage_reference(chan, *args)
 
     monkeypatch.setattr(outage, "full_mac_outage_reference", counting_reference)
-    chan = np.array([[1.0 + 0j], [0.0]])
-    assert outage_trial_full_mac(chan, snr_linear(0.0), 1, Fraction(0), 1.0) is False
+    chan = np.array([[[1.0 + 0j], [0.0]]])
+    assert outage_trial_full_mac(chan, snr_linear(0.0), 1, Fraction(0), 1.0).tolist() == [False]
     assert calls == [(1, 2, 1)]
 
 
@@ -300,14 +302,14 @@ def test_predicates_reject_fewer_than_one_user(predicate, K):
 
 def test_full_mac_reference_guard():
     with pytest.raises(ValueError):
-        full_mac_outage_reference(np.zeros((2, 13)), snr_linear(10.0), 13, Fraction(0), 1.0)
+        full_mac_outage_reference(np.zeros((1, 2, 13)), snr_linear(10.0), 13, Fraction(0), 1.0)
 
 
 def test_pair_dominant_constraint_is_single_user():
     # hand-built channel: user 1 deeply faded, user 2 strong, joint fine
-    chan = np.array([[1e-6, 1.0], [1e-6, 1.0]], dtype=complex)
+    chan = np.array([[[1e-6, 1.0], [1e-6, 1.0]]], dtype=complex)
     snr = snr_linear(20.0)
-    assert outage_trial_pair(chan, snr, 10, Fraction(1, 20), 0.0)
+    assert outage_trial_pair(chan, snr, 10, Fraction(1, 20), 0.0).tolist() == [True]
 
 
 # ---------------------------------------------------------------------------

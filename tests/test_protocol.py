@@ -196,7 +196,7 @@ def test_pipeline_identity_exhaustive_m2_single_session():
 
     for v in range(64):
         codeword = codeword_one([lift(v, 2), row2], 2)
-        h, _ = draw_session(rng, 2, 1, [2], 3)
+        h, _ = draw_session(rng, 2, [2], 3)
         received = transmit_one(codeword, h, np.zeros((2, 3), dtype=complex), amp)
         dec = decode_one(received, h, amp, 2)
         assert unlift(dec.coordinates[:6], 2) == v
@@ -216,10 +216,10 @@ def test_tdma_session_matches_independent_mrc_oracle():
         from wstsim.lift import random_fragment
 
         codeword = codeword_one([lift(random_fragment(rng, m), m)], m)
-        h, w = draw_session(rng, 2, 1, [1], 3)
+        h, w = draw_session(rng, 2, [1], 3)
         received = transmit_one(codeword, h, w[0], amp)
         dec = decode_one(received, h, amp, m)
-        h0 = h[0][:, 0]
+        h0 = h[0]
         z = h0.conj() @ received
         gain = amp * alpha * float(np.vdot(h0, h0).real)
         best = int(np.argmin((np.abs(z[None, :] - gain * rows) ** 2).sum(axis=1)))
@@ -297,7 +297,7 @@ def _send_one_by_one(sessions, m, session_amps, noiseless):
     in session order, each sent as a stack of one."""
     out = []
     for (fragments, rng), amp in zip(sessions, session_amps, strict=True):
-        h, w = draw_session(rng, 2, 1, [len(fragments)], 3)
+        h, w = draw_session(rng, 2, [len(fragments)], 3)
         if noiseless:
             w = np.zeros_like(w)
         codeword = codeword_one([lift(f, m) for f in fragments], m)
